@@ -1263,9 +1263,41 @@ _COMMANDS = {
 }
 
 
+def _output_path_error(args) -> str | None:
+    """Why an output option cannot be written, or None when all can.
+
+    Checked before a command runs, so a bad path costs no run time:
+    ``--csv``/``--json`` files need an existing parent directory, and a
+    ``--telemetry-out`` directory (created with its parents) must not
+    sit under, or be, a plain file.
+    """
+    from pathlib import Path
+
+    for option in ("csv", "json"):
+        value = getattr(args, option, None)
+        if not value:
+            continue
+        path = Path(value)
+        if not path.parent.is_dir():
+            return f"--{option} {value}: no directory {path.parent}"
+        if path.is_dir():
+            return f"--{option} {value}: is a directory"
+    value = getattr(args, "telemetry_out", None)
+    if value:
+        path = Path(value)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            return f"--telemetry-out {value}: {existing} is not a directory"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
+    error = _output_path_error(args)
+    if error is not None:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args)
 
 

@@ -14,8 +14,8 @@ PR 4 retry machinery) until every peer has ``ACK``-ed. Only then does a
 * if any other active intent on the link -- its own or a peer's --
   precedes it under the total order ``(priority, switch MAC, seq)``,
   it **defers** (bounded re-holds, then aborts);
-* otherwise it tests EDF feasibility of the committed union plus its
-  candidate, then reliably broadcasts ``COMMIT`` (idempotent by
+* otherwise it tests EDF feasibility of its committed trunk view plus
+  its candidate, then reliably broadcasts ``COMMIT`` (idempotent by
   channel) or ``ABORT``.
 
 Safety (THEORY.md section 10): a commit requires every peer's ACK
@@ -36,21 +36,36 @@ workload into one checkpointable engine, mirroring
 content-ordered agenda heap (no sequence numbers), every piece of state
 JSON-serializable, so kill-and-resume reproduces the uninterrupted
 decision stream byte for byte -- even with announce/commit legs
-in flight at the checkpoint.
+in flight at the checkpoint. Checkpoints are built from fresh
+containers, at a cost linear in the live state.
 
 Scope: the coordination protocol governs the *shared* trunks. Access
 links (node uplink/downlink) are validated against the fabric's
 authoritative access view at arrival time, exactly as a single-switch
 star would; only trunk state is replicated and intent-locked.
+
+**Admission engine.** Both tests -- a trunk at the hold's expiry and
+the two access links at arrival -- go through
+:class:`~repro.core.feasibility_cache.FeasibilityCache`, whose verdicts
+equal :func:`~repro.core.feasibility.is_feasible` on the same task set
+(THEORY.md sections 7 and 10.4). The caches are derived state: the
+checkpointed views (each coordinator's ``committed`` tables, the
+fabric's access view) stay authoritative, the caches follow every
+install and release of them, and :meth:`IntentCoordinator.import_state`
+and :meth:`SharedLinkFabric.resume` rebuild them.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
+from bisect import insort
 
 from ..core.channel import ChannelSpec
-from ..core.feasibility import is_feasible
+
+# Not called here -- decisions go through the cache -- but kept bound in
+# this module: perfbench's tracer tests patch it by this name.
+from ..core.feasibility import is_feasible  # noqa: F401
+from ..core.feasibility_cache import FeasibilityCache
 from ..core.task import LinkDirection, LinkRef, LinkTask
 from ..errors import ConfigurationError, PartitioningError
 from ..protocol.ethernet import EthernetFrame, FrameKind
@@ -87,21 +102,32 @@ def _trunk_ref(link_id: int) -> LinkRef:
     return LinkRef(node=f"trunk{link_id}", direction=LinkDirection.UPLINK)
 
 
+def _copy_record(record: dict) -> dict:
+    """An intent record with its mutable peer/ack lists copied."""
+    return dict(record, peers=list(record["peers"]), acked=list(record["acked"]))
+
+
 class IntentCoordinator:
     """One switch's replicated-trunk state machine.
 
     Purely passive: methods mutate local state and *return* frames for
     the caller (the fabric, or a future wire harness) to transmit. All
-    state is JSON-serializable via :meth:`export_state`.
+    state is JSON-serializable via :meth:`export_state`, except the
+    derived trunk admission cache, which :meth:`import_state` rebuilds.
+    ``committed`` must change only through :meth:`apply_commit` and
+    :meth:`apply_release`, which keep that cache in step.
     """
 
     def __init__(self, mac: int, link_ids: tuple[int, ...]) -> None:
         self.mac = mac
         self.link_ids = tuple(link_ids)
-        #: link_id -> {channel_id: [owner_mac, period, capacity, deadline]}
+        self._refs = {link_id: _trunk_ref(link_id) for link_id in self.link_ids}
+        #: link_id -> {channel_id: [owner_mac, period, capacity, deadline, seq]}
         self.committed: dict[int, dict[int, list[int]]] = {
             link_id: {} for link_id in self.link_ids
         }
+        #: derived: incremental EDF test over the committed trunk views.
+        self._trunks = FeasibilityCache()
         #: link_id -> count of commit/release ops applied (view version).
         self.version: dict[int, int] = {link_id: 0 for link_id in self.link_ids}
         #: own in-flight intents: seq -> record dict.
@@ -110,6 +136,8 @@ class IntentCoordinator:
         self.foreign: dict[tuple[int, int], dict] = {}
         #: (mac, seq) pairs whose COMMIT was already applied (dedup).
         self.applied: set[tuple[int, int]] = set()
+        #: ``applied`` kept sorted on every add, so checkpoints never sort.
+        self._applied_rows: list[tuple[int, int]] = []
         #: per-link recent releases [channel_id, seq] for reconciliation.
         self.release_log: dict[int, list[list[int]]] = {
             link_id: [] for link_id in self.link_ids
@@ -185,30 +213,17 @@ class IntentCoordinator:
         return count
 
     def trunk_feasible(self, seq: int) -> bool:
-        """EDF-test the committed union plus this intent's candidate."""
+        """EDF-test the committed view plus this intent's candidate."""
         record = self.pending[seq]
-        link_id = record["link_id"]
-        ref = _trunk_ref(link_id)
-        tasks = [
+        return self._trunks.check(
             LinkTask(
-                link=ref,
-                period=entry[1],
-                capacity=entry[2],
-                deadline=entry[3],
-                channel_id=channel_id,
-            )
-            for channel_id, entry in sorted(self.committed[link_id].items())
-        ]
-        tasks.append(
-            LinkTask(
-                link=ref,
+                link=self._refs[record["link_id"]],
                 period=record["period"],
                 capacity=record["capacity"],
                 deadline=record["deadline"],
                 channel_id=record["channel_id"],
             )
-        )
-        return is_feasible(tasks).feasible
+        ).feasible
 
     def resolution_frame(self, seq: int, kind: IntentKind) -> IntentFrame:
         """Build the COMMIT/ABORT frame for an own pending intent."""
@@ -285,16 +300,40 @@ class IntentCoordinator:
         self.foreign.pop(key, None)
         if key in self.applied:
             return False
-        self.applied.add(key)
-        self.committed[frame.link_id][frame.channel_id] = [
+        self._mark_applied(key)
+        entry = [
             frame.switch_mac,
             frame.period,
             frame.capacity,
             frame.deadline,
             frame.intent_seq,
         ]
+        view = self.committed[frame.link_id]
+        if frame.channel_id in view:
+            # A reused ID whose release this switch missed: the commit
+            # replaces the stale record, so the cache drops it first.
+            self._trunks.release(self._refs[frame.link_id], frame.channel_id)
+        view[frame.channel_id] = entry
+        self._install_trunk(frame.link_id, frame.channel_id, entry)
         self.version[frame.link_id] += 1
         return True
+
+    def _mark_applied(self, key: tuple[int, int]) -> None:
+        self.applied.add(key)
+        insort(self._applied_rows, key)
+
+    def _install_trunk(
+        self, link_id: int, channel_id: int, entry: list[int]
+    ) -> None:
+        self._trunks.install(
+            LinkTask(
+                link=self._refs[link_id],
+                period=entry[1],
+                capacity=entry[2],
+                deadline=entry[3],
+                channel_id=channel_id,
+            )
+        )
 
     def apply_abort(self, frame: IntentFrame) -> None:
         self.foreign.pop((frame.switch_mac, frame.intent_seq), None)
@@ -304,10 +343,11 @@ class IntentCoordinator:
         key = (frame.switch_mac, frame.intent_seq)
         if key in self.applied:
             return False
-        self.applied.add(key)
+        self._mark_applied(key)
         removed = self.committed[frame.link_id].pop(frame.channel_id, None)
         if removed is None:
             return False
+        self._trunks.release(self._refs[frame.link_id], frame.channel_id)
         self.version[frame.link_id] += 1
         log = self.release_log[frame.link_id]
         log.append([frame.channel_id, frame.intent_seq])
@@ -383,6 +423,8 @@ class IntentCoordinator:
     # -- checkpoint/resume -------------------------------------------------
 
     def export_state(self) -> dict:
+        """The coordinator's state in fresh JSON-compatible containers
+        (no list is shared with live state)."""
         return {
             "mac": self.mac,
             "committed": {
@@ -393,12 +435,14 @@ class IntentCoordinator:
                 for link_id, view in self.committed.items()
             },
             "version": {str(k): v for k, v in self.version.items()},
-            "pending": {str(seq): dict(r) for seq, r in self.pending.items()},
+            "pending": {
+                str(seq): _copy_record(r) for seq, r in self.pending.items()
+            },
             "foreign": [
                 [mac, seq, dict(record)]
                 for (mac, seq), record in sorted(self.foreign.items())
             ],
-            "applied": sorted(list(pair) for pair in self.applied),
+            "applied": [list(row) for row in self._applied_rows],
             "release_log": {
                 str(k): [list(e) for e in v]
                 for k, v in self.release_log.items()
@@ -419,16 +463,23 @@ class IntentCoordinator:
             for link_id, view in data["committed"].items()
         }
         self.version = {int(k): int(v) for k, v in data["version"].items()}
-        self.pending = {int(seq): dict(r) for seq, r in data["pending"].items()}
+        self.pending = {
+            int(seq): _copy_record(r) for seq, r in data["pending"].items()
+        }
         self.foreign = {
             (int(mac), int(seq)): dict(record)
             for mac, seq, record in data["foreign"]
         }
-        self.applied = {(int(a), int(b)) for a, b in data["applied"]}
+        self._applied_rows = sorted((int(a), int(b)) for a, b in data["applied"])
+        self.applied = set(self._applied_rows)
         self.release_log = {
             int(k): [list(map(int, e)) for e in v]
             for k, v in data["release_log"].items()
         }
+        self._trunks = FeasibilityCache()
+        for link_id, view in self.committed.items():
+            for channel_id, entry in view.items():
+                self._install_trunk(link_id, channel_id, entry)
 
 
 class SharedLinkFabric:
@@ -516,6 +567,13 @@ class SharedLinkFabric:
             )
             for i in range(n_switches)
         ]
+        # -- derived state (never checkpointed; resume() rebuilds it) --
+        #: incremental EDF test over the access views in ``_access``.
+        self._access_cache = FeasibilityCache()
+        #: "node|dir" -> the access LinkRef it names.
+        self._access_refs: dict[str, LinkRef] = {}
+        #: split_deadline(d, C, (1, 1, 1)) per (d, C); None = no split.
+        self._splits: dict[tuple[int, int], list[int] | None] = {}
         # -- mutable engine state (everything below is checkpointed) --
         self.now = 0
         self._agenda: list[tuple[int, int, int, int]] = []
@@ -810,6 +868,27 @@ class SharedLinkFabric:
             f"switch {i} exhausted its channel-ID partition"
         )
 
+    def _split(self, deadline: int, capacity: int) -> list[int] | None:
+        """Memoised even three-hop split of ``deadline`` (None = none)."""
+        key = (deadline, capacity)
+        if key not in self._splits:
+            try:
+                self._splits[key] = split_deadline(deadline, capacity, (1, 1, 1))
+            except PartitioningError:
+                self._splits[key] = None
+        return self._splits[key]
+
+    def _access_ref(self, key: str) -> LinkRef:
+        """The link an ``_access`` key (``node|up``/``node|down``) names."""
+        ref = self._access_refs.get(key)
+        if ref is None:
+            node, side = key.rsplit("|", 1)
+            direction = (
+                LinkDirection.UPLINK if side == "up" else LinkDirection.DOWNLINK
+            )
+            ref = self._access_refs[key] = LinkRef(node=node, direction=direction)
+        return ref
+
     def _admit(
         self,
         i: int,
@@ -820,9 +899,8 @@ class SharedLinkFabric:
         spec: ChannelSpec,
         holding: int,
     ) -> None:
-        try:
-            parts = split_deadline(spec.deadline, spec.capacity, (1, 1, 1))
-        except PartitioningError:
+        parts = self._split(spec.deadline, spec.capacity)
+        if parts is None:
             self.counters["local_rejects"] += 1
             self.ledger.append(
                 ("reject", self.now, i, src, dst, spec.period,
@@ -830,33 +908,19 @@ class SharedLinkFabric:
             )
             return
         channel_id = self._allocate_channel_id(i)
-        up_key = f"{src}|up"
-        down_key = f"{dst}|down"
-        for key, node, direction, deadline in (
-            (up_key, src, LinkDirection.UPLINK, parts[0]),
-            (down_key, dst, LinkDirection.DOWNLINK, parts[2]),
-        ):
-            view = self._access.get(key, {})
-            tasks = [
-                LinkTask(
-                    link=LinkRef(node=node, direction=direction),
-                    period=entry[0],
-                    capacity=entry[1],
-                    deadline=entry[2],
-                    channel_id=cid,
-                )
-                for cid, entry in sorted(view.items())
-            ]
-            tasks.append(
-                LinkTask(
-                    link=LinkRef(node=node, direction=direction),
-                    period=spec.period,
-                    capacity=spec.capacity,
-                    deadline=deadline,
-                    channel_id=channel_id,
-                )
-            )
-            if not is_feasible(tasks).feasible:
+        reservations = [
+            (key, LinkTask(
+                link=self._access_ref(key),
+                period=spec.period,
+                capacity=spec.capacity,
+                deadline=deadline,
+                channel_id=channel_id,
+            ))
+            for key, deadline in ((f"{src}|up", parts[0]),
+                                  (f"{dst}|down", parts[2]))
+        ]
+        for _, task in reservations:
+            if not self._access_cache.check(task).feasible:
                 self.counters["local_rejects"] += 1
                 self.ledger.append(
                     ("reject", self.now, i, src, dst, spec.period,
@@ -864,12 +928,9 @@ class SharedLinkFabric:
                 )
                 return
         # Reserve access capacity now; released on abort or departure.
-        self._access.setdefault(up_key, {})[channel_id] = [
-            spec.period, spec.capacity, parts[0]
-        ]
-        self._access.setdefault(down_key, {})[channel_id] = [
-            spec.period, spec.capacity, parts[2]
-        ]
+        for key, task in reservations:
+            self._access.setdefault(key, {})[channel_id] = list(task.pcd)
+            self._access_cache.install(task)
         self._reserved_ids.add(channel_id)
         seq = self._next_seq
         self._next_seq += 1
@@ -994,7 +1055,10 @@ class SharedLinkFabric:
         for key in (f"{src}|up", f"{dst}|down"):
             view = self._access.get(key)
             if view is not None:
-                view.pop(channel_id, None)
+                if view.pop(channel_id, None) is not None:
+                    self._access_cache.release(
+                        self._access_ref(key), channel_id
+                    )
                 if not view:
                     del self._access[key]
 
@@ -1062,21 +1126,27 @@ class SharedLinkFabric:
         self.take_checkpoint()
 
     def take_checkpoint(self) -> dict:
-        """Everything a resumed fabric needs, as one JSON-able dict."""
+        """Everything a resumed fabric needs, as one JSON-able dict.
+
+        Every container is built fresh -- nested lists the engine keeps
+        mutating (ack lists, outstanding peer sets) are copied -- so the
+        checkpoint stays frozen as the run continues past it.
+        """
         data = {
             "version": FABRIC_CHECKPOINT_VERSION,
             "now_ns": self.now,
             "seed": self.seed,
             "n_switches": self.n_switches,
             "nodes_per_switch": self.nodes_per_switch,
-            "agenda": sorted(list(e) for e in self._agenda),
+            "agenda": [list(e) for e in sorted(self._agenda)],
             "next_seq": self._next_seq,
             "next_delivery": self._next_delivery,
             "wire": {
                 str(k): list(v) for k, v in sorted(self._wire.items())
             },
             "outstanding": {
-                str(k): dict(v) for k, v in sorted(self._outstanding.items())
+                str(k): dict(v, pending=list(v["pending"]))
+                for k, v in sorted(self._outstanding.items())
             },
             "next_channel": list(self._next_channel),
             "access": {
@@ -1100,11 +1170,6 @@ class SharedLinkFabric:
             "counters": dict(self.counters),
             "ledger_len": len(self.ledger),
         }
-        # Deep-freeze through JSON: the dicts above hold references to
-        # live nested lists (ack lists, outstanding peer sets) that the
-        # engine keeps mutating -- a shallow checkpoint would rot as the
-        # run continues past it.
-        data = json.loads(json.dumps(data, sort_keys=True))
         self.checkpoints.append(data)
         return data
 
@@ -1135,13 +1200,20 @@ class SharedLinkFabric:
         fabric._next_delivery = int(data["next_delivery"])
         fabric._wire = {int(k): list(v) for k, v in data["wire"].items()}
         fabric._outstanding = {
-            int(k): dict(v) for k, v in data["outstanding"].items()
+            int(k): dict(v, pending=list(v["pending"]))
+            for k, v in data["outstanding"].items()
         }
         fabric._next_channel = [int(v) for v in data["next_channel"]]
         fabric._access = {
             key: {int(cid): list(map(int, e)) for cid, e in view.items()}
             for key, view in data["access"].items()
         }
+        for key, view in fabric._access.items():
+            ref = fabric._access_ref(key)
+            for cid, (p, c, d) in view.items():
+                fabric._access_cache.install(LinkTask(
+                    link=ref, period=p, capacity=c, deadline=d, channel_id=cid
+                ))
         fabric._active = {
             int(cid): list(entry) for cid, entry in data["active"].items()
         }

@@ -62,9 +62,9 @@ class ServiceCheckpoint:
     digest: str
 
 
-def _digest(admission_snapshot: dict) -> str:
-    blob = json.dumps(admission_snapshot, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _digest(admission_blob: str) -> str:
+    """Digest of a ``json.dumps(snapshot, sort_keys=True)`` blob."""
+    return hashlib.sha256(admission_blob.encode()).hexdigest()[:16]
 
 
 class AdmissionService:
@@ -174,11 +174,14 @@ class AdmissionService:
     def take_checkpoint(self, now_ns: int | None = None) -> ServiceCheckpoint:
         """Capture everything a resumed service needs, right now."""
         now = self._sim.now if now_ns is None else now_ns
-        admission = persistence.snapshot(self._controller)
+        # One serialisation serves both the digest and the payload; the
+        # rest of ``data`` is built from fresh containers, so nothing in
+        # the checkpoint stays shared with live state.
+        blob = json.dumps(persistence.snapshot(self._controller), sort_keys=True)
         data = {
             "version": SERVICE_CHECKPOINT_VERSION,
             "now_ns": now,
-            "admission": admission,
+            "admission": json.loads(blob),
             "churn": self._churn.export_state(),
             "departures": sorted(
                 [at, channel_id]
@@ -190,12 +193,8 @@ class AdmissionService:
             "counters": dict(self.counters),
             "ledger_len": len(self.ledger),
         }
-        # Deep-freeze through JSON so no nested structure stays shared
-        # with live state (the fabric checkpoint learned this the hard
-        # way); also guarantees the payload is serializable.
-        data = json.loads(json.dumps(data, sort_keys=True))
         checkpoint = ServiceCheckpoint(
-            taken_at_ns=now, data=data, digest=_digest(admission)
+            taken_at_ns=now, data=data, digest=_digest(blob)
         )
         self.checkpoints.append(checkpoint)
         return checkpoint

@@ -142,12 +142,39 @@ class TestFabricCheckpointResume:
         # Regression: a checkpoint whose nested lists stay shared with
         # live state (pending acks, outstanding retransmit sets) rots
         # when the fabric runs past it -- the resume then diverges.
+        # Every checkpoint is plain JSON data (its own round trip) and
+        # its ``applied`` rows are the sorted dedup set of that instant
+        # (a checkpoint is the last event of its instant).
         fabric = build_fabric(loss=0.2, checkpoint_every_ns=CHECKPOINT_NS)
         fabric.start()
-        fabric.run_until(12_000_000)
+        fabric.run_until(2 * CHECKPOINT_NS)
         checkpoint = fabric.checkpoints[-1]
+        assert checkpoint["now_ns"] == fabric.now
+        assert checkpoint == json.loads(json.dumps(checkpoint))
+        applied = [
+            sorted(list(pair) for pair in c.applied)
+            for c in fabric.coordinators
+        ]
+        assert [c["applied"] for c in checkpoint["coordinators"]] == applied
+        assert any(applied)
         frozen = json.dumps(checkpoint, sort_keys=True)
         fabric.run_until(HORIZON)
+        assert json.dumps(checkpoint, sort_keys=True) == frozen
+        for later in fabric.checkpoints:
+            assert later == json.loads(json.dumps(later))
+
+    def test_resume_leaves_its_checkpoint_untouched(self):
+        victim = build_fabric(loss=0.2, checkpoint_every_ns=CHECKPOINT_NS)
+        victim.start()
+        victim.run_until(25_000_000)
+        checkpoint = victim.checkpoints[-1]
+        frozen = json.dumps(checkpoint, sort_keys=True)
+        resumed = SharedLinkFabric.resume(
+            checkpoint,
+            fault_plan=FaultPlan.control_loss(0.2, seed=7),
+            checkpoint_every_ns=CHECKPOINT_NS,
+        )
+        resumed.run_until(HORIZON)
         assert json.dumps(checkpoint, sort_keys=True) == frozen
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -118,9 +119,12 @@ class TestCheckpointResume:
         service.run_until(6_000_000)
         checkpoint = service.last_checkpoint
         assert checkpoint is not None
+        assert checkpoint.data == json.loads(json.dumps(checkpoint.data))
         frozen = json.dumps(checkpoint.data, sort_keys=True)
         service.run_until(30_000_000)
         assert json.dumps(checkpoint.data, sort_keys=True) == frozen
+        for later in service.checkpoints:
+            assert later.data == json.loads(json.dumps(later.data))
 
     def test_resume_rejects_unknown_version(self):
         service = build_service()
@@ -144,3 +148,9 @@ class TestCheckpointResume:
         assert len(digests) == 6
         # churn keeps admitting/releasing, so states (and digests) move
         assert len(set(digests)) > 1
+        # the digest is the sorted-key JSON of the payload's snapshot
+        for checkpoint in service.checkpoints:
+            blob = json.dumps(checkpoint.data["admission"], sort_keys=True)
+            assert checkpoint.digest == (
+                hashlib.sha256(blob.encode()).hexdigest()[:16]
+            )
