@@ -1268,8 +1268,9 @@ def _output_path_error(args) -> str | None:
 
     Checked before a command runs, so a bad path costs no run time:
     ``--csv``/``--json`` files need an existing parent directory, and a
-    ``--telemetry-out`` directory (created with its parents) must not
-    sit under, or be, a plain file.
+    bundle directory (``--telemetry-out``, ``spans --out``, ``obs
+    capture DIR``; created with its parents) must not sit under, or be,
+    a plain file.
     """
     from pathlib import Path
 
@@ -1282,12 +1283,18 @@ def _output_path_error(args) -> str | None:
             return f"--{option} {value}: no directory {path.parent}"
         if path.is_dir():
             return f"--{option} {value}: is a directory"
-    value = getattr(args, "telemetry_out", None)
-    if value:
+    directories = [("--telemetry-out", getattr(args, "telemetry_out", None))]
+    if args.command == "spans":
+        directories.append(("--out", args.out))
+    elif args.command == "obs" and args.obs_command == "capture":
+        directories.append(("capture DIR", args.out))
+    for option, value in directories:
+        if not value:
+            continue
         path = Path(value)
         existing = next(p for p in (path, *path.parents) if p.exists())
         if not existing.is_dir():
-            return f"--telemetry-out {value}: {existing} is not a directory"
+            return f"{option} {value}: {existing} is not a directory"
     return None
 
 

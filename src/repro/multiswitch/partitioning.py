@@ -14,8 +14,8 @@ Two schemes mirror the paper's pair:
   LinkLoad including the candidate (ADPS generalization).
 
 Integer splitting uses the largest-remainder method in **exact
-rational arithmetic** (:class:`fractions.Fraction`, the repo-wide
-determinism idiom) so the parts always sum exactly to ``d`` with
+integer arithmetic** (weights scaled to a common denominator, one
+``divmod`` per share) so the parts always sum exactly to ``d`` with
 deterministic tie-breaking and the split is bit-reproducible across
 platforms for any weights; a single-pass threshold-drain repair then
 lifts any part below ``C`` by taking slack from the largest parts
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import abc
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from ..core.channel import ChannelSpec
@@ -55,11 +56,12 @@ def split_deadline(
     every part is at least ``capacity`` while the total stays exactly
     ``deadline``.
 
-    The apportionment is exact: every share is computed as a
-    :class:`~fractions.Fraction`, so the result is a pure function of
-    the integer problem with no platform/rounding dependence.  Float
-    weights are accepted for compatibility and converted to their exact
-    binary rational value.
+    The apportionment is exact integer arithmetic: the weights are
+    scaled to integers over a common denominator and each share is one
+    ``divmod``, so the result is a pure function of the integer problem
+    with no platform/rounding dependence.  Float and
+    :class:`~fractions.Fraction` weights are accepted and taken at their
+    exact rational value.
 
     Raises
     ------
@@ -77,18 +79,24 @@ def split_deadline(
         )
     if any(w < 0 for w in weights):
         raise PartitioningError(f"negative weight in {weights!r}")
-    exact_weights = [Fraction(w) for w in weights]
-    total_weight = sum(exact_weights)
-    if total_weight <= 0:
-        exact_weights = [Fraction(1)] * k
-        total_weight = Fraction(k)
-    # Largest-remainder apportionment of `deadline` units, all rational.
-    exact = [deadline * w / total_weight for w in exact_weights]
-    parts = [int(x) for x in exact]
+    # Scale the weights to integers over a common denominator; every
+    # share deadline * w_i / W then splits exactly into an integer part
+    # and a remainder over the same W, so remainders compare as ints.
+    ratios = [
+        (w, 1) if isinstance(w, int) else Fraction(w).as_integer_ratio()
+        for w in weights
+    ]
+    denominator = lcm(*(q for _, q in ratios))
+    scaled = [n * (denominator // q) for n, q in ratios]
+    total = sum(scaled)
+    if total <= 0:
+        scaled = [1] * k
+        total = k
+    # Largest-remainder apportionment of `deadline` units.
+    shares = [divmod(deadline * w, total) for w in scaled]
+    parts = [part for part, _ in shares]
     shortfall = deadline - sum(parts)
-    remainders = sorted(
-        range(k), key=lambda i: (-(exact[i] - parts[i]), i)
-    )
+    remainders = sorted(range(k), key=lambda i: (-shares[i][1], i))
     for i in remainders[:shortfall]:
         parts[i] += 1
     parts = _repair_floor(parts, capacity)

@@ -25,6 +25,7 @@ Model
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..analysis.metrics import MetricsCollector
 from ..core.channel import ChannelSpec
@@ -101,6 +102,7 @@ class FabricSwitchModel:
         self._forwarding: dict[int, _ForwardingEntry] = {}
         self.frames_forwarded = 0
         self.frames_dropped = 0
+        self._process_label = f"{name}:process"
         #: optional SpanTracker (set by Telemetry.instrument_fabric).
         self.spans = None
 
@@ -147,8 +149,8 @@ class FabricSwitchModel:
             )
         self._sim.schedule(
             self._phy.switch_processing_ns,
-            lambda f=frame: self._forward(f),
-            label=f"{self.name}:process",
+            partial(self._forward, frame),
+            self._process_label,
         )
 
     def _forward(self, frame: EthernetFrame) -> None:

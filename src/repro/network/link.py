@@ -20,6 +20,7 @@ port's job, and keeping the layers strict catches scheduling bugs early.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..errors import SimulationError
@@ -95,6 +96,13 @@ class HalfLink:
         self.on_idle: Callable[[], None] | None = None
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._busy_until = -1
+        # Per-frame constants, built once: the two event labels, and
+        # (wire bytes, transmission ns) memoised per payload size -- a
+        # pure function of the PHY, since padding, framing overhead and
+        # IFG depend on nothing else.
+        self._idle_label = f"{name}:idle"
+        self._deliver_label = f"{name}:deliver"
+        self._timing: dict[int, tuple[int, int]] = {}
         #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
@@ -166,18 +174,23 @@ class HalfLink:
             if the wire is still busy -- the caller (output port) must
             serialize transmissions.
         """
-        now = self._sim.now
-        if self.busy:
+        sim = self._sim
+        now = sim.now
+        if now < self._busy_until:
             raise SimulationError(
                 f"link {self.name}: transmit while busy until "
                 f"{self._busy_until} ns (now {now} ns); the output port must "
                 "serialize frames"
             )
-        tx = self._phy.transmission_ns(frame)
+        timing = self._timing.get(frame.payload_bytes)
+        if timing is None:
+            timing = (frame.wire_size_bytes, self._phy.transmission_ns(frame))
+            self._timing[frame.payload_bytes] = timing
+        wire_bytes, tx = timing
         done = now + tx
         self._busy_until = done
         self.frames_carried += 1
-        self.bytes_carried += frame.wire_size_bytes
+        self.bytes_carried += wire_bytes
         self.busy_ns += tx
         if self._trace.enabled_for("link.start"):
             # duration_ns renders link.start as a span in the Chrome trace
@@ -189,19 +202,15 @@ class HalfLink:
                 fields={
                     "duration_ns": tx,
                     "channel": frame.channel_id,
-                    "bytes": frame.wire_size_bytes,
+                    "bytes": wire_bytes,
                 },
             )
-        self._sim.schedule(tx, self._wire_free, label=f"{self.name}:idle")
-        arrival = tx + self._phy.propagation_ns
+        sim.schedule_at(done, self._wire_free, self._idle_label)
+        arrival = done + self._phy.propagation_ns
         if self.spans is not None:
-            self.spans.frame_transmit(
-                frame.frame_id, now, now + arrival, self.name
-            )
-        self._sim.schedule(
-            arrival,
-            lambda f=frame: self._arrive(f),
-            label=f"{self.name}:deliver",
+            self.spans.frame_transmit(frame.frame_id, now, arrival, self.name)
+        sim.schedule_at(
+            arrival, partial(self._arrive, frame), self._deliver_label
         )
         return done
 

@@ -466,6 +466,7 @@ class EndNode:
         period_ns = grant.spec.period * self._phy.slot_ns
         self._active_sources.add(channel_id)
         remaining = stop_after_messages
+        period_label = f"{self.name}:ch{channel_id}:period"
 
         def fire() -> None:
             nonlocal remaining
@@ -476,9 +477,7 @@ class EndNode:
                     return
                 remaining -= 1
             self.send_message(channel_id)
-            self._sim.schedule(
-                period_ns, fire, label=f"{self.name}:ch{channel_id}:period"
-            )
+            self._sim.schedule(period_ns, fire, period_label)
 
         self._sim.schedule(
             phase_ns, fire, label=f"{self.name}:ch{channel_id}:start"

@@ -45,7 +45,7 @@ from ..protocol.frames import (
     REQUEST_FRAME_BYTES,
     RESPONSE_FRAME_BYTES,
 )
-from ..sim.events import EventHandle
+from ..sim.events import Event
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 from .node import SWITCH_NAME
@@ -111,7 +111,7 @@ class Switch:
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
         #: live lease timers keyed by pending-offer channel ID.
-        self._lease_events: dict[int, EventHandle] = {}
+        self._lease_events: dict[int, Event] = {}
         self._ports: dict[str, OutputPort] = {}
         self.frames_forwarded = 0
         self.frames_dropped = 0

@@ -4,21 +4,21 @@ The paper's evaluation ran on the authors' simulator; ours is a small,
 deterministic, integer-nanosecond event kernel:
 
 * :mod:`~repro.sim.kernel` -- the event loop (:class:`Simulator`).
-* :mod:`~repro.sim.events` -- event records and handles.
+* :mod:`~repro.sim.events` -- event records (each its own cancellation
+  handle).
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so
   that changing one traffic source's draws never perturbs another's.
 * :mod:`~repro.sim.trace` -- structured trace recording for debugging
   and for the validation experiments.
 """
 
-from .events import Event, EventHandle
+from .events import Event
 from .kernel import Simulator
 from .rng import RngRegistry
 from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
-    "EventHandle",
     "Simulator",
     "RngRegistry",
     "TraceRecord",

@@ -7,7 +7,9 @@ number in the heap key. This makes every simulation run bit-for-bit
 reproducible for a given seed, which the validation experiments rely
 on.
 
-:class:`EventHandle` is the caller-facing token for cancellation.
+The event is its own handle: :meth:`Simulator.schedule` returns the
+:class:`Event` it queued, and callers cancel through it. One object per
+scheduled callback keeps the dispatch hot path to a single allocation.
 Cancellation is lazy (the heap entry stays but is skipped on pop),
 which keeps cancel O(1) -- important because every frame transmission
 schedules a completion event and pipelined transmitters re-plan often.
@@ -15,72 +17,58 @@ schedules a completion event and pipelined transmitters re-plan often.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["Event", "EventHandle"]
+__all__ = ["Event"]
 
 
-@dataclass(slots=True)
 class Event:
-    """One scheduled callback. Library-internal; users see handles.
+    """One scheduled callback, and the caller's token for it.
 
     ``weak`` marks observer events (telemetry probes): the simulator
     stops once only weak events remain, so probes never extend a run
     nor change its final clock. Weak actions must not mutate model
     state or schedule strong events.
+
+    The owning simulator is held so that cancelling a strong event
+    immediately releases its keep-alive count (the simulator must not
+    idle-wait on an event that will never fire).
     """
 
-    time: int
-    seq: int
-    action: Callable[[], None]
-    label: str = ""
-    cancelled: bool = False
-    weak: bool = False
+    __slots__ = ("time", "seq", "action", "label", "cancelled", "weak", "_sim")
+
+    def __init__(
+        self,
+        time: int,
+        seq: int,
+        action: Callable[[], None],
+        label: str = "",
+        weak: bool = False,
+        sim=None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.label = label
+        self.cancelled = False
+        self.weak = weak
+        self._sim = sim
 
     def sort_key(self) -> tuple[int, int]:
         return (self.time, self.seq)
 
-
-@dataclass(frozen=True, slots=True)
-class EventHandle:
-    """Opaque token returned by :meth:`Simulator.schedule`.
-
-    Holds a reference to the underlying event so cancellation works even
-    after the heap has been reorganized, plus the owning simulator so
-    cancelling a strong event immediately releases its keep-alive count
-    (the simulator must not idle-wait on an event that will never fire).
-    """
-
-    _event: Event = field(repr=False)
-    _sim: object = field(default=None, repr=False)
-
-    @property
-    def time(self) -> int:
-        """The scheduled firing time (ns)."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """Diagnostic label given at scheduling time."""
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
     @property
     def pending(self) -> bool:
         """True until the event has fired or been cancelled."""
-        return not self._event.cancelled and self._event.action is not _fired
+        return not self.cancelled and self.action is not _fired
 
     def cancel(self) -> bool:
         """Prevent the event from firing. Returns False if already fired."""
-        if self._event.action is _fired:
+        if self.action is _fired:
             return False
-        if not self._event.cancelled:
-            self._event.cancelled = True
-            if self._sim is not None and not self._event.weak:
+        if not self.cancelled:
+            self.cancelled = True
+            if self._sim is not None and not self.weak:
                 self._sim._note_cancelled()
         return True
 

@@ -3,7 +3,9 @@
 A minimal, deterministic event loop in integer nanoseconds:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` enqueue a
-  callback; same-time events fire in scheduling (FIFO) order.
+  callback and return its :class:`~repro.sim.events.Event`, which is
+  also the caller's cancellation handle; same-time events fire in
+  scheduling (FIFO) order.
 * :meth:`Simulator.run` drains the queue, optionally up to a horizon.
 * cancellation is lazy and O(1) (see :mod:`repro.sim.events`).
 
@@ -13,26 +15,14 @@ machines, and callbacks keep the hot loop free of generator overhead --
 one simulated second of a loaded 100 Mbps link is ~8k frame events, and
 the validation experiments simulate many hyperperiods.
 
-Event-queue implementations
----------------------------
-The pending-event set is pluggable (``Simulator(queue=...)``):
-
-``"heap"`` (default)
-    a binary heap keyed by ``(time, seq)`` -- O(log n) push/pop,
-    perfectly robust for any time distribution.
-``"calendar"``
-    a calendar queue (Brown 1988): buckets of width ``w`` indexed by
-    ``time // w`` modulo the bucket count, scanned from the current
-    year forward. For the periodic traffic this simulator exists for
-    (frame slots recur every period/hyperperiod), push and pop are
-    amortized O(1), which is what keeps the kernel up with the batched
-    admission engine's decision rate. Bucket count and width adapt by
-    powers of two as occupancy changes; every adaptation is a pure
-    function of queue content, so runs remain bit-deterministic.
-
-Both implementations dispatch in the identical total order ``(time,
-seq)`` -- same-time FIFO included -- which the kernel test suite
-enforces by differential replay.
+The pending set
+---------------
+One binary heap: a plain list of ``(time, seq, event)`` entries that
+every method drives with :mod:`heapq` directly. ``(time, seq)`` is
+unique, so entries never compare by event and the dispatch order is the
+total order ``(time, seq)`` -- same-time FIFO included. (A calendar
+queue was tried and deleted: on CPython the C ``heapq`` beat it on
+every population measured, EXPERIMENTS.md EXP-P7.)
 
 Observability hooks
 -------------------
@@ -51,205 +41,19 @@ unused:
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from time import perf_counter_ns
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..errors import ConfigurationError, SimulationError
-from .events import Event, EventHandle
+from ..errors import SimulationError
+from .events import Event
 from .events import _fired  # type: ignore[attr-defined]
 
 __all__ = ["Simulator"]
 
-#: Queue entry: ``(time, seq, event)``; ``(time, seq)`` is unique, so
-#: entries never compare by ``Event``.
-_Entry = tuple[int, int, Event]
-
-
-class _HeapQueue:
-    """The classic binary-heap pending set (total order ``(time, seq)``)."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[_Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek(self) -> _Entry | None:
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> _Entry:
-        return heapq.heappop(self._heap)
-
-    def entries(self) -> Iterator[_Entry]:
-        return iter(self._heap)
-
-    def rebuild(self, entries: list[_Entry]) -> None:
-        heapq.heapify(entries)
-        self._heap = entries
-
-
-class _CalendarQueue:
-    """A calendar queue: bucketed pending set with amortized O(1) ops.
-
-    Buckets are little ``(time, seq)``-keyed heaps; bucket ``b`` holds
-    every pending entry with ``(time // width) % nbuckets == b``. A pop
-    scans buckets starting at the *current year* (the bucket holding
-    ``last_time``) and takes the head of the first bucket whose head
-    actually belongs to the year under scan; if a whole year is empty,
-    it falls back to a direct minimum search (the standard escape for
-    sparse regions). Correctness does not depend on the width heuristic
-    -- a bad width only degrades to O(nbuckets) scans -- and both the
-    resize trigger and the width choice are pure functions of content,
-    keeping replay deterministic.
-    """
-
-    __slots__ = (
-        "_buckets", "_width", "_nbuckets", "_size", "_last_time", "_head"
-    )
-
-    _MIN_BUCKETS = 4
-
-    def __init__(self) -> None:
-        self._nbuckets = self._MIN_BUCKETS
-        self._buckets: list[list[_Entry]] = [
-            [] for _ in range(self._nbuckets)
-        ]
-        self._width = 1024
-        self._size = 0
-        self._last_time = 0
-        #: memoized result of the last _locate_min scan; invalidated by
-        #: any mutation. Makes the kernel's peek-then-pop dispatch
-        #: pattern a single scan per event.
-        self._head: tuple[int, _Entry] | None = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: _Entry) -> None:
-        head = self._head
-        if head is not None and entry < head[1]:
-            self._head = None
-        index = (entry[0] // self._width) % self._nbuckets
-        heapq.heappush(self._buckets[index], entry)
-        self._size += 1
-        if self._size > 2 * self._nbuckets:
-            self._resize(self._nbuckets * 2)
-
-    def _locate_min(self) -> tuple[int, _Entry] | None:
-        """(bucket index, head entry) of the queue minimum, or None."""
-        if not self._size:
-            return None
-        if self._head is not None:
-            return self._head
-        width = self._width
-        nbuckets = self._nbuckets
-        year = self._last_time // width
-        for offset in range(nbuckets):
-            bucket = self._buckets[(year + offset) % nbuckets]
-            if bucket and bucket[0][0] // width == year + offset:
-                self._head = ((year + offset) % nbuckets, bucket[0])
-                return self._head
-        # Sparse region: nothing due within one full calendar year.
-        # Direct search over the bucket heads (each head is its
-        # bucket's minimum because buckets are heaps).
-        best_index = -1
-        best: _Entry | None = None
-        for index, bucket in enumerate(self._buckets):
-            if bucket and (best is None or bucket[0] < best):
-                best_index = index
-                best = bucket[0]
-        assert best is not None
-        self._head = (best_index, best)
-        return self._head
-
-    def peek(self) -> _Entry | None:
-        located = self._locate_min()
-        return located[1] if located is not None else None
-
-    def pop(self) -> _Entry:
-        located = self._locate_min()
-        if located is None:
-            raise IndexError("pop from an empty calendar queue")
-        index, _ = located
-        entry = heapq.heappop(self._buckets[index])
-        self._head = None
-        self._size -= 1
-        self._last_time = entry[0]
-        if (
-            self._nbuckets > self._MIN_BUCKETS
-            and self._size < self._nbuckets // 2
-        ):
-            self._resize(self._nbuckets // 2)
-        return entry
-
-    def entries(self) -> Iterator[_Entry]:
-        for bucket in self._buckets:
-            yield from bucket
-
-    def rebuild(self, entries: list[_Entry]) -> None:
-        size = len(entries)
-        nbuckets = self._MIN_BUCKETS
-        while nbuckets * 2 < size:
-            nbuckets *= 2
-        self._head = None
-        self._nbuckets = nbuckets
-        self._width = self._pick_width(entries)
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            heapq.heappush(
-                self._buckets[(entry[0] // width) % nbuckets], entry
-            )
-        self._size = size
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self._head = None
-        self._nbuckets = nbuckets
-        self._width = self._pick_width(entries)
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            heapq.heappush(
-                self._buckets[(entry[0] // width) % nbuckets], entry
-            )
-
-    def _pick_width(self, entries: list[_Entry]) -> int:
-        """Bucket width ~ the mean gap between pending event times.
-
-        Aims at O(1) entries per bucket-year; clamped to >= 1 and kept
-        a deterministic function of the pending set. Degenerate
-        distributions (all same instant) just mean one busy bucket --
-        still correct, the in-bucket heap handles it.
-        """
-        if len(entries) < 2:
-            return max(1024, self._width)
-        lo = min(entry[0] for entry in entries)
-        hi = max(entry[0] for entry in entries)
-        span = hi - lo
-        if span <= 0:
-            return max(1, self._width)
-        return max(1, span // len(entries) + 1)
-
-
-_QUEUES: dict[str, type] = {"heap": _HeapQueue, "calendar": _CalendarQueue}
-
 
 class Simulator:
     """Deterministic discrete-event loop with an integer-ns clock.
-
-    Parameters
-    ----------
-    queue:
-        Pending-set implementation, ``"heap"`` (default) or
-        ``"calendar"`` (see the module docstring). Both dispatch in the
-        identical ``(time, seq)`` total order.
 
     Example
     -------
@@ -262,16 +66,11 @@ class Simulator:
     [50, 100]
     """
 
-    def __init__(self, *, queue: str = "heap") -> None:
-        queue_type = _QUEUES.get(queue)
-        if queue_type is None:
-            raise ConfigurationError(
-                f"unknown event queue {queue!r} (have {sorted(_QUEUES)})"
-            )
+    def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue_kind = queue
-        self._queue = queue_type()
+        #: the pending set: a heap of ``(time, seq, event)`` entries.
+        self._heap: list[tuple[int, int, Event]] = []
         self._running = False
         self._dispatched = 0
         self._strong = 0  # live (not cancelled, not fired) non-weak events
@@ -289,14 +88,9 @@ class Simulator:
         return self._now
 
     @property
-    def queue_kind(self) -> str:
-        """Which pending-set implementation this kernel runs on."""
-        return self._queue_kind
-
-    @property
     def pending_events(self) -> int:
         """Events still in the queue (including lazily cancelled ones)."""
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def live_pending_events(self) -> int:
@@ -305,9 +99,7 @@ class Simulator:
         Unlike :attr:`pending_events` this excludes lazily-cancelled
         entries, so telemetry probes report true queue depth. O(queue).
         """
-        return sum(
-            1 for _, _, event in self._queue.entries() if not event.cancelled
-        )
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def dispatched_events(self) -> int:
@@ -328,7 +120,7 @@ class Simulator:
         label: str = "",
         *,
         weak: bool = False,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``action`` to fire ``delay`` ns from now.
 
         ``delay`` must be non-negative; zero-delay events fire later in
@@ -351,7 +143,7 @@ class Simulator:
         label: str = "",
         *,
         weak: bool = False,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``action`` at absolute simulation time ``time`` (ns)."""
         if time < self._now:
             raise SimulationError(
@@ -362,19 +154,19 @@ class Simulator:
             raise SimulationError(
                 f"event action must be callable, got {type(action).__name__}"
             )
-        event = Event(
-            time=time, seq=self._seq, action=action, label=label, weak=weak
-        )
-        self._seq += 1
-        self._queue.push((time, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, action, label, weak, self)
+        heap = self._heap
+        heappush(heap, (time, seq, event))
         if not weak:
             self._strong += 1
-        if len(self._queue) > self._max_heap_depth:
-            self._max_heap_depth = len(self._queue)
-        return EventHandle(event, self)
+        if len(heap) > self._max_heap_depth:
+            self._max_heap_depth = len(heap)
+        return event
 
     def _note_cancelled(self) -> None:
-        """Strong-event cancellation hook (called by EventHandle.cancel)."""
+        """Strong-event cancellation hook (called by Event.cancel)."""
         self._strong -= 1
 
     # -- execution -----------------------------------------------------------
@@ -405,17 +197,14 @@ class Simulator:
             )
         self._running = True
         profiler = self.profiler
-        queue = self._queue
-        fired = 0
+        heap = self._heap
+        before = self._dispatched
         try:
-            while self._strong:
-                head = queue.peek()
-                if head is None:
-                    break
-                time = head[0]
+            while self._strong and heap:
+                time = heap[0][0]
                 if until is not None and time > until:
                     break
-                event = queue.pop()[2]
+                event = heappop(heap)[2]
                 if event.cancelled:
                     continue
                 if not event.weak:
@@ -429,7 +218,6 @@ class Simulator:
                     start = perf_counter_ns()
                     action()
                     profiler.account(event.label, perf_counter_ns() - start)
-                fired += 1
                 self._dispatched += 1
         except BaseException as exc:
             if self.on_crash is not None:
@@ -442,15 +230,15 @@ class Simulator:
             # The horizon path is where runs abandon in-flight work, so
             # lazily-cancelled entries would otherwise linger forever.
             self.compact()
-        return fired
+        return self._dispatched - before
 
     def step(self) -> bool:
         """Dispatch a single (non-cancelled) event. Returns False if idle."""
         if self._running:
             raise SimulationError("Simulator.step is not re-entrant")
-        queue = self._queue
-        while len(queue):
-            time, _, event = queue.pop()
+        heap = self._heap
+        while heap:
+            time, _, event = heappop(heap)
             if event.cancelled:
                 continue
             if not event.weak:
@@ -469,15 +257,13 @@ class Simulator:
 
     def peek_time(self) -> int | None:
         """Firing time of the next live event, or None when idle."""
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None:
-                return None
-            if head[2].cancelled:
-                queue.pop()
+        heap = self._heap
+        while heap:
+            if heap[0][2].cancelled:
+                heappop(heap)
                 continue
-            return head[0]
+            return heap[0][0]
+        return None
 
     # -- maintenance ---------------------------------------------------------
 
@@ -487,20 +273,15 @@ class Simulator:
         Cancellation is O(1) by leaving the queue entry in place; a run
         stopped at a horizon can therefore accumulate dead entries
         indefinitely. Rebuilding without them is safe because queue keys
-        ``(time, seq)`` are unique, so the rebuilt structure preserves
-        pop order exactly. Returns the number of entries removed.
+        ``(time, seq)`` are unique, so the rebuilt heap preserves pop
+        order exactly. Returns the number of entries removed.
         """
         if self._running:
             raise SimulationError("cannot compact while running")
-        before = len(self._queue)
-        live = [
-            entry for entry in self._queue.entries()
-            if not entry[2].cancelled
-        ]
-        removed = before - len(live)
+        live = [entry for entry in self._heap if not entry[2].cancelled]
+        removed = len(self._heap) - len(live)
         if removed:
-            self._queue.rebuild(live)
-            self._strong = sum(
-                1 for _, _, event in self._queue.entries() if not event.weak
-            )
+            heapify(live)
+            self._heap = live
+            self._strong = sum(1 for _, _, event in live if not event.weak)
         return removed

@@ -1,0 +1,127 @@
+"""Behaviour contract of the data plane: pinned digests and counts.
+
+The event kernel, links, ports and switch models may be rewritten for
+speed, but what they produce may not move by a byte. These cases pin:
+
+* every file of a ``repro obs capture`` bundle (trace, Chrome trace,
+  metrics, probe time series of a wire-handshake validation run), and
+  the kernel profiler's per-label event counts under ``--profile``;
+* ``repro spans --signal-loss 0.2``: its trace.jsonl and
+  anomalies.jsonl, plus spans.jsonl with the host-measured
+  ``compute_ns`` field masked (the only wall-clock field);
+* one k=4 fat-tree data-plane run: frames delivered, dispatched
+  events, the final simulated clock and the per-link deadline misses.
+
+A digest that changes means the dispatch order ``(time, seq)``, an
+event label or a trace record changed. Re-pin only with a stated
+reason.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import re
+
+from repro.cli import main
+from repro.core.channel import ChannelSpec
+from repro.multiswitch.graph import build_fat_tree
+from repro.multiswitch.partitioning import MultiHopProportional
+from repro.multiswitch.simnet import build_fabric_network
+
+_CAPTURE_DIGESTS = {
+    "metrics.json":
+        "34da49397ddd8f61c96efef7bfbf0fcdab69a4ab832f4761206afaaf3b4d8786",
+    "timeseries.json":
+        "e502cfa02ecca5ea2a792842c4ac8ea237e1744866f725c5a091c2bfff81aab4",
+    "trace.chrome.json":
+        "37166fc661083787ff7a6a801bbe80e01f11a70c048c3b2b6893df028becfd24",
+    "trace.jsonl":
+        "9cc7210c90b397abfa6c9f2512ca07cf38479580f862cccd068b08fd50091095",
+}
+
+_SPANS_DIGESTS = {
+    "trace.jsonl":
+        "08b3b82d09e356a65af33e680c7c4e45cce71609506508d0dd55bd347156d33c",
+    "anomalies.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "spans.jsonl":
+        "72a6234b0aa5cba80a8df405ac17a6bdaa7a5cb08c1df52c300b79364b598c95",
+}
+
+#: ``obs capture --profile``: (label, dispatched events) per profiler row.
+_PROFILE_ROWS = [
+    ("deliver", 612), ("idle", 612), ("period", 76), ("probe", 26),
+    ("process", 306), ("start", 38),
+]
+
+#: (channels established, RT frames delivered, events fired by run(),
+#: lifetime dispatched events, final sim.now in ns, per-link misses)
+_FAT_TREE_FACTS = (100, 1800, 26116, 26116, 73_824_000, 0)
+
+_COMPUTE_NS = re.compile(rb'"compute_ns":[0-9]+')
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_obs_capture_bundle_is_pinned(tmp_path, capsys):
+    assert main(["obs", "capture", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        _CAPTURE_DIGESTS
+    )
+    for name, digest in _CAPTURE_DIGESTS.items():
+        assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+def test_profiled_capture_keeps_trace_and_label_rows(tmp_path, capsys):
+    """The kernel profiler sees the same events under the same labels,
+    and profiling does not perturb the trace."""
+    assert main(["obs", "capture", str(tmp_path), "--profile"]) == 0
+    capsys.readouterr()
+    assert _sha256((tmp_path / "trace.jsonl").read_bytes()) == (
+        _CAPTURE_DIGESTS["trace.jsonl"]
+    )
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    rows = sorted(
+        (series["labels"]["label"], series["value"])
+        for series in metrics["kernel.profile.events"]["series"]
+    )
+    assert rows == _PROFILE_ROWS
+
+
+def test_lossy_spans_bundle_is_pinned(tmp_path, capsys):
+    argv = ["spans", "--signal-loss", "0.2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name, digest in _SPANS_DIGESTS.items():
+        data = _COMPUTE_NS.sub(
+            b'"compute_ns":0', (tmp_path / name).read_bytes()
+        )
+        assert _sha256(data) == digest, name
+
+
+def test_fat_tree_data_plane_is_pinned():
+    """k=4 fat-tree, 104 hosts, seeded random pairs, mprop data plane."""
+    rng = random.Random(2004)
+    net = build_fabric_network(
+        build_fat_tree(4, hosts_per_edge=13), MultiHopProportional()
+    )
+    names = sorted(net.nodes)
+    spec = ChannelSpec(period=100, capacity=3, deadline=60)
+    for _ in range(160):
+        source, destination = rng.sample(names, 2)
+        net.establish(source, destination, spec)
+    net.start_all_sources(stop_after_messages=6)
+    fired = net.sim.run()
+    assert (
+        len(net.channels),
+        net.metrics.total_rt_frames,
+        fired,
+        net.sim.dispatched_events,
+        net.sim.now,
+        net.per_link_misses(),
+    ) == _FAT_TREE_FACTS

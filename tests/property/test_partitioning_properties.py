@@ -200,6 +200,56 @@ def test_single_pass_repair_matches_legacy_loop(case):
     )
 
 
+def _fraction_split_deadline(deadline, capacity, weights):
+    """The Fraction apportionment split_deadline used before its integer
+    rewrite (differential reference; same repair, same error paths)."""
+    from repro.multiswitch.partitioning import _repair_floor
+
+    k = len(weights)
+    exact_weights = [Fraction(w) for w in weights]
+    total_weight = sum(exact_weights)
+    if total_weight <= 0:
+        exact_weights = [Fraction(1)] * k
+        total_weight = Fraction(k)
+    exact = [deadline * w / total_weight for w in exact_weights]
+    parts = [int(x) for x in exact]
+    shortfall = deadline - sum(parts)
+    remainders = sorted(
+        range(k), key=lambda i: (-(exact[i] - parts[i]), i)
+    )
+    for i in remainders[:shortfall]:
+        parts[i] += 1
+    return _repair_floor(parts, capacity)
+
+
+_weight = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10**18),
+    st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    st.fractions(min_value=0, max_value=1000, max_denominator=97),
+)
+
+
+@st.composite
+def mixed_k_way_case(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    capacity = draw(st.integers(min_value=0, max_value=10))
+    deadline = draw(st.integers(min_value=k * capacity, max_value=2000))
+    weights = draw(st.lists(_weight, min_size=k, max_size=k))
+    return deadline, capacity, weights
+
+
+@given(mixed_k_way_case())
+@settings(max_examples=400, deadline=None)
+def test_integer_split_matches_fraction_reference(case):
+    """The integer divmod apportionment is part-for-part the Fraction
+    one on int, float and Fraction weights, huge and tied ones included."""
+    deadline, capacity, weights = case
+    assert split_deadline(
+        deadline, capacity, weights
+    ) == _fraction_split_deadline(deadline, capacity, weights)
+
+
 @st.composite
 def benign_k_way_case(draw):
     """Small integer weights: float apportionment is still exact here,

@@ -1,10 +1,10 @@
-"""Direct tests for Event/EventHandle semantics."""
+"""Direct tests for Event semantics: record, sort key and handle."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 
 
@@ -17,6 +17,15 @@ class TestEvent:
 
 
 class TestEventHandle:
+    """The event ``schedule`` returns is the caller's handle."""
+
+    def test_schedule_returns_the_queued_event(self):
+        sim = Simulator()
+        event = sim.schedule(10, lambda: None, label="x")
+        assert isinstance(event, Event)
+        assert (event.time, event.label) == (10, "x")
+        assert sim.schedule_at(25, lambda: None).sort_key() == (25, 1)
+
     def test_pending_lifecycle(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None, label="x")
@@ -85,3 +94,37 @@ class TestEventHandle:
         sim.run()
         assert count == 4
         assert sim.now == 30
+
+    def test_cancel_weak_event_leaves_strong_count(self):
+        """A weak observer's cancellation must not release the keep-alive
+        count of a strong event: the run still reaches the strong one."""
+        sim = Simulator()
+        fired = []
+        weak = sim.schedule(5, lambda: fired.append("weak"), weak=True)
+        sim.schedule(20, lambda: fired.append("strong"))
+        assert weak.cancel()
+        assert sim.run() == 1
+        assert fired == ["strong"]
+        assert sim.now == 20
+
+
+class TestCompact:
+    def test_compact_after_cancellations_preserves_pop_order(self):
+        sim = Simulator()
+        fired = []
+        events = [
+            sim.schedule_at(t, lambda i=i: fired.append(i))
+            for i, t in enumerate((40, 10, 10, 30, 20, 10, 40, 30))
+        ]
+        for index in (1, 4, 6):
+            events[index].cancel()
+        expected = [
+            i for _, i in sorted(
+                (e.sort_key(), i) for i, e in enumerate(events)
+                if not e.cancelled
+            )
+        ]
+        assert sim.compact() == 3
+        assert sim.pending_events == sim.live_pending_events == 5
+        sim.run()
+        assert fired == expected == [2, 5, 3, 7, 0]

@@ -18,6 +18,8 @@ from repro.cli import main
         ["admission-diff", "--trials", "2", "--json", "{dir}"],
         ["fig18-5", "--trials", "1", "--telemetry-out", "{file}/bundle"],
         ["service-soak", "--telemetry-out", "{file}"],
+        ["spans", "--out", "{file}"],
+        ["spans", "--signal-loss", "0.2", "--out", "{file}/bundle"],
     ],
 )
 def test_bad_output_path_exits_2_before_running(argv, tmp_path, capsys):
@@ -39,3 +41,24 @@ def test_missing_telemetry_directory_is_created(tmp_path, capsys):
     assert main(["fig18-5", "--trials", "1", "--telemetry-out",
                  str(bundle)]) == 0
     assert bundle.is_dir()
+
+
+@pytest.mark.parametrize("target", ["{file}", "{file}/bundle"])
+def test_obs_capture_under_a_file_exits_2_before_running(
+    target, tmp_path, capsys
+):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    out = target.format(file=blocker)
+    assert main(["obs", "capture", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro obs: capture DIR {out}: {blocker} is not a directory\n"
+    )
+
+
+def test_missing_spans_directory_is_created(tmp_path, capsys):
+    bundle = tmp_path / "new" / "spans"
+    assert main(["spans", "--requests", "4", "--out", str(bundle)]) == 0
+    assert (bundle / "spans.jsonl").is_file()
