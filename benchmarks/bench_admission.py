@@ -99,8 +99,9 @@ def test_bench_admission_batch_engine(scheme, capsys):
 
     Three regimes on identical request sequences: the PR 2 scalar
     cached loop at its canonical config, a cold admit_many burst
-    (prefetch + fresh decisions), and the saturated storm (a second
-    identical burst against a full network). Parity is asserted on both
+    (every request decided fresh, one scalar cache check per link),
+    and the saturated storm (a second identical burst against a full
+    network). Parity is asserted on both
     batch regimes -- every run doubles as a differential test -- then
     the storm must clear the absolute 10^6-class floor *and* beat the
     same-process PR 2 cached rate by >= 10x.

@@ -61,7 +61,9 @@ Exit status: 0 on success, 1 when a checked guarantee is violated
 ``bench-admission`` parity, ``admission-diff``, ``netcalc-diff``,
 ``service-soak``, ``fabric-sweep --cross-check``,
 ``obs check``, the ``spans`` coverage gate, ``bench-report`` schema
-conformance), 2 on usage errors.
+conformance), 2 on usage errors: an unwritable output path, or an
+argument the run rejects (``ConfigurationError``), reported as
+``repro <command>: <message>`` on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from typing import Sequence
 
 from .analysis.export import write_csv, write_json
 from .analysis.report import format_table
+from .errors import ConfigurationError
 from .oracle.fuzz import FAMILIES
 
 __all__ = ["main", "build_parser"]
@@ -749,15 +752,19 @@ def _cmd_multiswitch(args) -> int:
 
 
 def _cmd_fabric_sweep(args) -> int:
-    from .errors import ConfigurationError
     from .experiments.fabric_sweep import FabricSweepConfig, run_fabric_sweep
 
-    try:
-        result = _run_fabric_sweep_checked(args, FabricSweepConfig,
-                                           run_fabric_sweep)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_fabric_sweep(FabricSweepConfig(
+        topology=args.topology,
+        hosts_per_edge=args.hosts_per_edge,
+        requests=args.requests,
+        checkpoints=args.checkpoints,
+        trials=args.trials,
+        seed=args.seed,
+        workers=args.workers,
+        routing_seed=args.routing_seed,
+        cross_check=args.cross_check,
+    ))
     rows = [
         [p.requested, round(p.symmetric_mean, 1),
          round(p.proportional_mean, 1), round(p.advantage, 2)]
@@ -792,20 +799,6 @@ def _cmd_fabric_sweep(args) -> int:
         if not result.cross_check_ok:
             return 1
     return 0
-
-
-def _run_fabric_sweep_checked(args, FabricSweepConfig, run_fabric_sweep):
-    return run_fabric_sweep(FabricSweepConfig(
-        topology=args.topology,
-        hosts_per_edge=args.hosts_per_edge,
-        requests=args.requests,
-        checkpoints=args.checkpoints,
-        trials=args.trials,
-        seed=args.seed,
-        workers=args.workers,
-        routing_seed=args.routing_seed,
-        cross_check=args.cross_check,
-    ))
 
 
 def _cmd_robustness(args) -> int:
@@ -1305,7 +1298,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if error is not None:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

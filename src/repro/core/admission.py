@@ -777,115 +777,6 @@ class AdmissionController:
 
     # -- batch engine ------------------------------------------------------
 
-    def _batch_prefetch(
-        self, requests: list[tuple[str, str, ChannelSpec]]
-    ) -> None:
-        """Warm per-link verdict memos for every distinct burst candidate.
-
-        Groups the burst's candidate tasks by endpoint link and runs one
-        pooled :meth:`~repro.core.feasibility_cache.FeasibilityCache.batch_check`
-        per link, so the batched Eq. 18.3 demand evaluation covers the
-        whole burst in a handful of vectorized passes. Semantically
-        invisible: it only seeds the same memos a scalar check would
-        create, against the current (pre-burst) state, and every entry
-        is epoch-validated before reuse. Skipped for probing schemes
-        (their partition choice is not known ahead of the probe loop)
-        and without a cache.
-        """
-        cache = self._cache
-        if cache is None or self._dps_probes or not self._dps.local_only:
-            return
-        nodes = self._state._nodes
-        state = self._state
-        dps = self._dps
-        memo = self._assess_memo
-        by_link: dict[LinkRef, list[LinkTask]] = {}
-        #: key -> (up_link, down_link, partition, up index, down index)
-        pending: dict[
-            tuple[str, str, ChannelSpec],
-            tuple[LinkRef, LinkRef, DeadlinePartition, int, int],
-        ] = {}
-        seen: set[tuple[str, str, ChannelSpec]] = set()
-        for req in requests:
-            key = req if type(req) is tuple else tuple(req)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                source, destination, spec = key
-            except ValueError:
-                continue  # the replay raises identically, in order
-            if (
-                source not in nodes
-                or destination not in nodes
-                or source == destination
-                or not isinstance(spec, ChannelSpec)
-                or not spec.is_partitionable()
-            ):
-                continue
-            up_link = LinkRef.uplink(source)
-            down_link = LinkRef.downlink(destination)
-            prior = memo.get(key)
-            if (
-                prior is not None
-                and prior[0] == cache.entry(up_link).epoch
-                and prior[1] == cache.entry(down_link).epoch
-            ):
-                continue  # still assessed against current link state
-            loads = state.with_candidate(source, destination, spec)
-            try:
-                partition = dps.partition(source, destination, spec, loads)
-                partition.validate_for(spec)
-            except PartitioningError:
-                continue
-            ups = by_link.setdefault(up_link, [])
-            downs = by_link.setdefault(down_link, [])
-            pending[key] = (
-                up_link, down_link, partition, len(ups), len(downs)
-            )
-            ups.append(
-                _candidate_task(
-                    up_link, spec.period, spec.capacity, partition.uplink
-                )
-            )
-            downs.append(
-                _candidate_task(
-                    down_link, spec.period, spec.capacity, partition.downlink
-                )
-            )
-        reports = {
-            link: cache.batch_check(link, candidates)
-            for link, candidates in by_link.items()
-        }
-        # Seed the whole-assessment memo from the pooled reports: for
-        # each distinct candidate this stores exactly the (epoch-stamped)
-        # _Assessment that _decide would produce against the pre-burst
-        # state, so the replay's first encounter is a memo hit instead
-        # of a second partition + per-link check pass. Entries whose
-        # links change before their first use simply miss, like any
-        # stale memo entry.
-        memo = self._assess_memo
-        if len(memo) + len(pending) > self._ASSESS_MEMO_MAX:
-            return
-        for key, (up_link, down_link, partition, i_up, i_down) in (
-            pending.items()
-        ):
-            up_report = reports[up_link][i_up]
-            down_report = reports[down_link][i_down]
-            if not up_report.feasible or not down_report.feasible:
-                reason = (
-                    RejectionReason.UPLINK_INFEASIBLE
-                    if not up_report.feasible
-                    else RejectionReason.DOWNLINK_INFEASIBLE
-                )
-            else:
-                reason = None
-            memo[key] = (
-                cache.epoch_of(up_link),
-                cache.epoch_of(down_link),
-                _Assessment(reason, partition, up_report, down_report),
-            )
-
     def admit_many(
         self, requests: Iterable[tuple[str, str, ChannelSpec]]
     ) -> list[AdmissionDecision]:
@@ -895,12 +786,11 @@ class AdmissionController:
         requests]`` -- same decisions, same rejection reasons, same
         channel IDs, same final state and counters (the differential
         campaign ``repro admission-diff --batch`` and the Hypothesis
-        property suite enforce stream equality) -- but amortized across
-        the burst:
+        property suite enforce stream equality). A fresh request is
+        decided exactly as :meth:`request` decides it, one scalar
+        :meth:`~repro.core.feasibility_cache.FeasibilityCache.check` per
+        affected link; the burst amortizes the rest:
 
-        * distinct candidates are prefetched through one pooled,
-          vectorized ``h(n, t)`` evaluation per affected link
-          (:meth:`_batch_prefetch`);
         * repeated *rejected* requests (the saturated tail of an
           acceptance sweep) are answered from a burst-local decision
           template, epoch-validated against the two endpoint links (an
@@ -918,14 +808,12 @@ class AdmissionController:
         Falls back to the plain scalar loop when there is no cache or
         the scheme is not ``local_only``.
         """
-        requests = list(requests)
         cache = self._cache
         if cache is None or not self._dps.local_only:
             return [
                 self.request(source, destination, spec)
                 for source, destination, spec in requests
             ]
-        self._batch_prefetch(requests)
         decisions: list[AdmissionDecision] = []
         append = decisions.append
         #: (source, destination, spec) -> (up_entry, up_epoch,
@@ -1060,14 +948,11 @@ class AdmissionController:
         """Batch :meth:`preview`: decide a burst with zero side effects.
 
         Shares the non-mutating assessment seam with :meth:`preview` /
-        :meth:`would_accept` (everything routes through :meth:`_assess`)
-        and the prefetch stage with :meth:`admit_many`. Since nothing
-        mutates during a preview, repeated requests are served from a
-        plain burst-local memo; repeats may share one decision record.
+        :meth:`would_accept` (everything routes through :meth:`_assess`).
+        Since nothing mutates during a preview, repeated requests are
+        served from a plain burst-local memo; repeats may share one
+        decision record.
         """
-        requests = list(requests)
-        if self._cache is not None and self._dps.local_only:
-            self._batch_prefetch(requests)
         decisions: list[AdmissionDecision] = []
         memo: dict[tuple[str, str, ChannelSpec], AdmissionDecision] = {}
         for source, destination, spec in requests:

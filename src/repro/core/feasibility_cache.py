@@ -36,9 +36,11 @@ Python over the cached sorted lists rather than through NumPy. The
 admission workloads this repo reproduces have a handful of control
 points per link (hyperperiod 100 in Figure 18.5), where the fixed
 per-call overhead of ~15 small ndarray operations costs more than the
-arithmetic it vectorizes; NumPy is kept where it wins -- the O(n x m)
-base rebuilds in :meth:`LinkCacheEntry._ensure_base` and bulk demand
-evaluation for large overlay point sets.
+arithmetic it vectorizes; NumPy is kept only where it wins -- the
+O(n x m) base rebuilds in :meth:`LinkCacheEntry._ensure_base` and the
+demand at an overlay's new points when there are many of them. Every
+admission decision, single request or burst, checks each link through
+:meth:`FeasibilityCache.check`.
 
 The from-scratch :func:`~repro.core.feasibility.is_feasible` is retained
 unchanged as the reference; :class:`FeasibilityCache` falls back to it
@@ -202,13 +204,6 @@ class CacheStats:
     resyncs: int = 0
     installs: int = 0
     releases: int = 0
-    #: :meth:`FeasibilityCache.batch_check` invocations.
-    batch_calls: int = 0
-    #: Distinct un-memoized candidates evaluated through the pooled
-    #: (vectorized) batch kernel. Each also counts into ``checks`` and
-    #: one of the classification buckets above, exactly as a scalar
-    #: check would.
-    batch_candidates: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -220,8 +215,6 @@ class CacheStats:
             "resyncs": self.resyncs,
             "installs": self.installs,
             "releases": self.releases,
-            "batch_calls": self.batch_calls,
-            "batch_candidates": self.batch_candidates,
         }
 
     def publish(self, registry, prefix: str = "feasibility_cache.") -> None:
@@ -523,9 +516,7 @@ class LinkCacheEntry:
 
         Utilization overload, the all-implicit Liu & Layland accept and
         the density sufficient accept; ``None`` means "inconclusive,
-        run the exact overlay". Shared verbatim by the scalar
-        :meth:`overlay_check` and :meth:`batch_overlay_check` so both
-        produce field-identical overlays.
+        run the exact overlay" (:meth:`overlay_check`).
         """
         # util > 1, as a plain-int compare (Fraction.__gt__ dispatch is
         # measurable here): num/den > 1  <=>  num > den.
@@ -797,84 +788,6 @@ class LinkCacheEntry:
             lo_idx, new_pts, new_dems,
         )
 
-    def batch_overlay_check(
-        self, candidates: Sequence[LinkTask]
-    ) -> list[_Overlay]:
-        """Overlay-check many candidates against one frozen base state.
-
-        Returns one overlay per candidate, each field-identical to what
-        :meth:`overlay_check` would have returned for it (the property
-        suite enforces this), but with the base-demand evaluation of
-        every exact-path candidate pooled into a *single* vectorized
-        ``h(n, t)`` pass over the union of their new control points --
-        the batched Eq. 18.3 evaluation the batch admission engine is
-        built on. Must not be interleaved with installs or releases on
-        this entry; demand values are exact integers on both paths, so
-        pooling cannot change any verdict.
-        """
-        results: list[_Overlay | None] = [None] * len(candidates)
-        #: exact-path candidates: (index, util, p, c, d, busy2, hyper2,
-        #: lo_idx, new_pts)
-        exact: list[
-            tuple[int, Fraction, int, int, int, int, int, int, list[int]]
-        ] = []
-        pool: set[int] = set()
-        base_ok: bool | None = None
-        for index, candidate in enumerate(candidates):
-            cand_p = candidate.period
-            cand_c = candidate.capacity
-            cand_d = candidate.deadline
-            util = _util_sum(self.util, cand_c, cand_p)
-            shortcut = self._shortcut_overlay(util, cand_p, cand_c, cand_d)
-            if shortcut is not None:
-                results[index] = shortcut
-                continue
-            if base_ok is None:
-                base_ok = self._ensure_base()
-            if not base_ok:
-                results[index] = self._fallback_overlay(candidate)
-                continue
-            busy2, hyper2 = self._combined_busy(cand_p, cand_c)
-            horizon2 = min(busy2, hyper2)
-            if cand_d > horizon2:
-                results[index] = _Overlay(
-                    report=_shortcut_report(True, util, horizon2, False),
-                    busy=busy2, hyper=hyper2,
-                    cut=0, points=None, demands=None,
-                )
-                continue
-            sized = self._new_points(cand_p, cand_d, horizon2)
-            if sized is None:
-                results[index] = self._fallback_overlay(candidate)
-                continue
-            lo_idx, new_pts = sized
-            exact.append(
-                (index, util, cand_p, cand_c, cand_d,
-                 busy2, hyper2, lo_idx, new_pts)
-            )
-            pool.update(new_pts)
-        if exact:
-            if pool:
-                points = np.asarray(sorted(pool), dtype=np.int64)
-                demands = _demand_at(
-                    self.dlist, self.plist, self.clist, points
-                )
-                demand_of = dict(
-                    zip(points.tolist(), demands.tolist())
-                )
-            else:
-                demand_of = {}
-            for (
-                index, util, cand_p, cand_c, cand_d,
-                busy2, hyper2, lo_idx, new_pts,
-            ) in exact:
-                new_dems = [demand_of[t] for t in new_pts]
-                results[index] = self._merge_overlay(
-                    util, cand_p, cand_c, cand_d, busy2, hyper2,
-                    lo_idx, new_pts, new_dems,
-                )
-        return results
-
     # -- mutation --------------------------------------------------------
 
     def install(self, task: LinkTask) -> None:
@@ -1082,68 +995,6 @@ class FeasibilityCache:
         else:
             entry.memo_i[key] = overlay
         return report
-
-    def batch_check(
-        self, link: LinkRef, candidates: Sequence[LinkTask]
-    ) -> list[FeasibilityReport]:
-        """Feasibility of many candidates against one link, memo-seeding.
-
-        Every candidate receives exactly the report :meth:`check` would
-        return, and the per-``(P, C, d)`` verdict memos are seeded
-        identically -- a later scalar ``check()`` of any of these
-        candidates is a guaranteed memo hit (that is how ``admit_many``
-        amortizes its prefetch). Distinct un-memoized candidates run
-        through the pooled vectorized kernel
-        (:meth:`LinkCacheEntry.batch_overlay_check`); each counts one
-        ``check`` and classifies exactly as the scalar path would, while
-        within-batch repeats count as memo hits.
-        """
-        stats = self.stats
-        stats.batch_calls += 1
-        entry = self.entry(link)
-        memo_f = entry.memo_f
-        memo_i = entry.memo_i
-        fresh: dict[tuple[int, int, int], LinkTask] = {}
-        for candidate in candidates:
-            key = candidate.pcd
-            if key in memo_f or key in memo_i or key in fresh:
-                continue
-            fresh[key] = candidate
-        if fresh:
-            batch = list(fresh.values())
-            stats.batch_candidates += len(batch)
-            overlays = entry.batch_overlay_check(batch)
-            for candidate, overlay in zip(batch, overlays):
-                report = overlay.report
-                stats.checks += 1
-                if overlay.points is not None:
-                    stats.incremental_checks += 1
-                elif report.feasible and overlay.busy > 0:
-                    stats.shortcut_accepts += 1
-                elif report.used_liu_layland or report.link_utilization > 1:
-                    stats.incremental_checks += 1
-                else:
-                    stats.full_fallbacks += 1
-                if report.feasible:
-                    memo_f[candidate.pcd] = overlay
-                else:
-                    memo_i[candidate.pcd] = overlay
-        reports: list[FeasibilityReport] = []
-        pending = set(fresh)
-        for candidate in candidates:
-            key = candidate.pcd
-            overlay = memo_f.get(key)
-            if overlay is None:
-                overlay = memo_i[key]
-            if key in pending:
-                # First occurrence of a fresh key: its stats were
-                # already counted at batch-evaluation time.
-                pending.discard(key)
-            else:
-                stats.checks += 1
-                stats.memo_hits += 1
-            reports.append(overlay.report)
-        return reports
 
     def link_utilization(self, link: LinkRef) -> Fraction:
         return self.entry(link).util

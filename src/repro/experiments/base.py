@@ -87,12 +87,13 @@ def run_requests(
 
     ``batch=True`` (the default) drives the hot path through
     :meth:`~repro.core.admission.AdmissionController.admit_many`, one
-    burst per inter-checkpoint segment, so sweeps benefit from pooled
-    prefetching and the saturated-tail decision template. The decision
-    stream, trace records, counts and span stream are byte-identical to
-    the scalar path (``batch=False``) -- the batch engine's own stream
-    equality guarantee plus checkpoint-aligned segmentation make the
-    two indistinguishable to every observer.
+    burst per inter-checkpoint segment, so sweeps benefit from the
+    saturated-tail decision template and the once-per-burst counter
+    flush. The decision stream, trace records, counts, span stream and
+    feasibility-cache counters are byte-identical to the scalar path
+    (``batch=False``) -- the batch engine's own stream equality
+    guarantee plus checkpoint-aligned segmentation make the two
+    indistinguishable to every observer.
     """
     if checkpoints is None:
         checkpoints = [len(requests)]

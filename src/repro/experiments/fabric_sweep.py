@@ -14,8 +14,8 @@ Determinism contract (the PR 5 runner's): a work unit is one
 trial's request stream from ``RngRegistry(seed).fork(trial)`` -- a pure
 function of the trial index -- so the curve is byte-identical at any
 ``--workers`` count.  Each inter-checkpoint segment flows through
-``admit_many`` (the PR 7/8 batch path), which is stream-equivalent to
-the scalar loop.
+:meth:`~repro.multiswitch.admission.MultiSwitchAdmission.admit_many`,
+which decides it one ``request()`` at a time.
 
 ``--cross-check`` replays trial 0 serially for both schemes and runs
 the three-way netcalc/demand-test/EDF-replay oracle

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from ..core.admission import AdmissionController, SystemState
 from ..core.partitioning import SymmetricDPS
+from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 from ..obs.monitor import InvariantMonitor
 from ..service import (
@@ -152,12 +153,12 @@ def run_service_soak(
     if kill_at_ns is None:
         kill_at_ns = duration_ns // 2
     if not (0 < kill_at_ns < duration_ns):
-        raise ValueError(
+        raise ConfigurationError(
             f"kill_at_ns must fall inside the soak, got {kill_at_ns} "
             f"of {duration_ns}"
         )
     if checkpoint_every_ns > kill_at_ns:
-        raise ValueError(
+        raise ConfigurationError(
             "kill point precedes the first checkpoint; nothing to resume"
         )
     result = ServiceSoakResult(

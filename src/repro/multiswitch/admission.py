@@ -230,87 +230,17 @@ class MultiSwitchAdmission:
         self.accept_count += 1
         return decision
 
-    def _batch_prefetch(
-        self, requests: list[tuple[str, str, ChannelSpec]]
-    ) -> None:
-        """Warm per-link verdict memos for every distinct burst candidate.
-
-        Routes and partitions each distinct request once against the
-        pre-burst loads, then runs one pooled vectorized
-        ``batch_check`` per touched fabric link. Purely a cache warm-up:
-        it seeds exactly the memo entries the scalar checks would
-        create, so decisions are unchanged.
-        """
-        cache = self._cache
-        if cache is None:
-            return
-        by_link: dict[FabricLink, list[LinkTask]] = {}
-        seen: set[tuple[str, str, ChannelSpec]] = set()
-        for source, destination, spec in requests:
-            key = (source, destination, spec)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                links = tuple(self._fabric.path_links(source, destination))
-            except Exception:
-                continue  # the replay rejects/raises identically
-
-            def loaded(link: FabricLink) -> int:
-                return self.link_load(link) + 1
-
-            try:
-                parts = tuple(self._dps.partition(spec, links, loaded))
-            except PartitioningError:
-                continue
-            for link, part in zip(links, parts):
-                by_link.setdefault(link, []).append(
-                    LinkTask(
-                        link=_link_ref(link),
-                        period=spec.period,
-                        capacity=spec.capacity,
-                        deadline=part,
-                        channel_id=-1,
-                    )
-                )
-        for link, candidates in by_link.items():
-            cache.batch_check(_link_ref(link), candidates)
-
     def admit_many(
         self, requests: "Iterable[tuple[str, str, ChannelSpec]]"
     ) -> list[MultiAdmissionDecision]:
-        """Decide a burst of requests in order (multi-hop admit_many).
+        """Decide a burst of requests in order, one :meth:`request` each.
 
-        Stream-equivalent to calling :meth:`request` per element (same
-        verdicts, ``failed_link``, channel IDs, link loads); amortizes
-        the burst through one pooled feasibility prefetch per fabric
-        link and a burst-local template for repeated rejected requests,
-        invalidated wholesale whenever an acceptance changes any link
-        load. Repeats of an identical rejected request may share one
-        (frozen, value-equal) decision record.
+        The burst entry point of the fabric sweep. A request repeated
+        against unchanged links is cheap without burst-level state: each
+        of its per-link checks is a verdict-memo hit in the feasibility
+        cache.
         """
-        requests = list(requests)
-        self._batch_prefetch(requests)
-        decisions: list[MultiAdmissionDecision] = []
-        templates: dict[
-            tuple[str, str, ChannelSpec],
-            tuple[int, MultiAdmissionDecision],
-        ] = {}
-        version = 0
-        for source, destination, spec in requests:
-            key = (source, destination, spec)
-            hit = templates.get(key)
-            if hit is not None and hit[0] == version:
-                self.reject_count += 1
-                decisions.append(hit[1])
-                continue
-            decision = self.request(source, destination, spec)
-            if decision.accepted:
-                version += 1
-            else:
-                templates[key] = (version, decision)
-            decisions.append(decision)
-        return decisions
+        return [self.request(s, d, spec) for s, d, spec in requests]
 
     def release(self, channel_id: int) -> MultiAdmissionDecision:
         """Tear down an admitted channel, freeing all its per-link tasks."""

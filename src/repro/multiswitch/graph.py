@@ -391,7 +391,7 @@ def address_pass(fabric: FabricGraph) -> dict[str, NodeAddress]:
     }
 
 
-def admission_pass(fabric: FabricGraph, dps=None, *, use_cache: bool = True):
+def admission_pass(fabric: FabricGraph, dps=None):
     """Place multi-hop admission control on the (validated) graph.
 
     Returns a :class:`~repro.multiswitch.admission.MultiSwitchAdmission`
@@ -404,7 +404,6 @@ def admission_pass(fabric: FabricGraph, dps=None, *, use_cache: bool = True):
     return MultiSwitchAdmission(
         fabric=fabric,
         dps=dps if dps is not None else MultiHopProportional(),
-        use_cache=use_cache,
     )
 
 

@@ -207,9 +207,10 @@ class TestBatchEngine:
     """run_requests' admit_many hot path vs the scalar reference loop.
 
     The batch engine must be invisible to every observer: counts, trace
-    records and span streams are byte-identical, because admit_many
-    guarantees stream equality and the burst boundaries align with the
-    checkpoints the scalar loop reads at.
+    records, span streams and feasibility-cache counters are
+    byte-identical, because admit_many guarantees stream equality, runs
+    the same per-link checks as request(), and the burst boundaries
+    align with the checkpoints the scalar loop reads at.
     """
 
     def observe(self, batch, checkpoints=(3, 7, 12), n=12):
@@ -225,10 +226,16 @@ class TestBatchEngine:
             lane=TraceLane(trial=0, scheme="adps"),
             batch=batch,
         )
+        cache_counters = {
+            name: family
+            for name, family in telemetry.registry.snapshot().items()
+            if name.startswith("feasibility_cache.")
+        }
         return (
             counts,
             "\n".join(trace_jsonl_lines(telemetry.recorder)),
             "\n".join(span_jsonl_lines(telemetry.spans)),
+            cache_counters,
         )
 
     def test_batch_matches_scalar_byte_for_byte(self):

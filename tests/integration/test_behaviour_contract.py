@@ -32,7 +32,7 @@ from repro.multiswitch.simnet import build_fabric_network
 
 _CAPTURE_DIGESTS = {
     "metrics.json":
-        "34da49397ddd8f61c96efef7bfbf0fcdab69a4ab832f4761206afaaf3b4d8786",
+        "868d9fb0b1c9c694165f21f4364086e451038807c2baa3afd0412d31ed4bcc58",
     "timeseries.json":
         "e502cfa02ecca5ea2a792842c4ac8ea237e1744866f725c5a091c2bfff81aab4",
     "trace.chrome.json":
