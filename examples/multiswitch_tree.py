@@ -12,16 +12,16 @@ Run:  python examples/multiswitch_tree.py
 
 from repro import ChannelSpec
 from repro.multiswitch import (
+    FabricGraph,
     MultiHopProportional,
     MultiHopSymmetric,
     MultiSwitchAdmission,
-    SwitchFabric,
 )
 
 
-def build_line() -> SwitchFabric:
+def build_line() -> FabricGraph:
     """Three cells daisy-chained: sw0 -- sw1 -- sw2."""
-    fabric = SwitchFabric()
+    fabric = FabricGraph()
     for i in range(3):
         fabric.add_switch(f"sw{i}")
     fabric.connect_switches("sw0", "sw1")

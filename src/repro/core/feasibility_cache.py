@@ -10,8 +10,7 @@ This module keeps, per :class:`~repro.core.task.LinkRef`, everything the
 test needs in incremental form:
 
 * the task list and parallel plain-int lists of periods / capacities /
-  deadlines (allocation-free scalar overlay checks; NumPy views are
-  built transiently for vectorized base rebuilds),
+  deadlines (allocation-free scalar overlay checks and base rebuilds),
 * the exact utilization as a running :class:`fractions.Fraction`,
 * the cached busy period, reused as a **warm start** for the candidate
   overlay's fixpoint iteration,
@@ -31,16 +30,14 @@ The overlay exploits two facts proved in THEORY.md §7:
    busy period is a valid warm start (lower bound) for the overlay's
    fixpoint iteration.
 
-A deliberate engineering note: the per-check overlay runs in *scalar*
-Python over the cached sorted lists rather than through NumPy. The
-admission workloads this repo reproduces have a handful of control
-points per link (hyperperiod 100 in Figure 18.5), where the fixed
-per-call overhead of ~15 small ndarray operations costs more than the
-arithmetic it vectorizes; NumPy is kept only where it wins -- the
-O(n x m) base rebuilds in :meth:`LinkCacheEntry._ensure_base` and the
-demand at an overlay's new points when there are many of them. Every
-admission decision, single request or burst, checks each link through
-:meth:`FeasibilityCache.check`.
+A deliberate engineering note: the cache runs in *scalar* Python over
+the cached sorted lists, with no NumPy. The admission workloads this
+repo reproduces have a handful of control points per link (hyperperiod
+100 in Figure 18.5), where the fixed per-call overhead of small ndarray
+operations costs more than the arithmetic they would vectorize; base
+rebuilds in :meth:`LinkCacheEntry._ensure_base` are a prefix sum over
+job deadlines, O(jobs). Every admission decision, single request or
+burst, checks each link through :meth:`FeasibilityCache.check`.
 
 The from-scratch :func:`~repro.core.feasibility.is_feasible` is retained
 unchanged as the reference; :class:`FeasibilityCache` falls back to it
@@ -58,8 +55,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Protocol, Sequence
-
-import numpy as np
 
 from ..errors import ConfigurationError, UnknownChannelError
 from .feasibility import (
@@ -80,10 +75,6 @@ __all__ = [
 #: link whose installed horizon needs more falls back to the reference
 #: test per check (same asymptotics as the from-scratch path).
 MAX_CACHED_POINTS = 200_000
-
-#: Switch bulk demand evaluation of freshly discovered overlay points
-#: from the scalar loop to the vectorized kernel above this many points.
-_VECTOR_THRESHOLD = 64
 
 #: Density acceptance threshold. ``sum C_i / min(d_i, P_i) <= 1`` is a
 #: classical *sufficient* EDF condition (h(t) <= density * t for all t,
@@ -275,37 +266,6 @@ def _busy_period_capped(
     )
 
 
-def _points_in_range(
-    deadlines: Sequence[int], periods: Sequence[int], lo: int, hi: int
-) -> list[np.ndarray]:
-    """Per-task control points ``d_i + m P_i`` within ``[lo, hi]``."""
-    pieces: list[np.ndarray] = []
-    for d, p in zip(deadlines, periods):
-        first = max(0, -((d - lo) // p)) if lo > d else 0  # ceil((lo-d)/p)
-        last = (hi - d) // p
-        if last < first or d > hi:
-            continue
-        pieces.append(d + p * np.arange(first, last + 1, dtype=np.int64))
-    return pieces
-
-
-def _demand_at(
-    deadlines: Sequence[int],
-    periods: Sequence[int],
-    capacities: Sequence[int],
-    points: np.ndarray,
-) -> np.ndarray:
-    """Vectorized ``h(n, t)`` of the cached task lists at ``points``."""
-    if points.size == 0 or not deadlines:
-        return np.zeros(points.shape, dtype=np.int64)
-    dl = np.asarray(deadlines, dtype=np.int64)
-    pr = np.asarray(periods, dtype=np.int64)
-    cp = np.asarray(capacities, dtype=np.int64)
-    delta = points[:, None] - dl[None, :]
-    jobs = np.where(delta >= 0, 1 + np.floor_divide(delta, pr[None, :]), 0)
-    return jobs @ cp
-
-
 class _Overlay(NamedTuple):
     """One memoized candidate-overlay result.
 
@@ -451,51 +411,31 @@ class LinkCacheEntry:
                 # Pathological horizon: keep correctness, drop the cache.
                 self.feasible = is_feasible(self.tasks).feasible
                 return False
-            if estimated <= _VECTOR_THRESHOLD:
-                # Scalar rebuild: below the threshold the ~15 small
-                # ndarray operations of the vector path cost far more
-                # than the arithmetic they replace, and rebuilds land
-                # on the hot path whenever an install adopted a
-                # shortcut verdict (arrays dirty, next exact check
-                # rebuilds here). Each job of task i contributes C_i
-                # exactly at its absolute deadline d_i + m P_i, so the
-                # demand at the sorted control points is a running
-                # prefix sum over those contributions -- O(jobs), not
-                # O(points x tasks).
-                contrib: dict[int, int] = {}
-                get = contrib.get
-                for d, p, c in zip(self.dlist, self.plist, self.clist):
-                    t = d
-                    while t <= horizon:
-                        contrib[t] = get(t, 0) + c
-                        t += p
-                points_l = sorted(contrib)
-                demands_l: list[int] = []
-                feasible = True
-                running = 0
-                for t in points_l:
-                    running += contrib[t]
-                    demands_l.append(running)
-                    if running > t:
-                        feasible = False
-                self.feasible = feasible
-                self.points = points_l
-                self.demands = demands_l
-                self._compute_next_pt(horizon)
-                return feasible
-            pieces = _points_in_range(self.dlist, self.plist, 0, horizon)
-            if pieces:
-                points = np.unique(np.concatenate(pieces))
-                demands = _demand_at(
-                    self.dlist, self.plist, self.clist, points
-                )
-                self.feasible = bool(np.all(demands <= points))
-                self.points = points.tolist()
-                self.demands = demands.tolist()
-            else:
-                self.points = []
-                self.demands = []
-                self.feasible = True
+            # Rebuilds land on the hot path whenever an install adopted
+            # a shortcut verdict (arrays dirty, next exact check
+            # rebuilds here). Each job of task i contributes C_i exactly
+            # at its absolute deadline d_i + m P_i, so the demand at the
+            # sorted control points is a running prefix sum over those
+            # contributions -- O(jobs), not O(points x tasks).
+            contrib: dict[int, int] = {}
+            get = contrib.get
+            for d, p, c in zip(self.dlist, self.plist, self.clist):
+                t = d
+                while t <= horizon:
+                    contrib[t] = get(t, 0) + c
+                    t += p
+            points_l = sorted(contrib)
+            demands_l: list[int] = []
+            feasible = True
+            running = 0
+            for t in points_l:
+                running += contrib[t]
+                demands_l.append(running)
+                if running > t:
+                    feasible = False
+            self.feasible = feasible
+            self.points = points_l
+            self.demands = demands_l
             self._compute_next_pt(horizon)
         return bool(self.feasible)
 
@@ -771,18 +711,7 @@ class LinkCacheEntry:
         if sized is None:
             return self._fallback_overlay(candidate)
         lo_idx, new_pts = sized
-        if new_pts:
-            if len(new_pts) * len(self.tasks) > _VECTOR_THRESHOLD * 64:
-                new_dems = _demand_at(
-                    self.dlist,
-                    self.plist,
-                    self.clist,
-                    np.asarray(new_pts, dtype=np.int64),
-                ).tolist()
-            else:
-                new_dems = [self._base_demand_at(t) for t in new_pts]
-        else:
-            new_dems = []
+        new_dems = [self._base_demand_at(t) for t in new_pts]
         return self._merge_overlay(
             util, cand_p, cand_c, cand_d, busy2, hyper2,
             lo_idx, new_pts, new_dems,

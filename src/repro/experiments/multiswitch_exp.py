@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..core.channel import ChannelSpec
 from ..errors import ConfigurationError
 from ..multiswitch.admission import MultiSwitchAdmission
-from ..multiswitch.fabric import SwitchFabric
+from ..multiswitch.graph import FabricGraph
 from ..multiswitch.partitioning import (
     MultiHopProportional,
     MultiHopSymmetric,
@@ -53,7 +53,7 @@ class MultiSwitchPoint:
 
 def build_master_slave_fabric(
     n_switches: int, n_masters: int, n_slaves: int
-) -> tuple[SwitchFabric, list[str], list[str]]:
+) -> tuple[FabricGraph, list[str], list[str]]:
     """A chain of switches with all masters on sw0, slaves spread evenly."""
     if n_switches <= 0:
         raise ConfigurationError(f"need >= 1 switch, got {n_switches}")
@@ -61,7 +61,7 @@ def build_master_slave_fabric(
         raise ConfigurationError(
             f"need masters and slaves, got {n_masters}/{n_slaves}"
         )
-    fabric = SwitchFabric()
+    fabric = FabricGraph()
     for i in range(n_switches):
         fabric.add_switch(f"sw{i}")
         if i > 0:
@@ -210,7 +210,7 @@ def run_fabric_validation(
             admitted.append(channel)
     net.start_all_sources(stop_after_messages=messages)
     net.sim.run()
-    max_hops = max((c.hop_count for c in admitted), default=2)
+    max_hops = max((len(c.links) for c in admitted), default=2)
     bound = (
         spec.deadline * net.phy.slot_ns
         + net.metrics.t_latency_ns

@@ -11,12 +11,9 @@ switch graphs (k >= 2 links per channel):
   routing), the build-the-graph-then-run-passes builders
   (:func:`build_fat_tree`, :func:`build_tree_graph`,
   :func:`build_chain_graph`, :func:`build_star_graph`) and the
-  address / admission / wiring passes.
-* :mod:`~repro.multiswitch.fabric` -- the tree-restricted
-  specialization (:class:`SwitchFabric`): trees keep routing unique,
-  matching how small industrial Ethernet islands are actually cabled;
-  the graph layer handles the redundant fabrics (fat-tree) that would
-  otherwise need a spanning-tree protocol the paper never touches.
+  address / admission / wiring passes. On a tree the routed path is
+  unique; on redundant fabrics (fat-tree) the seeded tie-break stands
+  in for the spanning-tree protocol the paper never touches.
 * :mod:`~repro.multiswitch.partitioning` -- multi-hop deadline
   partitioning: the k-way generalizations of SDPS (equal split) and
   ADPS (LinkLoad-proportional split), exact-rational and
@@ -25,6 +22,9 @@ switch graphs (k >= 2 links per channel):
   all links of the routed path, reusing
   :mod:`repro.core.feasibility` unchanged -- the per-link theory is
   identical; only the number of supposed tasks per channel grows.
+* :mod:`~repro.multiswitch.simnet` -- the simulated data plane: the
+  star's :class:`~repro.network.node.EndNode` at every leaf and
+  per-hop EDF forwarding in :class:`FabricSwitchModel`.
 
 This is an **extension beyond the paper**: there is no published result
 to compare against. EXP-X1 reports acceptance curves for 2- and 3-switch
@@ -45,7 +45,6 @@ from .graph import (
     build_tree_graph,
     build_fat_tree,
 )
-from .fabric import SwitchFabric
 from .partitioning import (
     MultiHopDPS,
     MultiHopSymmetric,
@@ -54,14 +53,12 @@ from .partitioning import (
 )
 from .admission import MultiSwitchAdmission, MultiAdmissionDecision
 from .simnet import (
-    FabricChannel,
     FabricNetwork,
     FabricSwitchModel,
     build_fabric_network,
 )
 
 __all__ = [
-    "FabricChannel",
     "FabricNetwork",
     "FabricSwitchModel",
     "build_fabric_network",
@@ -75,7 +72,6 @@ __all__ = [
     "build_chain_graph",
     "build_tree_graph",
     "build_fat_tree",
-    "SwitchFabric",
     "MultiHopDPS",
     "MultiHopSymmetric",
     "MultiHopProportional",

@@ -66,10 +66,9 @@ class MultiSwitchAdmission:
     Parameters
     ----------
     fabric:
-        The (validated) topology -- a tree
-        :class:`~repro.multiswitch.fabric.SwitchFabric` or any
-        multipath :class:`~repro.multiswitch.graph.FabricGraph`
-        (fat-tree, ring); routing determinism is the fabric's
+        The (validated) topology -- any
+        :class:`~repro.multiswitch.graph.FabricGraph`, tree or
+        multipath (fat-tree, ring); routing determinism is the fabric's
         responsibility (seeded equal-cost tie-break), admission just
         analyses the links of the path it is handed.
     dps:

@@ -1,11 +1,11 @@
 """Graph-based fabric topologies: fat-tree, tree, chain, star + routing.
 
-:class:`FabricGraph` generalizes :class:`~repro.multiswitch.fabric.
-SwitchFabric` beyond trees: switch-to-switch cables may form cycles
-(multipath fabrics such as Clos/fat-tree networks), and routing picks
-among the equal-cost shortest paths with a deterministic, *seeded*
-tie-break so every run of every process selects the same path for the
-same (source, destination) pair.
+:class:`FabricGraph` is the one switch-topology type: switch-to-switch
+cables may form a tree or cycles (multipath fabrics such as
+Clos/fat-tree networks), and routing picks among the equal-cost
+shortest paths with a deterministic, *seeded* tie-break so every run
+of every process selects the same path for the same (source,
+destination) pair.
 
 Construction follows the build-the-graph-then-run-passes idiom: a
 builder first lays down the pure vertex/edge structure, then explicit
@@ -107,12 +107,11 @@ class FabricGraph:
     """A general switch graph (cycles allowed) with end nodes at leaves.
 
     Internal vertices are switches; end nodes attach to exactly one
-    switch by one full-duplex cable.  Unlike
-    :class:`~repro.multiswitch.fabric.SwitchFabric`,
-    :meth:`connect_switches` accepts redundant cables, so multipath
-    fabrics (rings, Clos, fat-trees) are expressible; routing resolves
-    the resulting equal-cost ambiguity deterministically (see the
-    module docstring).
+    switch by one full-duplex cable.  :meth:`connect_switches` accepts
+    redundant cables, so multipath fabrics (rings, Clos, fat-trees) are
+    expressible; routing resolves the resulting equal-cost ambiguity
+    deterministically (see the module docstring), and on a tree the
+    shortest path is unique.
 
     Parameters
     ----------
@@ -444,8 +443,8 @@ def build_chain_graph(
 ) -> FabricGraph:
     """A line of switches, each with its own stations.
 
-    Node names are ``n{switch}_{index}``; switch names ``sw{i}`` --
-    the same shape :meth:`SwitchFabric.chain` builds, as a graph.
+    Node names are ``n{switch}_{index}``; switch names ``sw{i}``.
+    The worst-case path crosses all ``n_switches + 1`` links.
     """
     if n_switches <= 0 or nodes_per_switch <= 0:
         raise TopologyError(

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from ..core.channel import ChannelSpec
 from ..errors import PartitioningError
-from .fabric import FabricLink
+from .graph import FabricLink
 
 __all__ = [
     "split_deadline",

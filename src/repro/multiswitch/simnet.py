@@ -1,25 +1,37 @@
 """Simulated data plane for switch fabrics (extension, EXP-X2).
 
 :mod:`repro.multiswitch.admission` answers the *analysis* question for
-switch trees; this module closes the loop the way EXP-V1 does for the
+switch graphs; this module closes the loop the way EXP-V1 does for the
 star: build the actual network -- every node, switch, wire and dual
 queue -- drive admitted channels at the critical instant, and verify
 that per-hop EDF really delivers within the end-to-end bound.
 
 Model
 -----
+* **Every leaf is the star's station**, a
+  :class:`~repro.network.node.EndNode` (RT layer stamping each frame's
+  deadline, EDF uplink queue), addressed by
+  :func:`~repro.multiswitch.graph.address_pass` exactly as
+  :func:`~repro.network.topology.build_star` addresses its nodes.
 * **Admission is centralized and analytical** (the paper's signalling
   protocol is defined for a single switch only; extending the wire
-  protocol to fabrics is out of scope). On acceptance the establishment
-  installs, in every switch along the path, a forwarding entry
-  ``channel -> (next hop, cumulative deadline offset)``.
+  protocol to fabrics is out of scope, so fabric leaves carry no
+  signalling path). On acceptance the establishment installs the
+  source's grant and, in every switch along the path, a forwarding
+  entry ``channel -> (next hop, cumulative deadline offset)``.
+* **Switches are** :class:`FabricSwitchModel`, **not the star's**
+  :class:`~repro.network.switch.Switch`: the star switch reads the
+  end-to-end deadline from the mangled header (the paper's point) and
+  runs signalling, while a fabric switch needs a per-hop forwarding
+  table. One class would have to branch on topology.
 * **Per-hop EDF keys are cumulative**: a frame released at ``t`` is
   scheduled on hop ``j`` with absolute deadline
   ``t + (part_1 + ... + part_j) * slot``, the natural generalization of
   the star's ``release + d_iu`` / ``release + d`` pair.
 * The guarantee bound generalizes Eq. 18.1:
   ``d_i * slot + T_latency(k)`` with
-  ``T_latency(k) = k*propagation + (k-1)*processing + k*blocking``.
+  ``T_latency(k) = k*propagation + (k-1)*processing + k*blocking``
+  (:meth:`~repro.network.phy.PhyProfile.t_latency_hops_ns`).
 """
 
 from __future__ import annotations
@@ -29,46 +41,20 @@ from functools import partial
 
 from ..analysis.metrics import MetricsCollector
 from ..core.channel import ChannelSpec
-from ..core.rt_layer import ChannelGrant, RTLayer
-from ..errors import SimulationError, TopologyError, UnknownChannelError
+from ..core.rt_layer import ChannelGrant
+from ..errors import SimulationError
 from ..network.link import HalfLink
+from ..network.node import EndNode
 from ..network.phy import PhyProfile
 from ..network.port import OutputPort
 from ..protocol.ethernet import EthernetFrame, FrameKind, reset_frame_ids
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 from .admission import MultiAdmissionDecision, MultiSwitchAdmission
-from .graph import FabricGraph
+from .graph import FabricGraph, address_pass
 from .partitioning import MultiHopDPS, MultiHopProportional
 
-__all__ = ["FabricChannel", "FabricSwitchModel", "FabricNetwork", "build_fabric_network"]
-
-
-@dataclass(frozen=True, slots=True)
-class FabricChannel:
-    """An established multi-hop channel (simulation view)."""
-
-    decision: MultiAdmissionDecision
-
-    @property
-    def channel_id(self) -> int:
-        return self.decision.channel_id
-
-    @property
-    def source(self) -> str:
-        return self.decision.source
-
-    @property
-    def destination(self) -> str:
-        return self.decision.destination
-
-    @property
-    def spec(self) -> ChannelSpec:
-        return self.decision.spec
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.decision.links)
+__all__ = ["FabricSwitchModel", "FabricNetwork", "build_fabric_network"]
 
 
 @dataclass(slots=True)
@@ -78,10 +64,10 @@ class _ForwardingEntry:
     next_hop: str
     #: cumulative deadline (slots since release) after the *outgoing* hop.
     cumulative_deadline_slots: int
-    #: 1-based index of the outgoing hop along the channel's path; the
-    #: miss check allows ``hop`` frames of cascaded blocking plus the
-    #: accumulated propagation/processing (per-hop share of T_latency).
-    hop_index: int = 2
+    #: miss-check slack of the outgoing hop: ``T_latency`` of the path
+    #: prefix ending there (cascaded blocking plus the accumulated
+    #: propagation/processing).
+    allowance_ns: int
 
 
 class FabricSwitchModel:
@@ -126,6 +112,8 @@ class FabricSwitchModel:
         cumulative_deadline_slots: int,
         hop_index: int = 2,
     ) -> None:
+        """Forward ``channel_id`` to ``next_hop``, the ``hop_index``-th
+        (1-based) link of the channel's path."""
         if next_hop not in self._ports:
             raise SimulationError(
                 f"switch {self.name!r} has no port toward {next_hop!r}"
@@ -133,7 +121,7 @@ class FabricSwitchModel:
         self._forwarding[channel_id] = _ForwardingEntry(
             next_hop=next_hop,
             cumulative_deadline_slots=cumulative_deadline_slots,
-            hop_index=hop_index,
+            allowance_ns=self._phy.t_latency_hops_ns(hop_index),
         )
 
     def remove_route(self, channel_id: int) -> None:
@@ -186,92 +174,10 @@ class FabricSwitchModel:
             frame.created_at
             + entry.cumulative_deadline_slots * self._phy.slot_ns
         )
-        hop = entry.hop_index
-        allowance = (
-            hop * (self._phy.propagation_ns + self._phy.max_frame_ns)
-            + (hop - 1) * self._phy.switch_processing_ns
-        )
         self._ports[entry.next_hop].submit_rt(
-            frame, hop_deadline_ns, allowance_ns=allowance
+            frame, hop_deadline_ns, allowance_ns=entry.allowance_ns
         )
         self.frames_forwarded += 1
-
-
-class _FabricEndNode:
-    """Leaf station: sends on granted channels, receives into metrics."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        phy: PhyProfile,
-        name: str,
-        metrics: MetricsCollector,
-        trace: TraceRecorder | None = None,
-    ) -> None:
-        self._sim = sim
-        self._phy = phy
-        self.name = name
-        self._metrics = metrics
-        self._trace = (
-            trace if trace is not None else TraceRecorder(enabled=False)
-        )
-        self.rt_layer = RTLayer(node_name=name, slot_ns=phy.slot_ns)
-        self.uplink: OutputPort | None = None
-        self._active_sources: set[int] = set()
-        #: optional SpanTracker (set by Telemetry.instrument_fabric).
-        self.spans = None
-
-    def receive(self, frame: EthernetFrame) -> None:
-        self._metrics.on_delivery(frame, self._sim.now)
-        if self.spans is not None:
-            self.spans.frame_done(frame.frame_id)
-        # Same record the star's EndNode emits, so trace-based delay
-        # extraction (analysis.timeline.extract_frame_delays) works on
-        # fabric runs too.
-        if self._trace.enabled_for("node.deliver"):
-            self._trace.record(
-                self._sim.now,
-                "node.deliver",
-                self.name,
-                frame.describe(),
-                fields={
-                    "channel": frame.channel_id,
-                    "delay_ns": self._sim.now - frame.created_at,
-                },
-            )
-
-    def send_message(self, channel_id: int) -> int:
-        if self.uplink is None:
-            raise SimulationError(f"node {self.name!r} has no uplink")
-        outgoing = self.rt_layer.emit_message(channel_id, self._sim.now)
-        for item in outgoing:
-            self.uplink.submit_rt(item.frame, item.uplink_deadline_ns)
-        return len(outgoing)
-
-    def start_periodic_source(
-        self, channel_id: int, stop_after_messages: int | None = None
-    ) -> None:
-        grant = self.rt_layer.grants.get(channel_id)
-        if grant is None:
-            raise UnknownChannelError(
-                f"node {self.name!r} has no channel {channel_id}"
-            )
-        period_ns = grant.spec.period * self._phy.slot_ns
-        self._active_sources.add(channel_id)
-        remaining = stop_after_messages
-
-        def fire() -> None:
-            nonlocal remaining
-            if channel_id not in self._active_sources:
-                return
-            if remaining is not None:
-                if remaining <= 0:
-                    return
-                remaining -= 1
-            self.send_message(channel_id)
-            self._sim.schedule(period_ns, fire)
-
-        self._sim.schedule(0, fire)
 
 
 class FabricNetwork:
@@ -297,14 +203,13 @@ class FabricNetwork:
             self.trace = telemetry.recorder
         else:
             self.trace = TraceRecorder(enabled=trace_enabled)
-        max_hops = self._max_hop_count()
         self.metrics = MetricsCollector(
-            t_latency_ns=self._t_latency_ns(max_hops),
+            t_latency_ns=phy.t_latency_hops_ns(self._max_hop_count()),
             record_delays=record_delays,
         )
         self.switches: dict[str, FabricSwitchModel] = {}
-        self.nodes: dict[str, _FabricEndNode] = {}
-        self.channels: list[FabricChannel] = []
+        self.nodes: dict[str, EndNode] = {}
+        self.channels: list[MultiAdmissionDecision] = []
         self._wire_everything()
         if telemetry is not None:
             telemetry.instrument_fabric(self)
@@ -319,23 +224,19 @@ class FabricNetwork:
                 worst = max(worst, self.fabric.hop_count(a, b))
         return worst
 
-    def _t_latency_ns(self, hops: int) -> int:
-        """Generalized Eq. 18.1 latency constant for ``hops``-link paths."""
-        return (
-            hops * self.phy.propagation_ns
-            + (hops - 1) * self.phy.switch_processing_ns
-            + hops * self.phy.max_frame_ns
-        )
-
     def _wire_everything(self) -> None:
         for switch_name in sorted(self.fabric.switches):
             self.switches[switch_name] = FabricSwitchModel(
                 sim=self.sim, phy=self.phy, name=switch_name,
                 trace=self.trace,
             )
+        addresses = address_pass(self.fabric)
         for node_name in sorted(self.fabric.nodes):
-            self.nodes[node_name] = _FabricEndNode(
+            address = addresses[node_name]
+            self.nodes[node_name] = EndNode(
                 sim=self.sim, phy=self.phy, name=node_name,
+                mac=address.mac, ip=address.ip,
+                switch_mac=0,  # fabric leaves have no signalling path yet
                 metrics=self.metrics, trace=self.trace,
             )
         # one duplex cable per fabric edge = two HalfLinks + two ports
@@ -368,19 +269,13 @@ class FabricNetwork:
             if tail in self.switches:
                 self.switches[tail].attach_port(head, port)
             else:
-                node = self.nodes[tail]
-                if node.uplink is not None:
-                    raise TopologyError(
-                        f"end node {tail!r} has two cables; leaves attach "
-                        "to exactly one switch"
-                    )
-                node.uplink = port
+                self.nodes[tail].attach_uplink(port)
 
     # -- establishment ---------------------------------------------------------
 
     def establish(
         self, source: str, destination: str, spec: ChannelSpec
-    ) -> FabricChannel | None:
+    ) -> MultiAdmissionDecision | None:
         """Admit analytically and install forwarding + grant on success."""
         decision = self.admission.request(source, destination, spec)
         if not decision.accepted:
@@ -422,12 +317,15 @@ class FabricNetwork:
                     "hops": len(links),
                 },
             )
-        channel = FabricChannel(decision=decision)
-        self.channels.append(channel)
-        return channel
+        self.channels.append(decision)
+        return decision
 
     def release(self, channel_id: int) -> None:
+        """Tear a channel down: stop its source, drop grant and routes."""
         decision = self.admission.release(channel_id)
+        source = self.nodes[decision.source]
+        source.stop_periodic_source(channel_id)
+        source.rt_layer.remove_grant(channel_id)
         for link in decision.links[1:]:
             self.switches[link.tail].remove_route(channel_id)
         self.channels = [

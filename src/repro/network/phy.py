@@ -97,10 +97,21 @@ class PhyProfile:
         This is the guaranteed *additional* delay on top of the deadline
         ``d_i``; see the module docstring for the derivation.
         """
+        return self.t_latency_hops_ns(2)
+
+    def t_latency_hops_ns(self, hops: int) -> int:
+        """``T_latency`` generalized to a path of ``hops`` links.
+
+        ``hops × propagation + (hops − 1) × switch processing + hops ×
+        one-frame blocking``: one cable, one store-and-forward and one
+        frame of non-preemption blocking per hop, as in the two-link
+        case. Multi-switch fabrics use it for the end-to-end bound and
+        for each hop's share of the per-link miss check.
+        """
         return (
-            2 * self.propagation_ns
-            + self.switch_processing_ns
-            + 2 * self.max_frame_ns
+            hops * self.propagation_ns
+            + (hops - 1) * self.switch_processing_ns
+            + hops * self.max_frame_ns
         )
 
     def per_link_allowance_ns(self) -> int:

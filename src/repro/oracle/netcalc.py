@@ -418,7 +418,7 @@ def _star_trial(seed: int, trial: int) -> NetcalcTrialResult:
 
 
 def _fabric_trial(seed: int, trial: int) -> NetcalcTrialResult:
-    from ..multiswitch.fabric import SwitchFabric
+    from ..multiswitch.graph import build_chain_graph
     from ..multiswitch.partitioning import (
         MultiHopProportional,
         MultiHopSymmetric,
@@ -426,7 +426,7 @@ def _fabric_trial(seed: int, trial: int) -> NetcalcTrialResult:
     from ..multiswitch.simnet import build_fabric_network
 
     rng = RngRegistry(seed).fork(trial).stream("netcalc-fabric")
-    fabric = SwitchFabric.chain(2, nodes_per_switch=3)
+    fabric = build_chain_graph(2, 3)
     dps = MultiHopSymmetric() if trial % 2 == 0 else MultiHopProportional()
     net = build_fabric_network(
         fabric, dps=dps, trace_enabled=True, record_delays=True

@@ -21,7 +21,7 @@ from repro.core.channel import ChannelSpec
 from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
 from repro.errors import ChannelParameterError
 from repro.multiswitch.admission import MultiSwitchAdmission
-from repro.multiswitch.fabric import SwitchFabric
+from repro.multiswitch.graph import build_chain_graph
 from repro.multiswitch.partitioning import MultiHopSymmetric
 
 SPEC = ChannelSpec(period=100, capacity=3, deadline=40)
@@ -191,7 +191,7 @@ class TestPreviewMany:
 class TestMultiSwitchAdmitMany:
     def make(self, use_cache=True):
         return MultiSwitchAdmission(
-            fabric=SwitchFabric.chain(2, 2),
+            fabric=build_chain_graph(2, 2),
             dps=MultiHopSymmetric(),
             use_cache=use_cache,
         )

@@ -10,7 +10,10 @@ speed, but what they produce may not move by a byte. These cases pin:
   anomalies.jsonl, plus spans.jsonl with the host-measured
   ``compute_ns`` field masked (the only wall-clock field);
 * one k=4 fat-tree data-plane run: frames delivered, dispatched
-  events, the final simulated clock and the per-link deadline misses.
+  events, the final simulated clock, the per-link deadline misses and
+  the per-frame delay samples;
+* one traced three-switch chain run: its ``node.deliver`` records and
+  its per-frame delay samples (timing through the fabric's end nodes).
 
 A digest that changes means the dispatch order ``(time, seq)``, an
 event label or a trace record changed. Re-pin only with a stated
@@ -26,7 +29,7 @@ import re
 
 from repro.cli import main
 from repro.core.channel import ChannelSpec
-from repro.multiswitch.graph import build_fat_tree
+from repro.multiswitch.graph import build_chain_graph, build_fat_tree
 from repro.multiswitch.partitioning import MultiHopProportional
 from repro.multiswitch.simnet import build_fabric_network
 
@@ -60,11 +63,32 @@ _PROFILE_ROWS = [
 #: lifetime dispatched events, final sim.now in ns, per-link misses)
 _FAT_TREE_FACTS = (100, 1800, 26116, 26116, 73_824_000, 0)
 
+#: sha256 of the fat-tree run's ``metrics.delay_samples()`` as JSON.
+_FAT_TREE_DELAYS = (
+    "2ed303e9f2dd23e786ee0372b6c374823f2f896f102e916a4aee3fa69e47435f"
+)
+
+#: ``build_chain_graph(3, 2)``, four channels, four messages each:
+#: sha256 of the ``node.deliver`` records and of the delay samples.
+_CHAIN_DELIVER_DIGEST = (
+    "291f30c4717b33288e1b10c0edac1a796cb24e709aa8fce033b8a05589a0b83c"
+)
+_CHAIN_DELAYS_DIGEST = (
+    "3e941054493b3242c62594ce5bdc75525da5a121bc6b899cc1b590c760e41ccc"
+)
+_CHAIN_CHANNELS = (
+    ("n0_0", "n2_0"), ("n0_1", "n2_1"), ("n2_0", "n0_1"), ("n1_0", "n1_1"),
+)
+
 _COMPUTE_NS = re.compile(rb'"compute_ns":[0-9]+')
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _json(value) -> bytes:
+    return json.dumps(value, sort_keys=True).encode()
 
 
 def test_obs_capture_bundle_is_pinned(tmp_path, capsys):
@@ -108,7 +132,8 @@ def test_fat_tree_data_plane_is_pinned():
     """k=4 fat-tree, 104 hosts, seeded random pairs, mprop data plane."""
     rng = random.Random(2004)
     net = build_fabric_network(
-        build_fat_tree(4, hosts_per_edge=13), MultiHopProportional()
+        build_fat_tree(4, hosts_per_edge=13), MultiHopProportional(),
+        record_delays=True,
     )
     names = sorted(net.nodes)
     spec = ChannelSpec(period=100, capacity=3, deadline=60)
@@ -125,3 +150,24 @@ def test_fat_tree_data_plane_is_pinned():
         net.sim.now,
         net.per_link_misses(),
     ) == _FAT_TREE_FACTS
+    assert _sha256(_json(net.metrics.delay_samples())) == _FAT_TREE_DELAYS
+
+
+def test_chain_fabric_timing_is_pinned():
+    """Per-frame timing through the fabric's end nodes on a 3-switch chain."""
+    net = build_fabric_network(
+        build_chain_graph(3, 2), MultiHopProportional(),
+        trace_enabled=True, record_delays=True,
+    )
+    spec = ChannelSpec(period=100, capacity=3, deadline=60)
+    for source, destination in _CHAIN_CHANNELS:
+        assert net.establish(source, destination, spec) is not None
+    net.start_all_sources(stop_after_messages=4)
+    net.sim.run()
+    delivered = [
+        [r.time, r.subject, r.detail, r.fields]
+        for r in net.trace.by_category("node.deliver")
+    ]
+    assert len(delivered) == 4 * 4 * spec.capacity
+    assert _sha256(_json(delivered)) == _CHAIN_DELIVER_DIGEST
+    assert _sha256(_json(net.metrics.delay_samples())) == _CHAIN_DELAYS_DIGEST

@@ -1,15 +1,23 @@
-"""Tests for the switch-tree fabric and routing."""
+"""Tests for switch-tree fabrics and routing on the one topology type."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+import repro.multiswitch as multiswitch
 from repro.errors import RoutingError, TopologyError
-from repro.multiswitch.fabric import FabricLink, SwitchFabric
+from repro.multiswitch.graph import (
+    FabricGraph,
+    FabricLink,
+    build_chain_graph,
+    build_star_graph,
+)
 
 
-def line(n_switches=3) -> SwitchFabric:
-    fabric = SwitchFabric()
+def line(n_switches=3) -> FabricGraph:
+    fabric = FabricGraph()
     for i in range(n_switches):
         fabric.add_switch(f"sw{i}")
         if i:
@@ -19,7 +27,7 @@ def line(n_switches=3) -> SwitchFabric:
 
 class TestConstruction:
     def test_duplicate_names_rejected(self):
-        fabric = SwitchFabric()
+        fabric = FabricGraph()
         fabric.add_switch("sw0")
         with pytest.raises(TopologyError):
             fabric.add_switch("sw0")
@@ -30,14 +38,20 @@ class TestConstruction:
             fabric.add_switch("n0")
 
     def test_node_needs_existing_switch(self):
-        fabric = SwitchFabric()
+        fabric = FabricGraph()
         with pytest.raises(TopologyError):
             fabric.add_node("n0", "ghost")
 
     def test_cycle_rejected(self):
+        """The tree-only ``SwitchFabric`` and its module are gone; a
+        redundant cable is a legal multipath fabric on ``FabricGraph``."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.multiswitch.fabric")
+        assert not hasattr(multiswitch, "SwitchFabric")
+        assert "SwitchFabric" not in multiswitch.__all__
         fabric = line(3)
-        with pytest.raises(TopologyError, match="cycle"):
-            fabric.connect_switches("sw0", "sw2")
+        fabric.connect_switches("sw0", "sw2")
+        assert not fabric.is_tree()
 
     def test_self_loop_rejected(self):
         fabric = line(1)
@@ -56,14 +70,14 @@ class TestConstruction:
             fabric.connect_switches("sw0", "n0")
 
     def test_empty_name_rejected(self):
-        fabric = SwitchFabric()
+        fabric = FabricGraph()
         with pytest.raises(TopologyError):
             fabric.add_switch("")
 
 
 class TestValidation:
     def test_disconnected_fabric_rejected(self):
-        fabric = SwitchFabric()
+        fabric = FabricGraph()
         fabric.add_switch("sw0")
         fabric.add_switch("sw1")  # no cable
         fabric.add_node("a", "sw0")
@@ -73,12 +87,12 @@ class TestValidation:
 
     def test_empty_fabric_rejected(self):
         with pytest.raises(TopologyError):
-            SwitchFabric().validate_connected()
+            FabricGraph().validate_connected()
 
 
 class TestRouting:
     def test_single_switch_path_is_two_links(self):
-        fabric = SwitchFabric.single_switch(["a", "b"])
+        fabric = build_star_graph(["a", "b"])
         links = fabric.path_links("a", "b")
         assert links == [
             FabricLink("a", "sw0"),
@@ -115,14 +129,14 @@ class TestRouting:
             fabric.path_links("sw0", "a")
 
     def test_self_route_rejected(self):
-        fabric = SwitchFabric.single_switch(["a"])
+        fabric = build_star_graph(["a"])
         with pytest.raises(RoutingError):
             fabric.path_links("a", "a")
 
 
 class TestFactories:
     def test_chain_shape(self):
-        fabric = SwitchFabric.chain(n_switches=3, nodes_per_switch=2)
+        fabric = build_chain_graph(n_switches=3, nodes_per_switch=2)
         assert len(fabric.switches) == 3
         assert len(fabric.nodes) == 6
         assert fabric.hop_count("n0_0", "n2_1") == 4
@@ -130,7 +144,7 @@ class TestFactories:
 
     def test_chain_validation(self):
         with pytest.raises(TopologyError):
-            SwitchFabric.chain(0, 1)
+            build_chain_graph(0, 1)
 
 
 class TestFabricLink:

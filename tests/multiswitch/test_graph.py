@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
 import zlib
 
 import pytest
 
+import repro.multiswitch as multiswitch
 from repro.errors import RoutingError, TopologyError
 from repro.multiswitch import (
     FabricGraph,
+    FabricLink,
     MultiSwitchAdmission,
     MultiHopProportional,
-    SwitchFabric,
     address_pass,
     admission_pass,
     build_chain_graph,
@@ -38,13 +40,12 @@ class TestFabricGraphConstruction:
         assert graph.hop_count("n0", "n1") == 3
 
     def test_switch_fabric_still_rejects_cycles(self):
-        fabric = SwitchFabric()
-        for name in ("a", "b", "c"):
-            fabric.add_switch(name)
-        fabric.connect_switches("a", "b")
-        fabric.connect_switches("b", "c")
-        with pytest.raises(TopologyError, match="cycle"):
-            fabric.connect_switches("c", "a")
+        """``FabricGraph`` is the one topology type: the tree-only
+        ``SwitchFabric`` subclass and its module are gone."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.multiswitch.fabric")
+        assert not hasattr(multiswitch, "SwitchFabric")
+        assert "SwitchFabric" not in multiswitch.__all__
 
     def test_duplicate_and_empty_names_rejected(self):
         graph = FabricGraph()
@@ -190,14 +191,18 @@ class TestDeterministicMultipath:
 
 class TestBuilders:
     def test_chain_graph_matches_switch_fabric_chain(self):
+        """The shape the deleted ``SwitchFabric.chain(2, 3)`` built."""
         graph = build_chain_graph(2, 3)
-        fabric = SwitchFabric.chain(2, 3)
-        assert graph.switches == fabric.switches
-        assert graph.nodes == fabric.nodes
-        assert graph.switch_adjacencies() == fabric.switch_adjacencies()
-        assert graph.path_links("n0_0", "n1_2") == fabric.path_links(
-            "n0_0", "n1_2"
-        )
+        assert graph.switches == {"sw0", "sw1"}
+        assert graph.nodes == {
+            "n0_0", "n0_1", "n0_2", "n1_0", "n1_1", "n1_2",
+        }
+        assert graph.switch_adjacencies() == [("sw0", "sw1")]
+        assert graph.path_links("n0_0", "n1_2") == [
+            FabricLink("n0_0", "sw0"),
+            FabricLink("sw0", "sw1"),
+            FabricLink("sw1", "n1_2"),
+        ]
 
     def test_tree_graph_shape(self):
         graph = build_tree_graph(3, 2, 2)

@@ -7,7 +7,11 @@ import pytest
 from repro.core.channel import ChannelSpec
 from repro.errors import PartitioningError, UnknownChannelError
 from repro.multiswitch.admission import MultiSwitchAdmission
-from repro.multiswitch.fabric import FabricLink, SwitchFabric
+from repro.multiswitch.graph import (
+    FabricLink,
+    build_chain_graph,
+    build_star_graph,
+)
 from repro.multiswitch.partitioning import (
     MultiHopProportional,
     MultiHopSymmetric,
@@ -111,7 +115,7 @@ class TestSplitDeadlineEdges:
 
 class TestMultiHopSchemes:
     def test_symmetric_equal_parts(self, paper_spec):
-        fabric = SwitchFabric.chain(2, 1)
+        fabric = build_chain_graph(2, 1)
         links = fabric.path_links("n0_0", "n1_0")
         parts = MultiHopSymmetric().partition(
             paper_spec, links, lambda link: 1
@@ -120,7 +124,7 @@ class TestMultiHopSchemes:
         assert max(parts) - min(parts) <= 1
 
     def test_proportional_follows_loads(self, paper_spec):
-        fabric = SwitchFabric.chain(2, 1)
+        fabric = build_chain_graph(2, 1)
         links = fabric.path_links("n0_0", "n1_0")
         loads = {links[0]: 8, links[1]: 1, links[2]: 1}
         parts = MultiHopProportional().partition(
@@ -130,7 +134,7 @@ class TestMultiHopSchemes:
         assert parts[0] > parts[1] and parts[0] > parts[2]
 
     def test_two_link_proportional_matches_adps_ratio(self, paper_spec):
-        fabric = SwitchFabric.single_switch(["a", "b"])
+        fabric = build_star_graph(["a", "b"])
         links = fabric.path_links("a", "b")
         loads = {links[0]: 2, links[1]: 1}
         parts = MultiHopProportional().partition(
@@ -142,7 +146,7 @@ class TestMultiHopSchemes:
 
 class TestMultiSwitchAdmission:
     def make(self, scheme=None):
-        fabric = SwitchFabric.chain(2, 2)
+        fabric = build_chain_graph(2, 2)
         return MultiSwitchAdmission(
             fabric=fabric, dps=scheme or MultiHopSymmetric()
         )
@@ -223,7 +227,7 @@ class TestMultiSwitchAdmission:
         self, paper_spec
     ):
         """One-switch fabric behaves like the paper's SDPS star: 6 fit."""
-        fabric = SwitchFabric.single_switch(["m", "x", "y"])
+        fabric = build_star_graph(["m", "x", "y"])
         admission = MultiSwitchAdmission(
             fabric=fabric, dps=MultiHopSymmetric()
         )
@@ -246,12 +250,12 @@ class TestMultiSwitchCacheParity:
         ]
 
     def test_cached_and_naive_decisions_match(self, paper_spec):
-        fabric = SwitchFabric.chain(2, 2)
+        fabric = build_chain_graph(2, 2)
         cached = MultiSwitchAdmission(
             fabric=fabric, dps=MultiHopProportional(), use_cache=True
         )
         naive = MultiSwitchAdmission(
-            fabric=SwitchFabric.chain(2, 2),
+            fabric=build_chain_graph(2, 2),
             dps=MultiHopProportional(),
             use_cache=False,
         )
@@ -274,7 +278,7 @@ class TestMultiSwitchCacheParity:
 
     def test_rejections_do_not_burn_channel_ids(self):
         """Rejected multi-hop requests no longer consume IDs."""
-        fabric = SwitchFabric.chain(2, 2)
+        fabric = build_chain_graph(2, 2)
         admission = MultiSwitchAdmission(
             fabric=fabric, dps=MultiHopSymmetric()
         )

@@ -6,18 +6,20 @@ import pytest
 
 from repro.core.channel import ChannelSpec
 from repro.errors import SimulationError, UnknownChannelError
-from repro.multiswitch.fabric import SwitchFabric
+from repro.multiswitch.graph import address_pass, build_chain_graph
 from repro.multiswitch.partitioning import (
     MultiHopProportional,
     MultiHopSymmetric,
 )
 from repro.multiswitch.simnet import build_fabric_network
+from repro.network.node import EndNode
+from repro.obs.profiling import KernelProfiler
 
 SPEC = ChannelSpec(period=100, capacity=3, deadline=60)
 
 
 def chain_network(n_switches=3, nodes_per_switch=2, dps=None):
-    fabric = SwitchFabric.chain(n_switches, nodes_per_switch)
+    fabric = build_chain_graph(n_switches, nodes_per_switch)
     return build_fabric_network(fabric, dps=dps)
 
 
@@ -39,13 +41,40 @@ class TestWiring:
         long = chain_network(4, 2)
         assert long.metrics.t_latency_ns > short.metrics.t_latency_ns
 
+    def test_leaves_are_the_star_end_node(self):
+        net = chain_network()
+        addresses = address_pass(net.fabric)
+        for name, node in net.nodes.items():
+            assert type(node) is EndNode
+            assert (node.mac, node.ip) == (
+                addresses[name].mac, addresses[name].ip
+            )
+
+    def test_traced_run_reads_like_a_star_run(self):
+        """The RT layer traces ``rt.emit`` and sources carry the star's
+        ``start``/``period`` labels."""
+        net = build_fabric_network(build_chain_graph(3, 2), trace_enabled=True)
+        for source, destination in (
+            ("n0_0", "n2_0"), ("n0_1", "n2_1"), ("n2_0", "n0_1"),
+            ("n1_0", "n1_1"),
+        ):
+            assert net.establish(source, destination, SPEC) is not None
+        profiler = KernelProfiler()
+        net.sim.profiler = profiler
+        net.start_all_sources(stop_after_messages=4)
+        net.sim.run()
+        assert len(net.trace.by_category("rt.emit")) == 16
+        rows = {label: count for label, count, _, _ in profiler.rows()}
+        assert (rows["start"], rows["period"]) == (4, 16)
+        assert "(unlabelled)" not in rows
+
 
 class TestEstablishment:
     def test_accept_installs_grant_and_routes(self):
         net = chain_network()
         channel = net.establish("n0_0", "n2_0", SPEC)
         assert channel is not None
-        assert channel.hop_count == 4
+        assert len(channel.links) == 4
         # uplink grant on the source node
         grants = net.nodes["n0_0"].rt_layer.grants
         assert channel.channel_id in grants
@@ -67,11 +96,26 @@ class TestEstablishment:
         for switch in net.switches.values():
             assert channel.channel_id not in switch._forwarding  # noqa: SLF001
 
+    def test_release_stops_the_source(self):
+        net = chain_network(2, 2)
+        channel = net.establish("n0_0", "n1_0", SPEC)
+        net.start_all_sources()
+        period_ns = SPEC.period * net.phy.slot_ns
+        # two messages delivered; the third is not yet released
+        net.sim.run(until=2 * period_ns - 1)
+        assert net.metrics.total_rt_messages == 2
+        dropped = sum(s.frames_dropped for s in net.switches.values())
+        net.release(channel.channel_id)
+        net.sim.run(until=net.sim.now + 5 * period_ns)
+        assert sum(s.frames_dropped for s in net.switches.values()) == dropped
+        assert channel.channel_id not in net.nodes["n0_0"].rt_layer.grants
+        assert net.sim.live_pending_events == 0
+
     def test_cumulative_deadlines_increase_along_path(self):
         net = chain_network()
         channel = net.establish("n0_0", "n2_0", SPEC)
         offsets = []
-        for link in channel.decision.links[1:]:
+        for link in channel.links[1:]:
             entry = net.switches[link.tail]._forwarding[  # noqa: SLF001
                 channel.channel_id
             ]
@@ -79,7 +123,7 @@ class TestEstablishment:
         assert offsets == sorted(offsets)
         assert offsets[-1] == SPEC.deadline  # last hop = end-to-end deadline
         grant = net.nodes["n0_0"].rt_layer.grants[channel.channel_id]
-        assert grant.uplink_deadline_slots == channel.decision.parts[0]
+        assert grant.uplink_deadline_slots == channel.parts[0]
 
 
 class TestDataPlane:
@@ -105,8 +149,8 @@ class TestDataPlane:
         local = net.establish("n0_0", "n0_1", SPEC)
         cross = net.establish("n1_0", "n0_0", SPEC)
         assert local is not None and cross is not None
-        assert local.hop_count == 2
-        assert cross.hop_count == 3
+        assert len(local.links) == 2
+        assert len(cross.links) == 3
         net.start_all_sources(stop_after_messages=2)
         net.sim.run()
         assert net.metrics.total_deadline_misses == 0
@@ -149,7 +193,7 @@ class TestDataPlane:
 
 class TestFabricHelpers:
     def test_attachment(self):
-        fabric = SwitchFabric.chain(2, 2)
+        fabric = build_chain_graph(2, 2)
         assert fabric.attachment("n0_0") == "sw0"
         assert fabric.attachment("n1_1") == "sw1"
         from repro.errors import RoutingError
@@ -158,5 +202,5 @@ class TestFabricHelpers:
             fabric.attachment("sw0")
 
     def test_switch_adjacencies(self):
-        fabric = SwitchFabric.chain(3, 1)
+        fabric = build_chain_graph(3, 1)
         assert fabric.switch_adjacencies() == [("sw0", "sw1"), ("sw1", "sw2")]

@@ -256,10 +256,10 @@ def test_measure_compute_stamps_wall_time():
 
 
 def test_fabric_run_emits_per_hop_spans():
-    from repro.multiswitch.fabric import SwitchFabric
+    from repro.multiswitch.graph import build_chain_graph
     from repro.multiswitch.simnet import build_fabric_network
 
-    fabric = SwitchFabric.chain(2, nodes_per_switch=2)
+    fabric = build_chain_graph(2, 2)
     telemetry = Telemetry(TelemetryConfig(spans=True))
     net = build_fabric_network(fabric, telemetry=telemetry)
     nodes = sorted(net.nodes)
