@@ -31,14 +31,7 @@ from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..protocol.ethernet import EthernetFrame, FrameKind
-from ..protocol.frames import (
-    FrameType,
-    GossipFrame,
-    IntentFrame,
-    RequestFrame,
-    ResponseFrame,
-    TeardownFrame,
-)
+from ..protocol.frames import FrameType
 from ..sim.rng import RngRegistry
 
 __all__ = [
@@ -96,6 +89,16 @@ COORDINATION_CLASSES = (
     "intent",
     "gossip",
 )
+
+#: Signalling type tag -> (its class when a node sends it, its class
+#: when the switch sends it).
+_CLASSES_BY_TAG = {
+    FrameType.CONNECT: ("request", "offer"),
+    FrameType.RESPONSE: ("dest-response", "final-response"),
+    FrameType.TEARDOWN: ("teardown", "teardown"),
+    FrameType.INTENT: ("intent", "intent"),
+    FrameType.GOSSIP: ("gossip", "gossip"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,9 +223,10 @@ class FaultPlan:
         """Name the handshake step (or traffic class) ``frame`` carries.
 
         Signalling payloads normally travel as their bit-exact wire
-        encoding whose first byte is the FrameType tag; the switch's
-        grant-carrying final response is the one structured exception
-        (a ``(ResponseFrame, ChannelGrant)`` tuple). Direction
+        encoding whose first byte is the FrameType tag; a typed frame
+        carries the same tag as ``TYPE``. The switch's grant-carrying
+        final response is the one structured exception (a
+        ``(ResponseFrame, ChannelGrant)`` tuple). Direction
         (node->switch vs switch->node) disambiguates the shared
         CONNECT/RESPONSE formats into distinct handshake steps.
         """
@@ -231,39 +235,23 @@ class FaultPlan:
         if frame.kind is FrameKind.BEST_EFFORT:
             return "best-effort"
         payload = frame.payload_object
-        from_switch = frame.source == _SWITCH_SOURCE
         if isinstance(payload, tuple):
             return "final-response"
         if isinstance(payload, (bytes, bytearray)):
-            tag = payload[0]
-        elif isinstance(payload, RequestFrame):
-            tag = int(FrameType.CONNECT)
-        elif isinstance(payload, ResponseFrame):
-            tag = int(FrameType.RESPONSE)
-        elif isinstance(payload, TeardownFrame):
-            tag = int(FrameType.TEARDOWN)
-        elif isinstance(payload, IntentFrame):
-            tag = int(FrameType.INTENT)
-        elif isinstance(payload, GossipFrame):
-            tag = int(FrameType.GOSSIP)
+            tag = payload[0] if payload else None
         else:
+            tag = getattr(payload, "TYPE", None)
+        if tag is None:
             raise ConfigurationError(
                 f"cannot classify signalling payload "
                 f"{type(payload).__name__}"
             )
-        if tag == FrameType.CONNECT:
-            return "offer" if from_switch else "request"
-        if tag == FrameType.RESPONSE:
-            return "final-response" if from_switch else "dest-response"
-        if tag == FrameType.TEARDOWN:
-            return "teardown"
-        if tag == FrameType.INTENT:
-            return "intent"
-        if tag == FrameType.GOSSIP:
-            return "gossip"
-        raise ConfigurationError(
-            f"unknown signalling type tag {tag}"
-        )
+        names = _CLASSES_BY_TAG.get(tag)
+        if names is None:
+            raise ConfigurationError(
+                f"unknown signalling type tag {tag}"
+            )
+        return names[frame.source == _SWITCH_SOURCE]
 
     def export_state(self) -> dict:
         """Serialize the plan's mutable state for a service checkpoint.

@@ -2,9 +2,10 @@
 
 This subpackage implements the paper's on-the-wire artifacts:
 
-* :mod:`~repro.protocol.bitfields` -- MSB-first bit packing primitives.
 * :mod:`~repro.protocol.frames` -- the RequestFrame and ResponseFrame of
-  Figures 18.3/18.4, bit-exact field widths.
+  Figures 18.3/18.4 (plus the teardown, intent and gossip extensions),
+  each declared once as a bit-exact field layout that its codec is
+  derived from.
 * :mod:`~repro.protocol.headers` -- the RT layer's repurposing of the IP
   source/destination address fields for the 48-bit absolute deadline and
   the 16-bit channel ID (Section 18.2.2, ToS = 255 convention).
@@ -14,7 +15,6 @@ This subpackage implements the paper's on-the-wire artifacts:
   channel-establishment handshake.
 """
 
-from .bitfields import BitPacker, BitUnpacker
 from .frames import (
     FrameType,
     RequestFrame,
@@ -43,8 +43,6 @@ from .signaling import (
 )
 
 __all__ = [
-    "BitPacker",
-    "BitUnpacker",
     "FrameType",
     "RequestFrame",
     "ResponseFrame",

@@ -44,6 +44,16 @@ figure text, so this implementation fixes the canonical order above
 it; any order-preserving permutation would interoperate only with
 itself, and the paper's own prototype is not available to match against.
 
+Each frame class declares this layout once, as data: its fields in wire
+order, each with its width (``period: int = _bits(32)``), after its
+8-bit ``TYPE`` tag. The shared base class derives everything else from
+the declaration -- the range check on construction, ``encode()`` (one
+shift-or pass, MSB first, the last byte zero-padded) and the decoder
+behind :func:`decode_signaling` (one ``int.from_bytes``, then one
+shift-and-mask per field). A value that does not fit its field raises
+:class:`~repro.errors.FieldRangeError` instead of being silently
+truncated: the paper's field widths are protocol invariants.
+
 A :class:`TeardownFrame` (type 3) is added as a natural extension -- the
 paper establishes channels dynamically but does not give a release
 frame; a real deployment needs one, and the admission controller
@@ -67,10 +77,10 @@ shared links (the paper's switch is alone; a fabric is not):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 from ..errors import CodecError, FieldRangeError
-from .bitfields import BitPacker, BitUnpacker
 
 __all__ = [
     "FrameType",
@@ -99,13 +109,6 @@ INTENT_FRAME_BYTES = 35
 #: Encoded size of a GossipFrame data field (184 bits).
 GOSSIP_FRAME_BYTES = 23
 
-_MAC_BITS = 48
-_IP_BITS = 32
-_PARAM_BITS = 32
-_CHANNEL_ID_BITS = 16
-_REQUEST_ID_BITS = 8
-_TYPE_BITS = 8
-
 
 class FrameType(enum.IntEnum):
     """The 8-bit Type field of the signalling frames."""
@@ -127,8 +130,88 @@ class IntentKind(enum.IntEnum):
     RELEASE = 4
 
 
+def _bits(width: int, kind: type = int):
+    """Declare the next wire field: ``width`` bits holding a ``kind``."""
+    return field(metadata={"bits": width, "kind": kind})
+
+
+class _Frame:
+    """The codec every signalling frame derives from its declaration.
+
+    A subclass is a frozen slots dataclass with a ``TYPE`` tag and its
+    fields declared in wire order with :func:`_bits`;
+    :func:`_dispatch_table` reads the declarations once and fills in the
+    class-level layout below.
+    """
+
+    __slots__ = ()
+
+    TYPE: ClassVar[FrameType]
+    #: (name, width, kind) per field, in wire order.
+    _FIELDS: ClassVar[tuple[tuple[str, int, type], ...]]
+    #: tag plus fields, in bits; and the encoded size in whole bytes.
+    _BITS: ClassVar[int]
+    _SIZE: ClassVar[int]
+    #: (shift, mask) per field, reading the fields out of the tag-led
+    #: ``_BITS``-bit integer.
+    _UNPACK: ClassVar[tuple[tuple[int, int], ...]]
+    #: (index, kind) of the fields whose kind is not a plain int.
+    _TYPED: ClassVar[tuple[tuple[int, type], ...]]
+
+    def __post_init__(self) -> None:
+        for name, width, kind in self._FIELDS:
+            value = getattr(self, name)
+            if type(value) is not kind and (
+                not isinstance(value, kind) or isinstance(value, bool)
+            ):
+                raise FieldRangeError(
+                    f"{name} must be {kind.__name__}, got {value!r}"
+                )
+            if value < 0 or value >> width:
+                raise FieldRangeError(
+                    f"{name} = {value} does not fit in the {width}-bit "
+                    f"field declared by the paper "
+                    f"(range 0..{(1 << width) - 1})"
+                )
+
+    def encode(self) -> bytes:
+        """Serialize: the tag, then each field MSB first, zero-padded."""
+        value = self.TYPE
+        for name, width, _ in self._FIELDS:
+            value = value << width | getattr(self, name)
+        size = self._SIZE
+        return (value << 8 * size - self._BITS).to_bytes(size, "big")
+
+    @classmethod
+    def _decode(cls, data: bytes) -> "_Frame":
+        """Read the fields after the tag that selected ``cls``."""
+        spare = 8 * len(data) - cls._BITS
+        if spare < 0:
+            raise CodecError(
+                f"frame truncated: a {cls.__name__} needs {cls._BITS} bits "
+                f"but only {8 * len(data)} arrived"
+            )
+        value = int.from_bytes(data, "big")
+        if value & ((1 << spare) - 1):
+            raise CodecError(
+                f"nonzero trailing padding ({spare} bits, value "
+                f"{value & ((1 << spare) - 1):#x}); frame is corrupt or "
+                f"misframed"
+            )
+        value >>= spare
+        args = [value >> shift & mask for shift, mask in cls._UNPACK]
+        for index, kind in cls._TYPED:
+            try:
+                args[index] = kind(args[index])
+            except ValueError:
+                raise CodecError(
+                    f"unknown {kind.__name__} {args[index]:#04x}"
+                ) from None
+        return cls(*args)
+
+
 @dataclass(frozen=True, slots=True)
-class RequestFrame:
+class RequestFrame(_Frame):
     """Decoded form of the Figure 18.3 connection request.
 
     ``rt_channel_id`` is 0 (not yet valid) when the source emits the
@@ -136,78 +219,25 @@ class RequestFrame:
     forwarding the request to the destination (Section 18.2.2).
     """
 
-    connect_request_id: int
-    rt_channel_id: int
-    source_mac: int
-    destination_mac: int
-    source_ip: int
-    destination_ip: int
-    period: int
-    capacity: int
-    deadline: int
+    TYPE = FrameType.CONNECT
 
-    def __post_init__(self) -> None:
-        _check_width("connect_request_id", self.connect_request_id, _REQUEST_ID_BITS)
-        _check_width("rt_channel_id", self.rt_channel_id, _CHANNEL_ID_BITS)
-        _check_width("source_mac", self.source_mac, _MAC_BITS)
-        _check_width("destination_mac", self.destination_mac, _MAC_BITS)
-        _check_width("source_ip", self.source_ip, _IP_BITS)
-        _check_width("destination_ip", self.destination_ip, _IP_BITS)
-        _check_width("period", self.period, _PARAM_BITS)
-        _check_width("capacity", self.capacity, _PARAM_BITS)
-        _check_width("deadline", self.deadline, _PARAM_BITS)
-
-    def encode(self) -> bytes:
-        """Serialize to the 36-byte wire form."""
-        packer = (
-            BitPacker()
-            .put(FrameType.CONNECT, _TYPE_BITS)
-            .put(self.connect_request_id, _REQUEST_ID_BITS)
-            .put(self.rt_channel_id, _CHANNEL_ID_BITS)
-            .put(self.source_mac, _MAC_BITS)
-            .put(self.destination_mac, _MAC_BITS)
-            .put(self.source_ip, _IP_BITS)
-            .put(self.destination_ip, _IP_BITS)
-            .put(self.period, _PARAM_BITS)
-            .put(self.capacity, _PARAM_BITS)
-            .put(self.deadline, _PARAM_BITS)
-        )
-        return packer.to_bytes()
-
-    @classmethod
-    def decode_body(cls, unpacker: BitUnpacker) -> "RequestFrame":
-        """Decode the fields after the type tag (already consumed)."""
-        frame = cls(
-            connect_request_id=unpacker.take(_REQUEST_ID_BITS),
-            rt_channel_id=unpacker.take(_CHANNEL_ID_BITS),
-            source_mac=unpacker.take(_MAC_BITS),
-            destination_mac=unpacker.take(_MAC_BITS),
-            source_ip=unpacker.take(_IP_BITS),
-            destination_ip=unpacker.take(_IP_BITS),
-            period=unpacker.take(_PARAM_BITS),
-            capacity=unpacker.take(_PARAM_BITS),
-            deadline=unpacker.take(_PARAM_BITS),
-        )
-        unpacker.expect_zero_padding()
-        return frame
+    connect_request_id: int = _bits(8)
+    rt_channel_id: int = _bits(16)
+    source_mac: int = _bits(48)
+    destination_mac: int = _bits(48)
+    source_ip: int = _bits(32)
+    destination_ip: int = _bits(32)
+    period: int = _bits(32)
+    capacity: int = _bits(32)
+    deadline: int = _bits(32)
 
     def with_channel_id(self, rt_channel_id: int) -> "RequestFrame":
         """The switch's rewrite before forwarding to the destination."""
-        return RequestFrame(
-            connect_request_id=self.connect_request_id,
-            rt_channel_id=rt_channel_id,
-            source_mac=self.source_mac,
-            destination_mac=self.destination_mac,
-            source_ip=self.source_ip,
-            destination_ip=self.destination_ip,
-            period=self.period,
-            capacity=self.capacity,
-            deadline=self.deadline,
-        )
+        return replace(self, rt_channel_id=rt_channel_id)
 
 
 @dataclass(frozen=True, slots=True)
-class ResponseFrame:
+class ResponseFrame(_Frame):
     """Decoded form of the Figure 18.4 connection response.
 
     Sent by the destination node to the switch (accept/decline), and by
@@ -215,75 +245,26 @@ class ResponseFrame:
     rejection when the feasibility test fails).
     """
 
-    connect_request_id: int
-    rt_channel_id: int
-    switch_mac: int
-    ok: bool
+    TYPE = FrameType.RESPONSE
 
-    def __post_init__(self) -> None:
-        _check_width("connect_request_id", self.connect_request_id, _REQUEST_ID_BITS)
-        _check_width("rt_channel_id", self.rt_channel_id, _CHANNEL_ID_BITS)
-        _check_width("switch_mac", self.switch_mac, _MAC_BITS)
-        if not isinstance(self.ok, bool):
-            raise FieldRangeError(
-                f"response flag must be a bool, got {self.ok!r}"
-            )
-
-    def encode(self) -> bytes:
-        packer = (
-            BitPacker()
-            .put(FrameType.RESPONSE, _TYPE_BITS)
-            .put(self.connect_request_id, _REQUEST_ID_BITS)
-            .put(self.rt_channel_id, _CHANNEL_ID_BITS)
-            .put(self.switch_mac, _MAC_BITS)
-            .put(1 if self.ok else 0, 1)
-        )
-        return packer.to_bytes()
-
-    @classmethod
-    def decode_body(cls, unpacker: BitUnpacker) -> "ResponseFrame":
-        frame = cls(
-            connect_request_id=unpacker.take(_REQUEST_ID_BITS),
-            rt_channel_id=unpacker.take(_CHANNEL_ID_BITS),
-            switch_mac=unpacker.take(_MAC_BITS),
-            ok=bool(unpacker.take(1)),
-        )
-        unpacker.expect_zero_padding()
-        return frame
+    connect_request_id: int = _bits(8)
+    rt_channel_id: int = _bits(16)
+    switch_mac: int = _bits(48)
+    ok: bool = _bits(1, bool)
 
 
 @dataclass(frozen=True, slots=True)
-class TeardownFrame:
+class TeardownFrame(_Frame):
     """Release an active RT channel (extension frame, type 3)."""
 
-    connect_request_id: int
-    rt_channel_id: int
+    TYPE = FrameType.TEARDOWN
 
-    def __post_init__(self) -> None:
-        _check_width("connect_request_id", self.connect_request_id, _REQUEST_ID_BITS)
-        _check_width("rt_channel_id", self.rt_channel_id, _CHANNEL_ID_BITS)
-
-    def encode(self) -> bytes:
-        packer = (
-            BitPacker()
-            .put(FrameType.TEARDOWN, _TYPE_BITS)
-            .put(self.connect_request_id, _REQUEST_ID_BITS)
-            .put(self.rt_channel_id, _CHANNEL_ID_BITS)
-        )
-        return packer.to_bytes()
-
-    @classmethod
-    def decode_body(cls, unpacker: BitUnpacker) -> "TeardownFrame":
-        frame = cls(
-            connect_request_id=unpacker.take(_REQUEST_ID_BITS),
-            rt_channel_id=unpacker.take(_CHANNEL_ID_BITS),
-        )
-        unpacker.expect_zero_padding()
-        return frame
+    connect_request_id: int = _bits(8)
+    rt_channel_id: int = _bits(16)
 
 
 @dataclass(frozen=True, slots=True)
-class IntentFrame:
+class IntentFrame(_Frame):
     """One leg of the announce-wait-commit intent lock (type 4).
 
     ``intent_seq`` is the announcing switch's per-switch monotone
@@ -297,163 +278,96 @@ class IntentFrame:
     same channel and RELEASE needs no extra lookup.
     """
 
-    kind: IntentKind
-    intent_seq: int
-    switch_mac: int
-    ack_mac: int
-    link_id: int
-    channel_id: int
-    priority: int
-    period: int
-    capacity: int
-    deadline: int
+    TYPE = FrameType.INTENT
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, IntentKind):
-            raise FieldRangeError(
-                f"kind must be an IntentKind, got {self.kind!r}"
-            )
-        _check_width("intent_seq", self.intent_seq, _PARAM_BITS)
-        _check_width("switch_mac", self.switch_mac, _MAC_BITS)
-        _check_width("ack_mac", self.ack_mac, _MAC_BITS)
-        _check_width("link_id", self.link_id, _CHANNEL_ID_BITS)
-        _check_width("channel_id", self.channel_id, _CHANNEL_ID_BITS)
-        _check_width("priority", self.priority, _TYPE_BITS)
-        _check_width("period", self.period, _PARAM_BITS)
-        _check_width("capacity", self.capacity, _PARAM_BITS)
-        _check_width("deadline", self.deadline, _PARAM_BITS)
+    kind: IntentKind = _bits(8, IntentKind)
+    intent_seq: int = _bits(32)
+    switch_mac: int = _bits(48)
+    ack_mac: int = _bits(48)
+    link_id: int = _bits(16)
+    channel_id: int = _bits(16)
+    priority: int = _bits(8)
+    period: int = _bits(32)
+    capacity: int = _bits(32)
+    deadline: int = _bits(32)
 
     @property
     def precedence(self) -> tuple[int, int, int]:
         """Deterministic conflict order: lowest triple wins the link."""
         return (self.priority, self.switch_mac, self.intent_seq)
 
-    def encode(self) -> bytes:
-        packer = (
-            BitPacker()
-            .put(FrameType.INTENT, _TYPE_BITS)
-            .put(self.kind, _TYPE_BITS)
-            .put(self.intent_seq, _PARAM_BITS)
-            .put(self.switch_mac, _MAC_BITS)
-            .put(self.ack_mac, _MAC_BITS)
-            .put(self.link_id, _CHANNEL_ID_BITS)
-            .put(self.channel_id, _CHANNEL_ID_BITS)
-            .put(self.priority, _TYPE_BITS)
-            .put(self.period, _PARAM_BITS)
-            .put(self.capacity, _PARAM_BITS)
-            .put(self.deadline, _PARAM_BITS)
-        )
-        return packer.to_bytes()
-
-    @classmethod
-    def decode_body(cls, unpacker: BitUnpacker) -> "IntentFrame":
-        kind_tag = unpacker.take(_TYPE_BITS)
-        try:
-            kind = IntentKind(kind_tag)
-        except ValueError:
-            raise CodecError(
-                f"unknown intent kind {kind_tag:#04x}"
-            ) from None
-        frame = cls(
-            kind=kind,
-            intent_seq=unpacker.take(_PARAM_BITS),
-            switch_mac=unpacker.take(_MAC_BITS),
-            ack_mac=unpacker.take(_MAC_BITS),
-            link_id=unpacker.take(_CHANNEL_ID_BITS),
-            channel_id=unpacker.take(_CHANNEL_ID_BITS),
-            priority=unpacker.take(_TYPE_BITS),
-            period=unpacker.take(_PARAM_BITS),
-            capacity=unpacker.take(_PARAM_BITS),
-            deadline=unpacker.take(_PARAM_BITS),
-        )
-        unpacker.expect_zero_padding()
-        return frame
-
 
 @dataclass(frozen=True, slots=True)
-class GossipFrame:
+class GossipFrame(_Frame):
     """Per-link occupancy digest for view anti-entropy (type 5).
 
     ``version`` is the sending switch's per-link view version (bumped
-    on every local commit/release affecting the link); a receiver whose
-    recorded version for ``(switch_mac, link_id)`` is older adopts the
-    digest and, on mismatch with its own bookkeeping, triggers a
-    re-broadcast of its committed intents for the link. The reserved
-    utilization travels as an exact fraction (numerator/denominator).
+    on every local commit/release affecting the link). A receiver whose
+    own version for ``link_id`` is *newer* than the digest's treats the
+    sender as behind and replays its committed intents (and recent
+    releases) for the link back to it; a receiver that is level or
+    behind does nothing. The reserved utilization travels as an exact
+    fraction (numerator/denominator).
     """
 
-    switch_mac: int
-    link_id: int
-    version: int
-    load: int
-    util_num: int
-    util_den: int
+    TYPE = FrameType.GOSSIP
+
+    switch_mac: int = _bits(48)
+    link_id: int = _bits(16)
+    version: int = _bits(32)
+    load: int = _bits(16)
+    util_num: int = _bits(32)
+    util_den: int = _bits(32)
 
     def __post_init__(self) -> None:
-        _check_width("switch_mac", self.switch_mac, _MAC_BITS)
-        _check_width("link_id", self.link_id, _CHANNEL_ID_BITS)
-        _check_width("version", self.version, _PARAM_BITS)
-        _check_width("load", self.load, _CHANNEL_ID_BITS)
-        _check_width("util_num", self.util_num, _PARAM_BITS)
-        _check_width("util_den", self.util_den, _PARAM_BITS)
+        _Frame.__post_init__(self)
         if self.util_den == 0:
             raise FieldRangeError("util_den must be non-zero")
 
-    def encode(self) -> bytes:
-        packer = (
-            BitPacker()
-            .put(FrameType.GOSSIP, _TYPE_BITS)
-            .put(self.switch_mac, _MAC_BITS)
-            .put(self.link_id, _CHANNEL_ID_BITS)
-            .put(self.version, _PARAM_BITS)
-            .put(self.load, _CHANNEL_ID_BITS)
-            .put(self.util_num, _PARAM_BITS)
-            .put(self.util_den, _PARAM_BITS)
-        )
-        return packer.to_bytes()
 
-    @classmethod
-    def decode_body(cls, unpacker: BitUnpacker) -> "GossipFrame":
-        frame = cls(
-            switch_mac=unpacker.take(_MAC_BITS),
-            link_id=unpacker.take(_CHANNEL_ID_BITS),
-            version=unpacker.take(_PARAM_BITS),
-            load=unpacker.take(_CHANNEL_ID_BITS),
-            util_num=unpacker.take(_PARAM_BITS),
-            util_den=unpacker.take(_PARAM_BITS),
+def _dispatch_table(*classes: type[_Frame]) -> dict[int, type[_Frame]]:
+    """Derive each class's layout from its declaration; key it by tag."""
+    table = {}
+    for cls in classes:
+        cls._FIELDS = tuple(
+            (f.name, f.metadata["bits"], f.metadata["kind"])
+            for f in fields(cls)
         )
-        unpacker.expect_zero_padding()
-        return frame
+        cls._BITS = 8 + sum(width for _, width, _ in cls._FIELDS)
+        cls._SIZE = (cls._BITS + 7) // 8
+        unpack = []
+        shift = cls._BITS - 8
+        for _, width, _ in cls._FIELDS:
+            shift -= width
+            unpack.append((shift, (1 << width) - 1))
+        cls._UNPACK = tuple(unpack)
+        cls._TYPED = tuple(
+            (index, kind)
+            for index, (_, _, kind) in enumerate(cls._FIELDS)
+            if kind is not int
+        )
+        table[cls.TYPE] = cls
+    return table
+
+
+_BY_TYPE = _dispatch_table(
+    RequestFrame, ResponseFrame, TeardownFrame, IntentFrame, GossipFrame
+)
 
 
 def decode_signaling(
-    data: bytes,
+    data: bytes | bytearray | memoryview,
 ) -> RequestFrame | ResponseFrame | TeardownFrame | IntentFrame | GossipFrame:
     """Decode any signalling frame, dispatching on the 8-bit type tag."""
-    unpacker = BitUnpacker(data)
-    tag = unpacker.take(_TYPE_BITS)
-    try:
-        frame_type = FrameType(tag)
-    except ValueError:
-        raise CodecError(f"unknown signalling frame type {tag:#04x}") from None
-    if frame_type is FrameType.CONNECT:
-        return RequestFrame.decode_body(unpacker)
-    if frame_type is FrameType.RESPONSE:
-        return ResponseFrame.decode_body(unpacker)
-    if frame_type is FrameType.INTENT:
-        return IntentFrame.decode_body(unpacker)
-    if frame_type is FrameType.GOSSIP:
-        return GossipFrame.decode_body(unpacker)
-    return TeardownFrame.decode_body(unpacker)
-
-
-def _check_width(name: str, value: int, width: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FieldRangeError(
-            f"{name} must be an int, got {type(value).__name__}"
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise CodecError(
+            f"signalling frames decode from bytes, got {type(data).__name__}"
         )
-    if value < 0 or value >= (1 << width):
-        raise FieldRangeError(
-            f"{name} = {value} does not fit in the {width}-bit field "
-            f"declared by the paper (range 0..{(1 << width) - 1})"
-        )
+    if type(data) is not bytes:
+        data = bytes(data)
+    if not data:
+        raise CodecError("frame truncated: no type tag in empty input")
+    cls = _BY_TYPE.get(data[0])
+    if cls is None:
+        raise CodecError(f"unknown signalling frame type {data[0]:#04x}")
+    return cls._decode(data)

@@ -18,8 +18,10 @@ long-lived process inside the simulation kernel:
 * :class:`~repro.service.intent.SharedLinkFabric` -- multi-switch
   coordination: an announce-wait-commit **intent lock** over shared
   links (deterministic ``(priority, switch MAC, seq)`` tie-break,
-  loss-tolerant retransmission of every leg) plus threshold-triggered
-  gossip keeping per-link occupancy views converged.
+  loss-tolerant retransmission of every leg) plus periodic and
+  threshold-triggered gossip of per-link occupancy digests (under
+  control loss the views do not reliably reconverge; see the
+  :mod:`~repro.service.intent` docstring).
 """
 
 from .churn import ChurnConfig, ChurnProcess

@@ -8,8 +8,9 @@ can double-book it. This module adds the coordination layer:
 **Intent lock (announce -> hold -> commit).** A switch wanting trunk
 capacity broadcasts an :class:`~repro.protocol.frames.IntentFrame`
 ``ANNOUNCE`` to every peer sharing the link and retransmits it (the
-PR 4 retry machinery) until every peer has ``ACK``-ed. Only then does a
-*hold window* open; at its expiry the switch decides:
+handshake's :class:`~repro.protocol.signaling.RetryPolicy`) until every
+peer has ``ACK``-ed. Only then does a *hold window* open; at its expiry
+the switch decides:
 
 * if any other active intent on the link -- its own or a peer's --
   precedes it under the total order ``(priority, switch MAC, seq)``,
@@ -26,9 +27,15 @@ winner, hence no two commits on one link overlap a hold window.
 **Gossip.** Each switch periodically -- and whenever its own view moves
 by more than a utilization threshold -- broadcasts a
 :class:`~repro.protocol.frames.GossipFrame` carrying its per-link view
-version. A peer that detects it is *ahead* of the sender re-broadcasts
-its commits (and recent releases); both sides being idempotent, views
-reconverge even after retry exhaustion.
+version. A peer whose own version for the link is higher replays its
+commits (and its last releases) to the sender; both sides are
+idempotent. This does not make views reconverge under control loss:
+each switch's version counts only its own view changes, so the
+comparison does not tell which view is stale, and the replay carries
+only the last ``_RELEASE_LOG_LIMIT`` releases. In 12 of 12 two-switch
+fabrics run for 2 s at 20 % loss and then quiesced, the trunk views
+still differed (ROADMAP, "Intent lock, safety: ghost reservations on
+shared trunks").
 
 :class:`SharedLinkFabric` packages the protocol with a churn-driven
 workload into one checkpointable engine, mirroring
@@ -85,6 +92,16 @@ _SWITCH_MAC_BASE = 0x0200_0000_0000
 
 #: Releases remembered per link for gossip-triggered reconciliation.
 _RELEASE_LOG_LIMIT = 64
+
+#: Per-leg retransmission of the reliable broadcasts.
+_RETRY = RetryPolicy(timeout_ns=3_000_000, max_retries=12, backoff=1.5)
+#: Control-bus latency of one frame.
+_CONTROL_LATENCY_NS = 1_000
+#: Period of each switch's gossip round.
+_GOSSIP_EVERY_NS = 10_000_000
+#: A switch gossips a link early once its reserved utilization has moved
+#: by more than this many percentage points since its last digest.
+_GOSSIP_THRESHOLD_PCT = 10
 
 # Agenda priorities (same content-ordered-heap discipline as the
 # service: ties break on (prio, k1, k2), never on insertion order).
@@ -505,16 +522,10 @@ class SharedLinkFabric:
         n_switches: int = 2,
         nodes_per_switch: int = 4,
         seed: int = 0,
-        churn: ChurnConfig | None = None,
         fault_plan: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
         hold_ns: int = 2_000_000,
-        control_latency_ns: int = 1_000,
-        gossip_every_ns: int = 10_000_000,
-        gossip_threshold: float = 0.10,
         checkpoint_every_ns: int | None = None,
         max_defers: int = 4,
-        monitor=None,
     ) -> None:
         if n_switches < 2:
             raise ConfigurationError(
@@ -522,9 +533,12 @@ class SharedLinkFabric:
             )
         if nodes_per_switch < 1:
             raise ConfigurationError("need at least one node per switch")
-        if hold_ns <= 0 or control_latency_ns <= 0:
+        if hold_ns <= 0:
+            raise ConfigurationError(f"hold_ns must be positive, got {hold_ns}")
+        if checkpoint_every_ns is not None and checkpoint_every_ns <= 0:
             raise ConfigurationError(
-                "hold_ns and control_latency_ns must be positive"
+                f"checkpoint_every_ns must be positive, got "
+                f"{checkpoint_every_ns}"
             )
         self.n_switches = n_switches
         self.nodes_per_switch = nodes_per_switch
@@ -533,33 +547,24 @@ class SharedLinkFabric:
             tuple(f"n{i}_{k}" for k in range(nodes_per_switch))
             for i in range(n_switches)
         ]
-        all_nodes = tuple(n for group in self.nodes for n in group)
-        self.churn_config = churn if churn is not None else ChurnConfig(
-            nodes=all_nodes
-        )
-        if len(self.churn_config.nodes) < 2:  # pragma: no cover - ChurnConfig
-            raise ConfigurationError("churn population too small")
+        #: every node of the fabric, switch by switch; the churn streams
+        #: draw their endpoints from it.
+        self._all_nodes = tuple(n for group in self.nodes for n in group)
         registry = RngRegistry(seed)
+        config = ChurnConfig(nodes=self._all_nodes)
         self.churn = [
-            ChurnProcess(registry.fork(i + 1), self.churn_config)
+            ChurnProcess(registry.fork(i + 1), config)
             for i in range(n_switches)
         ]
         self.plan = fault_plan
-        self.retry = retry if retry is not None else RetryPolicy(
-            timeout_ns=3_000_000, max_retries=12, backoff=1.5
-        )
         self.hold_ns = hold_ns
-        self.control_latency_ns = control_latency_ns
-        self.gossip_every_ns = gossip_every_ns
-        self.gossip_threshold = gossip_threshold
         self.checkpoint_every_ns = checkpoint_every_ns
         self.max_defers = max_defers
-        self.monitor = monitor
         #: foreign-intent staleness backstop: generous multiple of the
         #: worst-case announce->resolution span under full retries.
         self.foreign_ttl_ns = (
             self.hold_ns * (max_defers + 2)
-            + self.retry.delay_ns(0) * (self.retry.max_retries + 1)
+            + _RETRY.delay_ns(0) * (_RETRY.max_retries + 1)
         )
         self.coordinators = [
             IntentCoordinator(
@@ -629,19 +634,16 @@ class SharedLinkFabric:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, at_ns: int = 0) -> None:
+    def start(self) -> None:
         if self._started:
             raise ConfigurationError("fabric already started")
         self._started = True
-        self.now = at_ns
         for i in range(self.n_switches):
-            self._next_arrival[i] = at_ns + self.churn[i].next_interarrival_ns()
+            self._next_arrival[i] = self.churn[i].next_interarrival_ns()
             self._push(self._next_arrival[i], _PRIO_ARRIVE, i, 0)
-            self._push(at_ns + self.gossip_every_ns, _PRIO_GOSSIP, i, 0)
+            self._push(_GOSSIP_EVERY_NS, _PRIO_GOSSIP, i, 0)
         if self.checkpoint_every_ns is not None:
-            self._push(
-                at_ns + self.checkpoint_every_ns, _PRIO_CHECKPOINT, 0, 0
-            )
+            self._push(self.checkpoint_every_ns, _PRIO_CHECKPOINT, 0, 0)
 
     def run_until(self, until_ns: int) -> int:
         """Pump the agenda up to and including ``until_ns``."""
@@ -693,7 +695,7 @@ class SharedLinkFabric:
         self._next_delivery += 1
         self._wire[delivery_id] = [src, dst, payload.hex()]
         self._push(
-            self.now + self.control_latency_ns, _PRIO_DELIVER, delivery_id, 0
+            self.now + _CONTROL_LATENCY_NS, _PRIO_DELIVER, delivery_id, 0
         )
 
     def _send_reliable(
@@ -717,7 +719,7 @@ class SharedLinkFabric:
         for dst in peers:
             self._transmit(src, dst, payload)
         self._push(
-            self.now + self.retry.delay_ns(0),
+            self.now + _RETRY.delay_ns(0),
             _PRIO_RETRY,
             frame.intent_seq,
             0,
@@ -730,7 +732,7 @@ class SharedLinkFabric:
         if not record["pending"]:
             del self._outstanding[seq]
             return
-        if record["attempt"] >= self.retry.max_retries:
+        if record["attempt"] >= _RETRY.max_retries:
             del self._outstanding[seq]
             if record["kind"] == int(IntentKind.ANNOUNCE):
                 self._announce_timed_out(seq)
@@ -741,7 +743,7 @@ class SharedLinkFabric:
             self.counters["retransmissions"] += 1
             self._transmit(record["src"], dst, payload)
         self._push(
-            self.now + self.retry.delay_ns(record["attempt"]),
+            self.now + _RETRY.delay_ns(record["attempt"]),
             _PRIO_RETRY,
             seq,
             0,
@@ -840,7 +842,7 @@ class SharedLinkFabric:
         request = churn.draw_request()
         holding = churn.holding_ns()
         self.counters["arrivals"] += 1
-        all_nodes = self.churn_config.nodes
+        all_nodes = self._all_nodes
         src_slot = all_nodes.index(request.source) % self.nodes_per_switch
         src = self.nodes[i][src_slot]
         neighbours = [j for j in (i - 1, i + 1) if 0 <= j < self.n_switches]
@@ -1086,7 +1088,7 @@ class SharedLinkFabric:
     def _ev_gossip(self, i: int) -> None:
         self.counters["gossip_rounds"] += 1
         self._broadcast_gossip(i)
-        self._push(self.now + self.gossip_every_ns, _PRIO_GOSSIP, i, 0)
+        self._push(self.now + _GOSSIP_EVERY_NS, _PRIO_GOSSIP, i, 0)
 
     def _broadcast_gossip(self, i: int) -> None:
         coordinator = self.coordinators[i]
@@ -1105,7 +1107,7 @@ class SharedLinkFabric:
         last = self._last_gossip_util.get(key, [0, 1])
         # |num/den - last| > threshold, in integers.
         delta = abs(num * last[1] - last[0] * den)
-        if delta * 100 > int(self.gossip_threshold * 100) * den * last[1]:
+        if delta * 100 > _GOSSIP_THRESHOLD_PCT * den * last[1]:
             frame = coordinator.gossip_frame(link_id)
             self._last_gossip_util[key] = [frame.util_num, frame.util_den]
             for p in self._peers_of_link(link_id):
@@ -1178,8 +1180,8 @@ class SharedLinkFabric:
         """Rebuild a fabric from :meth:`take_checkpoint` output.
 
         ``kwargs`` must supply the same code-level configuration
-        (fault_plan, retry, hold_ns, ...) as the original; the
-        checkpoint carries only positions and views, not policy.
+        (fault_plan, hold_ns, ...) as the original; the checkpoint
+        carries only positions and views, not policy.
         """
         if data.get("version") != FABRIC_CHECKPOINT_VERSION:
             raise ConfigurationError(
@@ -1249,20 +1251,19 @@ class SharedLinkFabric:
             for p in self._peers_of_link(link_id)
         ]
 
-    def quiesce(self, settle_ns: int | None = None) -> None:
-        """Stop new arrivals and drain in-flight work (end of a soak)."""
+    def quiesce(self) -> None:
+        """Stop new arrivals and drain in-flight work (end of a soak).
+
+        The drain runs past every foreign intent's staleness backstop
+        plus two gossip rounds.
+        """
         self._agenda = [
             entry
             for entry in self._agenda
             if entry[1] not in (_PRIO_ARRIVE, _PRIO_CHECKPOINT)
         ]
         heapq.heapify(self._agenda)
-        horizon = self.now + (
-            settle_ns
-            if settle_ns is not None
-            else self.foreign_ttl_ns + self.gossip_every_ns * 2
-        )
-        self.run_until(horizon)
+        self.run_until(self.now + self.foreign_ttl_ns + 2 * _GOSSIP_EVERY_NS)
 
     def leaked_reservations(self) -> list[int]:
         """Access-view channel IDs with neither a live channel nor an

@@ -26,7 +26,6 @@ import hashlib
 import heapq
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..core.admission import AdmissionController
 from ..core.partitioning import DeadlinePartitioningScheme
@@ -35,9 +34,6 @@ from ..errors import ConfigurationError
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from .churn import ChurnConfig, ChurnProcess
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..obs.monitor import InvariantMonitor
 
 __all__ = ["AdmissionService", "ServiceCheckpoint", "resume"]
 
@@ -76,13 +72,11 @@ class AdmissionService:
         The admission controller owning ``{N, K}``.
     churn:
         The seeded request process.
-    sim:
-        Kernel to live in; a private one is created when omitted.
     checkpoint_every_ns:
         Period of automatic snapshot checkpoints (None = never).
-    monitor:
-        Optional invariant monitor; ``check_links`` runs after every
-        processed instant.
+
+    The service lives in a private :class:`~repro.sim.kernel.Simulator`
+    (:attr:`sim`), starting at time 0.
     """
 
     def __init__(
@@ -90,9 +84,7 @@ class AdmissionService:
         controller: AdmissionController,
         churn: ChurnProcess,
         *,
-        sim: Simulator | None = None,
         checkpoint_every_ns: int | None = None,
-        monitor: "InvariantMonitor | None" = None,
     ) -> None:
         if checkpoint_every_ns is not None and checkpoint_every_ns <= 0:
             raise ConfigurationError(
@@ -101,9 +93,8 @@ class AdmissionService:
             )
         self._controller = controller
         self._churn = churn
-        self._sim = sim if sim is not None else Simulator()
+        self._sim = Simulator()
         self._checkpoint_every_ns = checkpoint_every_ns
-        self._monitor = monitor
         #: heap of (at_ns, priority, key); key = channel_id for
         #: departures, 0 otherwise. Content-ordered (no seq numbers).
         self._agenda: list[tuple[int, int, int]] = []
@@ -142,17 +133,17 @@ class AdmissionService:
     def last_checkpoint(self) -> ServiceCheckpoint | None:
         return self.checkpoints[-1] if self.checkpoints else None
 
-    def start(self, at_ns: int = 0) -> None:
+    def start(self) -> None:
         """Schedule the first arrival (and checkpoint) and begin."""
         if self._started:
             raise ConfigurationError("service already started")
         self._started = True
-        self._next_arrival_at = at_ns + self._churn.next_interarrival_ns()
+        self._next_arrival_at = self._churn.next_interarrival_ns()
         heapq.heappush(
             self._agenda, (self._next_arrival_at, _PRIO_ARRIVAL, 0)
         )
         if self._checkpoint_every_ns is not None:
-            self._next_checkpoint_at = at_ns + self._checkpoint_every_ns
+            self._next_checkpoint_at = self._checkpoint_every_ns
             heapq.heappush(
                 self._agenda,
                 (self._next_checkpoint_at, _PRIO_CHECKPOINT, 0),
@@ -221,8 +212,6 @@ class AdmissionService:
                 self._process_arrival(now)
             else:
                 self._process_checkpoint(now)
-        if self._monitor is not None:
-            self._monitor.check_links(self._controller.state, now)
         self._schedule_pump()
 
     def _process_arrival(self, now: int) -> None:
@@ -286,9 +275,6 @@ def resume(
     dps: DeadlinePartitioningScheme,
     registry: RngRegistry,
     config: ChurnConfig,
-    *,
-    sim: Simulator | None = None,
-    monitor: "InvariantMonitor | None" = None,
 ) -> AdmissionService:
     """Restart a service from a checkpoint, mid-stream.
 
@@ -309,9 +295,7 @@ def resume(
     service = AdmissionService(
         controller,
         churn,
-        sim=sim,
         checkpoint_every_ns=data.get("checkpoint_every_ns"),
-        monitor=monitor,
     )
     service._started = True
     for at, channel_id in data.get("departures", ()):

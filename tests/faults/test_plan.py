@@ -103,8 +103,14 @@ class TestClassify:
         assert FaultPlan.classify(be) == "best-effort"
 
     def test_unclassifiable_payload_rejected(self):
-        with pytest.raises(ConfigurationError, match="classify"):
-            FaultPlan.classify(signaling("a", 3.14))
+        # none of these carries a type tag
+        for payload in (3.14, object(), {"TYPE": 1}, b""):
+            with pytest.raises(ConfigurationError, match="classify"):
+                FaultPlan.classify(signaling("a", payload))
+
+    def test_unknown_wire_tag_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown signalling"):
+            FaultPlan.classify(signaling("a", b"\x7f" + b"\x00" * 10))
 
 
 class TestValidation:

@@ -13,7 +13,12 @@ speed, but what they produce may not move by a byte. These cases pin:
   events, the final simulated clock, the per-link deadline misses and
   the per-frame delay samples;
 * one traced three-switch chain run: its ``node.deliver`` records and
-  its per-frame delay samples (timing through the fabric's end nodes).
+  its per-frame delay samples (timing through the fabric's end nodes);
+* the service plane: the EXP-X4 two-switch intent-lock fabric at 20 %
+  control loss (its ledger, coordinator states and checkpoints -- whose
+  ``wire`` and ``outstanding`` entries carry encoded signalling frames
+  -- plus its counters) and the single-switch admission service's
+  ledger, both run to 120 ms with a 10 ms checkpoint period.
 
 A digest that changes means the dispatch order ``(time, seq)``, an
 event label or a trace record changed. Re-pin only with a stated
@@ -28,10 +33,16 @@ import random
 import re
 
 from repro.cli import main
+from repro.core.admission import AdmissionController, SystemState
 from repro.core.channel import ChannelSpec
+from repro.core.partitioning import SymmetricDPS
+from repro.faults.plan import FaultPlan
 from repro.multiswitch.graph import build_chain_graph, build_fat_tree
 from repro.multiswitch.partitioning import MultiHopProportional
 from repro.multiswitch.simnet import build_fabric_network
+from repro.service import AdmissionService, ChurnConfig, ChurnProcess
+from repro.service.intent import SharedLinkFabric
+from repro.sim.rng import RngRegistry
 
 _CAPTURE_DIGESTS = {
     "metrics.json":
@@ -78,6 +89,32 @@ _CHAIN_DELAYS_DIGEST = (
 )
 _CHAIN_CHANNELS = (
     ("n0_0", "n2_0"), ("n0_1", "n2_1"), ("n2_0", "n0_1"), ("n1_0", "n1_1"),
+)
+
+#: Service-plane runs: seed, horizon and checkpoint period.
+_SERVICE_SEED = 2004
+_SERVICE_UNTIL_NS = 120_000_000
+_SERVICE_CHECKPOINT_NS = 10_000_000
+
+#: The lossy fabric: (ledger entries, sha256), sha256 of the
+#: coordinators' export_state(), (checkpoints, sha256), and counters.
+_FABRIC_LEDGER = (
+    425, "e327ff77e5f3ebce1ab2b33cb5410dd0c41fe0eae8a73712f73e442809b0ca66"
+)
+_FABRIC_COORDINATORS = (
+    "c30d5122e21577eba9ae7db32416ffe420b1ad86cdc7ced3c975944ecb502021"
+)
+_FABRIC_CHECKPOINTS = (
+    12, "76b0baa799383139249fa4152adba97f88cb170b8939daabd13fad120e562120"
+)
+_FABRIC_COUNTERS = {
+    "arrivals": 230, "commits": 14, "aborts": 167, "retransmissions": 213,
+    "reconciliations": 2,
+}
+
+#: The admission service over m0..m5: (ledger entries, sha256).
+_SERVICE_LEDGER = (
+    247, "c4a3f9a72f821b3dc43a9bda9dd0d223166a3963c4a1d201b0e6e538d82c66d3"
 )
 
 _COMPUTE_NS = re.compile(rb'"compute_ns":[0-9]+')
@@ -171,3 +208,44 @@ def test_chain_fabric_timing_is_pinned():
     assert len(delivered) == 4 * 4 * spec.capacity
     assert _sha256(_json(delivered)) == _CHAIN_DELIVER_DIGEST
     assert _sha256(_json(net.metrics.delay_samples())) == _CHAIN_DELAYS_DIGEST
+
+
+def test_lossy_intent_fabric_is_pinned():
+    """EXP-X4's fabric: intent lock, gossip and retransmission over a
+    control bus losing 20 % of frames; checkpoints hold wire bytes."""
+    fabric = SharedLinkFabric(
+        n_switches=2,
+        nodes_per_switch=4,
+        seed=_SERVICE_SEED,
+        fault_plan=FaultPlan.control_loss(0.2, seed=_SERVICE_SEED),
+        checkpoint_every_ns=_SERVICE_CHECKPOINT_NS,
+    )
+    fabric.start()
+    fabric.run_until(_SERVICE_UNTIL_NS)
+    assert (len(fabric.ledger), _sha256(_json(fabric.ledger))) == (
+        _FABRIC_LEDGER
+    )
+    assert _sha256(
+        _json([c.export_state() for c in fabric.coordinators])
+    ) == _FABRIC_COORDINATORS
+    assert (
+        len(fabric.checkpoints), _sha256(_json(fabric.checkpoints))
+    ) == _FABRIC_CHECKPOINTS
+    assert all(c["wire"] and c["outstanding"] for c in fabric.checkpoints)
+    assert {
+        key: fabric.counters[key] for key in _FABRIC_COUNTERS
+    } == _FABRIC_COUNTERS
+
+
+def test_admission_service_ledger_is_pinned():
+    nodes = tuple(f"m{i}" for i in range(6))
+    service = AdmissionService(
+        AdmissionController(SystemState(nodes), SymmetricDPS()),
+        ChurnProcess(RngRegistry(_SERVICE_SEED), ChurnConfig(nodes=nodes)),
+        checkpoint_every_ns=_SERVICE_CHECKPOINT_NS,
+    )
+    service.start()
+    service.run_until(_SERVICE_UNTIL_NS)
+    assert (len(service.ledger), _sha256(_json(service.ledger))) == (
+        _SERVICE_LEDGER
+    )

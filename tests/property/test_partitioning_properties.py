@@ -16,7 +16,20 @@ from repro.core.partitioning import (
 from repro.core.partitioning_ext import LaxityDPS, SearchDPS, UtilizationDPS
 from repro.core.task import LinkRef
 from repro.multiswitch.partitioning import split_deadline
-from repro.protocol.bitfields import BitPacker, BitUnpacker
+from repro.protocol.frames import (
+    GOSSIP_FRAME_BYTES,
+    INTENT_FRAME_BYTES,
+    REQUEST_FRAME_BYTES,
+    RESPONSE_FRAME_BYTES,
+    TEARDOWN_FRAME_BYTES,
+    GossipFrame,
+    IntentFrame,
+    IntentKind,
+    RequestFrame,
+    ResponseFrame,
+    TeardownFrame,
+    decode_signaling,
+)
 from repro.protocol.headers import decode_rt_header, encode_rt_header
 
 
@@ -299,25 +312,44 @@ def test_rt_header_roundtrip(deadline, channel):
     assert header.tos == 255
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=64),  # width
-            st.integers(min_value=0),  # raw value, masked below
-        ),
-        min_size=1,
-        max_size=12,
-    )
+def _uint(bits: int):
+    return st.integers(min_value=0, max_value=(1 << bits) - 1)
+
+
+#: Every signalling frame type with arbitrary in-range field values;
+#: the widths are the paper's (Figures 18.3/18.4) and the extensions'.
+_ANY_FRAME = st.one_of(
+    st.builds(
+        RequestFrame, _uint(8), _uint(16), _uint(48), _uint(48), _uint(32),
+        _uint(32), _uint(32), _uint(32), _uint(32),
+    ),
+    st.builds(ResponseFrame, _uint(8), _uint(16), _uint(48), st.booleans()),
+    st.builds(TeardownFrame, _uint(8), _uint(16)),
+    st.builds(
+        IntentFrame, st.sampled_from(IntentKind), _uint(32), _uint(48),
+        _uint(48), _uint(16), _uint(16), _uint(8), _uint(32), _uint(32),
+        _uint(32),
+    ),
+    st.builds(
+        GossipFrame, _uint(48), _uint(16), _uint(32), _uint(16), _uint(32),
+        st.integers(min_value=1, max_value=(1 << 32) - 1),
+    ),
 )
+
+_FRAME_BYTES = {
+    RequestFrame: REQUEST_FRAME_BYTES,
+    ResponseFrame: RESPONSE_FRAME_BYTES,
+    TeardownFrame: TEARDOWN_FRAME_BYTES,
+    IntentFrame: INTENT_FRAME_BYTES,
+    GossipFrame: GOSSIP_FRAME_BYTES,
+}
+
+
+@given(_ANY_FRAME)
 @settings(max_examples=200, deadline=None)
-def test_bitfield_roundtrip(fields):
-    packer = BitPacker()
-    expected = []
-    for width, raw in fields:
-        value = raw & ((1 << width) - 1)
-        packer.put(value, width)
-        expected.append((width, value))
-    unpacker = BitUnpacker(packer.to_bytes())
-    for width, value in expected:
-        assert unpacker.take(width) == value
-    unpacker.expect_zero_padding()
+def test_bitfield_roundtrip(frame):
+    wire = frame.encode()
+    assert len(wire) == _FRAME_BYTES[type(frame)]
+    assert wire[0] == frame.TYPE
+    assert decode_signaling(wire) == frame
+    assert decode_signaling(memoryview(bytearray(wire))) == frame

@@ -33,6 +33,13 @@ def sample_request(**overrides) -> RequestFrame:
     return RequestFrame(**kwargs)
 
 
+#: Wire bytes of ``sample_request()``: the Figure 18.3 fields in order.
+SAMPLE_REQUEST_HEX = (
+    "01" "2a" "0000" "020000000001" "020000000002" "0a000001" "0a000002"
+    "00000064" "00000003" "00000028"
+)
+
+
 class TestRequestFrame:
     def test_encoded_size_is_36_bytes(self):
         # 8+8+16+48+48+32+32+32+32+32 = 288 bits exactly.
@@ -45,6 +52,9 @@ class TestRequestFrame:
 
     def test_type_tag_leads(self):
         assert sample_request().encode()[0] == FrameType.CONNECT
+
+    def test_golden_wire_bytes(self):
+        assert sample_request().encode().hex() == SAMPLE_REQUEST_HEX
 
     def test_field_width_limits_paper_exact(self):
         # 16-bit channel ID
@@ -67,6 +77,12 @@ class TestRequestFrame:
     def test_negative_field_rejected(self):
         with pytest.raises(FieldRangeError):
             sample_request(capacity=-1)
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_non_int_field_rejected(self, value):
+        # a bool is an int to Python, but not a 32-bit wire field
+        with pytest.raises(FieldRangeError, match="period"):
+            sample_request(period=value)
 
     def test_with_channel_id_stamps_only_the_id(self):
         frame = sample_request()
@@ -109,6 +125,19 @@ class TestResponseFrame:
         )
         assert decode_signaling(frame.encode()) == frame
 
+    @pytest.mark.parametrize(
+        "ok, last_byte", [(True, "80"), (False, "00")]
+    )
+    def test_golden_wire_bytes(self, ok, last_byte):
+        # the 1-bit flag leads the last byte; 7 zero pad bits follow it
+        frame = ResponseFrame(
+            connect_request_id=9,
+            rt_channel_id=1234,
+            switch_mac=0x02FF_FFFF_FFFF,
+            ok=ok,
+        )
+        assert frame.encode().hex() == "020904d202ffffffffff" + last_byte
+
     def test_ok_must_be_bool(self):
         with pytest.raises(FieldRangeError):
             ResponseFrame(
@@ -127,6 +156,10 @@ class TestTeardownFrame:
         frame = TeardownFrame(connect_request_id=3, rt_channel_id=77)
         assert len(frame.encode()) == TEARDOWN_FRAME_BYTES
         assert decode_signaling(frame.encode()) == frame
+
+    def test_golden_wire_bytes(self):
+        frame = TeardownFrame(connect_request_id=3, rt_channel_id=77)
+        assert frame.encode().hex() == "0303004d"
 
 
 class TestDecodeSignaling:
@@ -151,3 +184,8 @@ class TestDecodeSignaling:
     def test_empty_input_rejected(self):
         with pytest.raises(CodecError):
             decode_signaling(b"")
+
+    def test_bytes_like_inputs_accepted(self):
+        wire = sample_request().encode()
+        assert decode_signaling(bytearray(wire)) == sample_request()
+        assert decode_signaling(memoryview(wire)) == sample_request()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CodecError
+from repro.errors import CodecError, FieldRangeError
 from repro.protocol.frames import (
     GOSSIP_FRAME_BYTES,
     INTENT_FRAME_BYTES,
@@ -43,6 +43,12 @@ class TestIntentFrameCodec:
         assert len(wire) == INTENT_FRAME_BYTES
         assert decode_signaling(wire) == frame
 
+    def test_golden_wire_bytes(self):
+        assert intent(IntentKind.ACK).encode().hex() == (
+            "04" "01" "deadbeef" "020000000000" "020000000001" "0003" "1234"
+            "06" "00000064" "00000003" "00000028"
+        )
+
     def test_extreme_field_values_survive(self):
         frame = intent(
             IntentKind.ANNOUNCE,
@@ -73,6 +79,17 @@ class TestIntentFrameCodec:
         with pytest.raises(CodecError):
             decode_signaling(wire[:-1])
 
+    @pytest.mark.parametrize("kind", [1, True])
+    def test_kind_must_be_an_intent_kind(self, kind):
+        with pytest.raises(FieldRangeError, match="kind"):
+            intent(kind)
+
+    def test_unknown_kind_on_the_wire_rejected(self):
+        wire = bytearray(intent(IntentKind.ANNOUNCE).encode())
+        wire[1] = 0x09
+        with pytest.raises(CodecError, match="unknown"):
+            decode_signaling(bytes(wire))
+
 
 class TestGossipFrameCodec:
     def test_round_trip(self):
@@ -87,6 +104,10 @@ class TestGossipFrameCodec:
         wire = frame.encode()
         assert len(wire) == GOSSIP_FRAME_BYTES
         assert decode_signaling(wire) == frame
+        assert wire.hex() == (
+            "05" "020000000000" "0002" "000f1206" "0011" "00000003"
+            "0000000a"
+        )
 
     def test_truncated_frame_raises(self):
         wire = GossipFrame(
@@ -99,3 +120,13 @@ class TestGossipFrameCodec:
         ).encode()
         with pytest.raises(CodecError):
             decode_signaling(wire[:-1])
+
+    def test_zero_denominator_rejected(self):
+        fields = dict(
+            switch_mac=MAC_A, link_id=0, version=1, load=0, util_num=0
+        )
+        with pytest.raises(FieldRangeError, match="util_den"):
+            GossipFrame(util_den=0, **fields)
+        wire = GossipFrame(util_den=1, **fields).encode()
+        with pytest.raises(FieldRangeError, match="util_den"):
+            decode_signaling(wire[:-1] + b"\x00")

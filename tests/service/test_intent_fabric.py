@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.obs.monitor import InvariantMonitor
 from repro.service.intent import SharedLinkFabric
@@ -91,6 +92,15 @@ class TestLossyFabric:
             fabric.run_until(30_000_000)
             fabric.quiesce()
             assert_clean(fabric)
+
+
+class TestFabricConfiguration:
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_non_positive_checkpoint_period_rejected(self, period):
+        # a period of 0 or less would re-arm the checkpoint event at (or
+        # before) the same instant forever
+        with pytest.raises(ConfigurationError, match="checkpoint_every_ns"):
+            build_fabric(checkpoint_every_ns=period)
 
 
 class TestFabricCheckpointResume:

@@ -20,6 +20,7 @@ from repro.cli import main
         ["dps", "--trials", "0"],
         ["service-soak", "--loss", "1.5"],
         ["service-soak", "--kill-at", "-1"],
+        ["service-soak", "--checkpoint-every-ns", "0"],
         ["fabric-sweep", "--topology", "ring:4"],
     ],
     ids=" ".join,
