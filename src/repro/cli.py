@@ -562,7 +562,7 @@ def _cmd_validate(args) -> int:
         dps=scheme,
         use_wire_handshake=False,
     )
-    if args.trials > 1:
+    if args.trials != 1:  # the sweep also refuses a non-positive count
         from .experiments.validation import run_validation_sweep
 
         reports = run_validation_sweep(

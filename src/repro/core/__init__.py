@@ -52,7 +52,6 @@ from .partitioning_ext import (
 from .admission import (
     AdmissionController,
     AdmissionDecision,
-    LinkSchedule,
     RejectionReason,
     SystemState,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "SearchDPS",
     "AdmissionController",
     "AdmissionDecision",
-    "LinkSchedule",
     "RejectionReason",
     "SystemState",
     "ChannelGrant",

@@ -8,13 +8,14 @@ switch decides with per-link EDF analysis (:mod:`repro.core.feasibility`)
 after the deadline-partitioning scheme
 (:mod:`repro.core.partitioning`) has split the candidate's deadline.
 
-:class:`SystemState` is the bookkeeping half: it tracks nodes, channels
-and the per-link task sets, and implements the
-:class:`~repro.core.partitioning.LoadView` protocol that partitioning
-schemes consult. :class:`AdmissionController` is the decision half: it
-runs the paper's two-step test (utilization, then processor demand) on
-both links a candidate would traverse and either installs the channel or
-reports a typed rejection.
+:class:`SystemState` is the bookkeeping half: it tracks nodes and
+channels, keeps the per-link task sets in one
+:class:`~repro.core.feasibility_cache.FeasibilityCache`, and implements
+the :class:`~repro.core.partitioning.LoadView` protocol that
+partitioning schemes consult. :class:`AdmissionController` is the
+decision half: it runs the paper's two-step test (utilization, then
+processor demand) on both links a candidate would traverse and either
+installs the channel or reports a typed rejection.
 
 Only the uplink of the source and the downlink of the destination are
 affected by a candidate, so only those two links are re-tested -- all
@@ -25,7 +26,6 @@ the tasks assigned to it).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
@@ -49,47 +49,8 @@ __all__ = [
     "SystemState",
     "RejectionReason",
     "AdmissionDecision",
-    "LinkSchedule",
     "AdmissionController",
 ]
-
-
-@dataclass(slots=True)
-class LinkSchedule:
-    """The task set currently reserved on one link direction.
-
-    A thin mutable container so that adding/removing a channel is O(1)
-    amortized and the feasibility test can be handed a stable tuple.
-    """
-
-    link: LinkRef
-    tasks: list[LinkTask] = field(default_factory=list)
-
-    @property
-    def load(self) -> int:
-        """The paper's LinkLoad ``LL``: number of channels on this link."""
-        return len(self.tasks)
-
-    @property
-    def reserved_utilization(self) -> Fraction:
-        """Exact total utilization reserved on this link direction."""
-        total = Fraction(0)
-        for task in self.tasks:
-            total += Fraction(task.capacity, task.period)
-        return total
-
-    def add(self, task: LinkTask) -> None:
-        self.tasks.append(task)
-
-    def remove_channel(self, channel_id: int) -> None:
-        """Drop the task belonging to ``channel_id`` (exactly one exists)."""
-        for index, task in enumerate(self.tasks):
-            if task.channel_id == channel_id:
-                del self.tasks[index]
-                return
-        raise UnknownChannelError(
-            f"channel {channel_id} has no task on link {self.link}"
-        )
 
 
 class _CandidateLoadView:
@@ -128,7 +89,17 @@ class _CandidateLoadView:
 
 
 class SystemState:
-    """The paper's ``SS = {N, K}`` plus derived per-link schedules.
+    """The paper's ``SS = {N, K}`` plus every link's supposed tasks.
+
+    The tasks of an installed channel (Eq. 18.6/18.7, one per link it
+    traverses) live in one
+    :class:`~repro.core.feasibility_cache.FeasibilityCache`,
+    :attr:`cache`: :meth:`install` and :meth:`release` mutate its
+    entries, and :meth:`tasks_on`, :meth:`link_load` and
+    :meth:`occupied_links` read them. A cached
+    :class:`AdmissionController` decides against that same cache, so
+    a channel installed or released straight through the state is seen
+    by its next decision.
 
     Parameters
     ----------
@@ -141,7 +112,7 @@ class SystemState:
     def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._nodes: set[str] = set()
         self._channels: dict[int, RTChannel] = {}
-        self._schedules: dict[LinkRef, LinkSchedule] = {}
+        self._cache = FeasibilityCache()
         for node in nodes:
             self.add_node(node)
 
@@ -186,18 +157,11 @@ class SystemState:
         """True while ``channel_id`` names a live (installed) channel."""
         return channel_id in self._channels
 
-    def install(
-        self,
-        channel: RTChannel,
-        pair: tuple[LinkTask, LinkTask] | None = None,
-    ) -> None:
+    def install(self, channel: RTChannel) -> None:
         """Add an admitted channel and its two supposed tasks.
 
         The channel must already carry a network-unique ID and a valid
         partition; :class:`AdmissionController` is the normal caller.
-        ``pair`` lets a caller that already derived the channel's
-        ``(T_iu, T_id)`` (the controller shares them with its cache)
-        pass them in instead of deriving them again.
         """
         if channel.channel_id < 0:
             raise AdmissionError("cannot install a channel without an ID")
@@ -205,60 +169,50 @@ class SystemState:
             raise AdmissionError(
                 f"channel ID {channel.channel_id} is already active"
             )
-        up, down = pair if pair is not None else LinkTask.pair_for_channel(
-            channel
-        )
-        self._schedule_for(up.link).add(up)
-        self._schedule_for(down.link).add(down)
+        up, down = LinkTask.pair_for_channel(channel)
+        self._cache.install(up)
+        self._cache.install(down)
         self._channels[channel.channel_id] = channel
 
     def release(self, channel_id: int) -> RTChannel:
         """Tear down a channel and return its reservation to the links."""
         channel = self.channel(channel_id)
-        self._schedule_for(LinkRef.uplink(channel.source)).remove_channel(
-            channel_id
-        )
-        self._schedule_for(
-            LinkRef.downlink(channel.destination)
-        ).remove_channel(channel_id)
+        self._cache.release(LinkRef.uplink(channel.source), channel_id)
+        self._cache.release(LinkRef.downlink(channel.destination), channel_id)
         del self._channels[channel_id]
         channel.state = ChannelState.TORN_DOWN
         return channel
 
     # -- per-link views (LoadView protocol) --------------------------------
 
-    def _schedule_for(self, link: LinkRef) -> LinkSchedule:
-        schedule = self._schedules.get(link)
-        if schedule is None:
-            schedule = LinkSchedule(link=link)
-            self._schedules[link] = schedule
-        return schedule
+    @property
+    def cache(self) -> FeasibilityCache:
+        """The store of every link's installed tasks."""
+        return self._cache
 
     def tasks_on(self, link: LinkRef) -> tuple[LinkTask, ...]:
         """Immutable snapshot of the tasks reserved on ``link``."""
-        schedule = self._schedules.get(link)
-        return tuple(schedule.tasks) if schedule is not None else ()
+        return self._cache.tasks_on(link)
 
     def link_load(self, link: LinkRef) -> int:
         """LinkLoad ``LL``: number of channels traversing ``link``."""
-        schedule = self._schedules.get(link)
-        return len(schedule.tasks) if schedule is not None else 0
+        return self._cache.link_load(link)
 
     def link_utilization(self, link: LinkRef) -> Fraction:
-        schedule = self._schedules.get(link)
-        return (
-            schedule.reserved_utilization
-            if schedule is not None
-            else Fraction(0)
-        )
+        """Exact utilization reserved on ``link``.
+
+        Summed afresh from the stored tasks, independently of the
+        cache's running ``util`` (``repro admission-diff`` compares
+        the two).
+        """
+        total = Fraction(0)
+        for task in self._cache.tasks_on(link):
+            total += Fraction(task.capacity, task.period)
+        return total
 
     def occupied_links(self) -> tuple[LinkRef, ...]:
         """Links that currently carry at least one channel."""
-        return tuple(
-            link
-            for link, schedule in sorted(self._schedules.items())
-            if schedule.load > 0
-        )
+        return self._cache.occupied_links()
 
     def with_candidate(
         self, source: str, destination: str, spec: ChannelSpec
@@ -409,12 +363,15 @@ class AdmissionController:
         consulted once per request with loads that include the candidate.
     use_cache:
         When True (the default), per-link feasibility is decided through
-        the incremental :class:`~repro.core.feasibility_cache.FeasibilityCache`
-        instead of re-running the from-scratch test on every request.
-        The cached and from-scratch controllers produce identical
-        decision streams (enforced by
-        :mod:`repro.oracle.admission_diff`); ``use_cache=False`` keeps
-        the reference path available for differential testing.
+        the state's incremental
+        :class:`~repro.core.feasibility_cache.FeasibilityCache`
+        (:attr:`SystemState.cache`, which is also :attr:`cache`) instead
+        of re-running the from-scratch test on every request.
+        ``use_cache=False`` keeps that reference path,
+        :func:`~repro.core.feasibility.is_feasible` over
+        :meth:`SystemState.tasks_on`, for differential testing; the two
+        produce identical decision streams (enforced by
+        :mod:`repro.oracle.admission_diff`).
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`. When
         given, verdicts are counted into ``admission.decisions``
@@ -433,10 +390,10 @@ class AdmissionController:
     silently aliasing IDs. Only :meth:`request` consumes IDs --
     :meth:`preview` never advances the counter.
 
-    All mutations of the shared :class:`SystemState` should go through
-    this controller (or the state's own ``install``/``release``); the
-    cache detects count-changing external mutations and resynchronizes,
-    but a count-preserving swap of tasks behind its back is undefined.
+    Channels may also be installed or released straight through the
+    state (``persistence.restore`` does): the state keeps each link's
+    tasks only in the cache this controller decides with, so the next
+    decision sees them.
     """
 
     MAX_CHANNEL_ID = 0xFFFF  # 16-bit field in Figures 18.3/18.4
@@ -462,7 +419,7 @@ class AdmissionController:
             type(dps).partition_with_probe
             is not DeadlinePartitioningScheme.partition_with_probe
         )
-        self._cache = FeasibilityCache(state) if use_cache else None
+        self._cache = state.cache if use_cache else None
         #: Whole-assessment memo, keyed by (source, destination, spec)
         #: and validated by the two endpoint links' cache epochs. Only
         #: used when the DPS declares itself ``local_only`` (the
@@ -525,8 +482,8 @@ class AdmissionController:
 
     @property
     def cache(self) -> FeasibilityCache | None:
-        """The incremental fast path, or ``None`` for a reference
-        (from-scratch) controller."""
+        """The state's per-link store this controller decides with, or
+        ``None`` for a reference (from-scratch) controller."""
         return self._cache
 
     @property
@@ -578,21 +535,10 @@ class AdmissionController:
         When the DPS is ``local_only`` and the cache is active, whole
         assessments are memoized per ``(source, destination, spec)`` and
         revalidated in O(1) against the two endpoint links' cache
-        epochs: any install/release/resync on either link bumps its
-        epoch and the stale entry simply misses. This makes the
-        saturated tail of an acceptance sweep (the same rejected spec
-        re-requested hundreds of times against unchanged links) a
-        dictionary hit.
-
-        The memo is validated with *guarded* epoch reads (``entry()``
-        runs the drift check, so external state mutation bumps the
-        epoch before the comparison) but *stored* with raw reads
-        (:meth:`~repro.core.feasibility_cache.FeasibilityCache.epoch_of`):
-        the assessment just computed was derived from the state those
-        raw epochs stamp (its feasibility checks ran guarded), and a
-        stamp that is stale relative to an un-noticed earlier drift can
-        only make the entry miss on its next validation, never hit
-        wrongly.
+        epochs: any install/release on either link bumps its epoch and
+        the stale entry simply misses. This makes the saturated tail of
+        an acceptance sweep (the same rejected spec re-requested
+        hundreds of times against unchanged links) a dictionary hit.
         """
         cache = self._cache
         if cache is None or not self._dps.local_only:
@@ -606,22 +552,20 @@ class AdmissionController:
             return _Assessment(reason=RejectionReason.NOT_PARTITIONABLE)
         up_link = LinkRef.uplink(source)
         down_link = LinkRef.downlink(destination)
+        up_entry = cache.entry(up_link)
+        down_entry = cache.entry(down_link)
         key = (source, destination, spec)
         hit = self._assess_memo.get(key)
         if (
             hit is not None
-            and hit[0] == cache.entry(up_link).epoch
-            and hit[1] == cache.entry(down_link).epoch
+            and hit[0] == up_entry.epoch
+            and hit[1] == down_entry.epoch
         ):
             return hit[2]
         assessment = self._decide(source, destination, spec, up_link, down_link)
         if len(self._assess_memo) >= self._ASSESS_MEMO_MAX:
             self._assess_memo.clear()
-        self._assess_memo[key] = (
-            cache.epoch_of(up_link),
-            cache.epoch_of(down_link),
-            assessment,
-        )
+        self._assess_memo[key] = (up_entry.epoch, down_entry.epoch, assessment)
         return assessment
 
     def _assess_uncached(
@@ -721,19 +665,6 @@ class AdmissionController:
             f"(> {self.MAX_CHANNEL_ID} channels created)"
         )
 
-    def _install(self, channel: RTChannel) -> None:
-        """Install into the cache first, then the shared state.
-
-        Cache-first ordering keeps the drift guard's counts consistent
-        during the two-step mutation; if the state install fails, the
-        guard resynchronizes the affected links on the next access.
-        """
-        pair = LinkTask.pair_for_channel(channel)
-        if self._cache is not None:
-            self._cache.install(pair[0])
-            self._cache.install(pair[1])
-        self._state.install(channel, pair)
-
     def request(
         self, source: str, destination: str, spec: ChannelSpec
     ) -> AdmissionDecision:
@@ -762,7 +693,7 @@ class AdmissionController:
         # trusted construction in LinkTask.pair_for_channel stays sound.
         candidate.partition = assessment.partition
         candidate.state = ChannelState.ACTIVE
-        self._install(candidate)
+        self._state.install(candidate)
         self.accept_count += 1
         if self._m_accepts is not None:
             self._m_accepts.inc()
@@ -821,14 +752,11 @@ class AdmissionController:
         #: Validated like the assessment memo -- the decision is
         #: reusable while both endpoint links' epochs are unchanged --
         #: but against the *entry objects themselves* (two attribute
-        #: loads, no guarded lookup). Safe only burst-locally: within
-        #: one admit_many call the only mutations are our own installs,
-        #: which bump epochs on these same objects; entries are never
-        #: replaced mid-burst (resync requires external drift,
-        #: impossible here). ``None`` entries mark decisions that do
-        #: not depend on link state at all (unknown node /
-        #: unpartitionable spec): nodes and specs are immutable during
-        #: a burst, so those are always valid. The one-element count
+        #: loads, no lookup; the cache never replaces an entry, so an
+        #: entry's epoch is its link's). ``None`` entries mark
+        #: decisions that do not depend on link state at all (unknown
+        #: node / unpartitionable spec): nodes and specs are immutable
+        #: during a burst, so those are always valid. The one-element count
         #: cell tallies how many decisions the record answered (fresh
         #: + template hits), so the hit path touches no dict of
         #: counters; ``records`` keeps every cell ever created,
@@ -897,7 +825,7 @@ class AdmissionController:
                 candidate.channel_id = self._allocate_id()
                 candidate.partition = assessment.partition
                 candidate.state = ChannelState.ACTIVE
-                self._install(candidate)
+                self._state.install(candidate)
                 accepts += 1
                 fresh_done += 1
                 append(
@@ -940,28 +868,6 @@ class AdmissionController:
                 self._m_batches.inc()
                 if template_hits:
                     self._m_batch_hits.inc(template_hits)
-        return decisions
-
-    def preview_many(
-        self, requests: Iterable[tuple[str, str, ChannelSpec]]
-    ) -> list[AdmissionDecision]:
-        """Batch :meth:`preview`: decide a burst with zero side effects.
-
-        Shares the non-mutating assessment seam with :meth:`preview` /
-        :meth:`would_accept` (everything routes through :meth:`_assess`).
-        Since nothing mutates during a preview, repeated requests are
-        served from a plain burst-local memo; repeats may share one
-        decision record.
-        """
-        decisions: list[AdmissionDecision] = []
-        memo: dict[tuple[str, str, ChannelSpec], AdmissionDecision] = {}
-        for source, destination, spec in requests:
-            key = (source, destination, spec)
-            decision = memo.get(key)
-            if decision is None:
-                decision = self.preview(source, destination, spec)
-                memo[key] = decision
-            decisions.append(decision)
         return decisions
 
     def preview(
@@ -1018,13 +924,4 @@ class AdmissionController:
 
     def release(self, channel_id: int) -> RTChannel:
         """Tear down an active channel, freeing its reservations."""
-        if self._cache is not None:
-            channel = self._state.channel(channel_id)
-            # Cache first, state second (see _install for why).
-            self._cache.release(
-                LinkRef.uplink(channel.source), channel_id
-            )
-            self._cache.release(
-                LinkRef.downlink(channel.destination), channel_id
-            )
         return self._state.release(channel_id)

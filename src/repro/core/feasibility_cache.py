@@ -45,6 +45,13 @@ whenever the cached base state is not known to be feasible (it returns
 verdict-equal reports either way, as the differential campaign in
 :mod:`repro.oracle.admission_diff` and the Hypothesis property tests
 enforce).
+
+A :class:`FeasibilityCache` is the store of its links' installed tasks,
+not a copy of one kept elsewhere. :class:`~repro.core.admission.SystemState`
+keeps the star's per-link task sets (the supposed tasks of Eq.
+18.6/18.7) in one, and the cached
+:class:`~repro.core.admission.AdmissionController` decides against that
+same cache; the multi-switch admission and the intent plane own theirs.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..errors import ConfigurationError, UnknownChannelError
 from .feasibility import (
@@ -68,7 +75,6 @@ __all__ = [
     "CacheStats",
     "LinkCacheEntry",
     "FeasibilityCache",
-    "StateView",
 ]
 
 #: Do not cache control-point/demand arrays beyond this many points; a
@@ -84,7 +90,7 @@ MAX_CACHED_POINTS = 200_000
 _DENSITY_MARGIN = 1.0 - 1e-6
 
 #: Global mutation clock. Every entry stamps itself with the next tick
-#: on construction and on each install/release/resync, giving observers
+#: on construction and on each install/release, giving observers
 #: (the admission controller's assessment memo) an O(1) "has anything
 #: on this link changed?" test that can never confuse two different
 #: task-set states -- ticks are process-unique, not per-entry counters.
@@ -167,22 +173,6 @@ def _shortcut_report(
     return report
 
 
-class StateView(Protocol):
-    """What the cache needs from a shared state to detect drift.
-
-    :class:`~repro.core.admission.SystemState` satisfies this. The cache
-    uses ``link_load`` as an O(1) guard before every operation and
-    ``tasks_on`` to resynchronize when some caller mutated the state
-    without going through the cache (e.g. a persistence restore).
-    """
-
-    def link_load(self, link: LinkRef) -> int:
-        ...  # pragma: no cover - protocol
-
-    def tasks_on(self, link: LinkRef) -> tuple[LinkTask, ...]:
-        ...  # pragma: no cover - protocol
-
-
 @dataclass(slots=True)
 class CacheStats:
     """Observability counters for one :class:`FeasibilityCache`."""
@@ -192,7 +182,6 @@ class CacheStats:
     incremental_checks: int = 0
     shortcut_accepts: int = 0
     full_fallbacks: int = 0
-    resyncs: int = 0
     installs: int = 0
     releases: int = 0
 
@@ -203,7 +192,6 @@ class CacheStats:
             "incremental_checks": self.incremental_checks,
             "shortcut_accepts": self.shortcut_accepts,
             "full_fallbacks": self.full_fallbacks,
-            "resyncs": self.resyncs,
             "installs": self.installs,
             "releases": self.releases,
         }
@@ -293,7 +281,7 @@ class LinkCacheEntry:
     """Cached incremental state of one link direction.
 
     Not constructed directly by users -- :class:`FeasibilityCache` owns
-    entries and keeps them in sync with the shared system state.
+    entries and mutates them through its ``install``/``release``.
     """
 
     __slots__ = (
@@ -821,67 +809,23 @@ class LinkCacheEntry:
 class FeasibilityCache:
     """Per-link incremental admission state over many links.
 
-    Parameters
-    ----------
-    state:
-        Optional shared :class:`StateView` (normally the controller's
-        :class:`~repro.core.admission.SystemState`). When given, every
-        operation first compares the state's ``link_load`` with the
-        cached task count and resynchronizes the entry if some caller
-        mutated the state behind the cache's back (count-preserving
-        swaps are the one documented blind spot -- always mutate through
-        the owning controller). When ``None`` the cache is authoritative
-        (the multi-switch admission uses it this way).
+    The cache is the store of every link's installed tasks: a task is
+    on a link from its :meth:`install` until its :meth:`release`, and
+    :meth:`tasks_on`, :meth:`link_load` and :meth:`occupied_links` read
+    that set back.
     """
 
-    def __init__(self, state: StateView | None = None) -> None:
-        self._state = state
-        #: Bound ``state.link_load`` (or None): the drift guard runs on
-        #: every check and the two attribute hops are measurable there.
-        self._state_load = state.link_load if state is not None else None
+    def __init__(self) -> None:
         self._entries: dict[LinkRef, LinkCacheEntry] = {}
         self.stats = CacheStats()
 
-    # -- entry management ------------------------------------------------
-
     def entry(self, link: LinkRef) -> LinkCacheEntry:
-        """The (synchronized) cache entry for ``link``."""
+        """The cache entry for ``link``, created empty on first use."""
         entry = self._entries.get(link)
         if entry is None:
-            tasks: Sequence[LinkTask] = (
-                self._state.tasks_on(link) if self._state is not None else ()
-            )
-            entry = LinkCacheEntry(link, tasks)
+            entry = LinkCacheEntry(link, ())
             self._entries[link] = entry
-        elif (
-            self._state is not None
-            and self._state.link_load(link) != len(entry.tasks)
-        ):
-            entry = LinkCacheEntry(link, self._state.tasks_on(link))
-            self._entries[link] = entry
-            self.stats.resyncs += 1
         return entry
-
-    def epoch_of(self, link: LinkRef) -> int:
-        """Current epoch of ``link``'s entry *without* the drift guard.
-
-        For callers that just completed a guarded operation on the link
-        and need a validation stamp for the state that operation saw
-        (the admission controller's assessment memo). Skipping the
-        guard is safe for that purpose: if the shared state drifted
-        un-noticed, the stamp is merely stale -- the next guarded read
-        resynchronizes and bumps the epoch past it, so anything
-        validated against the stamp can only miss, never falsely hit.
-        """
-        entry = self._entries.get(link)
-        return entry.epoch if entry is not None else self.entry(link).epoch
-
-    def invalidate(self, link: LinkRef | None = None) -> None:
-        """Forget cached state for ``link`` (or for every link)."""
-        if link is None:
-            self._entries.clear()
-        else:
-            self._entries.pop(link, None)
 
     # -- queries ---------------------------------------------------------
 
@@ -894,14 +838,10 @@ class FeasibilityCache:
         """
         stats = self.stats
         stats.checks += 1
-        link = candidate.link
-        # Inlined self.entry(link): check() is the hottest cache call.
-        entry = self._entries.get(link)
-        load = self._state_load
-        if entry is None or (
-            load is not None and load(link) != len(entry.tasks)
-        ):
-            entry = self.entry(link)
+        # Inlined self.entry(): check() is the hottest cache call.
+        entry = self._entries.get(candidate.link)
+        if entry is None:
+            entry = self.entry(candidate.link)
         key = candidate.pcd
         overlay = entry.memo_f.get(key)
         if overlay is None:
@@ -934,21 +874,22 @@ class FeasibilityCache:
     def tasks_on(self, link: LinkRef) -> tuple[LinkTask, ...]:
         return tuple(self.entry(link).tasks)
 
+    def occupied_links(self) -> tuple[LinkRef, ...]:
+        """Links that currently hold at least one task, sorted."""
+        return tuple(
+            sorted(
+                link for link, entry in self._entries.items() if entry.tasks
+            )
+        )
+
     # -- mutation --------------------------------------------------------
 
     def install(self, task: LinkTask) -> None:
-        """Record ``task`` as installed on its link.
-
-        When the shared state is mutated by the same caller, install
-        into the cache *first* and the state second -- the drift guard
-        then sees consistent counts throughout, and a failed state
-        install self-heals via resync on the next access.
-        """
+        """Record ``task`` as installed on its link."""
         self.stats.installs += 1
         self.entry(task.link).install(task)
 
     def release(self, link: LinkRef, channel_id: int) -> None:
-        """Drop ``channel_id``'s task from ``link`` (cache first, state
-        second, mirroring :meth:`install`)."""
+        """Drop ``channel_id``'s task from ``link``."""
         self.stats.releases += 1
         self.entry(link).release(channel_id)

@@ -74,8 +74,8 @@ def snapshot(
     # ``seq`` records each channel's position in the *installation*
     # order. The records themselves stay sorted by channel ID (stable
     # diff-friendly layout), but restore must re-install in seq order:
-    # per-link schedules and the feasibility cache keep tasks in
-    # insertion order, and once the ID allocator wraps under churn,
+    # the state's per-link cache entries keep tasks in insertion
+    # order, and once the ID allocator wraps under churn,
     # sorted-by-ID no longer equals installed-order -- restoring by ID
     # would permute the per-link arrays and diverge (float fdensity
     # folds, memo overlays) from the never-snapshotted run.

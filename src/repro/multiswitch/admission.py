@@ -208,8 +208,6 @@ class MultiSwitchAdmission:
                     reports=tuple(reports),
                     failed_link=link,
                 )
-        # install (cache first: its drift guard then sees a consistent
-        # count once self._tasks catches up)
         self._next_id += 1
         for link, task in zip(links, candidate_tasks):
             if self._cache is not None:

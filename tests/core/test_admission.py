@@ -11,7 +11,12 @@ from repro.core.admission import (
     RejectionReason,
     SystemState,
 )
-from repro.core.channel import ChannelSpec, ChannelState
+from repro.core.channel import (
+    ChannelSpec,
+    ChannelState,
+    DeadlinePartition,
+    RTChannel,
+)
 from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
 from repro.core.partitioning_ext import SearchDPS
 from repro.core.task import LinkRef
@@ -407,3 +412,33 @@ class TestCachedControllerEquivalence:
         ) == ctrl.state.link_utilization(up)
         # The freed capacity is immediately usable again.
         assert ctrl.request("a", "b", paper_spec).accepted
+
+    def test_count_preserving_swap_through_state_is_seen(self):
+        """Release one channel and install a heavier one on the same
+        uplink straight through the state: the uplink holds one task
+        before and after, and the cached controller must still decide
+        against the heavier one."""
+        state = SystemState(["a", "b", "c"])
+        cached = AdmissionController(state, SymmetricDPS())
+        naive = AdmissionController(state, SymmetricDPS(), use_cache=False)
+        first = cached.request(
+            "a", "b", ChannelSpec(period=100, capacity=2, deadline=40)
+        )
+        assert first.accepted and first.channel.channel_id == 1
+        state.release(1)
+        heavy = RTChannel(
+            source="a",
+            destination="c",
+            spec=ChannelSpec(period=100, capacity=18, deadline=40),
+            channel_id=77,
+        )
+        heavy.assign_partition(DeadlinePartition(uplink=20, downlink=20))
+        heavy.state = ChannelState.ACTIVE
+        state.install(heavy)
+        assert state.link_load(LinkRef.uplink("a")) == 1
+        spec = ChannelSpec(period=100, capacity=3, deadline=40)
+        want = naive.request("a", "b", spec)
+        assert want.reason is RejectionReason.UPLINK_INFEASIBLE
+        got = cached.request("a", "b", spec)
+        assert (got.accepted, got.reason) == (want.accepted, want.reason)
+        assert cached.cache is state.cache

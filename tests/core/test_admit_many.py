@@ -1,4 +1,4 @@
-"""Tests for the batch admission engine (``admit_many`` / ``preview_many``).
+"""Tests for the batch admission engine (``admit_many``).
 
 The contract under test is *stream equality*: admit_many over any burst
 must produce exactly the decisions, counters and final state the scalar
@@ -151,41 +151,6 @@ class TestPartialBatchFailure:
         assert ctrl.accept_count == 1
         assert ctrl.reject_count == 0
         assert ctrl.batch_count == 1
-
-
-class TestPreviewMany:
-    def test_zero_side_effects(self):
-        ctrl = build()
-        ctrl.admit_many(saturating_burst()[:10])
-        before = persistence.dumps(ctrl)
-        counters = (ctrl.accept_count, ctrl.reject_count, ctrl.batch_count)
-        ctrl.preview_many(saturating_burst())
-        assert persistence.dumps(ctrl) == before
-        assert (
-            ctrl.accept_count, ctrl.reject_count, ctrl.batch_count
-        ) == counters
-
-    def test_matches_scalar_preview(self):
-        ctrl = build()
-        ctrl.admit_many(saturating_burst()[:25])
-        burst = saturating_burst()
-        scalar = [ctrl.preview(s, d, sp) for s, d, sp in burst]
-        batched = ctrl.preview_many(burst)
-        for a, b in zip(scalar, batched):
-            assert a.accepted == b.accepted
-            assert a.reason == b.reason
-            assert a.partition == b.partition
-
-    def test_agrees_with_would_accept_and_admit(self):
-        ctrl = build()
-        burst = saturating_burst()
-        previews = ctrl.preview_many(burst)
-        # would_accept must agree with the preview at the same state...
-        for (s, d, sp), decision in zip(burst[:10], previews[:10]):
-            assert ctrl.would_accept(s, d, sp) == decision.accepted
-        # ...and the first decision of a real burst matches its preview.
-        first = ctrl.admit_many(burst[:1])[0]
-        assert first.accepted == previews[0].accepted
 
 
 class TestMultiSwitchAdmitMany:

@@ -46,7 +46,7 @@ from repro.sim.rng import RngRegistry
 
 _CAPTURE_DIGESTS = {
     "metrics.json":
-        "868d9fb0b1c9c694165f21f4364086e451038807c2baa3afd0412d31ed4bcc58",
+        "fea22382adcc1f76b245ab1eb144121b5c785c121235ea427eb937380683631d",
     "timeseries.json":
         "e502cfa02ecca5ea2a792842c4ac8ea237e1744866f725c5a091c2bfff81aab4",
     "trace.chrome.json":

@@ -18,6 +18,7 @@ from repro.cli import main
         ["netcalc-diff", "--trials", "0"],
         ["multiswitch", "--trials", "0"],
         ["dps", "--trials", "0"],
+        ["validate", "--trials", "0"],
         ["service-soak", "--loss", "1.5"],
         ["service-soak", "--kill-at", "-1"],
         ["service-soak", "--checkpoint-every-ns", "0"],
