@@ -156,9 +156,11 @@ class MetricsCollector:
             self.signaling_frames_delivered += 1
 
     def _on_rt_delivery(self, frame: EthernetFrame, now_ns: int) -> None:
-        stats = self._channels.setdefault(
-            frame.channel_id, ChannelDeliveryStats(channel_id=frame.channel_id)
-        )
+        stats = self._channels.get(frame.channel_id)
+        if stats is None:
+            stats = self._channels[frame.channel_id] = ChannelDeliveryStats(
+                channel_id=frame.channel_id
+            )
         delay = now_ns - frame.created_at
         stats.frames_delivered += 1
         stats.total_delay_ns += delay

@@ -16,6 +16,10 @@ Eq. 18.1 rather than by the per-link deadlines.
 :class:`EDFQueue` breaks deadline ties in FIFO order of insertion, which
 makes simulation runs fully deterministic and matches the natural
 behaviour of an insertion-sorted hardware queue.
+
+Every enqueued frame allocates one :class:`QueuedFrame`, so it is a plain
+mutable ``__slots__`` record with identity equality; the heap orders on
+``(absolute_deadline, seq)`` and never compares two records.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ __all__ = ["QueuedFrame", "EDFQueue", "FCFSQueue"]
 PayloadT = TypeVar("PayloadT")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class QueuedFrame(Generic[PayloadT]):
     """One frame waiting in an output queue.
 

@@ -17,6 +17,12 @@ for:
   *uplink* absolute deadline (``release + d_iu``) used locally for EDF
   ordering toward the switch.
 
+Per-frame records are cheap: :class:`OutgoingFrame` (like the
+:class:`~repro.protocol.ethernet.EthernetFrame` it wraps) is a plain
+mutable ``__slots__`` record with identity equality, built once per
+frame. The :class:`~repro.protocol.headers.RTHeader` that all ``C``
+frames of one message share, and the :class:`ChannelGrant`, stay frozen.
+
 The grant metadata (:class:`ChannelGrant`) is how the source node learns
 ``d_iu``: the published ResponseFrame format (Figure 18.4) has no field
 for it, and the paper leaves the management-plane content abstract. In a
@@ -76,7 +82,7 @@ class ChannelGrant:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class OutgoingFrame:
     """One RT frame ready for the uplink queue, with its local EDF key."""
 
@@ -217,9 +223,7 @@ class RTLayer:
                 spans.attach_frame(
                     frame.frame_id, root.trace_id, root.span_id
                 )
-            frames.append(
-                OutgoingFrame(frame=frame, uplink_deadline_ns=uplink_deadline)
-            )
+            frames.append(OutgoingFrame(frame, uplink_deadline))
         return frames
 
     def message_count(self, channel_id: int) -> int:

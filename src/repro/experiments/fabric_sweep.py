@@ -159,10 +159,11 @@ def build_fabric_topology(
     try:
         if kind == "fat-tree" and len(numbers) == 1:
             k = numbers[0]
-            density = (
-                hosts_per_edge if hosts_per_edge is not None
-                else _fat_tree_density(k)
-            )
+            density = hosts_per_edge
+            if density is None and k >= 2:
+                # below 2 there are no edge switches to spread hosts
+                # over; build_fat_tree rejects that arity by name
+                density = _fat_tree_density(k)
             return build_fat_tree(
                 k, hosts_per_edge=density, routing_seed=routing_seed
             )

@@ -28,9 +28,11 @@ graph library -- so routing behaviour is fully pinned by this file.
 Routing determinism
 -------------------
 All shortest vertex paths between the two end nodes are enumerated
-(bounded breadth-first predecessor DAG, expanded in sorted vertex
-order), canonically sorted, and one is selected by indexing with a
-CRC-32 digest of ``"{routing_seed}|{source}->{destination}"``.  The
+from the source's breadth-first predecessor DAG (vertices expanded in
+sorted order; one DAG per source, memoised and cleared together with
+the path cache whenever the graph changes), canonically sorted, and
+one is selected by indexing with a CRC-32 digest of
+``"{routing_seed}|{source}->{destination}"``.  The
 digest is stable across platforms, processes and Python hash
 randomization, so the choice is reproducible under a fixed seed while
 still spreading distinct node pairs over the equal-cost fan
@@ -129,6 +131,8 @@ class FabricGraph:
         self._edge_count = 0
         self.routing_seed = routing_seed
         self._path_cache: dict[tuple[str, str], tuple[FabricLink, ...]] = {}
+        #: source -> (BFS distances, predecessor lists); see :meth:`_dag`
+        self._dags: dict[str, tuple[dict, dict]] = {}
         self._validated = False
 
     # -- construction ------------------------------------------------------
@@ -171,6 +175,7 @@ class FabricGraph:
 
     def _invalidate(self) -> None:
         self._path_cache.clear()
+        self._dags.clear()
         self._validated = False
 
     def _check_fresh(self, name: str) -> None:
@@ -266,28 +271,38 @@ class FabricGraph:
         if source == destination:
             raise RoutingError("source and destination must differ")
 
-    def _all_shortest(
-        self, source: str, destination: str
-    ) -> list[tuple[str, ...]]:
-        # BFS predecessor DAG, bounded at the destination's level.
+    def _dag(
+        self, source: str
+    ) -> tuple[dict[str, int], dict[str, list[str]]]:
+        """BFS distances and shortest-path predecessors from ``source``.
+
+        Vertices are expanded in sorted order, so every predecessor list
+        is a pure function of the graph. Memoised per source until the
+        graph changes (:meth:`_invalidate`).
+        """
+        dag = self._dags.get(source)
+        if dag is not None:
+            return dag
         dist: dict[str, int] = {source: 0}
         preds: dict[str, list[str]] = {}
         queue = deque([source])
-        goal_dist: int | None = None
         while queue:
             vertex = queue.popleft()
             here = dist[vertex]
-            if goal_dist is not None and here >= goal_dist:
-                break
             for neighbour in sorted(self._adj[vertex]):
                 if neighbour not in dist:
                     dist[neighbour] = here + 1
                     preds[neighbour] = [vertex]
-                    if neighbour == destination:
-                        goal_dist = here + 1
                     queue.append(neighbour)
                 elif dist[neighbour] == here + 1:
                     preds[neighbour].append(vertex)
+        dag = self._dags[source] = (dist, preds)
+        return dag
+
+    def _all_shortest(
+        self, source: str, destination: str
+    ) -> list[tuple[str, ...]]:
+        dist, preds = self._dag(source)
         if destination not in dist:  # pragma: no cover - validate_connected
             raise RoutingError(
                 f"no path from {source!r} to {destination!r}"
@@ -344,8 +359,14 @@ class FabricGraph:
         return list(cached)
 
     def hop_count(self, source: str, destination: str) -> int:
-        """Number of links a channel between these nodes traverses."""
-        return len(self.path_links(source, destination))
+        """Number of links a channel between these nodes traverses.
+
+        Every equal-cost path has the BFS distance as its length, so
+        this needs no path enumeration.
+        """
+        self._check_endpoints(source, destination)
+        self.validate_connected()
+        return self._dag(source)[0][destination]
 
     def attachment(self, node: str) -> str:
         """The switch an end node is cabled to (leaves have exactly one)."""

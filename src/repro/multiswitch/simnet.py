@@ -64,6 +64,8 @@ class _ForwardingEntry:
     next_hop: str
     #: cumulative deadline (slots since release) after the *outgoing* hop.
     cumulative_deadline_slots: int
+    #: the same offset in ns, added to each frame's release time.
+    cumulative_deadline_ns: int
     #: miss-check slack of the outgoing hop: ``T_latency`` of the path
     #: prefix ending there (cascaded blocking plus the accumulated
     #: propagation/processing).
@@ -121,6 +123,9 @@ class FabricSwitchModel:
         self._forwarding[channel_id] = _ForwardingEntry(
             next_hop=next_hop,
             cumulative_deadline_slots=cumulative_deadline_slots,
+            cumulative_deadline_ns=(
+                cumulative_deadline_slots * self._phy.slot_ns
+            ),
             allowance_ns=self._phy.t_latency_hops_ns(hop_index),
         )
 
@@ -170,12 +175,10 @@ class FabricSwitchModel:
                             "channel": frame.channel_id},
                 )
             return
-        hop_deadline_ns = (
-            frame.created_at
-            + entry.cumulative_deadline_slots * self._phy.slot_ns
-        )
         self._ports[entry.next_hop].submit_rt(
-            frame, hop_deadline_ns, allowance_ns=entry.allowance_ns
+            frame,
+            frame.created_at + entry.cumulative_deadline_ns,
+            allowance_ns=entry.allowance_ns,
         )
         self.frames_forwarded += 1
 

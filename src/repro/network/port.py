@@ -98,7 +98,6 @@ class OutputPort:
         trace: TraceRecorder | None = None,
     ) -> None:
         self._sim = sim
-        self._phy = phy
         self._link = link
         self.name = name
         self._rt_queue: EDFQueue[EthernetFrame] = EDFQueue()
@@ -111,6 +110,9 @@ class OutputPort:
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
         self.stats = PortStats()
+        # Built once: the first-hop miss-check slack of every RT frame
+        # submitted without its own allowance.
+        self._link_allowance_ns = phy.per_link_allowance_ns()
         link.on_idle = self._pump
 
     # -- ingress ---------------------------------------------------------
@@ -142,13 +144,15 @@ class OutputPort:
                 f"submit_rt received a {frame.kind.value} frame; only RT "
                 "data frames enter the deadline-sorted queue"
             )
+        # QueuedFrame(payload, absolute_deadline, enqueued_at, channel_id,
+        # allowance_ns), positional: keywords double its per-frame cost.
         self._rt_queue.push(
             QueuedFrame(
-                payload=frame,
-                absolute_deadline=link_deadline_ns,
-                enqueued_at=self._sim.now,
-                channel_id=frame.channel_id,
-                allowance_ns=-1 if allowance_ns is None else allowance_ns,
+                frame,
+                link_deadline_ns,
+                self._sim.now,
+                frame.channel_id,
+                -1 if allowance_ns is None else allowance_ns,
             )
         )
         self.stats.rt_enqueued += 1
@@ -179,13 +183,7 @@ class OutputPort:
             raise SimulationError(
                 "RT data frames must use submit_rt with a link deadline"
             )
-        accepted = self._be_queue.push(
-            QueuedFrame(
-                payload=frame,
-                absolute_deadline=0,
-                enqueued_at=self._sim.now,
-            )
-        )
+        accepted = self._be_queue.push(QueuedFrame(frame, 0, self._sim.now))
         if accepted:
             self.stats.be_enqueued += 1
             if len(self._be_queue) > self.stats.be_backlog_max:
@@ -278,7 +276,7 @@ class OutputPort:
         allowance = (
             entry.allowance_ns
             if entry.allowance_ns >= 0
-            else self._phy.per_link_allowance_ns()
+            else self._link_allowance_ns
         )
         if completion > entry.absolute_deadline + allowance:
             self.stats.rt_link_deadline_misses += 1

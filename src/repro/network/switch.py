@@ -96,6 +96,8 @@ class Switch:
     ) -> None:
         self._sim = sim
         self._phy = phy
+        # Built once, applied to every forwarded RT frame (_forward_rt).
+        self._t_latency_ns = phy.t_latency_ns
         self.mac = mac
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.manager = SwitchChannelManager(
@@ -201,7 +203,7 @@ class Switch:
         port.submit_rt(
             frame,
             link_deadline_ns=frame.absolute_deadline,
-            allowance_ns=self._phy.t_latency_ns,
+            allowance_ns=self._t_latency_ns,
         )
         self.frames_forwarded += 1
 

@@ -5,6 +5,14 @@ pure overhead); it transports :class:`EthernetFrame` records that carry
 the *logical* content -- kind, endpoints, RT header, payload size -- plus
 exact wire-size accounting so transmission times are faithful.
 
+One record is allocated per frame, so :class:`EthernetFrame` is a plain
+mutable ``__slots__`` dataclass (a frozen one pays an
+``object.__setattr__`` call per field on construction) with identity
+equality: a frame equals only itself. Nothing mutates a frame after
+construction. The :class:`~repro.protocol.headers.RTHeader` it carries
+stays frozen, because all ``C`` frames of one message share one header
+object.
+
 Three kinds of frame exist in the reproduced system (Figure 18.2):
 
 * ``RT_DATA`` -- real-time UDP datagrams on an established channel; the
@@ -59,7 +67,7 @@ class FrameKind(enum.Enum):
     SIGNALING = "signaling"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class EthernetFrame:
     """One frame in flight, with exact wire-size accounting.
 

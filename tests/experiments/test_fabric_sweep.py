@@ -121,3 +121,11 @@ class TestFabricSweepCli:
     def test_bad_topology_exits_2(self, capsys):
         assert main(["fabric-sweep", "--topology", "ring:4"]) == 2
         assert "unknown topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_arity_below_two_names_the_arity(self, k, capsys):
+        assert main(["fabric-sweep", "--topology", f"fat-tree:{k}"]) == 2
+        assert capsys.readouterr().err == (
+            f"repro fabric-sweep: cannot build topology 'fat-tree:{k}': "
+            f"fat-tree arity must be even and >= 2, got {k}\n"
+        )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import zlib
+from collections import deque
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.multiswitch import (
     address_pass,
     admission_pass,
     build_chain_graph,
+    build_fabric_network,
     build_fat_tree,
     build_star_graph,
     build_tree_graph,
@@ -290,3 +293,113 @@ class TestFatTreeAdmission:
             assert got.accepted == want.accepted
             assert got.parts == want.parts
             assert got.links == want.links
+
+
+def _adjacency(graph: FabricGraph) -> dict[str, set[str]]:
+    """The graph's cables, rebuilt through the public queries only."""
+    adj: dict[str, set[str]] = {v: set() for v in graph.switches | graph.nodes}
+    cables = list(graph.switch_adjacencies())
+    cables += [(node, graph.attachment(node)) for node in graph.nodes]
+    for a, b in cables:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _reference_equal_cost_paths(
+    adj: dict[str, set[str]], source: str, destination: str
+) -> list[tuple[str, ...]]:
+    """Per-pair enumeration: a fresh BFS bounded at the destination's
+    level (vertices expanded in sorted order), every predecessor path
+    walked, the result sorted. The memoised per-source DAG must give
+    the same list for every pair."""
+    dist = {source: 0}
+    preds: dict[str, list[str]] = {}
+    queue = deque([source])
+    goal = None
+    while queue:
+        vertex = queue.popleft()
+        here = dist[vertex]
+        if goal is not None and here >= goal:
+            break
+        for neighbour in sorted(adj[vertex]):
+            if neighbour not in dist:
+                dist[neighbour] = here + 1
+                preds[neighbour] = [vertex]
+                if neighbour == destination:
+                    goal = here + 1
+                queue.append(neighbour)
+            elif dist[neighbour] == here + 1:
+                preds[neighbour].append(vertex)
+    paths = []
+
+    def walk(vertex: str, suffix: tuple[str, ...]) -> None:
+        if vertex == source:
+            paths.append((source,) + suffix)
+            return
+        for pred in preds[vertex]:
+            walk(pred, (vertex,) + suffix)
+
+    walk(destination, ())
+    return sorted(paths)
+
+
+def _switch_ring(n_switches: int) -> FabricGraph:
+    """A ring of switches (cycles, so equal-cost ties), two nodes each."""
+    graph = FabricGraph()
+    for i in range(n_switches):
+        graph.add_switch(f"r{i}")
+    for i in range(n_switches):
+        graph.connect_switches(f"r{i}", f"r{(i + 1) % n_switches}")
+    for i in range(n_switches):
+        for j in range(2):
+            graph.add_node(f"m{i}_{j}", f"r{i}")
+    return graph
+
+
+class TestRouteMemo:
+    """One BFS predecessor DAG per source serves every destination."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_fat_tree(4, hosts_per_edge=2),
+            lambda: build_chain_graph(4, 2),
+            lambda: build_tree_graph(3, 2, 2),
+            lambda: _switch_ring(6),
+        ],
+        ids=["fat-tree", "chain", "tree", "ring"],
+    )
+    def test_every_pair_matches_the_per_pair_enumeration(self, build):
+        graph = build()
+        adj = _adjacency(graph)
+        for source, destination in itertools.permutations(
+            graph.node_order, 2
+        ):
+            assert graph.equal_cost_paths(
+                source, destination
+            ) == _reference_equal_cost_paths(adj, source, destination)
+            assert graph.hop_count(source, destination) == len(
+                graph.path_links(source, destination)
+            )
+
+    def test_new_cable_forgets_the_memoised_routes(self):
+        graph = build_chain_graph(4, 1)
+        assert graph.hop_count("n0_0", "n3_0") == 5
+        assert len(graph.path_links("n0_0", "n3_0")) == 5
+        graph.connect_switches("sw0", "sw3")
+        assert graph.path_links("n0_0", "n3_0") == [
+            FabricLink("n0_0", "sw0"),
+            FabricLink("sw0", "sw3"),
+            FabricLink("sw3", "n3_0"),
+        ]
+        assert graph.hop_count("n0_0", "n3_0") == 3
+
+    def test_network_build_runs_one_bfs_per_source(self):
+        net = build_fabric_network(build_fat_tree(4, hosts_per_edge=13))
+        graph = net.fabric
+        # at most one memoised DAG per end node
+        assert set(graph._dags) <= graph.nodes  # noqa: SLF001
+        # the worst-hop scan asked hop_count for all 5 356 host pairs
+        # without enumerating or caching a single path
+        assert graph._path_cache == {}  # noqa: SLF001
