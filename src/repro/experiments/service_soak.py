@@ -122,15 +122,21 @@ class ServiceSoakResult:
         }
 
 
+def _plan(seed: int, loss: float) -> FaultPlan | None:
+    """The soak's control-loss plan, or none for a loss of 0.
+
+    Every other loss, negative and NaN included, goes to the plan,
+    which rejects it unless it lies in [0, 1).
+    """
+    return FaultPlan.control_loss(loss, seed=seed) if loss else None
+
+
 def _fabric(seed: int, loss: float, checkpoint_every_ns: int) -> SharedLinkFabric:
-    plan = (
-        FaultPlan.control_loss(loss, seed=seed) if loss > 0.0 else None
-    )
     return SharedLinkFabric(
         n_switches=2,
         nodes_per_switch=4,
         seed=seed,
-        fault_plan=plan,
+        fault_plan=_plan(seed, loss),
         checkpoint_every_ns=checkpoint_every_ns,
     )
 
@@ -150,6 +156,10 @@ def run_service_soak(
     checkpoint_every_ns: int = 10_000_000,
 ) -> ServiceSoakResult:
     """Run EXP-X4 and return its result record."""
+    if duration_ns <= 0:
+        raise ConfigurationError(
+            f"duration_ns must be positive, got {duration_ns}"
+        )
     if kill_at_ns is None:
         kill_at_ns = duration_ns // 2
     if not (0 < kill_at_ns < duration_ns):
@@ -180,9 +190,7 @@ def run_service_soak(
     checkpoint = json.loads(json.dumps(victim.checkpoints[-1]))
     resumed = SharedLinkFabric.resume(
         checkpoint,
-        fault_plan=(
-            FaultPlan.control_loss(loss, seed=seed) if loss > 0.0 else None
-        ),
+        fault_plan=_plan(seed, loss),
         checkpoint_every_ns=checkpoint_every_ns,
     )
     resumed.run_until(duration_ns)

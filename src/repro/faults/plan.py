@@ -17,10 +17,13 @@ sharper tools:
 
 A :class:`FaultPlan` is consulted by every :class:`HalfLink` it is
 installed on (``build_star(fault_plan=...)`` installs one plan on every
-wire) at frame-arrival time, before the legacy Bernoulli draw. All
-randomness comes from a :class:`~repro.sim.rng.RngRegistry` seeded at
-construction, so a plan is a pure function of (seed, arrival sequence):
-two runs over the same traffic see identical drops.
+wire) at frame-arrival time, before the legacy Bernoulli draw, and by
+the intent bus of :class:`~repro.service.intent.SharedLinkFabric`,
+which names each frame's class itself
+(:meth:`FaultPlan.should_drop_class`). All randomness comes from a
+:class:`~repro.sim.rng.RngRegistry` seeded at construction, so a plan
+is a pure function of (seed, arrival sequence): two runs over the same
+traffic see identical drops.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "COORDINATION_CLASSES",
     "FaultPlan",
     "LinkDownWindow",
+    "class_of_tag",
 ]
 
 #: The switch's name in frame source/destination fields (mirrors
@@ -99,6 +103,18 @@ _CLASSES_BY_TAG = {
     FrameType.INTENT: ("intent", "intent"),
     FrameType.GOSSIP: ("gossip", "gossip"),
 }
+
+
+def class_of_tag(tag: int, from_switch: bool = False) -> str:
+    """The frame class of a signalling frame with type tag ``tag``.
+
+    ``from_switch`` picks the switch's side of the shared CONNECT and
+    RESPONSE formats (``offer``, ``final-response``).
+    """
+    names = _CLASSES_BY_TAG.get(tag)
+    if names is None:
+        raise ConfigurationError(f"unknown signalling type tag {tag}")
+    return names[from_switch]
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,13 +238,15 @@ class FaultPlan:
     def classify(frame: EthernetFrame) -> str:
         """Name the handshake step (or traffic class) ``frame`` carries.
 
-        Signalling payloads normally travel as their bit-exact wire
-        encoding whose first byte is the FrameType tag; a typed frame
-        carries the same tag as ``TYPE``. The switch's grant-carrying
-        final response is the one structured exception (a
-        ``(ResponseFrame, ChannelGrant)`` tuple). Direction
+        On the star's links a signalling payload travels as its
+        bit-exact wire encoding, whose first byte is the FrameType tag;
+        a typed frame carries the same tag as ``TYPE``. The switch's
+        grant-carrying final response is the one structured exception
+        (a ``(ResponseFrame, ChannelGrant)`` tuple). Direction
         (node->switch vs switch->node) disambiguates the shared
-        CONNECT/RESPONSE formats into distinct handshake steps.
+        CONNECT/RESPONSE formats into distinct handshake steps. The
+        intent bus of :mod:`repro.service.intent` carries typed frames
+        and names their class with :func:`class_of_tag` directly.
         """
         if frame.kind is FrameKind.RT_DATA:
             return "rt-data"
@@ -246,12 +264,7 @@ class FaultPlan:
                 f"cannot classify signalling payload "
                 f"{type(payload).__name__}"
             )
-        names = _CLASSES_BY_TAG.get(tag)
-        if names is None:
-            raise ConfigurationError(
-                f"unknown signalling type tag {tag}"
-            )
-        return names[frame.source == _SWITCH_SOURCE]
+        return class_of_tag(tag, frame.source == _SWITCH_SOURCE)
 
     def export_state(self) -> dict:
         """Serialize the plan's mutable state for a service checkpoint.
@@ -299,7 +312,15 @@ class FaultPlan:
 
     def should_drop(self, link_name: str, frame: EthernetFrame, now: int) -> bool:
         """Decide the fate of one arrival (called by the link)."""
-        cls = self.classify(frame)
+        return self.should_drop_class(self.classify(frame), link_name, now)
+
+    def should_drop_class(self, cls: str, link_name: str, now: int) -> bool:
+        """Decide the fate of one arrival of frame class ``cls``.
+
+        The caller has already named the class (``should_drop`` by
+        :meth:`classify`); counters and RNG draws are those of
+        :meth:`should_drop` on a frame of that class.
+        """
         index = self.seen[cls]
         self.seen[cls] = index + 1
         for window in self._down_windows:

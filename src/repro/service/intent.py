@@ -40,11 +40,18 @@ shared trunks").
 :class:`SharedLinkFabric` packages the protocol with a churn-driven
 workload into one checkpointable engine, mirroring
 :class:`~repro.service.service.AdmissionService`: a single
-content-ordered agenda heap (no sequence numbers), every piece of state
-JSON-serializable, so kill-and-resume reproduces the uninterrupted
-decision stream byte for byte -- even with announce/commit legs
-in flight at the checkpoint. Checkpoints are built from fresh
-containers, at a cost linear in the live state.
+content-ordered agenda heap (no sequence numbers) and a modelled
+control bus that carries the frozen frame objects themselves. Bytes
+appear only in checkpoints: a checkpoint writes each in-flight frame
+as its bit-exact wire encoding in hex, which makes every piece of
+state JSON-serializable, and :meth:`SharedLinkFabric.resume` decodes
+it. The codec round-trips every frame the coordinators build, so the
+resumed bus carries equal frames and kill-and-resume reproduces the
+uninterrupted decision stream byte for byte -- even with
+announce/commit legs in flight at the checkpoint. Checkpoints are
+built from fresh containers, except the coordinators' ``applied``
+rows, which are never mutated once inserted; the cost is linear in
+the live state.
 
 Scope: the coordination protocol governs the *shared* trunks. Access
 links (node uplink/downlink) are validated against the fabric's
@@ -75,10 +82,9 @@ from ..core.feasibility import is_feasible  # noqa: F401
 from ..core.feasibility_cache import FeasibilityCache
 from ..core.task import LinkDirection, LinkRef, LinkTask
 from ..errors import ConfigurationError, PartitioningError
-from ..protocol.ethernet import EthernetFrame, FrameKind
 from ..protocol.frames import GossipFrame, IntentFrame, IntentKind, decode_signaling
 from ..protocol.signaling import RetryPolicy
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultPlan, class_of_tag
 from ..multiswitch.partitioning import split_deadline
 from ..sim.rng import RngRegistry
 from .churn import ChurnConfig, ChurnProcess
@@ -153,8 +159,10 @@ class IntentCoordinator:
         self.foreign: dict[tuple[int, int], dict] = {}
         #: (mac, seq) pairs whose COMMIT was already applied (dedup).
         self.applied: set[tuple[int, int]] = set()
-        #: ``applied`` kept sorted on every add, so checkpoints never sort.
-        self._applied_rows: list[tuple[int, int]] = []
+        #: ``applied`` as sorted ``[mac, seq]`` rows, kept sorted on every
+        #: add so checkpoints never sort. A row is never mutated once
+        #: inserted, so checkpoints share it with live state.
+        self._applied_rows: list[list[int]] = []
         #: per-link recent releases [channel_id, seq] for reconciliation.
         self.release_log: dict[int, list[list[int]]] = {
             link_id: [] for link_id in self.link_ids
@@ -337,7 +345,7 @@ class IntentCoordinator:
 
     def _mark_applied(self, key: tuple[int, int]) -> None:
         self.applied.add(key)
-        insort(self._applied_rows, key)
+        insort(self._applied_rows, list(key))
 
     def _install_trunk(
         self, link_id: int, channel_id: int, entry: list[int]
@@ -440,8 +448,13 @@ class IntentCoordinator:
     # -- checkpoint/resume -------------------------------------------------
 
     def export_state(self) -> dict:
-        """The coordinator's state in fresh JSON-compatible containers
-        (no list is shared with live state)."""
+        """The coordinator's state in JSON-compatible containers.
+
+        Every container is fresh except the ``applied`` rows: the outer
+        list is new, but each ``[mac, seq]`` row is the live one, which
+        is never mutated once inserted. A consumer that edits the state
+        copies it first.
+        """
         return {
             "mac": self.mac,
             "committed": {
@@ -459,7 +472,7 @@ class IntentCoordinator:
                 [mac, seq, dict(record)]
                 for (mac, seq), record in sorted(self.foreign.items())
             ],
-            "applied": [list(row) for row in self._applied_rows],
+            "applied": list(self._applied_rows),
             "release_log": {
                 str(k): [list(e) for e in v]
                 for k, v in self.release_log.items()
@@ -487,8 +500,10 @@ class IntentCoordinator:
             (int(mac), int(seq)): dict(record)
             for mac, seq, record in data["foreign"]
         }
-        self._applied_rows = sorted((int(a), int(b)) for a, b in data["applied"])
-        self.applied = set(self._applied_rows)
+        self._applied_rows = sorted(
+            [int(mac), int(seq)] for mac, seq in data["applied"]
+        )
+        self.applied = {(mac, seq) for mac, seq in self._applied_rows}
         self.release_log = {
             int(k): [list(map(int, e)) for e in v]
             for k, v in data["release_log"].items()
@@ -506,9 +521,10 @@ class SharedLinkFabric:
     share trunk ``link_id=i``. Each switch serves ``nodes_per_switch``
     end nodes and runs its own seeded churn stream; every generated
     channel crosses to an adjacent switch, so every admission exercises
-    the intent lock. Control frames travel over a modelled control bus
-    with fixed latency, classified loss through a
-    :class:`~repro.faults.plan.FaultPlan`, and per-leg retransmission.
+    the intent lock. Control frames travel as frame objects over a
+    modelled control bus with fixed latency, loss classified by frame
+    type through a :class:`~repro.faults.plan.FaultPlan`, and per-leg
+    retransmission; they are encoded only when a checkpoint is written.
 
     The engine is a content-ordered agenda heap (the
     :class:`~repro.service.service.AdmissionService` discipline), so
@@ -579,15 +595,30 @@ class SharedLinkFabric:
         self._access_refs: dict[str, LinkRef] = {}
         #: split_deadline(d, C, (1, 1, 1)) per (d, C); None = no split.
         self._splits: dict[tuple[int, int], list[int] | None] = {}
+        #: the fault plan's link name of each bus leg, [src][dst].
+        self._bus_links = tuple(
+            tuple(f"sw{src}->sw{dst}" for dst in range(n_switches))
+            for src in range(n_switches)
+        )
+        #: the handler of each IntentFrame kind.
+        self._handlers = {
+            IntentKind.ANNOUNCE: self._on_announce,
+            IntentKind.ACK: self._on_ack,
+            IntentKind.COMMIT: self._on_commit,
+            IntentKind.ABORT: self._on_abort,
+            IntentKind.RELEASE: self._on_release,
+        }
         # -- mutable engine state (everything below is checkpointed) --
         self.now = 0
         self._agenda: list[tuple[int, int, int, int]] = []
         #: fabric-global intent/message sequence.
         self._next_seq = 1
         self._next_delivery = 1
-        #: delivery_id -> [src_idx, dst_idx, hex frame bytes]
+        #: delivery_id -> [src_idx, dst_idx, frame]; checkpoints write
+        #: the frame as its wire encoding in hex.
         self._wire: dict[int, list] = {}
-        #: seq -> reliable-broadcast record.
+        #: seq -> reliable-broadcast record; its "payload" is the frame
+        #: it retransmits, written to checkpoints as hex like ``_wire``.
         self._outstanding: dict[int, dict] = {}
         #: per-switch next channel id counter (stride-partitioned).
         self._next_channel = [0] * n_switches
@@ -679,21 +710,17 @@ class SharedLinkFabric:
 
     # -- the control bus ---------------------------------------------------
 
-    def _transmit(self, src: int, dst: int, payload: bytes) -> None:
+    def _transmit(
+        self, src: int, dst: int, frame: IntentFrame | GossipFrame
+    ) -> None:
         """One attempt to move a control frame; may be dropped."""
-        if self.plan is not None:
-            eth = EthernetFrame(
-                kind=FrameKind.SIGNALING,
-                source=f"sw{src}",
-                destination=f"sw{dst}",
-                payload_bytes=len(payload),
-                payload_object=payload,
-            )
-            if self.plan.should_drop(f"sw{src}->sw{dst}", eth, self.now):
-                return
+        if self.plan is not None and self.plan.should_drop_class(
+            class_of_tag(frame.TYPE), self._bus_links[src][dst], self.now
+        ):
+            return
         delivery_id = self._next_delivery
         self._next_delivery += 1
-        self._wire[delivery_id] = [src, dst, payload.hex()]
+        self._wire[delivery_id] = [src, dst, frame]
         self._push(
             self.now + _CONTROL_LATENCY_NS, _PRIO_DELIVER, delivery_id, 0
         )
@@ -708,16 +735,15 @@ class SharedLinkFabric:
         acks whatever reliable kind it hears, and application is
         idempotent, so duplicated deliveries are harmless).
         """
-        payload = frame.encode()
         self._outstanding[frame.intent_seq] = {
             "src": src,
             "kind": int(frame.kind),
-            "payload": payload.hex(),
+            "payload": frame,
             "pending": sorted(peers),
             "attempt": 0,
         }
         for dst in peers:
-            self._transmit(src, dst, payload)
+            self._transmit(src, dst, frame)
         self._push(
             self.now + _RETRY.delay_ns(0),
             _PRIO_RETRY,
@@ -738,10 +764,9 @@ class SharedLinkFabric:
                 self._announce_timed_out(seq)
             return
         record["attempt"] += 1
-        payload = bytes.fromhex(record["payload"])
         for dst in record["pending"]:
             self.counters["retransmissions"] += 1
-            self._transmit(record["src"], dst, payload)
+            self._transmit(record["src"], dst, record["payload"])
         self._push(
             self.now + _RETRY.delay_ns(record["attempt"]),
             _PRIO_RETRY,
@@ -753,20 +778,11 @@ class SharedLinkFabric:
         entry = self._wire.pop(delivery_id, None)
         if entry is None:
             return
-        src, dst, payload_hex = entry
-        frame = decode_signaling(bytes.fromhex(payload_hex))
-        if isinstance(frame, GossipFrame):
+        _, dst, frame = entry
+        if type(frame) is GossipFrame:
             self._on_gossip(dst, frame)
-            return
-        assert isinstance(frame, IntentFrame)
-        handler = {
-            IntentKind.ANNOUNCE: self._on_announce,
-            IntentKind.ACK: self._on_ack,
-            IntentKind.COMMIT: self._on_commit,
-            IntentKind.ABORT: self._on_abort,
-            IntentKind.RELEASE: self._on_release,
-        }[frame.kind]
-        handler(dst, frame)
+        else:
+            self._handlers[frame.kind](dst, frame)
 
     def _ack_and_mark(self, receiver: int, frame: IntentFrame) -> None:
         """Send the generic reliable-delivery ACK back to the origin."""
@@ -782,17 +798,13 @@ class SharedLinkFabric:
             capacity=frame.capacity,
             deadline=frame.deadline,
         )
-        self._transmit(
-            receiver, self._switch_of_mac(frame.switch_mac), ack.encode()
-        )
+        self._transmit(receiver, self._switch_of_mac(frame.switch_mac), ack)
 
     # -- protocol event handlers -------------------------------------------
 
     def _on_announce(self, receiver: int, frame: IntentFrame) -> None:
         ack = self.coordinators[receiver].record_announce(frame, self.now)
-        self._transmit(
-            receiver, self._switch_of_mac(frame.switch_mac), ack.encode()
-        )
+        self._transmit(receiver, self._switch_of_mac(frame.switch_mac), ack)
 
     def _on_ack(self, receiver: int, frame: IntentFrame) -> None:
         outstanding = self._outstanding.get(frame.intent_seq)
@@ -833,7 +845,7 @@ class SharedLinkFabric:
             self.counters["reconciliations"] += 1
             sender = self._switch_of_mac(frame.switch_mac)
             for reply in coordinator.reconciliation_frames(frame.link_id):
-                self._transmit(receiver, sender, reply.encode())
+                self._transmit(receiver, sender, reply)
 
     # -- workload events ---------------------------------------------------
 
@@ -1098,7 +1110,7 @@ class SharedLinkFabric:
             self._last_gossip_util[key] = [frame.util_num, frame.util_den]
             for p in self._peers_of_link(link_id):
                 if p != i:
-                    self._transmit(i, p, frame.encode())
+                    self._transmit(i, p, frame)
 
     def _maybe_threshold_gossip(self, i: int, link_id: int) -> None:
         coordinator = self.coordinators[i]
@@ -1112,7 +1124,7 @@ class SharedLinkFabric:
             self._last_gossip_util[key] = [frame.util_num, frame.util_den]
             for p in self._peers_of_link(link_id):
                 if p != i:
-                    self._transmit(i, p, frame.encode())
+                    self._transmit(i, p, frame)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -1130,9 +1142,13 @@ class SharedLinkFabric:
     def take_checkpoint(self) -> dict:
         """Everything a resumed fabric needs, as one JSON-able dict.
 
-        Every container is built fresh -- nested lists the engine keeps
-        mutating (ack lists, outstanding peer sets) are copied -- so the
-        checkpoint stays frozen as the run continues past it.
+        In-flight frames (``wire``, each outstanding ``payload``) are
+        written as their wire encoding in hex. Every container is built
+        fresh -- nested lists the engine keeps mutating (ack lists,
+        outstanding peer sets) are copied -- except the coordinators'
+        ``applied`` rows, which are never mutated once inserted (see
+        :meth:`IntentCoordinator.export_state`); so the checkpoint stays
+        frozen as the run continues past it.
         """
         data = {
             "version": FABRIC_CHECKPOINT_VERSION,
@@ -1144,10 +1160,15 @@ class SharedLinkFabric:
             "next_seq": self._next_seq,
             "next_delivery": self._next_delivery,
             "wire": {
-                str(k): list(v) for k, v in sorted(self._wire.items())
+                str(k): [src, dst, frame.encode().hex()]
+                for k, (src, dst, frame) in sorted(self._wire.items())
             },
             "outstanding": {
-                str(k): dict(v, pending=list(v["pending"]))
+                str(k): dict(
+                    v,
+                    payload=v["payload"].encode().hex(),
+                    pending=list(v["pending"]),
+                )
                 for k, v in sorted(self._outstanding.items())
             },
             "next_channel": list(self._next_channel),
@@ -1200,9 +1221,16 @@ class SharedLinkFabric:
         heapq.heapify(fabric._agenda)
         fabric._next_seq = int(data["next_seq"])
         fabric._next_delivery = int(data["next_delivery"])
-        fabric._wire = {int(k): list(v) for k, v in data["wire"].items()}
+        fabric._wire = {
+            int(k): [src, dst, decode_signaling(bytes.fromhex(payload))]
+            for k, (src, dst, payload) in data["wire"].items()
+        }
         fabric._outstanding = {
-            int(k): dict(v, pending=list(v["pending"]))
+            int(k): dict(
+                v,
+                payload=decode_signaling(bytes.fromhex(v["payload"])),
+                pending=list(v["pending"]),
+            )
             for k, v in data["outstanding"].items()
         }
         fabric._next_channel = [int(v) for v in data["next_channel"]]

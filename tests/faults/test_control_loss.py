@@ -12,6 +12,7 @@ from repro.faults import (
     SIGNALLING_CLASSES,
     FaultPlan,
 )
+from repro.faults.plan import class_of_tag
 from repro.protocol.ethernet import EthernetFrame, FrameKind
 from repro.protocol.frames import GossipFrame, IntentFrame, IntentKind
 
@@ -63,7 +64,8 @@ class TestClassification:
         assert FaultPlan.classify(gossip_frame()) == "gossip"
 
     def test_wire_encoded_payloads_classify_too(self):
-        # the fabric transmits raw wire bytes, not structured objects
+        # the star's links carry raw wire bytes, not structured objects
+        # (the intent bus passes typed frames, named by class_of_tag)
         frame = intent_frame()
         wire = EthernetFrame(
             kind=FrameKind.SIGNALING,
@@ -111,6 +113,45 @@ class TestControlLoss:
             channel_id=1,
         )
         assert plan.should_drop("l", frame, 0) is False
+
+
+class TestClassLevelDecision:
+    def test_named_class_reproduces_should_drop(self):
+        # the intent bus names each frame's class from its type tag and
+        # skips the EthernetFrame; the drops, counters and RNG positions
+        # must be those of should_drop on the framed equivalent
+        frames = [
+            intent_frame() if k % 3 else gossip_frame() for k in range(300)
+        ]
+        links = [f"sw{k % 2}->sw{1 - k % 2}" for k in range(300)]
+        framed = FaultPlan.control_loss(0.2, seed=11)
+        named = FaultPlan.control_loss(0.2, seed=11)
+        by_frame = [
+            framed.should_drop(link, frame, t)
+            for t, (link, frame) in enumerate(zip(links, frames))
+        ]
+        by_class = [
+            named.should_drop_class(
+                class_of_tag(frame.payload_object.TYPE), link, t
+            )
+            for t, (link, frame) in enumerate(zip(links, frames))
+        ]
+        assert by_class == by_frame
+        assert any(by_frame) and not all(by_frame)
+        assert named.seen == framed.seen
+        assert named.seen["intent"] == 200 and named.seen["gossip"] == 100
+        assert named.drops_by_class == framed.drops_by_class
+        assert named.export_state() == framed.export_state()
+
+    def test_class_of_tag_matches_classify(self):
+        assert class_of_tag(IntentFrame.TYPE) == FaultPlan.classify(
+            intent_frame()
+        )
+        assert class_of_tag(GossipFrame.TYPE) == FaultPlan.classify(
+            gossip_frame()
+        )
+        with pytest.raises(ConfigurationError, match="unknown signalling"):
+            class_of_tag(0x7F)
 
 
 class TestStateRoundTrip:

@@ -9,6 +9,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.obs.monitor import InvariantMonitor
+from repro.protocol.frames import (
+    GOSSIP_FRAME_BYTES,
+    INTENT_FRAME_BYTES,
+    GossipFrame,
+    IntentFrame,
+    IntentKind,
+    decode_signaling,
+)
 from repro.service.intent import SharedLinkFabric
 
 HORIZON = 60_000_000
@@ -186,6 +194,54 @@ class TestFabricCheckpointResume:
         )
         resumed.run_until(HORIZON)
         assert json.dumps(checkpoint, sort_keys=True) == frozen
+
+
+class TestBusCodecRoundTrip:
+    def test_every_bus_frame_and_checkpoint_round_trips(self, monkeypatch):
+        # The bus delivers the frame object it was handed and encodes
+        # only at checkpoints, so a resumed bus carries equal frames only
+        # if the codec round-trips every frame the coordinators build.
+        # Run the pinned EXP-X4 fabric and check each one.
+        sent = []
+        transmit = SharedLinkFabric._transmit
+
+        def recording(fabric, src, dst, frame):
+            sent.append(frame)
+            transmit(fabric, src, dst, frame)
+
+        monkeypatch.setattr(SharedLinkFabric, "_transmit", recording)
+        fabric = SharedLinkFabric(
+            n_switches=2,
+            nodes_per_switch=4,
+            seed=2004,
+            fault_plan=FaultPlan.control_loss(0.2, seed=2004),
+            checkpoint_every_ns=CHECKPOINT_NS,
+        )
+        fabric.start()
+        fabric.run_until(120_000_000)
+
+        sizes = {
+            IntentFrame: INTENT_FRAME_BYTES,
+            GossipFrame: GOSSIP_FRAME_BYTES,
+        }
+        seen = set()
+        for frame in sent:
+            wire = frame.encode()
+            assert len(wire) == sizes[type(frame)]
+            assert decode_signaling(wire) == frame
+            seen.add(frame.kind if type(frame) is IntentFrame else GossipFrame)
+        assert seen == set(IntentKind) | {GossipFrame}
+
+        def round_trip(payload_hex: str) -> str:
+            return decode_signaling(bytes.fromhex(payload_hex)).encode().hex()
+
+        assert len(fabric.checkpoints) == 12
+        for checkpoint in fabric.checkpoints:
+            for _, _, payload in checkpoint["wire"].values():
+                assert round_trip(payload) == payload
+            for record in checkpoint["outstanding"].values():
+                assert round_trip(record["payload"]) == record["payload"]
+        assert all(c["wire"] and c["outstanding"] for c in fabric.checkpoints)
 
 
 class TestMonitorDetection:
