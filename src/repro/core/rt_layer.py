@@ -116,6 +116,8 @@ class RTLayer:
         self._node = node_name
         self._slot_ns = slot_ns
         self._trace = trace if trace is not None else TraceRecorder()
+        # Read once: nothing switches a recorder after construction.
+        self._tracing = self._trace.enabled
         #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
@@ -188,7 +190,7 @@ class RTLayer:
         end_to_end_deadline = release_ns + grant.spec.deadline * self._slot_ns
         uplink_deadline = release_ns + grant.uplink_deadline_slots * self._slot_ns
         header = encode_rt_header(end_to_end_deadline, channel_id)
-        if self._trace.enabled_for("rt.emit"):
+        if self._tracing and self._trace.enabled_for("rt.emit"):
             self._trace.record(
                 release_ns,
                 "rt.emit",

@@ -10,8 +10,20 @@ Timing model per frame::
 
     t0                 = transmission start
     t0 + tx(frame)     = wire free again (IFG included in tx), owner's
-                         ``on_idle`` fires -- next frame may start
+                         ``on_idle`` fires when armed -- next frame may
+                         start
     t0 + tx + prop     = frame fully received, ``deliver`` fires
+
+The wire-free wakeup is armed, not automatic. :meth:`HalfLink.transmit`
+reserves its place in the kernel's order, in the link's one
+:class:`~repro.sim.events.Slot`, and :meth:`HalfLink.wake_when_free`
+queues it there; the output port arms it only while a frame waits
+behind the one on the wire. An armed wakeup fires in the ``(time,
+seq)`` place an event scheduled at transmission start would have, so
+no frame submitted at the instant the wire frees can overtake the queue
+head; an unarmed one costs no event. When ``link.idle`` is traced,
+:meth:`transmit` queues every wakeup at once, so a trace records each
+idle instant.
 
 The link never queues: :meth:`transmit` on a busy link is a programming
 error (:class:`~repro.errors.SimulationError`) -- queueing is the output
@@ -25,6 +37,7 @@ from typing import Callable
 
 from ..errors import SimulationError
 from ..protocol.ethernet import EthernetFrame
+from ..sim.events import Slot
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 from .phy import PhyProfile
@@ -47,7 +60,8 @@ class HalfLink:
         Called with the frame when it has fully arrived at the far end.
     on_idle:
         Called when the wire becomes free (transmission finished, IFG
-        elapsed); the owning port uses this to start the next frame.
+        elapsed) after :meth:`wake_when_free` armed it for the current
+        transmission; the owning port uses this to start the next frame.
         Assigned after construction because port and link reference each
         other.
     trace:
@@ -95,7 +109,12 @@ class HalfLink:
         self._deliver = deliver
         self.on_idle: Callable[[], None] | None = None
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
+        # Read once: nothing switches a recorder after construction.
+        self._tracing = self._trace.enabled
         self._busy_until = -1
+        #: the current transmission's wire-free wakeup, reserved but not
+        #: queued until :meth:`wake_when_free`.
+        self._wake = Slot()
         # Per-frame constants, built once: the two event labels, and
         # (wire bytes, transmission ns) memoised per payload size -- a
         # pure function of the PHY, since padding, framing overhead and
@@ -192,7 +211,7 @@ class HalfLink:
         self.frames_carried += 1
         self.bytes_carried += wire_bytes
         self.busy_ns += tx
-        if self._trace.enabled_for("link.start"):
+        if self._tracing and self._trace.enabled_for("link.start"):
             # duration_ns renders link.start as a span in the Chrome trace
             self._trace.record(
                 now,
@@ -205,7 +224,10 @@ class HalfLink:
                     "bytes": wire_bytes,
                 },
             )
-        sim.schedule_at(done, self._wire_free, self._idle_label)
+        if self._tracing and self._trace.enabled_for("link.idle"):
+            sim.schedule_at(done, self._wire_free, self._idle_label)
+        else:
+            sim.reserve(self._wake, done)
         arrival = done + self._phy.propagation_ns
         if self.spans is not None:
             self.spans.frame_transmit(frame.frame_id, now, arrival, self.name)
@@ -214,8 +236,28 @@ class HalfLink:
         )
         return done
 
+    def wake_when_free(self) -> None:
+        """Arm ``on_idle`` for when the current transmission frees the wire.
+
+        Queues the wakeup into the place :meth:`transmit` reserved;
+        arming it again for the same transmission does nothing.
+
+        Raises
+        ------
+        SimulationError
+            if the wire is idle -- there is no transmission to wait for.
+        """
+        if self._sim.now >= self._busy_until:
+            raise SimulationError(
+                f"link {self.name}: wake_when_free on an idle wire"
+            )
+        if self._wake.seq >= 0:
+            self._sim.schedule_reserved(
+                self._wake, self._wire_free, self._idle_label
+            )
+
     def _wire_free(self) -> None:
-        if self._trace.enabled_for("link.idle"):
+        if self._tracing and self._trace.enabled_for("link.idle"):
             self._trace.record(self._sim.now, "link.idle", self.name)
         if self.on_idle is not None:
             self.on_idle()
@@ -226,7 +268,7 @@ class HalfLink:
         ):
             self.frames_lost += 1
             self.frames_faulted += 1
-            if self._trace.enabled_for("link.lost"):
+            if self._tracing and self._trace.enabled_for("link.lost"):
                 self._trace.record(
                     self._sim.now,
                     "link.lost",
@@ -241,7 +283,7 @@ class HalfLink:
             return
         if self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate:
             self.frames_lost += 1
-            if self._trace.enabled_for("link.lost"):
+            if self._tracing and self._trace.enabled_for("link.lost"):
                 self._trace.record(
                     self._sim.now, "link.lost", self.name, frame.describe()
                 )
@@ -250,7 +292,7 @@ class HalfLink:
                     frame.frame_id, self._sim.now, self.name, "corruption"
                 )
             return
-        if self._trace.enabled_for("link.deliver"):
+        if self._tracing and self._trace.enabled_for("link.deliver"):
             self._trace.record(
                 self._sim.now,
                 "link.deliver",

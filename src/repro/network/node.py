@@ -129,6 +129,8 @@ class EndNode:
         self._metrics = metrics
         self._policy = destination_policy
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
+        # Read once: nothing switches a recorder after construction.
+        self._tracing = self._trace.enabled
         #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
@@ -270,7 +272,7 @@ class EndNode:
         self._send_signaling(
             request, payload_bytes=REQUEST_FRAME_BYTES, span_ctx=span_ctx
         )
-        if self._trace.enabled_for("signal.request"):
+        if self._tracing and self._trace.enabled_for("signal.request"):
             self._trace.record(
                 self._sim.now,
                 "signal.request",
@@ -296,7 +298,7 @@ class EndNode:
                 if self._m_retries is not None:
                     self._m_retries.inc()
                 self.signaling.pending_request(connect_request_id).retries += 1
-                if self._trace.enabled_for("signal.retry"):
+                if self._tracing and self._trace.enabled_for("signal.retry"):
                     self._trace.record(
                         self._sim.now,
                         "signal.retry",
@@ -342,7 +344,7 @@ class EndNode:
             self.spans.end_request(
                 self.name, connect_request_id, self._sim.now, "timed-out"
             )
-        if self._trace.enabled_for("signal.timeout"):
+        if self._tracing and self._trace.enabled_for("signal.timeout"):
             self._trace.record(
                 self._sim.now,
                 "signal.timeout",
@@ -567,7 +569,7 @@ class EndNode:
         self._metrics.on_delivery(frame, self._sim.now)
         if self.spans is not None:
             self.spans.frame_done(frame.frame_id)
-        if self._trace.enabled_for("node.deliver"):
+        if self._tracing and self._trace.enabled_for("node.deliver"):
             self._trace.record(
                 self._sim.now,
                 "node.deliver",
@@ -620,7 +622,7 @@ class EndNode:
             self._metrics.register_channel(
                 request.rt_channel_id, request.capacity
             )
-        if self._trace.enabled_for("signal.offer"):
+        if self._tracing and self._trace.enabled_for("signal.offer"):
             self._trace.record(
                 self._sim.now,
                 "signal.offer",
@@ -643,7 +645,7 @@ class EndNode:
             self.signal_stale_frames += 1
             if self._m_stale is not None:
                 self._m_stale.inc()
-            if self._trace.enabled_for("signal.stale"):
+            if self._tracing and self._trace.enabled_for("signal.stale"):
                 self._trace.record(
                     self._sim.now,
                     "signal.stale",
@@ -675,7 +677,9 @@ class EndNode:
                 self._repeat_teardown(
                     frame, self.teardown_repeats, TEARDOWN_SPACING_NS
                 )
-                if self._trace.enabled_for("signal.late_response_teardown"):
+                if self._tracing and self._trace.enabled_for(
+                    "signal.late_response_teardown"
+                ):
                     self._trace.record(
                         self._sim.now,
                         "signal.late_response_teardown",
@@ -692,7 +696,7 @@ class EndNode:
                 )
             self.rt_layer.install_grant(grant)
         callback = self._request_callbacks.pop(response.connect_request_id, None)
-        if self._trace.enabled_for("signal.response"):
+        if self._tracing and self._trace.enabled_for("signal.response"):
             self._trace.record(
                 self._sim.now,
                 "signal.response",

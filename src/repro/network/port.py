@@ -72,7 +72,9 @@ class OutputPort:
     ----------
     sim, phy, link:
         Kernel, timing profile and the wire this port feeds. The port
-        installs itself as the link's ``on_idle`` callback.
+        installs itself as the link's ``on_idle`` callback and arms it
+        (:meth:`HalfLink.wake_when_free`) only while a frame waits
+        behind the one on the wire, so an idle port costs no event.
     name:
         Diagnostic name.
     be_buffer_frames:
@@ -106,6 +108,8 @@ class OutputPort:
         )
         self._on_rt_complete = on_rt_complete
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
+        # Read once: nothing switches a recorder after construction.
+        self._tracing = self._trace.enabled
         #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
@@ -160,7 +164,7 @@ class OutputPort:
             self.stats.rt_backlog_max = len(self._rt_queue)
         if self.spans is not None:
             self.spans.frame_enqueued(frame.frame_id, self._sim.now, self.name)
-        if self._trace.enabled_for("port.rt_enqueue"):
+        if self._tracing and self._trace.enabled_for("port.rt_enqueue"):
             self._trace.record(
                 self._sim.now,
                 "port.rt_enqueue",
@@ -192,7 +196,7 @@ class OutputPort:
                 self.spans.frame_enqueued(
                     frame.frame_id, self._sim.now, self.name
                 )
-            if self._trace.enabled_for("port.be_enqueue"):
+            if self._tracing and self._trace.enabled_for("port.be_enqueue"):
                 self._trace.record(
                     self._sim.now,
                     "port.be_enqueue",
@@ -207,7 +211,7 @@ class OutputPort:
                 self.spans.frame_dropped(
                     frame.frame_id, self._sim.now, self.name
                 )
-            if self._trace.enabled_for("port.be_drop"):
+            if self._tracing and self._trace.enabled_for("port.be_drop"):
                 self._trace.record(
                     self._sim.now,
                     "port.be_drop",
@@ -243,15 +247,24 @@ class OutputPort:
         return self._rt_queue.max_depth
 
     def _pump(self) -> None:
-        """Start the next transmission if the wire is free (strict RT priority)."""
-        if self._link.busy:
+        """Start the next transmission if the wire is free (strict RT priority).
+
+        A frame left waiting -- the wire is busy, or others queue behind
+        the one just started -- arms the link's wire-free wakeup, which
+        calls this again.
+        """
+        link = self._link
+        if link.busy:
+            link.wake_when_free()
             return
         if self._rt_queue:
-            entry = self._rt_queue.pop()
-            self._start_rt(entry)
+            self._start_rt(self._rt_queue.pop())
         elif self._be_queue:
-            entry = self._be_queue.pop()
-            self._start_be(entry)
+            self._start_be(self._be_queue.pop())
+        else:
+            return
+        if self._rt_queue or self._be_queue:
+            link.wake_when_free()
 
     def _start_rt(self, entry: QueuedFrame[EthernetFrame]) -> None:
         now = self._sim.now
@@ -259,7 +272,7 @@ class OutputPort:
         self.stats.rt_queueing_delay_total_ns += delay
         if delay > self.stats.rt_queueing_delay_max_ns:
             self.stats.rt_queueing_delay_max_ns = delay
-        if self._trace.enabled_for("port.rt_dequeue"):
+        if self._tracing and self._trace.enabled_for("port.rt_dequeue"):
             self._trace.record(
                 now,
                 "port.rt_dequeue",
@@ -280,7 +293,7 @@ class OutputPort:
         )
         if completion > entry.absolute_deadline + allowance:
             self.stats.rt_link_deadline_misses += 1
-            if self._trace.enabled_for("port.rt_miss"):
+            if self._tracing and self._trace.enabled_for("port.rt_miss"):
                 self._trace.record(
                     now,
                     "port.rt_miss",

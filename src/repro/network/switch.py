@@ -27,6 +27,7 @@ Otherwise the timer fires and the manager reclaims the reservation.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter_ns
 
 from ..core.channel_manager import (
@@ -162,8 +163,8 @@ class Switch:
             )
         self._sim.schedule(
             self._phy.switch_processing_ns,
-            lambda f=frame: self._process(f),
-            label="switch:process",
+            partial(self._process, frame),
+            "switch:process",
         )
 
     def _process(self, frame: EthernetFrame) -> None:

@@ -5,14 +5,14 @@ deterministic, integer-nanosecond event kernel:
 
 * :mod:`~repro.sim.kernel` -- the event loop (:class:`Simulator`).
 * :mod:`~repro.sim.events` -- event records (each its own cancellation
-  handle).
+  handle) and reusable reservation slots.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so
   that changing one traffic source's draws never perturbs another's.
 * :mod:`~repro.sim.trace` -- structured trace recording for debugging
   and for the validation experiments.
 """
 
-from .events import Event
+from .events import Event, Slot
 from .kernel import Simulator
 from .rng import RngRegistry
 from .trace import TraceRecord, TraceRecorder
@@ -20,6 +20,7 @@ from .trace import TraceRecord, TraceRecorder
 __all__ = [
     "Event",
     "Simulator",
+    "Slot",
     "RngRegistry",
     "TraceRecord",
     "TraceRecorder",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["Event"]
+__all__ = ["Event", "Slot"]
 
 
 class Event:
@@ -71,6 +71,24 @@ class Event:
             if self._sim is not None and not self.weak:
                 self._sim._note_cancelled()
         return True
+
+
+class Slot:
+    """A reusable reservation of one ``(time, seq)`` place in the order.
+
+    :meth:`Simulator.reserve` stamps it and
+    :meth:`Simulator.schedule_reserved` queues an event into it.
+    Reserving again abandons a place never queued, so an owner with one
+    reservation at a time (a link's wire-free wakeup) keeps one slot,
+    and an unqueued reservation is stored nowhere else. ``seq`` is -1
+    while the slot holds no reservation.
+    """
+
+    __slots__ = ("time", "seq")
+
+    def __init__(self) -> None:
+        self.time = 0
+        self.seq = -1
 
 
 def _fired() -> None:  # sentinel assigned after dispatch

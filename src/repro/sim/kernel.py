@@ -6,8 +6,19 @@ A minimal, deterministic event loop in integer nanoseconds:
   callback and return its :class:`~repro.sim.events.Event`, which is
   also the caller's cancellation handle; same-time events fire in
   scheduling (FIFO) order.
-* :meth:`Simulator.run` drains the queue, optionally up to a horizon.
+* :meth:`Simulator.reserve` stamps a :class:`~repro.sim.events.Slot`
+  with the ``(time, seq)`` place an event scheduled now would get, and
+  :meth:`Simulator.schedule_reserved` queues an event there later -- or
+  never. A link reserves its wire-free wakeup at every transmission and
+  its port queues it only when a frame waits
+  (:mod:`repro.network.link`); an unqueued reservation is not an event
+  and never keeps the simulation alive.
+* :meth:`Simulator.run` drains the queue, optionally up to a horizon;
+  :meth:`Simulator.step` dispatches one event under the same
+  termination rule.
 * cancellation is lazy and O(1) (see :mod:`repro.sim.events`).
+* :attr:`Simulator.now` is a plain attribute for speed; only the
+  kernel assigns it.
 
 The kernel is callback-based rather than coroutine-based: the network
 models (links, ports, sources) are naturally event-driven state
@@ -33,6 +44,8 @@ unused:
   that never keep the simulation alive. ``run()`` returns as soon as no
   *strong* (normal) events remain, without firing leftover weak events,
   so periodic probes cannot extend the final clock or perturb results.
+  ``step()`` follows the same rule: it reports idle (False) once no
+  strong event remains, and leaves the weak ones queued.
 * **profiler** (:attr:`Simulator.profiler`): when set to an object with
   an ``account(label, wall_ns)`` method, ``run()`` times each dispatch
   with ``perf_counter_ns`` and reports it. ``None`` (the default) keeps
@@ -46,7 +59,7 @@ from time import perf_counter_ns
 from typing import Callable
 
 from ..errors import SimulationError
-from .events import Event
+from .events import Event, Slot
 from .events import _fired  # type: ignore[attr-defined]
 
 __all__ = ["Simulator"]
@@ -67,7 +80,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0
+        #: Current simulation time in nanoseconds. A plain attribute
+        #: (the hot paths read it per frame); only the kernel assigns it.
+        self.now = 0
         self._seq = 0
         #: the pending set: a heap of ``(time, seq, event)`` entries.
         self._heap: list[tuple[int, int, Event]] = []
@@ -81,11 +96,6 @@ class Simulator:
         #: recorder's crash-dump hook. ``None`` (default) keeps the
         #: loop's failure path identical to an uninstrumented kernel.
         self.on_crash = None
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -134,7 +144,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (delay {delay} ns)"
             )
-        return self.schedule_at(self._now + delay, action, label, weak=weak)
+        return self.schedule_at(self.now + delay, action, label, weak=weak)
 
     def schedule_at(
         self,
@@ -145,10 +155,10 @@ class Simulator:
         weak: bool = False,
     ) -> Event:
         """Schedule ``action`` at absolute simulation time ``time`` (ns)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} ns; the clock is already at "
-                f"{self._now} ns"
+                f"{self.now} ns"
             )
         if not callable(action):
             raise SimulationError(
@@ -161,6 +171,61 @@ class Simulator:
         heappush(heap, (time, seq, event))
         if not weak:
             self._strong += 1
+        if len(heap) > self._max_heap_depth:
+            self._max_heap_depth = len(heap)
+        return event
+
+    def reserve(self, slot: Slot, time: int) -> None:
+        """Stamp ``slot`` with the place ``(time, seq)`` for a later event.
+
+        Takes the seq that :meth:`schedule_at` would take now. An event
+        that :meth:`schedule_reserved` queues into the slot fires
+        exactly where one scheduled now would have: after every
+        same-time event scheduled before this call, before every one
+        scheduled after it. A place the slot held but never queued is
+        abandoned.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot reserve at {time} ns; the clock is already at "
+                f"{self.now} ns"
+            )
+        slot.time = time
+        seq = self._seq
+        slot.seq = seq
+        self._seq = seq + 1
+
+    def schedule_reserved(
+        self, slot: Slot, action: Callable[[], None], label: str = ""
+    ) -> Event:
+        """Queue ``action`` into the place :meth:`reserve` stamped on ``slot``.
+
+        The checks of :meth:`schedule_at` apply: the place's time may
+        not have passed and ``action`` must be callable. A slot that
+        holds no reservation (never reserved, or already queued) is
+        rejected.
+        """
+        seq = slot.seq
+        if seq < 0:
+            raise SimulationError(
+                "the slot holds no reservation (never reserved, or "
+                "already queued)"
+            )
+        time = slot.time
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} ns; the clock is already at "
+                f"{self.now} ns"
+            )
+        if not callable(action):
+            raise SimulationError(
+                f"event action must be callable, got {type(action).__name__}"
+            )
+        slot.seq = -1
+        event = Event(time, seq, action, label, False, self)
+        heap = self._heap
+        heappush(heap, (time, seq, event))
+        self._strong += 1
         if len(heap) > self._max_heap_depth:
             self._max_heap_depth = len(heap)
         return event
@@ -191,9 +256,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"horizon {until} ns is in the past (now {self._now} ns)"
+                f"horizon {until} ns is in the past (now {self.now} ns)"
             )
         self._running = True
         profiler = self.profiler
@@ -209,7 +274,7 @@ class Simulator:
                     continue
                 if not event.weak:
                     self._strong -= 1
-                self._now = time
+                self.now = time
                 action = event.action
                 event.action = _fired
                 if profiler is None:
@@ -225,25 +290,29 @@ class Simulator:
             raise
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
             # The horizon path is where runs abandon in-flight work, so
             # lazily-cancelled entries would otherwise linger forever.
             self.compact()
         return self._dispatched - before
 
     def step(self) -> bool:
-        """Dispatch a single (non-cancelled) event. Returns False if idle."""
+        """Dispatch a single (non-cancelled) event. Returns False if idle.
+
+        Idle means what it means to :meth:`run`: no strong event
+        remains. Leftover weak events stay queued and never fire.
+        """
         if self._running:
             raise SimulationError("Simulator.step is not re-entrant")
         heap = self._heap
-        while heap:
+        while self._strong and heap:
             time, _, event = heappop(heap)
             if event.cancelled:
                 continue
             if not event.weak:
                 self._strong -= 1
-            self._now = time
+            self.now = time
             action = event.action
             event.action = _fired
             self._running = True

@@ -20,7 +20,11 @@ record, so instrumented call sites gate payload construction on
         trace.record(now, "link.start", frame.describe(), f"tx={tx}")
 
 ``enabled_for`` is a cheap predicate (one attribute read when tracing
-is off), so a disabled recorder never pays for f-strings.
+is off), so a disabled recorder never pays for f-strings. The per-frame
+components (links, ports, end nodes, the RT layer) go one step further:
+they read :attr:`TraceRecorder.enabled` once at construction and test
+that flag before calling ``enabled_for``. A recorder is therefore
+configured when it is built and never switched on or off afterwards.
 
 Structured payloads
 -------------------

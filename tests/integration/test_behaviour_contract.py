@@ -14,6 +14,10 @@ speed, but what they produce may not move by a byte. These cases pin:
   the per-frame delay samples;
 * one traced three-switch chain run: its ``node.deliver`` records and
   its per-frame delay samples (timing through the fabric's end nodes);
+* tracing does not move the data plane: a star and a chain run traced
+  and untraced give equal delays, clocks and port counters, though the
+  untraced run dispatches fewer events (it queues a port's wire-free
+  wakeup only while a frame waits; ``link.idle`` tracing queues all);
 * the service plane: the EXP-X4 two-switch intent-lock fabric at 20 %
   control loss (its ledger, coordinator states and checkpoints -- whose
   ``wire`` and ``outstanding`` entries carry encoded signalling frames
@@ -31,18 +35,26 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import astuple
+
+import pytest
 
 from repro.cli import main
 from repro.core.admission import AdmissionController, SystemState
 from repro.core.channel import ChannelSpec
-from repro.core.partitioning import SymmetricDPS
+from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
+from repro.experiments.validation import run_validation
 from repro.faults.plan import FaultPlan
 from repro.multiswitch.graph import build_chain_graph, build_fat_tree
 from repro.multiswitch.partitioning import MultiHopProportional
 from repro.multiswitch.simnet import build_fabric_network
+from repro.network.topology import build_star
+from repro.obs import Telemetry, TelemetryConfig
 from repro.service import AdmissionService, ChurnConfig, ChurnProcess
 from repro.service.intent import SharedLinkFabric
 from repro.sim.rng import RngRegistry
+from repro.traffic.patterns import master_slave_names, master_slave_requests
+from repro.traffic.spec import FixedSpecSampler
 
 _CAPTURE_DIGESTS = {
     "metrics.json":
@@ -70,9 +82,17 @@ _PROFILE_ROWS = [
     ("process", 306), ("start", 38),
 ]
 
+#: The same run with tracing off (``TelemetryConfig(tracing=False)``):
+#: ``link.idle`` is not recorded, so only the wire-free wakeups that
+#: found a frame waiting are queued; every other label is unchanged.
+_UNTRACED_PROFILE_ROWS = [
+    ("deliver", 612), ("idle", 288), ("period", 76), ("probe", 26),
+    ("process", 306), ("start", 38),
+]
+
 #: (channels established, RT frames delivered, events fired by run(),
 #: lifetime dispatched events, final sim.now in ns, per-link misses)
-_FAT_TREE_FACTS = (100, 1800, 26116, 26116, 73_824_000, 0)
+_FAT_TREE_FACTS = (100, 1800, 22162, 22162, 73_824_000, 0)
 
 #: sha256 of the fat-tree run's ``metrics.delay_samples()`` as JSON.
 _FAT_TREE_DELAYS = (
@@ -154,6 +174,21 @@ def test_profiled_capture_keeps_trace_and_label_rows(tmp_path, capsys):
     assert rows == _PROFILE_ROWS
 
 
+def test_untraced_capture_label_rows():
+    """``obs capture --profile``'s run with tracing off: the idle
+    wakeups that find both queues empty are never queued."""
+    telemetry = Telemetry(TelemetryConfig(tracing=False, profile=True))
+    run_validation(
+        n_masters=4, n_slaves=12, n_requests=40, hyperperiods=2, seed=55,
+        use_wire_handshake=True, telemetry=telemetry,
+    )
+    rows = sorted(
+        (series["labels"]["label"], series["value"])
+        for series in telemetry.snapshot()["kernel.profile.events"]["series"]
+    )
+    assert rows == _UNTRACED_PROFILE_ROWS
+
+
 def test_lossy_spans_bundle_is_pinned(tmp_path, capsys):
     argv = ["spans", "--signal-loss", "0.2", "--out", str(tmp_path)]
     assert main(argv) == 0
@@ -166,7 +201,14 @@ def test_lossy_spans_bundle_is_pinned(tmp_path, capsys):
 
 
 def test_fat_tree_data_plane_is_pinned():
-    """k=4 fat-tree, 104 hosts, seeded random pairs, mprop data plane."""
+    """k=4 fat-tree, 104 hosts, seeded random pairs, mprop data plane.
+
+    The two event counts were re-pinned from 26 116 to 22 162 when
+    ports stopped queueing wire-free wakeups with no frame waiting: the
+    3 954 wakeups dropped each found both queues empty and did nothing.
+    Every event still fired keeps its ``(time, seq)``; channels, frames,
+    the final clock, misses and the delay digest did not move.
+    """
     rng = random.Random(2004)
     net = build_fabric_network(
         build_fat_tree(4, hosts_per_edge=13), MultiHopProportional(),
@@ -208,6 +250,65 @@ def test_chain_fabric_timing_is_pinned():
     assert len(delivered) == 4 * 4 * spec.capacity
     assert _sha256(_json(delivered)) == _CHAIN_DELIVER_DIGEST
     assert _sha256(_json(net.metrics.delay_samples())) == _CHAIN_DELAYS_DIGEST
+
+
+def _star_outcome(trace_enabled: bool):
+    """6 masters x 18 slaves, 80 wire-handshake requests, 5 messages."""
+    masters, slaves = master_slave_names(6, 18)
+    net = build_star(
+        masters + slaves, dps=AsymmetricDPS(),
+        trace_enabled=trace_enabled, record_delays=True,
+    )
+    requests = master_slave_requests(
+        masters, slaves, 80, FixedSpecSampler.paper_default(),
+        RngRegistry(55).stream("requests"),
+    )
+    for request in requests:
+        net.establish(request.source, request.destination, request.spec)
+    net.start_all_sources(stop_after_messages=5)
+    net.sim.run()
+    ports = [node.uplink for node in net.nodes.values()]
+    ports += list(net.switch.ports.values())
+    return net.sim.dispatched_events, (
+        net.metrics.delay_samples(),
+        net.sim.now,
+        [grant.channel_id for grant in net.grants],
+        [astuple(port.stats) for port in ports],
+    )
+
+
+def _chain_outcome(trace_enabled: bool):
+    net = build_fabric_network(
+        build_chain_graph(3, 2), MultiHopProportional(),
+        trace_enabled=trace_enabled, record_delays=True,
+    )
+    spec = ChannelSpec(period=100, capacity=3, deadline=60)
+    for source, destination in _CHAIN_CHANNELS:
+        assert net.establish(source, destination, spec) is not None
+    net.start_all_sources(stop_after_messages=4)
+    net.sim.run()
+    ports = [node.uplink for node in net.nodes.values()]
+    ports += [p for switch in net.switches.values()
+              for p in switch.ports.values()]
+    return net.sim.dispatched_events, (
+        net.metrics.delay_samples(),
+        net.sim.now,
+        [astuple(port.stats) for port in ports],
+    )
+
+
+@pytest.mark.parametrize(
+    "outcome", [_star_outcome, _chain_outcome], ids=["star", "chain"]
+)
+def test_tracing_does_not_move_the_data_plane(outcome):
+    """Tracing queues every wire-free wakeup (``link.idle`` records each
+    idle instant); untraced ports queue only those a waiting frame
+    needs. The extra wakeups find both queues empty, so delays, the
+    clock, grants and port counters stay equal."""
+    traced_events, traced = outcome(True)
+    untraced_events, untraced = outcome(False)
+    assert untraced == traced
+    assert untraced_events < traced_events
 
 
 def test_lossy_intent_fabric_is_pinned():

@@ -50,6 +50,7 @@ class TestLossyLink:
         def pump():
             if link.frames_carried < 200 and not link.busy:
                 link.transmit(be_frame())
+                link.wake_when_free()
 
         link.on_idle = pump
         pump()

@@ -9,6 +9,7 @@ from repro.network.link import HalfLink
 from repro.network.phy import PhyProfile
 from repro.protocol.ethernet import EthernetFrame, FrameKind
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.units import ETH_MAX_PAYLOAD
 
 
@@ -103,10 +104,46 @@ class TestHalfLink:
         events = []
         link.on_idle = lambda: events.append(("idle", sim.now))
         link.transmit(be_frame())
+        link.wake_when_free()
         sim.run()
         assert events == [("idle", phy.slot_ns)]
         # delivery strictly after idle (propagation > 0)
         assert delivered
+
+    def test_on_idle_fires_only_when_armed(self):
+        sim, phy, link, delivered = self.make()
+        events = []
+        link.on_idle = lambda: events.append(sim.now)
+        link.transmit(be_frame())
+        sim.run()
+        assert events == [] and delivered
+        assert sim.dispatched_events == 1  # the arrival alone
+
+    def test_wake_when_free_arms_once_and_needs_a_busy_wire(self):
+        sim, phy, link, _ = self.make()
+        events = []
+        link.on_idle = lambda: events.append(sim.now)
+        with pytest.raises(SimulationError, match="idle wire"):
+            link.wake_when_free()
+        link.transmit(be_frame())
+        link.wake_when_free()
+        link.wake_when_free()  # same transmission: queued once
+        sim.run()
+        assert events == [phy.slot_ns]
+
+    def test_traced_link_queues_every_wakeup(self):
+        # link.idle records every idle instant, so the wakeup is queued
+        # at transmission start, armed or not.
+        sim = Simulator()
+        phy = PhyProfile.fast_ethernet()
+        trace = TraceRecorder(enabled=True)
+        link = HalfLink(sim, phy, "test", lambda f: None, trace=trace)
+        link.transmit(be_frame())
+        sim.run()
+        assert [r.time for r in trace.by_category("link.idle")] == [
+            phy.slot_ns
+        ]
+        assert sim.dispatched_events == 2
 
     def test_statistics(self):
         sim, phy, link, _ = self.make()
@@ -162,6 +199,7 @@ class TestHalfLink:
         def pump():
             if pending and not link.busy:
                 link.transmit(pending.pop(0))
+                link.wake_when_free()
 
         link.on_idle = pump
         pump()

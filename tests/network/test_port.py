@@ -87,6 +87,37 @@ class TestPriority:
         assert delivered[0].kind is FrameKind.BEST_EFFORT
 
 
+class TestWireFreeWakeup:
+    def test_waiting_frame_keeps_its_place_at_the_free_instant(self):
+        """The wakeup a waiting frame arms fires in the slot reserved
+        when the transmission began, so a frame submitted at the very
+        instant the wire frees, by an event scheduled after that, waits
+        behind it -- even with the earliest deadline."""
+        sim, phy, port, delivered = make_port()
+        port.submit_rt(rt_frame(10**9, channel=1), 10**9)  # A: 0 .. slot
+        sim.schedule_at(
+            phy.slot_ns, lambda: port.submit_rt(rt_frame(1, channel=3), 1)
+        )  # C, at the instant A frees the wire
+        sim.schedule_at(
+            1, lambda: port.submit_rt(rt_frame(10**8, channel=2), 10**8)
+        )  # B, queued behind A
+        sim.run()
+        assert [f.channel_id for f in delivered] == [1, 2, 3]
+
+    def test_wakeup_armed_only_while_a_frame_waits(self):
+        sim, phy, port, _ = make_port()
+        port.submit_be(be_frame())
+        sim.run()
+        assert sim.dispatched_events == 1  # the arrival; no wakeup
+        port.submit_be(be_frame())
+        port.submit_be(be_frame())
+        sim.run()
+        # two arrivals and one wakeup, armed while the second frame
+        # waited; the last transmission leaves nothing behind it
+        assert sim.dispatched_events == 1 + 3
+        assert port.stats.be_transmitted == 3
+
+
 class TestDeadlineAccounting:
     def test_on_rt_complete_callback(self):
         seen = []

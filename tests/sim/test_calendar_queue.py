@@ -6,7 +6,8 @@ CPython the C ``heapq`` beat it at every population, EXPERIMENTS.md
 EXP-P7), and the test names are kept so their history stays readable.
 Each case now replays a randomized event program -- mixed delays with
 heavy same-instant collisions, weak observers, mid-run scheduling,
-cancellations, horizon runs and compaction -- on the one heap kernel
+cancellations, reserved slots (queued later, reserved again or never
+queued), horizon runs and compaction -- on the one heap kernel
 and on :class:`_ReferenceSimulator`, a naive model that scans a plain
 list for its ``(time, seq)`` minimum, and requires identical fired
 streams, clocks and dispatch counts.
@@ -20,6 +21,7 @@ import random
 import pytest
 
 from repro.network.topology import build_star
+from repro.sim.events import Slot
 from repro.sim.kernel import Simulator
 
 
@@ -57,6 +59,20 @@ class _ReferenceSimulator:
         self._events.append(event)
         return event
 
+    def reserve(self, slot, time):
+        # The place takes its seq now but is no event until queued;
+        # ``cancelled`` stands for "not queued yet".
+        place = _ReferenceEvent(time, len(self._events), None, False)
+        place.cancelled = True
+        self._events.append(place)
+        slot.time, slot.seq = time, place.seq
+
+    def schedule_reserved(self, slot, action):
+        place = self._events[slot.seq]
+        place.action, place.cancelled = action, False
+        slot.seq = -1
+        return place
+
     def compact(self):
         return 0
 
@@ -84,6 +100,17 @@ def replay(make_sim, program, horizon=None):
     sim = make_sim()
     fired: list[tuple[int, int]] = []
     handles = []
+    #: slots holding a reservation not queued yet; some never are.
+    slots: list[Slot] = []
+
+    def reserve():
+        # Sometimes reserve a pending slot again, abandoning its place.
+        if slots and rng.random() < 0.25:
+            slot = slots.pop(rng.randrange(len(slots)))
+        else:
+            slot = Slot()
+        sim.reserve(slot, sim.now + rng.choice((0, 1, 7, 7, 64, 512)))
+        slots.append(slot)
 
     def make(tag):
         def action():
@@ -94,6 +121,15 @@ def replay(make_sim, program, horizon=None):
             # Mid-run cancellation of a random live handle.
             if handles and rng.random() < 0.2:
                 handles[rng.randrange(len(handles))].cancel()
+            # Queue a reserved slot later, unless its time has passed.
+            if slots and rng.random() < 0.3:
+                slot = slots.pop(rng.randrange(len(slots)))
+                if slot.time >= sim.now:
+                    handles.append(
+                        sim.schedule_reserved(slot, make(tag + 2000))
+                    )
+            if rng.random() < 0.1 and len(fired) < 400:
+                reserve()
 
         return action
 
@@ -102,6 +138,8 @@ def replay(make_sim, program, horizon=None):
         handles.append(
             sim.schedule(delay, make(tag), weak=rng.random() < 0.1)
         )
+        if rng.random() < 0.15:
+            reserve()
     if rng.random() < 0.5:
         sim.compact()
     sim.run(until=horizon)

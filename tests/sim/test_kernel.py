@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.probes import ProbeSet
+from repro.obs.registry import MetricsRegistry
+from repro.sim.events import Slot
 from repro.sim.kernel import Simulator
 
 
@@ -137,6 +140,110 @@ class TestStep:
         assert sim.peek_time() is None
         sim.schedule(42, lambda: None)
         assert sim.peek_time() == 42
+
+    def test_weak_observer_does_not_keep_step_alive(self):
+        # A probe ticking every 10 ns used to keep step() returning True
+        # forever; weak events never keep the simulation alive.
+        def probed():
+            sim = Simulator()
+            ProbeSet(sim, MetricsRegistry(), cadence_ns=10).start()
+            sim.schedule(25, lambda: None)
+            return sim
+
+        by_run = probed()
+        assert by_run.run() == 3
+        by_step = probed()
+        steps = 0
+        while by_step.step():
+            steps += 1
+            assert steps <= 3
+        assert steps == 3
+        assert by_step.now == by_run.now == 25
+        assert by_step.dispatched_events == 3
+        # the leftover weak tick stays queued, as it does after run()
+        assert by_step.pending_events == by_run.pending_events == 1
+        assert not by_step.step()
+
+
+class TestReservedSlots:
+    def test_reserve_takes_the_seq_schedule_at_would(self):
+        sim, slot = Simulator(), Slot()
+        before = sim.schedule(5, lambda: None)
+        sim.reserve(slot, 7)
+        after = sim.schedule(5, lambda: None)
+        assert slot.seq == before.seq + 1 == after.seq - 1
+        event = sim.schedule_reserved(slot, lambda: None, label="slot")
+        assert (event.time, event.seq, event.label) == (7, before.seq + 1,
+                                                         "slot")
+
+    def test_queued_slot_fires_in_its_reserved_place(self):
+        # Same-time events scheduled before the reservation fire first,
+        # those scheduled after it fire later -- even though the slot is
+        # queued after all of them.
+        sim, slot = Simulator(), Slot()
+        seen = []
+        sim.schedule(10, lambda: seen.append("scheduled before"))
+        sim.reserve(slot, 10)
+        sim.schedule(10, lambda: seen.append("scheduled after"))
+        sim.schedule(
+            5,
+            lambda: sim.schedule_reserved(slot, lambda: seen.append("slot")),
+        )
+        sim.run()
+        assert seen == ["scheduled before", "slot", "scheduled after"]
+
+    def test_slot_without_reservation_rejected(self):
+        sim, slot = Simulator(), Slot()
+        with pytest.raises(SimulationError, match="no reservation"):
+            sim.schedule_reserved(slot, lambda: None)  # never reserved
+        sim.reserve(slot, 5)
+        sim.schedule_reserved(slot, lambda: None)
+        with pytest.raises(SimulationError, match="no reservation"):
+            sim.schedule_reserved(slot, lambda: None)  # already queued
+
+    def test_past_place_and_bad_action_rejected(self):
+        sim, slot = Simulator(), Slot()
+        sim.reserve(slot, 50)
+        with pytest.raises(SimulationError, match="callable"):
+            sim.schedule_reserved(slot, "not callable")  # type: ignore[arg-type]
+        sim.schedule(100, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="already at 100"):
+            sim.schedule_reserved(slot, lambda: None)
+        with pytest.raises(SimulationError, match="already at 100"):
+            sim.reserve(slot, 99)
+
+    def test_reserving_again_abandons_the_unqueued_place(self):
+        sim, slot = Simulator(), Slot()
+        seen = []
+        sim.reserve(slot, 10)
+        sim.schedule(10, lambda: seen.append("event"))
+        sim.reserve(slot, 10)
+        sim.schedule_reserved(slot, lambda: seen.append("slot"))
+        sim.run()
+        assert seen == ["event", "slot"]
+        assert sim.dispatched_events == 2
+
+    def test_unqueued_reservation_does_not_keep_run_alive(self):
+        sim, slot = Simulator(), Slot()
+        sim.reserve(slot, 1_000)
+        sim.schedule(10, lambda: None)
+        assert sim.run() == 1
+        assert sim.now == 10
+        assert sim.pending_events == 0
+        assert not sim.step()
+
+    def test_compact_keeps_a_queued_slot_in_place(self):
+        sim, slot = Simulator(), Slot()
+        seen = []
+        sim.reserve(slot, 20)
+        sim.schedule(20, lambda: seen.append("after"))
+        for _ in range(10):
+            sim.schedule(20, lambda: seen.append("cancelled")).cancel()
+        sim.schedule_reserved(slot, lambda: seen.append("slot"))
+        assert sim.compact() == 10
+        sim.run()
+        assert seen == ["slot", "after"]
 
 
 class TestCancellation:
