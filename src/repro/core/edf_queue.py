@@ -20,6 +20,12 @@ behaviour of an insertion-sorted hardware queue.
 Every enqueued frame allocates one :class:`QueuedFrame`, so it is a plain
 mutable ``__slots__`` record with identity equality; the heap orders on
 ``(absolute_deadline, seq)`` and never compares two records.
+
+Both queues expose their container as :attr:`EDFQueue.entries` /
+:attr:`FCFSQueue.entries`, one list or deque for the queue's lifetime,
+so an output port tests and measures a queue per frame with C-level
+``bool``/``len`` rather than a Python ``__bool__``/``__len__`` call.
+Only the queue mutates it.
 """
 
 from __future__ import annotations
@@ -75,7 +81,9 @@ class EDFQueue(Generic[PayloadT]):
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, QueuedFrame[PayloadT]]] = []
+        #: the heap of ``(absolute_deadline, seq, frame)`` entries:
+        #: read-only outside the queue, never rebound.
+        self.entries: list[tuple[int, int, QueuedFrame[PayloadT]]] = []
         self._seq = itertools.count()
         self._pushed = 0
         self._popped = 0
@@ -84,35 +92,35 @@ class EDFQueue(Generic[PayloadT]):
     def push(self, frame: QueuedFrame[PayloadT]) -> None:
         """Insert a frame; O(log n)."""
         heapq.heappush(
-            self._heap, (frame.absolute_deadline, next(self._seq), frame)
+            self.entries, (frame.absolute_deadline, next(self._seq), frame)
         )
         self._pushed += 1
-        if len(self._heap) > self._max_depth:
-            self._max_depth = len(self._heap)
+        if len(self.entries) > self._max_depth:
+            self._max_depth = len(self.entries)
 
     def pop(self) -> QueuedFrame[PayloadT]:
         """Remove and return the earliest-deadline frame; O(log n)."""
-        if not self._heap:
+        if not self.entries:
             raise SchedulingError("pop from an empty EDF queue")
-        _, _, frame = heapq.heappop(self._heap)
+        _, _, frame = heapq.heappop(self.entries)
         self._popped += 1
         return frame
 
     def peek(self) -> QueuedFrame[PayloadT]:
         """Return (without removing) the earliest-deadline frame."""
-        if not self._heap:
+        if not self.entries:
             raise SchedulingError("peek into an empty EDF queue")
-        return self._heap[0][2]
+        return self.entries[0][2]
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.entries)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.entries)
 
     def __iter__(self) -> Iterator[QueuedFrame[PayloadT]]:
         """Iterate frames in EDF order without disturbing the queue."""
-        return (entry[2] for entry in sorted(self._heap))
+        return (entry[2] for entry in sorted(self.entries))
 
     @property
     def total_pushed(self) -> int:
@@ -130,7 +138,7 @@ class EDFQueue(Generic[PayloadT]):
         return self._max_depth
 
     def clear(self) -> None:
-        self._heap.clear()
+        self.entries.clear()
 
 
 class FCFSQueue(Generic[PayloadT]):
@@ -147,7 +155,9 @@ class FCFSQueue(Generic[PayloadT]):
             raise SchedulingError(
                 f"FCFS queue capacity must be positive or None, got {capacity}"
             )
-        self._queue: deque[QueuedFrame[PayloadT]] = deque()
+        #: the queued frames, oldest first: read-only outside the
+        #: queue, never rebound.
+        self.entries: deque[QueuedFrame[PayloadT]] = deque()
         self._capacity = capacity
         self._pushed = 0
         self._popped = 0
@@ -155,33 +165,33 @@ class FCFSQueue(Generic[PayloadT]):
 
     def push(self, frame: QueuedFrame[PayloadT]) -> bool:
         """Append a frame. Returns ``False`` (and drops) when full."""
-        if self._capacity is not None and len(self._queue) >= self._capacity:
+        if self._capacity is not None and len(self.entries) >= self._capacity:
             self._dropped += 1
             return False
-        self._queue.append(frame)
+        self.entries.append(frame)
         self._pushed += 1
         return True
 
     def pop(self) -> QueuedFrame[PayloadT]:
         """Remove and return the oldest frame."""
-        if not self._queue:
+        if not self.entries:
             raise SchedulingError("pop from an empty FCFS queue")
         self._popped += 1
-        return self._queue.popleft()
+        return self.entries.popleft()
 
     def peek(self) -> QueuedFrame[PayloadT]:
-        if not self._queue:
+        if not self.entries:
             raise SchedulingError("peek into an empty FCFS queue")
-        return self._queue[0]
+        return self.entries[0]
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.entries)
 
     def __bool__(self) -> bool:
-        return bool(self._queue)
+        return bool(self.entries)
 
     def __iter__(self) -> Iterator[QueuedFrame[PayloadT]]:
-        return iter(self._queue)
+        return iter(self.entries)
 
     @property
     def total_pushed(self) -> int:
@@ -197,4 +207,4 @@ class FCFSQueue(Generic[PayloadT]):
         return self._dropped
 
     def clear(self) -> None:
-        self._queue.clear()
+        self.entries.clear()

@@ -36,8 +36,8 @@ Model
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from ..analysis.metrics import MetricsCollector
 from ..core.channel import ChannelSpec
@@ -73,7 +73,13 @@ class _ForwardingEntry:
 
 
 class FabricSwitchModel:
-    """One switch of the fabric: ports to neighbours plus routing state."""
+    """One switch of the fabric: ports to neighbours plus routing state.
+
+    As in the star's :class:`~repro.network.switch.Switch`, frames that
+    wait out the processing delay sit in a FIFO and each processing
+    event pops its head: the events fire at arrival + a constant delay,
+    in queueing order, and are never cancelled.
+    """
 
     def __init__(
         self,
@@ -91,6 +97,10 @@ class FabricSwitchModel:
         self.frames_forwarded = 0
         self.frames_dropped = 0
         self._process_label = f"{name}:process"
+        #: frames waiting out the processing delay, oldest first.
+        self._processing: deque[EthernetFrame] = deque()
+        # The processing event's action, bound once rather than per frame.
+        self._forward_action = self._forward
         #: optional SpanTracker (set by Telemetry.instrument_fabric).
         self.spans = None
 
@@ -134,19 +144,16 @@ class FabricSwitchModel:
 
     def receive(self, frame: EthernetFrame) -> None:
         """Frame fully arrived; route after the processing delay."""
+        now = self._sim.now
+        done = now + self._phy.switch_processing_ns
         if self.spans is not None:
-            now = self._sim.now
-            self.spans.frame_processing(
-                frame.frame_id, now, now + self._phy.switch_processing_ns,
-                self.name,
-            )
-        self._sim.schedule(
-            self._phy.switch_processing_ns,
-            partial(self._forward, frame),
-            self._process_label,
-        )
+            self.spans.frame_processing(frame.frame_id, now, done, self.name)
+        self._processing.append(frame)
+        self._sim.call_at(done, self._forward_action, self._process_label)
 
-    def _forward(self, frame: EthernetFrame) -> None:
+    def _forward(self) -> None:
+        """The oldest frame waiting out the processing delay is routed."""
+        frame = self._processing.popleft()
         if frame.kind is not FrameKind.RT_DATA:
             # The fabric data plane models RT channels only; best-effort
             # routing over trees is out of this extension's scope.

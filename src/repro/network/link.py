@@ -32,7 +32,7 @@ port's job, and keeping the layers strict catches scheduling bugs early.
 
 from __future__ import annotations
 
-from functools import partial
+from collections import deque
 from typing import Callable
 
 from ..errors import SimulationError
@@ -47,6 +47,15 @@ __all__ = ["HalfLink"]
 
 class HalfLink:
     """One direction of one cable.
+
+    Frames in flight wait in a FIFO, not in their events:
+    :meth:`transmit` appends the frame and queues the link's one arrival
+    method (bound once), which pops the head. Every arrival meets its
+    own frame. The link carries one frame at a time and a transmission
+    takes positive time, so the arrival times ``done + propagation``
+    strictly increase in queueing order; arrivals are never cancelled;
+    and a fault-plan or loss drop happens after the pop, so it consumes
+    its own frame too.
 
     Parameters
     ----------
@@ -111,10 +120,18 @@ class HalfLink:
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         # Read once: nothing switches a recorder after construction.
         self._tracing = self._trace.enabled
-        self._busy_until = -1
+        #: Time (ns) the wire becomes free; in the past when idle. A
+        #: plain attribute (the port reads it per frame); only the link
+        #: assigns it.
+        self.busy_until = -1
         #: the current transmission's wire-free wakeup, reserved but not
         #: queued until :meth:`wake_when_free`.
         self._wake = Slot()
+        #: frames on the wire or propagating, oldest first.
+        self._in_flight: deque[EthernetFrame] = deque()
+        # The two event actions, bound once rather than per frame.
+        self._wire_free_action = self._wire_free
+        self._arrive_action = self._arrive
         # Per-frame constants, built once: the two event labels, and
         # (wire bytes, transmission ns) memoised per payload size -- a
         # pure function of the PHY, since padding, framing overhead and
@@ -139,12 +156,7 @@ class HalfLink:
     @property
     def busy(self) -> bool:
         """True while a frame is on the wire (or its IFG is running)."""
-        return self._sim.now < self._busy_until
-
-    @property
-    def busy_until(self) -> int:
-        """Time (ns) the wire becomes free; in the past when idle."""
-        return self._busy_until
+        return self._sim.now < self.busy_until
 
     def utilization(self, since_ns: int = 0) -> float:
         """Fraction of wall-clock the wire has been busy since time zero.
@@ -195,10 +207,10 @@ class HalfLink:
         """
         sim = self._sim
         now = sim.now
-        if now < self._busy_until:
+        if now < self.busy_until:
             raise SimulationError(
                 f"link {self.name}: transmit while busy until "
-                f"{self._busy_until} ns (now {now} ns); the output port must "
+                f"{self.busy_until} ns (now {now} ns); the output port must "
                 "serialize frames"
             )
         timing = self._timing.get(frame.payload_bytes)
@@ -207,7 +219,7 @@ class HalfLink:
             self._timing[frame.payload_bytes] = timing
         wire_bytes, tx = timing
         done = now + tx
-        self._busy_until = done
+        self.busy_until = done
         self.frames_carried += 1
         self.bytes_carried += wire_bytes
         self.busy_ns += tx
@@ -225,15 +237,14 @@ class HalfLink:
                 },
             )
         if self._tracing and self._trace.enabled_for("link.idle"):
-            sim.schedule_at(done, self._wire_free, self._idle_label)
+            sim.call_at(done, self._wire_free_action, self._idle_label)
         else:
             sim.reserve(self._wake, done)
         arrival = done + self._phy.propagation_ns
         if self.spans is not None:
             self.spans.frame_transmit(frame.frame_id, now, arrival, self.name)
-        sim.schedule_at(
-            arrival, partial(self._arrive, frame), self._deliver_label
-        )
+        self._in_flight.append(frame)
+        sim.call_at(arrival, self._arrive_action, self._deliver_label)
         return done
 
     def wake_when_free(self) -> None:
@@ -247,13 +258,13 @@ class HalfLink:
         SimulationError
             if the wire is idle -- there is no transmission to wait for.
         """
-        if self._sim.now >= self._busy_until:
+        if self._sim.now >= self.busy_until:
             raise SimulationError(
                 f"link {self.name}: wake_when_free on an idle wire"
             )
         if self._wake.seq >= 0:
-            self._sim.schedule_reserved(
-                self._wake, self._wire_free, self._idle_label
+            self._sim.call_reserved(
+                self._wake, self._wire_free_action, self._idle_label
             )
 
     def _wire_free(self) -> None:
@@ -262,7 +273,9 @@ class HalfLink:
         if self.on_idle is not None:
             self.on_idle()
 
-    def _arrive(self, frame: EthernetFrame) -> None:
+    def _arrive(self) -> None:
+        """The oldest frame in flight has fully arrived at the far end."""
+        frame = self._in_flight.popleft()
         if self._fault_plan is not None and self._fault_plan.should_drop(
             self.name, frame, self._sim.now
         ):

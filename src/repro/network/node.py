@@ -172,8 +172,10 @@ class EndNode:
         #: signalling frames that arrived as wire bytes and were decoded
         #: with the bit-exact codec (fidelity counter for tests).
         self.signaling_frames_decoded = 0
-        #: periodic sources keyed by channel id (for teardown).
-        self._active_sources: set[int] = set()
+        #: running sources: channel id -> the token of the one event
+        #: chain that may send on it. A chain whose token is no longer
+        #: here (stopped, torn down, restarted) dies at its next event.
+        self._active_sources: dict[int, object] = {}
 
     # -- wiring (topology builder) ------------------------------------------
 
@@ -380,7 +382,7 @@ class EndNode:
                 f"spacing_ns must be positive, got {spacing_ns}"
             )
         self.rt_layer.remove_grant(channel_id)
-        self._active_sources.discard(channel_id)
+        self._active_sources.pop(channel_id, None)
         self.signaling.channel_torn_down(channel_id)
         frame = TeardownFrame(
             connect_request_id=EXPLICIT_TEARDOWN_ID, rt_channel_id=channel_id
@@ -457,33 +459,33 @@ class EndNode:
         The first release happens at ``now + phase_ns`` (a zero phase
         means the critical-instant synchronous release the feasibility
         analysis assumes is covered when all sources start together).
+
+        Raises :class:`~repro.errors.SimulationError` if a source already
+        runs on the channel: two chains would send at twice the admitted
+        rate. A source runs until :meth:`stop_periodic_source`, teardown,
+        or the event after its last message.
         """
-        grant = self.rt_layer.grants.get(channel_id)
-        if grant is None:
-            raise UnknownChannelError(
-                f"node {self.name!r} has no established channel {channel_id}"
-            )
+        period_ns = self._source_period_ns(channel_id)
         if phase_ns < 0:
             raise SimulationError(f"phase must be >= 0 ns, got {phase_ns}")
-        period_ns = grant.spec.period * self._phy.slot_ns
-        self._active_sources.add(channel_id)
+        token = self._claim_source(channel_id)
         remaining = stop_after_messages
         period_label = f"{self.name}:ch{channel_id}:period"
+        sim = self._sim
 
         def fire() -> None:
             nonlocal remaining
-            if channel_id not in self._active_sources:
+            if self._active_sources.get(channel_id) is not token:
                 return
             if remaining is not None:
                 if remaining <= 0:
+                    del self._active_sources[channel_id]
                     return
                 remaining -= 1
             self.send_message(channel_id)
-            self._sim.schedule(period_ns, fire, period_label)
+            sim.call_at(sim.now + period_ns, fire, period_label)
 
-        self._sim.schedule(
-            phase_ns, fire, label=f"{self.name}:ch{channel_id}:start"
-        )
+        sim.schedule(phase_ns, fire, label=f"{self.name}:ch{channel_id}:start")
 
     def start_sporadic_source(
         self,
@@ -502,20 +504,18 @@ class EndNode:
         slots, drawn from ``rng`` for reproducibility.
 
         Validated by EXP-R1c style tests: sporadic sources on a fully
-        admitted set never miss.
+        admitted set never miss. Starting a channel that already runs a
+        source raises, as :meth:`start_periodic_source` does.
         """
-        grant = self.rt_layer.grants.get(channel_id)
-        if grant is None:
-            raise UnknownChannelError(
-                f"node {self.name!r} has no established channel {channel_id}"
-            )
+        period_ns = self._source_period_ns(channel_id)
         if mean_extra_gap_slots < 0:
             raise SimulationError(
                 f"mean_extra_gap_slots must be >= 0, got {mean_extra_gap_slots}"
             )
-        period_ns = grant.spec.period * self._phy.slot_ns
-        self._active_sources.add(channel_id)
+        token = self._claim_source(channel_id)
         remaining = stop_after_messages
+        label = f"{self.name}:ch{channel_id}:sporadic"
+        sim = self._sim
 
         def gap_ns() -> int:
             extra = float(rng.exponential(mean_extra_gap_slots))
@@ -523,24 +523,43 @@ class EndNode:
 
         def fire() -> None:
             nonlocal remaining
-            if channel_id not in self._active_sources:
+            if self._active_sources.get(channel_id) is not token:
                 return
             if remaining is not None:
                 if remaining <= 0:
+                    del self._active_sources[channel_id]
                     return
                 remaining -= 1
             self.send_message(channel_id)
-            self._sim.schedule(
-                gap_ns(), fire, label=f"{self.name}:ch{channel_id}:sporadic"
-            )
+            sim.call_at(sim.now + gap_ns(), fire, label)
 
-        self._sim.schedule(
-            gap_ns(), fire, label=f"{self.name}:ch{channel_id}:sporadic0"
-        )
+        sim.schedule(gap_ns(), fire, label=f"{label}0")
+
+    def _source_period_ns(self, channel_id: int) -> int:
+        grant = self.rt_layer.grants.get(channel_id)
+        if grant is None:
+            raise UnknownChannelError(
+                f"node {self.name!r} has no established channel {channel_id}"
+            )
+        return grant.spec.period * self._phy.slot_ns
+
+    def _claim_source(self, channel_id: int) -> object:
+        """Register a new source on ``channel_id``; return its token."""
+        if channel_id in self._active_sources:
+            raise SimulationError(
+                f"node {self.name!r} already runs a source on channel "
+                f"{channel_id}; stop it before starting another"
+            )
+        token = self._active_sources[channel_id] = object()
+        return token
 
     def stop_periodic_source(self, channel_id: int) -> None:
-        """Stop generating messages on ``channel_id`` (grant remains)."""
-        self._active_sources.discard(channel_id)
+        """Stop generating messages on ``channel_id`` (grant remains).
+
+        The stopped chain dies at its next event, even if the channel's
+        source is started again before then.
+        """
+        self._active_sources.pop(channel_id, None)
 
     # -- best-effort path ---------------------------------------------------------
 

@@ -68,6 +68,11 @@ class PortStats:
 class OutputPort:
     """Dual-queue transmitter feeding one :class:`HalfLink`.
 
+    The per-frame path reads plain attributes only: the link's
+    :attr:`~HalfLink.busy_until` against the clock, and the queues'
+    containers (:attr:`~repro.core.edf_queue.EDFQueue.entries`) with
+    C-level ``bool``/``len``.
+
     Parameters
     ----------
     sim, phy, link:
@@ -106,6 +111,9 @@ class OutputPort:
         self._be_queue: FCFSQueue[EthernetFrame] = FCFSQueue(
             capacity=be_buffer_frames
         )
+        # The queues' containers, for allocation-free tests per frame.
+        self._rt_entries = self._rt_queue.entries
+        self._be_entries = self._be_queue.entries
         self._on_rt_complete = on_rt_complete
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         # Read once: nothing switches a recorder after construction.
@@ -159,9 +167,10 @@ class OutputPort:
                 -1 if allowance_ns is None else allowance_ns,
             )
         )
-        self.stats.rt_enqueued += 1
-        if len(self._rt_queue) > self.stats.rt_backlog_max:
-            self.stats.rt_backlog_max = len(self._rt_queue)
+        stats = self.stats
+        stats.rt_enqueued += 1
+        if len(self._rt_entries) > stats.rt_backlog_max:
+            stats.rt_backlog_max = len(self._rt_entries)
         if self.spans is not None:
             self.spans.frame_enqueued(frame.frame_id, self._sim.now, self.name)
         if self._tracing and self._trace.enabled_for("port.rt_enqueue"):
@@ -190,8 +199,8 @@ class OutputPort:
         accepted = self._be_queue.push(QueuedFrame(frame, 0, self._sim.now))
         if accepted:
             self.stats.be_enqueued += 1
-            if len(self._be_queue) > self.stats.be_backlog_max:
-                self.stats.be_backlog_max = len(self._be_queue)
+            if len(self._be_entries) > self.stats.be_backlog_max:
+                self.stats.be_backlog_max = len(self._be_entries)
             if self.spans is not None:
                 self.spans.frame_enqueued(
                     frame.frame_id, self._sim.now, self.name
@@ -254,16 +263,16 @@ class OutputPort:
         calls this again.
         """
         link = self._link
-        if link.busy:
+        if self._sim.now < link.busy_until:
             link.wake_when_free()
             return
-        if self._rt_queue:
+        if self._rt_entries:
             self._start_rt(self._rt_queue.pop())
-        elif self._be_queue:
+        elif self._be_entries:
             self._start_be(self._be_queue.pop())
         else:
             return
-        if self._rt_queue or self._be_queue:
+        if self._rt_entries or self._be_entries:
             link.wake_when_free()
 
     def _start_rt(self, entry: QueuedFrame[EthernetFrame]) -> None:

@@ -27,7 +27,7 @@ Otherwise the timer fires and the manager reclaims the reservation.
 
 from __future__ import annotations
 
-from functools import partial
+from collections import deque
 from time import perf_counter_ns
 
 from ..core.channel_manager import (
@@ -58,6 +58,14 @@ __all__ = ["Switch"]
 
 class Switch:
     """The central switch of the star topology.
+
+    Frames waiting out the processing delay sit in a FIFO, and each
+    processing event (one method, bound once) pops its head, so no
+    event carries its frame. The pairing is exact: every event fires at
+    arrival + the switch's constant ``switch_processing_ns``, so the
+    times never decrease in queueing order, equal times fire in seq
+    order (queueing order again), and processing events are never
+    cancelled.
 
     Parameters
     ----------
@@ -99,6 +107,10 @@ class Switch:
         self._phy = phy
         # Built once, applied to every forwarded RT frame (_forward_rt).
         self._t_latency_ns = phy.t_latency_ns
+        #: frames waiting out the processing delay, oldest first.
+        self._processing: deque[EthernetFrame] = deque()
+        # The processing event's action, bound once rather than per frame.
+        self._process_action = self._process
         self.mac = mac
         self._trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.manager = SwitchChannelManager(
@@ -153,21 +165,16 @@ class Switch:
         Processing (routing + queueing) happens after the switch's
         processing delay, modelling lookup latency.
         """
+        now = self._sim.now
+        done = now + self._phy.switch_processing_ns
         if self.spans is not None:
-            now = self._sim.now
-            self.spans.frame_processing(
-                frame.frame_id,
-                now,
-                now + self._phy.switch_processing_ns,
-                SWITCH_NAME,
-            )
-        self._sim.schedule(
-            self._phy.switch_processing_ns,
-            partial(self._process, frame),
-            "switch:process",
-        )
+            self.spans.frame_processing(frame.frame_id, now, done, SWITCH_NAME)
+        self._processing.append(frame)
+        self._sim.call_at(done, self._process_action, "switch:process")
 
-    def _process(self, frame: EthernetFrame) -> None:
+    def _process(self) -> None:
+        """The oldest frame waiting out the processing delay is routed."""
+        frame = self._processing.popleft()
         if frame.kind is FrameKind.SIGNALING:
             self._process_signaling(frame)
         elif frame.kind is FrameKind.RT_DATA:

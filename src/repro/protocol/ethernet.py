@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 from ..units import frame_bytes_for_payload, wire_bytes
-from .headers import RTHeader
+from .headers import RT_TOS, RTHeader
 
 __all__ = ["FrameKind", "EthernetFrame", "reset_frame_ids"]
 
@@ -148,12 +148,17 @@ class EthernetFrame:
 
     @property
     def absolute_deadline(self) -> int:
-        """EDF deadline of an RT frame (from the mangled header)."""
-        if self.rt_header is None or not self.rt_header.is_realtime:
+        """EDF deadline of an RT frame (from the mangled header).
+
+        Read per frame by the switch and the metrics, so the ToS test is
+        inline rather than a call to ``RTHeader.is_realtime``.
+        """
+        header = self.rt_header
+        if header is None or header.tos != RT_TOS:
             raise ConfigurationError(
                 f"frame {self.frame_id} ({self.kind.value}) has no deadline"
             )
-        return self.rt_header.absolute_deadline
+        return header.absolute_deadline
 
     def describe(self) -> str:
         """Short human-readable identification for traces."""

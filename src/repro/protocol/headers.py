@@ -89,7 +89,7 @@ class RTHeader:
     @property
     def absolute_deadline(self) -> int:
         """The 48-bit absolute deadline (RT datagrams only)."""
-        if not self.is_realtime:
+        if self.tos != RT_TOS:
             raise CodecError(
                 f"header with ToS {self.tos} is not an RT datagram; its "
                 "address fields are real addresses, not a deadline"

@@ -4,8 +4,8 @@ The paper's evaluation ran on the authors' simulator; ours is a small,
 deterministic, integer-nanosecond event kernel:
 
 * :mod:`~repro.sim.kernel` -- the event loop (:class:`Simulator`).
-* :mod:`~repro.sim.events` -- event records (each its own cancellation
-  handle) and reusable reservation slots.
+* :mod:`~repro.sim.events` -- event handles (made only for callers
+  that may cancel) and reusable reservation slots.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so
   that changing one traffic source's draws never perturbs another's.
 * :mod:`~repro.sim.trace` -- structured trace recording for debugging

@@ -1,18 +1,19 @@
-"""Event records for the discrete-event kernel.
+"""Event handles and reservation slots for the discrete-event kernel.
 
-An :class:`Event` pairs a firing time with a zero-argument callback.
-Determinism rule: events scheduled for the same instant fire in the
-order they were scheduled (FIFO), enforced by a monotone sequence
-number in the heap key. This makes every simulation run bit-for-bit
-reproducible for a given seed, which the validation experiments rely
-on.
+A queued event is a plain ``(time, seq, action, label)`` heap entry in
+the kernel (:mod:`repro.sim.kernel`). Determinism rule: events scheduled
+for the same instant fire in the order they were scheduled (FIFO),
+enforced by a monotone sequence number in the heap key. This makes
+every simulation run bit-for-bit reproducible for a given seed, which
+the validation experiments rely on.
 
-The event is its own handle: :meth:`Simulator.schedule` returns the
-:class:`Event` it queued, and callers cancel through it. One object per
-scheduled callback keeps the dispatch hot path to a single allocation.
-Cancellation is lazy (the heap entry stays but is skipped on pop),
-which keeps cancel O(1) -- important because every frame transmission
-schedules a completion event and pipelined transmitters re-plan often.
+An :class:`Event` is the handle of one entry, made only for a caller
+that asks for it: :meth:`Simulator.schedule` returns the :class:`Event`
+of the entry it queued, and callers cancel through it. The per-frame
+sites (arrivals, wire-free wakeups, switch processing, source periods)
+queue through :meth:`Simulator.call_at` and get none, so a simulated
+frame allocates no event object. Cancellation is lazy (the heap entry
+stays but is skipped on pop), which keeps cancel O(1).
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ __all__ = ["Event", "Slot"]
 
 
 class Event:
-    """One scheduled callback, and the caller's token for it.
+    """The caller's handle on one scheduled callback.
+
+    The kernel files it by ``seq`` next to the entry's heap tuple and
+    marks it when the entry fires (:attr:`pending` turns False, and
+    :meth:`cancel` then fails).
 
     ``weak`` marks observer events (telemetry probes): the simulator
     stops once only weak events remain, so probes never extend a run
@@ -77,7 +82,7 @@ class Slot:
     """A reusable reservation of one ``(time, seq)`` place in the order.
 
     :meth:`Simulator.reserve` stamps it and
-    :meth:`Simulator.schedule_reserved` queues an event into it.
+    :meth:`Simulator.call_reserved` queues an event into it.
     Reserving again abandons a place never queued, so an owner with one
     reservation at a time (a link's wire-free wakeup) keeps one slot,
     and an unqueued reservation is stored nowhere else. ``seq`` is -1

@@ -2,17 +2,21 @@
 
 A minimal, deterministic event loop in integer nanoseconds:
 
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` enqueue a
-  callback and return its :class:`~repro.sim.events.Event`, which is
-  also the caller's cancellation handle; same-time events fire in
-  scheduling (FIFO) order.
+* :meth:`Simulator.call_at` / :meth:`Simulator.call_reserved` queue a
+  callback and return nothing: the per-frame entry points, which no
+  caller ever cancels.
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` queue a
+  callback and return its :class:`~repro.sim.events.Event`, the
+  caller's cancellation handle; same-time events fire in scheduling
+  (FIFO) order, whichever entry point queued them.
 * :meth:`Simulator.reserve` stamps a :class:`~repro.sim.events.Slot`
   with the ``(time, seq)`` place an event scheduled now would get, and
-  :meth:`Simulator.schedule_reserved` queues an event there later -- or
-  never. A link reserves its wire-free wakeup at every transmission and
-  its port queues it only when a frame waits
-  (:mod:`repro.network.link`); an unqueued reservation is not an event
-  and never keeps the simulation alive.
+  :meth:`Simulator.call_reserved` (or :meth:`Simulator.schedule_reserved`,
+  with a handle) queues an event there later -- or never. A link
+  reserves its wire-free wakeup at every transmission and its port
+  queues it only when a frame waits (:mod:`repro.network.link`); an
+  unqueued reservation is not an event and never keeps the simulation
+  alive.
 * :meth:`Simulator.run` drains the queue, optionally up to a horizon;
   :meth:`Simulator.step` dispatches one event under the same
   termination rule.
@@ -28,12 +32,29 @@ the validation experiments simulate many hyperperiods.
 
 The pending set
 ---------------
-One binary heap: a plain list of ``(time, seq, event)`` entries that
-every method drives with :mod:`heapq` directly. ``(time, seq)`` is
-unique, so entries never compare by event and the dispatch order is the
-total order ``(time, seq)`` -- same-time FIFO included. (A calendar
+One binary heap: a plain list of ``(time, seq, action, label)`` entries
+that every method drives with :mod:`heapq` directly. ``(time, seq)`` is
+unique, so entries never compare by action and the dispatch order is
+the total order ``(time, seq)`` -- same-time FIFO included. (A calendar
 queue was tried and deleted: on CPython the C ``heapq`` beat it on
 every population measured, EXPERIMENTS.md EXP-P7.)
+
+An entry is no object of its own. A caller that asks for a handle gets
+an :class:`~repro.sim.events.Event` that the kernel also files in a
+side table keyed by the entry's seq, until the entry is popped. The
+dispatch loop looks at that table only while it holds a handle:
+
+* a **cancelled** handle's entry is dropped before the clock moves;
+  nothing fires and nothing is counted;
+* a **fired** handle is marked, so it reads as not ``pending`` and
+  cancelling it fails;
+* a **weak** handle (below) is what makes its entry weak.
+
+Entries queued without a handle are always strong and never cancelled.
+Keep-alive is counted backwards: ``_inert`` counts the queued entries
+that cannot keep the run alive (weak ones, and cancelled strong ones),
+so a strong live event remains exactly while the heap is longer than
+``_inert`` -- and queueing or popping a plain entry touches no counter.
 
 Observability hooks
 -------------------
@@ -44,12 +65,13 @@ unused:
   that never keep the simulation alive. ``run()`` returns as soon as no
   *strong* (normal) events remain, without firing leftover weak events,
   so periodic probes cannot extend the final clock or perturb results.
-  ``step()`` follows the same rule: it reports idle (False) once no
-  strong event remains, and leaves the weak ones queued.
+  ``step()`` and ``peek_time()`` follow the same rule: once no strong
+  event remains, ``step()`` reports idle (False) and ``peek_time()``
+  reports None, and the weak ones stay queued.
 * **profiler** (:attr:`Simulator.profiler`): when set to an object with
   an ``account(label, wall_ns)`` method, ``run()`` times each dispatch
-  with ``perf_counter_ns`` and reports it. ``None`` (the default) keeps
-  the dispatch loop branch-free of timing calls.
+  with ``perf_counter_ns`` and reports it under the entry's label.
+  ``None`` (the default) keeps the dispatch loop free of timing calls.
 """
 
 from __future__ import annotations
@@ -73,7 +95,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> seen = []
     >>> _ = sim.schedule(100, lambda: seen.append(sim.now))
-    >>> _ = sim.schedule(50, lambda: seen.append(sim.now))
+    >>> sim.call_at(50, lambda: seen.append(sim.now))
     >>> sim.run()
     >>> seen
     [50, 100]
@@ -84,11 +106,15 @@ class Simulator:
         #: (the hot paths read it per frame); only the kernel assigns it.
         self.now = 0
         self._seq = 0
-        #: the pending set: a heap of ``(time, seq, event)`` entries.
-        self._heap: list[tuple[int, int, Event]] = []
+        #: the pending set: a heap of ``(time, seq, action, label)``.
+        self._heap: list[tuple[int, int, Callable[[], None], str]] = []
+        #: the handle of every queued entry that has one, by seq.
+        self._handles: dict[int, Event] = {}
+        #: queued entries that cannot keep the run alive: weak ones and
+        #: cancelled strong ones (see the module docstring).
+        self._inert = 0
         self._running = False
         self._dispatched = 0
-        self._strong = 0  # live (not cancelled, not fired) non-weak events
         self._max_heap_depth = 0
         self.profiler = None
         #: optional callback ``(exc)`` fired when an exception escapes
@@ -107,9 +133,13 @@ class Simulator:
         """Events still in the queue that will actually fire.
 
         Unlike :attr:`pending_events` this excludes lazily-cancelled
-        entries, so telemetry probes report true queue depth. O(queue).
+        entries, so telemetry probes report true queue depth.
+        O(handles).
         """
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        cancelled = sum(
+            1 for event in self._handles.values() if event.cancelled
+        )
+        return len(self._heap) - cancelled
 
     @property
     def dispatched_events(self) -> int:
@@ -122,6 +152,31 @@ class Simulator:
         return self._max_heap_depth
 
     # -- scheduling ---------------------------------------------------------
+
+    def call_at(
+        self, time: int, action: Callable[[], None], label: str = ""
+    ) -> None:
+        """Queue ``action`` at absolute time ``time`` (ns), with no handle.
+
+        The checks and the place in the order are those of
+        :meth:`schedule_at`; the event is strong and cannot be
+        cancelled.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} ns; the clock is already at "
+                f"{self.now} ns"
+            )
+        if not callable(action):
+            raise SimulationError(
+                f"event action must be callable, got {type(action).__name__}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        heappush(heap, (time, seq, action, label))
+        if len(heap) > self._max_heap_depth:
+            self._max_heap_depth = len(heap)
 
     def schedule(
         self,
@@ -155,35 +210,18 @@ class Simulator:
         weak: bool = False,
     ) -> Event:
         """Schedule ``action`` at absolute simulation time ``time`` (ns)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} ns; the clock is already at "
-                f"{self.now} ns"
-            )
-        if not callable(action):
-            raise SimulationError(
-                f"event action must be callable, got {type(action).__name__}"
-            )
         seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, action, label, weak, self)
-        heap = self._heap
-        heappush(heap, (time, seq, event))
-        if not weak:
-            self._strong += 1
-        if len(heap) > self._max_heap_depth:
-            self._max_heap_depth = len(heap)
-        return event
+        self.call_at(time, action, label)
+        return self._file_handle(time, seq, action, label, weak)
 
     def reserve(self, slot: Slot, time: int) -> None:
         """Stamp ``slot`` with the place ``(time, seq)`` for a later event.
 
         Takes the seq that :meth:`schedule_at` would take now. An event
-        that :meth:`schedule_reserved` queues into the slot fires
-        exactly where one scheduled now would have: after every
-        same-time event scheduled before this call, before every one
-        scheduled after it. A place the slot held but never queued is
-        abandoned.
+        that :meth:`call_reserved` queues into the slot fires exactly
+        where one scheduled now would have: after every same-time event
+        scheduled before this call, before every one scheduled after
+        it. A place the slot held but never queued is abandoned.
         """
         if time < self.now:
             raise SimulationError(
@@ -195,15 +233,15 @@ class Simulator:
         slot.seq = seq
         self._seq = seq + 1
 
-    def schedule_reserved(
+    def call_reserved(
         self, slot: Slot, action: Callable[[], None], label: str = ""
-    ) -> Event:
+    ) -> None:
         """Queue ``action`` into the place :meth:`reserve` stamped on ``slot``.
 
         The checks of :meth:`schedule_at` apply: the place's time may
         not have passed and ``action`` must be callable. A slot that
         holds no reservation (never reserved, or already queued) is
-        rejected.
+        rejected. Like :meth:`call_at` it returns no handle.
         """
         seq = slot.seq
         if seq < 0:
@@ -222,17 +260,53 @@ class Simulator:
                 f"event action must be callable, got {type(action).__name__}"
             )
         slot.seq = -1
-        event = Event(time, seq, action, label, False, self)
         heap = self._heap
-        heappush(heap, (time, seq, event))
-        self._strong += 1
+        heappush(heap, (time, seq, action, label))
         if len(heap) > self._max_heap_depth:
             self._max_heap_depth = len(heap)
+
+    def schedule_reserved(
+        self, slot: Slot, action: Callable[[], None], label: str = ""
+    ) -> Event:
+        """:meth:`call_reserved`, returning the event's handle."""
+        seq = slot.seq
+        self.call_reserved(slot, action, label)
+        return self._file_handle(slot.time, seq, action, label, False)
+
+    def _file_handle(
+        self,
+        time: int,
+        seq: int,
+        action: Callable[[], None],
+        label: str,
+        weak: bool,
+    ) -> Event:
+        """Make the handle of the entry just queued at ``(time, seq)``."""
+        event = Event(time, seq, action, label, weak, self)
+        self._handles[seq] = event
+        if weak:
+            self._inert += 1
         return event
 
     def _note_cancelled(self) -> None:
         """Strong-event cancellation hook (called by Event.cancel)."""
-        self._strong -= 1
+        self._inert += 1
+
+    def _claim(self, seq: int) -> bool:
+        """Settle the handle of the entry at ``seq``, just popped.
+
+        Returns False when the handle was cancelled (the entry must not
+        fire); otherwise marks the handle fired. A cancelled or weak
+        entry was inert, so ``_inert`` drops with it.
+        """
+        event = self._handles.pop(seq)
+        if event.cancelled:
+            self._inert -= 1
+            return False
+        if event.weak:
+            self._inert -= 1
+        event.action = _fired
+        return True
 
     # -- execution -----------------------------------------------------------
 
@@ -263,26 +337,24 @@ class Simulator:
         self._running = True
         profiler = self.profiler
         heap = self._heap
+        handles = self._handles
         before = self._dispatched
         try:
-            while self._strong and heap:
-                time = heap[0][0]
+            while len(heap) > self._inert:
+                entry = heappop(heap)
+                time, seq, action, label = entry
                 if until is not None and time > until:
+                    heappush(heap, entry)
                     break
-                event = heappop(heap)[2]
-                if event.cancelled:
+                if handles and seq in handles and not self._claim(seq):
                     continue
-                if not event.weak:
-                    self._strong -= 1
                 self.now = time
-                action = event.action
-                event.action = _fired
                 if profiler is None:
                     action()
                 else:
                     start = perf_counter_ns()
                     action()
-                    profiler.account(event.label, perf_counter_ns() - start)
+                    profiler.account(label, perf_counter_ns() - start)
                 self._dispatched += 1
         except BaseException as exc:
             if self.on_crash is not None:
@@ -306,15 +378,12 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.step is not re-entrant")
         heap = self._heap
-        while self._strong and heap:
-            time, _, event = heappop(heap)
-            if event.cancelled:
+        handles = self._handles
+        while len(heap) > self._inert:
+            time, seq, action, _ = heappop(heap)
+            if handles and seq in handles and not self._claim(seq):
                 continue
-            if not event.weak:
-                self._strong -= 1
             self.now = time
-            action = event.action
-            event.action = _fired
             self._running = True
             try:
                 action()
@@ -325,13 +394,23 @@ class Simulator:
         return False
 
     def peek_time(self) -> int | None:
-        """Firing time of the next live event, or None when idle."""
+        """Firing time of the next live event, or None when idle.
+
+        Idle means what it means to :meth:`run`: no strong event
+        remains (leftover weak events never fire). Otherwise the next
+        live event may be a weak one. Cancelled entries at the head are
+        dropped on the way.
+        """
         heap = self._heap
-        while heap:
-            if heap[0][2].cancelled:
-                heappop(heap)
-                continue
-            return heap[0][0]
+        handles = self._handles
+        while len(heap) > self._inert:
+            time, seq = heap[0][0], heap[0][1]
+            event = handles.get(seq)
+            if event is None or not event.cancelled:
+                return time
+            heappop(heap)
+            del handles[seq]
+            self._inert -= 1
         return None
 
     # -- maintenance ---------------------------------------------------------
@@ -347,10 +426,14 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot compact while running")
-        live = [entry for entry in self._heap if not entry[2].cancelled]
-        removed = len(self._heap) - len(live)
-        if removed:
-            heapify(live)
-            self._heap = live
-            self._strong = sum(1 for _, _, event in live if not event.weak)
-        return removed
+        handles = self._handles
+        dead = {seq for seq, event in handles.items() if event.cancelled}
+        if not dead:
+            return 0
+        live = [entry for entry in self._heap if entry[1] not in dead]
+        heapify(live)
+        self._heap = live
+        for seq in dead:
+            del handles[seq]
+        self._inert = sum(1 for event in handles.values() if event.weak)
+        return len(dead)

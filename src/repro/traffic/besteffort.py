@@ -18,6 +18,8 @@ Two injector styles:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -92,20 +94,30 @@ class BestEffortInjector:
         self._rng = rng
         self._next_dest = 0
         self._running = False
+        #: the current start's number; a pending event of an older start
+        #: finds it changed and ends its chain.
+        self._generation = 0
         self.frames_offered = 0
 
     def start(self) -> None:
-        """Begin injecting (idempotent)."""
+        """Begin injecting (idempotent while running)."""
         if self._running:
             return
         self._running = True
+        self._generation += 1
         if self._mode == "saturate":
-            self._sim.schedule(0, self._top_up, label="be:saturate")
+            self._sim.schedule(
+                0, partial(self._top_up, self._generation), label="be:saturate"
+            )
         else:
-            self._schedule_poisson()
+            self._schedule_poisson(self._generation)
 
     def stop(self) -> None:
+        """Stop injecting; the pending event dies even across a restart."""
         self._running = False
+
+    def _live(self, generation: int) -> bool:
+        return self._running and generation == self._generation
 
     def _dest(self) -> str:
         dest = self._destinations[self._next_dest % len(self._destinations)]
@@ -118,8 +130,8 @@ class BestEffortInjector:
 
     # -- saturate mode -----------------------------------------------------
 
-    def _top_up(self) -> None:
-        if not self._running:
+    def _top_up(self, generation: int) -> None:
+        if not self._live(generation):
             return
         port = self._node.uplink
         assert port is not None
@@ -129,7 +141,9 @@ class BestEffortInjector:
         # have drained. Polling at frame granularity keeps the queue full
         # without flooding the event heap.
         self._sim.schedule(
-            self._frame_time_ns(), self._top_up, label="be:saturate"
+            self._frame_time_ns(),
+            partial(self._top_up, generation),
+            label="be:saturate",
         )
 
     def _frame_time_ns(self) -> int:
@@ -139,18 +153,18 @@ class BestEffortInjector:
 
     # -- poisson mode ---------------------------------------------------------
 
-    def _schedule_poisson(self) -> None:
-        if not self._running:
-            return
+    def _schedule_poisson(self, generation: int) -> None:
         assert self._rng is not None
         slot_ns = self._node.rt_layer.slot_ns
         # offered_load of 1.0 == one max frame per slot on average.
         mean_gap_ns = slot_ns / self._offered_load
         gap = max(1, int(self._rng.exponential(mean_gap_ns)))
-        self._sim.schedule(gap, self._poisson_fire, label="be:poisson")
+        self._sim.schedule(
+            gap, partial(self._poisson_fire, generation), label="be:poisson"
+        )
 
-    def _poisson_fire(self) -> None:
-        if not self._running:
+    def _poisson_fire(self, generation: int) -> None:
+        if not self._live(generation):
             return
         self._send_one()
-        self._schedule_poisson()
+        self._schedule_poisson(generation)

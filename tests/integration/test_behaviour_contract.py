@@ -12,6 +12,9 @@ speed, but what they produce may not move by a byte. These cases pin:
 * one k=4 fat-tree data-plane run: frames delivered, dispatched
   events, the final simulated clock, the per-link deadline misses and
   the per-frame delay samples;
+* the dispatch stream itself: the ``(clock, label)`` of every event the
+  kernel profiler hook sees, in order, on the untraced ``obs capture``
+  star and on that fat-tree run (count and sha256);
 * one traced three-switch chain run: its ``node.deliver`` records and
   its per-frame delay samples (timing through the fabric's end nodes);
 * tracing does not move the data plane: a star and a chain run traced
@@ -50,6 +53,7 @@ from repro.multiswitch.partitioning import MultiHopProportional
 from repro.multiswitch.simnet import build_fabric_network
 from repro.network.topology import build_star
 from repro.obs import Telemetry, TelemetryConfig
+from repro.obs.profiling import KernelProfiler
 from repro.service import AdmissionService, ChurnConfig, ChurnProcess
 from repro.service.intent import SharedLinkFabric
 from repro.sim.rng import RngRegistry
@@ -93,6 +97,17 @@ _UNTRACED_PROFILE_ROWS = [
 #: (channels established, RT frames delivered, events fired by run(),
 #: lifetime dispatched events, final sim.now in ns, per-link misses)
 _FAT_TREE_FACTS = (100, 1800, 22162, 22162, 73_824_000, 0)
+
+#: The dispatch stream, ``(clock, label)`` per event in firing order:
+#: (events, sha256 of one ``"<clock> <label>"`` line per event). The
+#: star is the untraced ``obs capture`` run (probes included); the fat
+#: tree is the pinned run below.
+_STAR_STREAM = (
+    1346, "2bf3a8adfdcab54fddf02fd67b1591b6289a2a5450aeb43e06f9ec4b9e004623"
+)
+_FAT_TREE_STREAM = (
+    22162, "116e85fe8e7f292fd16c8448f7704d18db1f9c5a09a3446255087cb47f3b8217"
+)
 
 #: sha256 of the fat-tree run's ``metrics.delay_samples()`` as JSON.
 _FAT_TREE_DELAYS = (
@@ -200,6 +215,41 @@ def test_lossy_spans_bundle_is_pinned(tmp_path, capsys):
         assert _sha256(data) == digest, name
 
 
+class _DispatchStream(KernelProfiler):
+    """A profiler hook that keeps every dispatch's ``(clock, label)``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sim = None
+        self.stream: list[tuple[int, str]] = []
+
+    def account(self, label: str, wall_ns: int) -> None:
+        self.stream.append((self.sim.now, label))
+
+    def pin(self) -> tuple[int, str]:
+        lines = "\n".join(f"{clock} {label}" for clock, label in self.stream)
+        return len(self.stream), _sha256(lines.encode())
+
+
+def _fat_tree_run(profiler=None):
+    """The pinned k=4 fat-tree run; returns the net and events fired."""
+    rng = random.Random(2004)
+    net = build_fabric_network(
+        build_fat_tree(4, hosts_per_edge=13), MultiHopProportional(),
+        record_delays=True,
+    )
+    if profiler is not None:
+        profiler.sim = net.sim
+        net.sim.profiler = profiler
+    names = sorted(net.nodes)
+    spec = ChannelSpec(period=100, capacity=3, deadline=60)
+    for _ in range(160):
+        source, destination = rng.sample(names, 2)
+        net.establish(source, destination, spec)
+    net.start_all_sources(stop_after_messages=6)
+    return net, net.sim.run()
+
+
 def test_fat_tree_data_plane_is_pinned():
     """k=4 fat-tree, 104 hosts, seeded random pairs, mprop data plane.
 
@@ -209,18 +259,7 @@ def test_fat_tree_data_plane_is_pinned():
     Every event still fired keeps its ``(time, seq)``; channels, frames,
     the final clock, misses and the delay digest did not move.
     """
-    rng = random.Random(2004)
-    net = build_fabric_network(
-        build_fat_tree(4, hosts_per_edge=13), MultiHopProportional(),
-        record_delays=True,
-    )
-    names = sorted(net.nodes)
-    spec = ChannelSpec(period=100, capacity=3, deadline=60)
-    for _ in range(160):
-        source, destination = rng.sample(names, 2)
-        net.establish(source, destination, spec)
-    net.start_all_sources(stop_after_messages=6)
-    fired = net.sim.run()
+    net, fired = _fat_tree_run()
     assert (
         len(net.channels),
         net.metrics.total_rt_frames,
@@ -250,6 +289,32 @@ def test_chain_fabric_timing_is_pinned():
     assert len(delivered) == 4 * 4 * spec.capacity
     assert _sha256(_json(delivered)) == _CHAIN_DELIVER_DIGEST
     assert _sha256(_json(net.metrics.delay_samples())) == _CHAIN_DELAYS_DIGEST
+
+
+def test_star_dispatch_stream_is_pinned():
+    """The untraced ``obs capture`` star fires the same events, at the
+    same clocks, under the same labels, in the same order."""
+    telemetry = Telemetry(TelemetryConfig(tracing=False, profile=True))
+    recorder = telemetry.profiler = _DispatchStream()
+    attach = telemetry.attach_simulator
+
+    def attach_and_record(sim):
+        recorder.sim = sim
+        attach(sim)
+
+    telemetry.attach_simulator = attach_and_record
+    run_validation(
+        n_masters=4, n_slaves=12, n_requests=40, hyperperiods=2, seed=55,
+        use_wire_handshake=True, telemetry=telemetry,
+    )
+    assert recorder.pin() == _STAR_STREAM
+
+
+def test_fat_tree_dispatch_stream_is_pinned():
+    recorder = _DispatchStream()
+    _, fired = _fat_tree_run(recorder)
+    assert fired == _FAT_TREE_FACTS[2]
+    assert recorder.pin() == _FAT_TREE_STREAM
 
 
 def _star_outcome(trace_enabled: bool):

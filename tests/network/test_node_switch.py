@@ -7,6 +7,9 @@ import pytest
 from repro.core.channel import ChannelSpec
 from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
 from repro.errors import TopologyError, UnknownChannelError
+from repro.multiswitch.graph import build_chain_graph
+from repro.multiswitch.partitioning import MultiHopProportional
+from repro.multiswitch.simnet import build_fabric_network
 from repro.network.topology import build_star
 from repro.protocol.signaling import ConnectionRequestState
 
@@ -175,3 +178,60 @@ class TestTopologyBuilder:
         assert one.nodes["a"].mac == two.nodes["a"].mac
         assert one.nodes["b"].ip == two.nodes["b"].ip
         assert one.nodes["a"].mac != one.nodes["b"].mac
+
+
+class TestProcessingOrder:
+    """Frames waiting out a switch's processing delay sit in a FIFO that
+    each processing event pops: same-instant arrivals from two uplinks
+    are processed, and so forwarded, in the order they arrived."""
+
+    @staticmethod
+    def _arrivals_and_deliveries(trace, uplinks, receiver):
+        arrivals = [
+            (r.time, r.subject, r.detail)
+            for r in trace.by_category("link.deliver")
+            if r.subject in uplinks
+        ]
+        delivered = [
+            r.detail for r in trace.by_category("node.deliver")
+            if r.subject == receiver
+        ]
+        return arrivals, delivered
+
+    def test_star_switch(self):
+        net = build_star(["a", "b", "c"], dps=SymmetricDPS(),
+                         trace_enabled=True)
+        net.nodes["a"].send_best_effort("c", 500)
+        net.nodes["b"].send_best_effort("c", 500)
+        net.sim.run()
+        arrivals, delivered = self._arrivals_and_deliveries(
+            net.trace, ("a->switch", "b->switch"), "c"
+        )
+        assert [subject for _, subject, _ in arrivals] == [
+            "a->switch", "b->switch"
+        ]
+        assert arrivals[0][0] == arrivals[1][0]  # one instant
+        assert delivered == [detail for _, _, detail in arrivals]
+
+    def test_fabric_switch_model(self):
+        net = build_fabric_network(
+            build_chain_graph(2, 2), MultiHopProportional(),
+            trace_enabled=True,
+        )
+        spec = ChannelSpec(period=100, capacity=1, deadline=60)
+        channels = [
+            net.establish(source, "n1_0", spec).channel_id
+            for source in ("n0_0", "n0_1")
+        ]
+        for source, channel in zip(("n0_0", "n0_1"), channels):
+            net.nodes[source].send_message(channel)
+        net.sim.run()
+        arrivals, delivered = self._arrivals_and_deliveries(
+            net.trace, ("n0_0->sw0", "n0_1->sw0"), "n1_0"
+        )
+        assert [subject for _, subject, _ in arrivals] == [
+            "n0_0->sw0", "n0_1->sw0"
+        ]
+        assert arrivals[0][0] == arrivals[1][0]  # one instant
+        # equal deadlines, so per-hop EDF keeps the processing order
+        assert delivered == [detail for _, _, detail in arrivals]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults.plan import FaultPlan
 from repro.network.link import HalfLink
 from repro.network.phy import PhyProfile
 from repro.protocol.ethernet import EthernetFrame, FrameKind
@@ -207,3 +208,28 @@ class TestHalfLink:
         assert len(delivered) == 2
         # second frame starts exactly when the first ends
         assert sim.now == 2 * phy.slot_ns + phy.propagation_ns
+
+    def test_arrivals_meet_their_own_frames_across_a_drop(self):
+        # Frames in flight wait in the link's FIFO; a fault-plan drop
+        # consumes its own frame, so the survivors arrive as themselves.
+        sim = Simulator()
+        delivered = []
+        plan = FaultPlan(drop_occurrences={"best-effort": [1]})
+        link = HalfLink(
+            sim, PhyProfile.fast_ethernet(), "test", delivered.append,
+            fault_plan=plan,
+        )
+        frames = [be_frame(), be_frame(1), be_frame(700)]
+        pending = list(frames)
+
+        def pump():
+            if pending and not link.busy:
+                link.transmit(pending.pop(0))
+                link.wake_when_free()
+
+        link.on_idle = pump
+        pump()
+        sim.run()
+        assert len(delivered) == 2
+        assert delivered[0] is frames[0] and delivered[1] is frames[2]
+        assert link.frames_faulted == link.frames_lost == 1

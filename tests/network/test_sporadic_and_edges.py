@@ -147,3 +147,69 @@ class TestSwitchEdgeCases:
         net.sim.run()
         assert net.switch.frames_forwarded == 4  # 3 RT + 1 BE
         assert net.switch.frames_dropped == 0
+
+
+class TestSourceRestart:
+    """Each start owns its event chain: a stopped chain dies at its next
+    event even if the channel's source was started again meanwhile, and
+    a channel never runs two sources at once."""
+
+    SPEC = ChannelSpec(period=100, capacity=1, deadline=40)
+
+    def _net(self):
+        net = build_star(["m", "s"], dps=SymmetricDPS())
+        grant = net.establish_analytically("m", "s", self.SPEC)
+        return net, net.nodes["m"], grant.channel_id
+
+    def _stop_and_restart(self, start):
+        net, node, channel = self._net()
+        start(node, channel, 10)
+        net.run_slots(150)
+        before = net.metrics.total_rt_messages
+        node.stop_periodic_source(channel)
+        net.run_slots(10)
+        start(node, channel, 3)
+        net.sim.run()
+        return before, net.metrics.total_rt_messages
+
+    def test_restarted_periodic_source_sends_only_its_own_messages(self):
+        before, total = self._stop_and_restart(
+            lambda node, ch, n: node.start_periodic_source(
+                ch, stop_after_messages=n
+            )
+        )
+        assert before == 2
+        assert total == before + 3  # the stopped chain sent 8 more
+
+    def test_restarted_sporadic_source_sends_only_its_own_messages(self):
+        rng = np.random.default_rng(4)
+        before, total = self._stop_and_restart(
+            lambda node, ch, n: node.start_sporadic_source(
+                ch, rng=rng, stop_after_messages=n,
+                mean_extra_gap_slots=0.0,
+            )
+        )
+        assert before == 1
+        assert total == before + 3
+
+    @pytest.mark.parametrize("second", ["periodic", "sporadic"])
+    def test_starting_a_running_source_raises(self, second):
+        net, node, channel = self._net()
+        node.start_periodic_source(channel, stop_after_messages=4)
+        with pytest.raises(SimulationError, match=rf"'m'.*channel {channel}"):
+            if second == "periodic":
+                node.start_periodic_source(channel, stop_after_messages=4)
+            else:
+                node.start_sporadic_source(
+                    channel, rng=np.random.default_rng(0)
+                )
+        net.sim.run()
+        assert net.metrics.total_rt_messages == 4  # the admitted rate
+
+    def test_a_finished_source_can_start_again(self):
+        net, node, channel = self._net()
+        node.start_periodic_source(channel, stop_after_messages=2)
+        net.sim.run()
+        node.start_periodic_source(channel, stop_after_messages=2)
+        net.sim.run()
+        assert net.metrics.total_rt_messages == 4

@@ -10,7 +10,10 @@ cancellations, reserved slots (queued later, reserved again or never
 queued), horizon runs and compaction -- on the one heap kernel
 and on :class:`_ReferenceSimulator`, a naive model that scans a plain
 list for its ``(time, seq)`` minimum, and requires identical fired
-streams, clocks and dispatch counts.
+streams, clocks and dispatch counts. :func:`replay_mixed` does the same
+with the kernel's two kinds of entry interleaved: with a handle
+(``schedule``, ``schedule_reserved``) and without (``call_at``,
+``call_reserved``).
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ class _ReferenceSimulator:
         place.action, place.cancelled = action, False
         slot.seq = -1
         return place
+
+    def call_at(self, time, action):
+        self.schedule(time - self.now, action)
+
+    def call_reserved(self, slot, action):
+        self.schedule_reserved(slot, action)
 
     def compact(self):
         return 0
@@ -155,6 +164,72 @@ def test_calendar_replays_heap_exactly(program):
 def test_calendar_replays_heap_exactly_with_horizon(program):
     horizon = 300 + 77 * program
     assert replay(Simulator, program, horizon) == replay(
+        _ReferenceSimulator, program, horizon
+    )
+
+
+def replay_mixed(make_sim, program, horizon=None):
+    """A randomized program mixing entries with and without handles.
+
+    Only entries with a handle can be cancelled or weak; plain entries
+    are strong, like the data plane's arrivals and wakeups. Returns
+    (fired, now, dispatched).
+    """
+    rng = random.Random(10_000 + program)
+    sim = make_sim()
+    fired: list[tuple[int, int]] = []
+    handles = []
+    slots: list[Slot] = []
+
+    def enqueue(delay, tag):
+        if rng.random() < 0.5:
+            sim.call_at(sim.now + delay, make(tag))
+        else:
+            handles.append(
+                sim.schedule(delay, make(tag), weak=rng.random() < 0.1)
+            )
+
+    def make(tag):
+        def action():
+            fired.append((sim.now, tag))
+            if rng.random() < 0.4 and len(fired) < 400:
+                enqueue(rng.choice((0, 0, 1, 7, 30)), tag + 1000)
+            if handles and rng.random() < 0.25:
+                handles[rng.randrange(len(handles))].cancel()
+            if slots and rng.random() < 0.3:
+                slot = slots.pop(rng.randrange(len(slots)))
+                if slot.time >= sim.now:
+                    if rng.random() < 0.5:
+                        sim.call_reserved(slot, make(tag + 2000))
+                    else:
+                        handles.append(
+                            sim.schedule_reserved(slot, make(tag + 2000))
+                        )
+            if rng.random() < 0.15 and len(fired) < 400:
+                slot = Slot()
+                sim.reserve(slot, sim.now + rng.choice((0, 1, 7, 64)))
+                slots.append(slot)
+
+        return action
+
+    for tag in range(120):
+        enqueue(rng.choice((0, 1, 1, 7, 7, 64, 512)), tag)
+        if rng.random() < 0.15:
+            slot = Slot()
+            sim.reserve(slot, sim.now + rng.choice((0, 7, 512)))
+            slots.append(slot)
+        if handles and rng.random() < 0.1:
+            handles[rng.randrange(len(handles))].cancel()
+    if rng.random() < 0.5:
+        sim.compact()
+    sim.run(until=horizon)
+    return fired, sim.now, sim.dispatched_events
+
+
+@pytest.mark.parametrize("program", range(20))
+def test_mixed_entries_replay_the_reference(program):
+    horizon = None if program % 2 else 200 + 53 * program
+    assert replay_mixed(Simulator, program, horizon) == replay_mixed(
         _ReferenceSimulator, program, horizon
     )
 

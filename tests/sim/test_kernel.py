@@ -275,3 +275,155 @@ class TestCancellation:
         handle = sim.schedule(10, lambda: None, label="hello")
         assert handle.time == 10
         assert handle.label == "hello"
+
+
+class TestHandlelessEntries:
+    """``call_at``/``call_reserved``: entries with no Event handle."""
+
+    def test_checks_and_messages_match_schedule_at(self):
+        def message(enqueue, *args):
+            with pytest.raises(SimulationError) as info:
+                enqueue(*args)
+            return str(info.value)
+
+        sim = Simulator()
+        sim.schedule(100, lambda: None)
+        sim.run()
+        for time, action in ((50, lambda: None), (150, "not callable")):
+            assert message(sim.call_at, time, action) == message(
+                sim.schedule_at, time, action
+            )
+        slot = Slot()
+        assert "no reservation" in message(
+            sim.call_reserved, slot, lambda: None
+        )
+        assert message(sim.call_reserved, slot, lambda: None) == message(
+            sim.schedule_reserved, slot, lambda: None
+        )
+        sim.reserve(slot, 100)
+        assert message(sim.call_reserved, slot, "not callable") == message(
+            sim.schedule_reserved, slot, "not callable"
+        )
+        sim.schedule(5, lambda: None)
+        sim.run()
+        assert "already at 105" in message(
+            sim.call_reserved, slot, lambda: None
+        )
+
+    def test_rejected_entry_leaves_no_trace(self):
+        sim, slot = Simulator(), Slot()
+        with pytest.raises(SimulationError):
+            sim.call_at(-1, lambda: None)
+        sim.reserve(slot, 5)
+        with pytest.raises(SimulationError):
+            sim.call_reserved(slot, 42)  # type: ignore[arg-type]
+        assert slot.seq >= 0  # the reservation is still there
+        assert sim.pending_events == 0
+        assert sim.run() == 0
+
+    def test_return_nothing_and_keep_the_run_alive(self):
+        sim, slot = Simulator(), Slot()
+        seen = []
+        sim.reserve(slot, 30)
+        assert sim.call_at(20, lambda: seen.append(sim.now)) is None
+        assert sim.call_reserved(slot, lambda: seen.append(sim.now)) is None
+        assert sim.run() == 2
+        assert seen == [20, 30]
+
+    def test_both_entries_fire_in_call_order_at_one_instant(self):
+        sim, slot = Simulator(), Slot()
+        seen = []
+        sim.call_at(10, lambda: seen.append("call 0"))
+        sim.schedule_at(10, lambda: seen.append("schedule 1"))
+        sim.reserve(slot, 10)
+        sim.call_at(10, lambda: seen.append("call 3"))
+        sim.schedule(10, lambda: seen.append("schedule 4"))
+        sim.call_at(10, lambda: seen.append("call 5"))
+        sim.call_reserved(slot, lambda: seen.append("reserved 2"))
+        sim.run()
+        assert seen == [
+            "call 0", "schedule 1", "reserved 2", "call 3", "schedule 4",
+            "call 5",
+        ]
+
+    def test_cancelled_handle_between_plain_entries_never_moves_the_clock(
+        self,
+    ):
+        sim = Simulator()
+        clocks = []
+        sim.call_at(10, lambda: clocks.append(sim.now))
+        sim.schedule_at(20, lambda: clocks.append("cancelled")).cancel()
+        assert sim.run() == 1
+        assert clocks == [10] and sim.now == 10  # not 20
+        sim.schedule_at(20, lambda: clocks.append("cancelled")).cancel()
+        sim.call_at(30, lambda: clocks.append(sim.now))
+        assert sim.step()
+        assert clocks == [10, 30] and sim.now == 30
+        assert sim.dispatched_events == 2
+
+    def test_mixed_heap_bookkeeping_with_a_weak_handle(self):
+        sim = Simulator()
+        seen = []
+        weak = sim.schedule(5, lambda: seen.append("weak"), weak=True)
+        sim.call_at(10, lambda: seen.append("plain"))
+        strong = sim.schedule_at(10, lambda: seen.append("handle"))
+        doomed = sim.schedule_at(15, lambda: seen.append("cancelled"))
+        sim.call_at(20, lambda: seen.append("plain 2"))
+        assert doomed.cancel()
+        assert sim.max_heap_depth == sim.pending_events == 5
+        assert sim.live_pending_events == 4
+        assert sim.compact() == 1
+        assert sim.pending_events == sim.live_pending_events == 4
+        assert sim.max_heap_depth == 5
+        assert sim.peek_time() == 5  # the weak event is live
+        assert sim.run() == 4
+        assert seen == ["weak", "plain", "handle", "plain 2"]
+        assert not weak.pending and not strong.pending
+        assert not strong.cancel()
+        assert sim.compact() == 0
+        assert sim.pending_events == sim.live_pending_events == 0
+
+    def test_compact_keeps_weak_entries_from_keeping_the_run_alive(self):
+        sim = Simulator()
+        sim.schedule(50, lambda: None, weak=True)
+        sim.call_at(10, lambda: None)
+        sim.schedule(20, lambda: None).cancel()
+        assert sim.compact() == 1
+        assert sim.run() == 1
+        assert sim.now == 10
+        assert sim.pending_events == sim.live_pending_events == 1
+
+    def test_a_weak_handle_never_keeps_plain_entries_company(self):
+        # Once the plain entries are gone only the weak one is left: the
+        # run stops there, as with weak handles among handle events.
+        sim = Simulator()
+        sim.call_at(10, lambda: None)
+        weak = sim.schedule(50, lambda: None, weak=True)
+        assert sim.run() == 1
+        assert sim.now == 10
+        assert weak.pending
+        assert sim.live_pending_events == 1
+
+
+class TestPeekTime:
+    def test_none_once_only_weak_events_remain(self):
+        # peek_time follows run()'s termination rule: a lone weak event
+        # will never fire, so nothing is next.
+        sim = Simulator()
+        sim.schedule(5, lambda: None, weak=True)
+        assert not sim.step()
+        assert sim.run() == 0
+        assert sim.peek_time() is None
+        sim.call_at(9, lambda: None)
+        assert sim.peek_time() == 5  # with a strong event, the weak is next
+        assert sim.run() == 2
+        assert sim.peek_time() is None
+
+    def test_drops_cancelled_heads_on_the_way(self):
+        sim = Simulator()
+        sim.schedule(1, lambda: None).cancel()
+        sim.schedule(2, lambda: None, weak=True).cancel()
+        sim.call_at(3, lambda: None)
+        assert sim.pending_events == 3
+        assert sim.peek_time() == 3
+        assert sim.pending_events == sim.live_pending_events == 1

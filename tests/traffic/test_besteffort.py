@@ -109,3 +109,41 @@ class TestValidation:
                 mode="poisson", offered_load=0,
                 rng=np.random.default_rng(1),
             )
+
+
+class TestRestart:
+    def _offered(self, restart: bool) -> int:
+        net = make_net()
+        injector = BestEffortInjector(
+            sim=net.sim, node=net.nodes["a"], destinations=["b"],
+            mode="poisson", offered_load=0.2,
+            rng=np.random.default_rng(9),
+        )
+        injector.start()
+        net.run_slots(100)
+        if restart:
+            injector.stop()
+            injector.start()
+        net.run_slots(2_000)
+        return injector.frames_offered
+
+    def test_stop_then_start_runs_one_chain(self):
+        # The stopped chain's pending arrival dies instead of carrying on
+        # beside the new one (which doubled the offered load).
+        plain, restarted = self._offered(False), self._offered(True)
+        assert 0.8 * plain <= restarted <= 1.2 * plain
+
+    def test_start_while_running_is_idempotent(self):
+        def offered(starts: int) -> int:
+            net = make_net()
+            injector = BestEffortInjector(
+                sim=net.sim, node=net.nodes["a"], destinations=["b"],
+                mode="poisson", offered_load=0.2,
+                rng=np.random.default_rng(9),
+            )
+            for _ in range(starts):
+                injector.start()
+            net.run_slots(500)
+            return injector.frames_offered
+
+        assert offered(2) == offered(1)
