@@ -1,13 +1,11 @@
 """EXP-P7 (kernel side): event-kernel dispatch throughput on the hold model.
 
 Times the classic hold-model workload (a constant pending population:
-every fired event schedules one successor at a pseudorandom offset)
-through the kernel's one binary-heap pending set, once through each
-entry point: ``schedule`` (an entry with an Event handle) and
-``call_at`` (a plain entry, as the data plane's per-frame sites use).
-Determinism is asserted, not assumed: repeated runs must dispatch the
-identical instant-by-instant stream before any timing is reported, and
-both entry points must dispatch the same stream.
+every fired event queues one successor at a pseudorandom offset)
+through the kernel's one binary-heap pending set and its one way to
+queue an event, ``call_at``. Determinism is asserted, not assumed:
+repeated runs must dispatch the identical instant-by-instant stream
+before any timing is reported.
 
 EXP-P7 once ran this against a second, calendar-queue pending set. On
 CPython the C-accelerated ``heapq`` won at every population measured
@@ -34,19 +32,11 @@ _DISPATCH_FLOOR_EPS = 60_000.0
 _POPULATION = 2_000
 _EVENTS = 60_000
 
-#: The kernel's two ways to queue an event after ``delay`` ns.
-_ENTRIES = {
-    "schedule": lambda sim, delay, action: sim.schedule(delay, action),
-    "call_at": lambda sim, delay, action: sim.call_at(
-        sim.now + delay, action
-    ),
-}
 
-
-def _hold_model(population: int, events: int, entry: str = "schedule"):
+def _hold_model(population: int, events: int):
     """Run the hold model; return (elapsed_seconds, dispatch_trace)."""
     sim = Simulator()
-    enqueue = _ENTRIES[entry]
+    call_at = sim.call_at
     trace: list[int] = []
     remaining = events
     # Deterministic pseudorandom offsets without a live RNG in the
@@ -59,12 +49,12 @@ def _hold_model(population: int, events: int, entry: str = "schedule"):
         if remaining > 0:
             remaining -= 1
             state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-            enqueue(sim, state % 10_000, fire)
+            call_at(sim.now + state % 10_000, fire)
 
     for _ in range(population):
         remaining -= 1
         state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        enqueue(sim, state % 10_000, fire)
+        call_at(state % 10_000, fire)
     gc.disable()
     try:
         start = time.perf_counter()
@@ -77,44 +67,33 @@ def _hold_model(population: int, events: int, entry: str = "schedule"):
 
 
 def test_bench_kernel_dispatch_throughput(capsys):
-    rows = []
-    rates = {}
-    streams = []
-    for entry in _ENTRIES:
-        best = None
-        traces = []
-        for _ in range(3):
-            elapsed, trace = _hold_model(_POPULATION, _EVENTS, entry)
-            best = elapsed if best is None else min(best, elapsed)
-            traces.append(trace)
-        # Determinism first: identical dispatch streams, instant for
-        # instant, or the timing is meaningless.
-        assert traces[0] == traces[1] == traces[2]
-        streams.append(traces[0])
-        rates[entry] = _EVENTS / best
-        rows.append([entry, _EVENTS, _POPULATION, f"{best * 1000:.1f}",
-                     f"{rates[entry]:,.0f}"])
-    assert streams[0] == streams[1]
+    best = None
+    traces = []
+    for _ in range(3):
+        elapsed, trace = _hold_model(_POPULATION, _EVENTS)
+        best = elapsed if best is None else min(best, elapsed)
+        traces.append(trace)
+    # Determinism first: identical dispatch streams, instant for
+    # instant, or the timing is meaningless.
+    assert traces[0] == traces[1] == traces[2]
+    rate = _EVENTS / best
     with capsys.disabled():
         print()
         print(format_table(
-            ["entry", "events", "pending pop.", "elapsed ms", "events/s"],
-            rows,
+            ["events", "pending pop.", "elapsed ms", "events/s"],
+            [[_EVENTS, _POPULATION, f"{best * 1000:.1f}", f"{rate:,.0f}"]],
             title="event-queue dispatch -- hold model",
         ))
-    for entry, rate in rates.items():
-        assert rate >= _DISPATCH_FLOOR_EPS, (
-            f"kernel dispatch through {entry} regressed: {rate:,.0f} ev/s "
-            f"< {_DISPATCH_FLOOR_EPS:,.0f}"
-        )
+    assert rate >= _DISPATCH_FLOOR_EPS, (
+        f"kernel dispatch regressed: {rate:,.0f} ev/s "
+        f"< {_DISPATCH_FLOOR_EPS:,.0f}"
+    )
 
 
-@pytest.mark.parametrize("entry", sorted(_ENTRIES))
 @pytest.mark.parametrize("population", [4, 64, 2_048])
-def test_bench_kernel_dispatch_is_time_ordered(population, entry):
-    """From sparse to dense pending populations, through either entry
-    point, the stream is nondecreasing in time and every scheduled
-    event fires."""
-    _, trace = _hold_model(population, 4_000, entry)
+def test_bench_kernel_dispatch_is_time_ordered(population):
+    """From sparse to dense pending populations, the stream is
+    nondecreasing in time and every queued event fires."""
+    _, trace = _hold_model(population, 4_000)
     assert trace == sorted(trace)
     assert len(trace) == 4_000

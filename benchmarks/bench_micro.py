@@ -55,7 +55,7 @@ def test_bench_event_kernel(benchmark):
     def run():
         sim = Simulator()
         for i in range(10_000):
-            sim.schedule(i, lambda: None)
+            sim.call_at(i, lambda: None)
         sim.run()
         return sim.dispatched_events
 

@@ -256,20 +256,20 @@ class EndNode:
             span_ctx = (root.trace_id, root.span_id)
         if retry is not None:
             self._retry_state[rid] = _RetryState(retry, retry_rng, request)
-            self._sim.schedule(
-                retry.delay_ns(0, retry_rng),
+            self._sim.call_at(
+                self._sim.now + retry.delay_ns(0, retry_rng),
                 lambda: self._request_timeout(rid),
-                label=f"{self.name}:req{rid}:timeout",
+                f"{self.name}:req{rid}:timeout",
             )
         elif timeout_ns is not None:
             if timeout_ns <= 0:
                 raise SimulationError(
                     f"timeout_ns must be positive, got {timeout_ns}"
                 )
-            self._sim.schedule(
-                timeout_ns,
+            self._sim.call_at(
+                self._sim.now + timeout_ns,
                 lambda: self._request_timeout(rid),
-                label=f"{self.name}:req{rid}:timeout",
+                f"{self.name}:req{rid}:timeout",
             )
         self._send_signaling(
             request, payload_bytes=REQUEST_FRAME_BYTES, span_ctx=span_ctx
@@ -331,10 +331,11 @@ class EndNode:
                     payload_bytes=REQUEST_FRAME_BYTES,
                     span_ctx=span_ctx,
                 )
-                self._sim.schedule(
-                    state.policy.delay_ns(state.attempt, state.rng),
+                self._sim.call_at(
+                    self._sim.now
+                    + state.policy.delay_ns(state.attempt, state.rng),
                     lambda: self._request_timeout(connect_request_id),
-                    label=f"{self.name}:req{connect_request_id}:timeout",
+                    f"{self.name}:req{connect_request_id}:timeout",
                 )
                 return
             self._retry_state.pop(connect_request_id, None)
@@ -403,12 +404,12 @@ class EndNode:
             frame, payload_bytes=TEARDOWN_FRAME_BYTES, span_ctx=span_ctx
         )
         for i in range(1, repeats):
-            self._sim.schedule(
-                i * spacing_ns,
+            self._sim.call_at(
+                self._sim.now + i * spacing_ns,
                 lambda f=frame, ctx=span_ctx: self._send_signaling(
                     f, payload_bytes=TEARDOWN_FRAME_BYTES, span_ctx=ctx
                 ),
-                label=f"{self.name}:ch{frame.rt_channel_id}:teardown",
+                f"{self.name}:ch{frame.rt_channel_id}:teardown",
             )
 
     def _send_signaling(
@@ -485,7 +486,9 @@ class EndNode:
             self.send_message(channel_id)
             sim.call_at(sim.now + period_ns, fire, period_label)
 
-        sim.schedule(phase_ns, fire, label=f"{self.name}:ch{channel_id}:start")
+        sim.call_at(
+            sim.now + phase_ns, fire, f"{self.name}:ch{channel_id}:start"
+        )
 
     def start_sporadic_source(
         self,
@@ -533,7 +536,7 @@ class EndNode:
             self.send_message(channel_id)
             sim.call_at(sim.now + gap_ns(), fire, label)
 
-        sim.schedule(gap_ns(), fire, label=f"{label}0")
+        sim.call_at(sim.now + gap_ns(), fire, f"{label}0")
 
     def _source_period_ns(self, channel_id: int) -> int:
         grant = self.rt_layer.grants.get(channel_id)

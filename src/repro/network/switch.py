@@ -20,9 +20,10 @@ switch needs no per-channel deadline state on the forwarding fast path
 
 Reservation leases: with ``lease_ns`` set, every pending offer gets a
 strong timer event; if the destination's ResponseFrame resolves the
-offer first, the timer is cancelled (O(1), and a cancelled event never
-fires nor extends the run, so fault-free runs stay byte-identical).
-Otherwise the timer fires and the manager reclaims the reservation.
+offer first, the timer is removed from the queue at once (a cancelled
+event never fires nor extends the run, so fault-free runs stay
+byte-identical). Otherwise the timer fires and the manager reclaims the
+reservation.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from ..protocol.frames import (
     REQUEST_FRAME_BYTES,
     RESPONSE_FRAME_BYTES,
 )
-from ..sim.events import Event
-from ..sim.kernel import Simulator
+from ..sim.kernel import Entry, Simulator
 from ..sim.trace import TraceRecorder
 from .node import SWITCH_NAME
 from .phy import PhyProfile
@@ -125,8 +125,8 @@ class Switch:
         #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
         #: telemetry bundle); every hook is gated on ``is not None``.
         self.spans = None
-        #: live lease timers keyed by pending-offer channel ID.
-        self._lease_events: dict[int, Event] = {}
+        #: queued lease timers keyed by pending-offer channel ID.
+        self._lease_events: dict[int, Entry] = {}
         self._ports: dict[str, OutputPort] = {}
         self.frames_forwarded = 0
         self.frames_dropped = 0
@@ -347,19 +347,18 @@ class Switch:
         Duplicate requests refresh the lease: the old timer is cancelled
         and a fresh one armed, matching the expiry the manager stamped.
         """
-        old = self._lease_events.pop(channel_id, None)
-        if old is not None:
-            old.cancel()
-        self._lease_events[channel_id] = self._sim.schedule(
-            self._lease_ns,
+        self._disarm_lease(channel_id)
+        sim = self._sim
+        self._lease_events[channel_id] = sim.call_at(
+            sim.now + self._lease_ns,
             lambda cid=channel_id: self._lease_check(cid),
-            label=f"switch:lease:{channel_id}",
+            f"switch:lease:{channel_id}",
         )
 
     def _disarm_lease(self, channel_id: int) -> None:
-        handle = self._lease_events.pop(channel_id, None)
-        if handle is not None:
-            handle.cancel()
+        entry = self._lease_events.pop(channel_id, None)
+        if entry is not None:
+            self._sim.cancel(entry)
 
     def _lease_check(self, channel_id: int) -> None:
         self._lease_events.pop(channel_id, None)

@@ -202,7 +202,7 @@ class Telemetry:
         def collect() -> None:
             dispatched.set(sim.dispatched_events)
             heap_max.set(sim.max_heap_depth)
-            live.set(sim.live_pending_events)
+            live.set(sim.pending_events)
             clock.set(sim.now)
 
         self.registry.add_collector(collect)
@@ -448,7 +448,7 @@ class Telemetry:
             )
             probes.add(
                 "kernel_live_pending_events",
-                lambda: net.sim.live_pending_events,
+                lambda: net.sim.pending_events,
             )
             probes.start()
             self.probes = probes

@@ -3,7 +3,7 @@
 A :class:`ProbeSet` samples a set of named callables (queue depths,
 link utilization, buffer occupancy, ...) every ``cadence_ns`` of
 simulation time. The sampling events are scheduled **weak**
-(:meth:`repro.sim.kernel.Simulator.schedule` with ``weak=True``), which
+(:meth:`repro.sim.kernel.Simulator.call_at` with ``weak=True``), which
 is the whole trick: the simulator stops as soon as only weak events
 remain, so probes
 
@@ -73,8 +73,9 @@ class ProbeSet:
         if self._started:
             return
         self._started = True
-        self._sim.schedule(
-            self.cadence_ns, self._tick, label="obs:probe", weak=True
+        sim = self._sim
+        sim.call_at(
+            sim.now + self.cadence_ns, self._tick, "obs:probe", weak=True
         )
 
     def _tick(self) -> None:
@@ -84,8 +85,8 @@ class ProbeSet:
             self.series[name].append((now, value))
             gauge.set(value)
         self.samples_taken += 1
-        self._sim.schedule(
-            self.cadence_ns, self._tick, label="obs:probe", weak=True
+        self._sim.call_at(
+            now + self.cadence_ns, self._tick, "obs:probe", weak=True
         )
 
     def to_dict(self) -> dict[str, list[list[float]]]:

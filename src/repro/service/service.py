@@ -199,7 +199,7 @@ class AdmissionService:
         if self._pump_scheduled_at == head_at:
             return
         self._pump_scheduled_at = head_at
-        self._sim.schedule_at(head_at, self._pump, label="service:pump")
+        self._sim.call_at(head_at, self._pump, "service:pump")
 
     def _pump(self) -> None:
         now = self._sim.now

@@ -4,21 +4,19 @@ The paper's evaluation ran on the authors' simulator; ours is a small,
 deterministic, integer-nanosecond event kernel:
 
 * :mod:`~repro.sim.kernel` -- the event loop (:class:`Simulator`).
-* :mod:`~repro.sim.events` -- event handles (made only for callers
-  that may cancel) and reusable reservation slots.
+* :mod:`~repro.sim.events` -- reusable reservation slots.
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so
   that changing one traffic source's draws never perturbs another's.
 * :mod:`~repro.sim.trace` -- structured trace recording for debugging
   and for the validation experiments.
 """
 
-from .events import Event, Slot
+from .events import Slot
 from .kernel import Simulator
 from .rng import RngRegistry
 from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
-    "Event",
     "Simulator",
     "Slot",
     "RngRegistry",

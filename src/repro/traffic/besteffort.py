@@ -106,8 +106,10 @@ class BestEffortInjector:
         self._running = True
         self._generation += 1
         if self._mode == "saturate":
-            self._sim.schedule(
-                0, partial(self._top_up, self._generation), label="be:saturate"
+            self._sim.call_at(
+                self._sim.now,
+                partial(self._top_up, self._generation),
+                "be:saturate",
             )
         else:
             self._schedule_poisson(self._generation)
@@ -140,10 +142,10 @@ class BestEffortInjector:
         # Re-check one frame-time later: by then at least one frame can
         # have drained. Polling at frame granularity keeps the queue full
         # without flooding the event heap.
-        self._sim.schedule(
-            self._frame_time_ns(),
+        self._sim.call_at(
+            self._sim.now + self._frame_time_ns(),
             partial(self._top_up, generation),
-            label="be:saturate",
+            "be:saturate",
         )
 
     def _frame_time_ns(self) -> int:
@@ -159,8 +161,10 @@ class BestEffortInjector:
         # offered_load of 1.0 == one max frame per slot on average.
         mean_gap_ns = slot_ns / self._offered_load
         gap = max(1, int(self._rng.exponential(mean_gap_ns)))
-        self._sim.schedule(
-            gap, partial(self._poisson_fire, generation), label="be:poisson"
+        self._sim.call_at(
+            self._sim.now + gap,
+            partial(self._poisson_fire, generation),
+            "be:poisson",
         )
 
     def _poisson_fire(self, generation: int) -> None:

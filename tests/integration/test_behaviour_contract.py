@@ -61,8 +61,10 @@ from repro.traffic.patterns import master_slave_names, master_slave_requests
 from repro.traffic.spec import FixedSpecSampler
 
 _CAPTURE_DIGESTS = {
+    # Re-pinned when cancelled lease timers began leaving the queue at
+    # once: the one value that moved is kernel.max_heap_depth (below).
     "metrics.json":
-        "fea22382adcc1f76b245ab1eb144121b5c785c121235ea427eb937380683631d",
+        "c54400116278b41684185651d376d08bca1051ead0d35e709749534d387f1ad0",
     "timeseries.json":
         "e502cfa02ecca5ea2a792842c4ac8ea237e1744866f725c5a091c2bfff81aab4",
     "trace.chrome.json":
@@ -70,6 +72,11 @@ _CAPTURE_DIGESTS = {
     "trace.jsonl":
         "9cc7210c90b397abfa6c9f2512ca07cf38479580f862cccd068b08fd50091095",
 }
+
+#: The capture's event-queue high-water mark. It was 103 while a lease
+#: timer cancelled by its ResponseFrame stayed queued (lazily) until its
+#: 50 ms expiry; it counts only events that will fire.
+_CAPTURE_MAX_HEAP_DEPTH = 65
 
 _SPANS_DIGESTS = {
     "trace.jsonl":
@@ -171,6 +178,9 @@ def test_obs_capture_bundle_is_pinned(tmp_path, capsys):
     )
     for name, digest in _CAPTURE_DIGESTS.items():
         assert _sha256((tmp_path / name).read_bytes()) == digest, name
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    (depth,) = metrics["kernel.max_heap_depth"]["series"]
+    assert depth["value"] == _CAPTURE_MAX_HEAP_DEPTH
 
 
 def test_profiled_capture_keeps_trace_and_label_rows(tmp_path, capsys):

@@ -109,7 +109,7 @@ class TestEstablishment:
         net.sim.run(until=net.sim.now + 5 * period_ns)
         assert sum(s.frames_dropped for s in net.switches.values()) == dropped
         assert channel.channel_id not in net.nodes["n0_0"].rt_layer.grants
-        assert net.sim.live_pending_events == 0
+        assert net.sim.pending_events == 0
 
     def test_cumulative_deadlines_increase_along_path(self):
         net = chain_network()

@@ -1,11 +1,11 @@
-"""The data plane allocates no kernel handle and no ``partial`` per frame.
+"""The data plane allocates no ``partial`` per frame.
 
 Arrivals, wire-free wakeups, switch processing and source periods are
 queued as plain kernel entries (``Simulator.call_at`` /
 ``call_reserved``) whose actions are methods bound once; the frames
-themselves wait in per-hop FIFOs. Only callers that may cancel an event
--- the switch's lease timers -- and the one-off source starts get an
-:class:`~repro.sim.events.Event` handle.
+themselves wait in per-hop FIFOs. The untraced data phase below makes
+no ``functools.partial`` at all. There is no event object to count: a
+queued event is a plain ``(time, seq, action, label)`` tuple.
 """
 
 from __future__ import annotations
@@ -15,21 +15,14 @@ import sys
 
 from repro.core.partitioning import AsymmetricDPS
 from repro.network.topology import build_star
-from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 from repro.traffic.patterns import master_slave_names, master_slave_requests
 from repro.traffic.spec import FixedSpecSampler
 
 
-def _count_allocations(monkeypatch) -> dict[str, int]:
-    """Count every Event and functools.partial made from now on."""
-    counts = {"Event": 0, "partial": 0}
-    init = Event.__init__
-
-    def counting_init(self, *args, **kwargs):
-        counts["Event"] += 1
-        init(self, *args, **kwargs)
-
+def _count_partials(monkeypatch) -> dict[str, int]:
+    """Count every functools.partial made from now on."""
+    counts = {"partial": 0}
     original = functools.partial
 
     class CountingPartial(original):
@@ -37,7 +30,6 @@ def _count_allocations(monkeypatch) -> dict[str, int]:
             counts["partial"] += 1
             return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Event, "__init__", counting_init)
     monkeypatch.setattr(functools, "partial", CountingPartial)
     for name, module in list(sys.modules.items()):
         if name.startswith("repro") and (
@@ -50,7 +42,7 @@ def _count_allocations(monkeypatch) -> dict[str, int]:
 def test_untraced_star_data_phase_allocates_no_event_or_partial(
     monkeypatch,
 ):
-    counts = _count_allocations(monkeypatch)
+    counts = _count_partials(monkeypatch)
     masters, slaves = master_slave_names(6, 18)
     net = build_star(masters + slaves, dps=AsymmetricDPS())
     requests = master_slave_requests(
@@ -60,11 +52,9 @@ def test_untraced_star_data_phase_allocates_no_event_or_partial(
     for request in requests:
         net.establish(request.source, request.destination, request.spec)
     net.start_all_sources(stop_after_messages=5)
-    # a lease timer and a source start per grant, nothing per frame
     assert len(net.grants) > 0
-    assert counts["Event"] <= 2 * len(requests)
-    counts["Event"] = counts["partial"] = 0
+    counts["partial"] = 0
     fired = net.sim.run()
     assert net.metrics.total_rt_frames == len(net.grants) * 5 * 3
     assert fired > 3 * net.metrics.total_rt_frames
-    assert counts == {"Event": 0, "partial": 0}
+    assert counts == {"partial": 0}

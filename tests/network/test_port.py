@@ -95,10 +95,10 @@ class TestWireFreeWakeup:
         behind it -- even with the earliest deadline."""
         sim, phy, port, delivered = make_port()
         port.submit_rt(rt_frame(10**9, channel=1), 10**9)  # A: 0 .. slot
-        sim.schedule_at(
+        sim.call_at(
             phy.slot_ns, lambda: port.submit_rt(rt_frame(1, channel=3), 1)
         )  # C, at the instant A frees the wire
-        sim.schedule_at(
+        sim.call_at(
             1, lambda: port.submit_rt(rt_frame(10**8, channel=2), 10**8)
         )  # B, queued behind A
         sim.run()

@@ -12,11 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.channel import ChannelSpec
-from repro.core.partitioning import SymmetricDPS
+from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
 from repro.faults import SIGNALLING_CLASSES, FaultPlan
 from repro.network.topology import build_star
 from repro.protocol.signaling import RetryPolicy
 from repro.sim.rng import RngRegistry
+from repro.traffic.patterns import master_slave_names, master_slave_requests
+from repro.traffic.spec import FixedSpecSampler
 
 SPEC = ChannelSpec(period=100, capacity=3, deadline=40)
 
@@ -109,6 +111,47 @@ class TestLeaseReclaim:
         grant = net.establish("a", "b", SPEC, retry=policy)
         assert grant is not None
         assert_no_leak(net, {grant.channel_id})
+
+
+class TestLeaseTimers:
+    """A lease timer leaves the kernel's queue when its offer resolves."""
+
+    def test_resolved_leases_leave_the_queue_at_once(self):
+        # The per-frame allocation guard's star: after the last
+        # handshake no lease timer (nor anything else) is queued.
+        masters, slaves = master_slave_names(6, 18)
+        net = build_star(masters + slaves, dps=AsymmetricDPS())
+        requests = master_slave_requests(
+            masters, slaves, 80, FixedSpecSampler.paper_default(),
+            RngRegistry(55).stream("requests"),
+        )
+        for request in requests:
+            net.establish(request.source, request.destination, request.spec)
+        assert len(net.grants) > 0
+        assert net.switch.manager.pending_offers == 0
+        assert net.sim.pending_events == 0
+
+    def test_duplicate_request_leaves_one_queued_lease(self):
+        # The first dest-response is lost, so the source's retransmitted
+        # request reaches the switch while the offer is pending and
+        # refreshes its lease: the old timer must leave the queue.
+        net = lossy_star(FaultPlan(drop_occurrences={"dest-response": [0]}))
+        arm = net.switch._arm_lease  # noqa: SLF001
+        queued = []
+
+        def counting_arm(channel_id):
+            arm(channel_id)
+            label = f"switch:lease:{channel_id}"
+            heap = net.sim._heap  # noqa: SLF001
+            queued.append(sum(entry[3] == label for entry in heap))
+
+        net.switch._arm_lease = counting_arm  # noqa: SLF001
+        grant = net.establish("a", "b", SPEC, retry=RETRY)
+        assert grant is not None
+        assert net.switch.manager.duplicate_requests == 1
+        assert queued == [1, 1]
+        assert_no_leak(net, {grant.channel_id})
+        assert net.sim.pending_events == 0
 
 
 class TestBernoulliSmoke:

@@ -74,7 +74,7 @@ def test_kernel_crash_auto_dumps(tmp_path):
     def explode() -> None:
         raise RuntimeError("injected fault")
 
-    sim.schedule(100, explode)
+    sim.call_at(100, explode)
     with pytest.raises(RuntimeError, match="injected fault"):
         sim.run()
     dump = json.loads((tmp_path / "flight.json").read_text())
@@ -93,7 +93,7 @@ def test_no_flight_dir_means_no_auto_dump(tmp_path, monkeypatch):
     def explode() -> None:
         raise RuntimeError("boom")
 
-    sim.schedule(1, explode)
+    sim.call_at(1, explode)
     with pytest.raises(RuntimeError):
         sim.run()
     assert list(tmp_path.iterdir()) == []  # nothing written anywhere

@@ -14,7 +14,7 @@ class TestProbeSet:
         sim = Simulator()
         depth = {"value": 0}
         for t in (100, 5_000, 10_000):
-            sim.schedule(t, lambda: depth.__setitem__("value", depth["value"] + 1))
+            sim.call_at(t, lambda: depth.__setitem__("value", depth["value"] + 1))
         probes = ProbeSet(sim, MetricsRegistry(), cadence_ns=1_000)
         probes.add("depth", lambda: depth["value"])
         probes.start()
@@ -27,11 +27,11 @@ class TestProbeSet:
 
     def test_weak_ticks_do_not_extend_final_clock(self):
         bare = Simulator()
-        bare.schedule(7_777, lambda: None)
+        bare.call_at(7_777, lambda: None)
         bare.run()
 
         probed = Simulator()
-        probed.schedule(7_777, lambda: None)
+        probed.call_at(7_777, lambda: None)
         probes = ProbeSet(probed, MetricsRegistry(), cadence_ns=500)
         probes.add("noop", lambda: 0)
         probes.start()
@@ -40,7 +40,7 @@ class TestProbeSet:
 
     def test_latest_sample_mirrored_into_gauge(self):
         sim = Simulator()
-        sim.schedule(3_000, lambda: None)
+        sim.call_at(3_000, lambda: None)
         reg = MetricsRegistry()
         probes = ProbeSet(sim, reg, cadence_ns=1_000)
         counter = iter([10, 20, 30])
@@ -85,8 +85,8 @@ class TestKernelProfiler:
         sim = Simulator()
         prof = KernelProfiler()
         sim.profiler = prof
-        sim.schedule(10, lambda: None, label="a:tick")
-        sim.schedule(20, lambda: None, label="b:tick")
+        sim.call_at(10, lambda: None, "a:tick")
+        sim.call_at(20, lambda: None, "b:tick")
         sim.run()
         assert prof.total_events == 2
         (row,) = prof.rows()

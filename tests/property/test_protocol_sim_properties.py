@@ -54,9 +54,7 @@ def test_simulator_dispatch_order_is_sorted_and_stable(delays):
     sim = Simulator()
     fired: list[tuple[int, int]] = []
     for index, delay in enumerate(delays):
-        sim.schedule(
-            delay, lambda i=index: fired.append((sim.now, i))
-        )
+        sim.call_at(delay, lambda i=index: fired.append((sim.now, i)))
     sim.run()
     assert len(fired) == len(delays)
     times = [t for t, _ in fired]
@@ -86,12 +84,15 @@ def test_cancelled_events_never_fire(plan):
     handles = []
     for index, (delay, _) in enumerate(plan):
         handles.append(
-            sim.schedule(delay, lambda i=index: fired.append(i))
+            sim.call_at(delay, lambda i=index: fired.append(i))
         )
     cancelled = {
         index for index, (_, cancel) in enumerate(plan) if cancel
     }
     for index in cancelled:
-        assert handles[index].cancel()
+        assert sim.cancel(handles[index])
+    assert sim.pending_events == len(plan) - len(cancelled)
     sim.run()
     assert set(fired) == set(range(len(plan))) - cancelled
+    for index in cancelled:
+        assert not sim.cancel(handles[index])

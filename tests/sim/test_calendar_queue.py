@@ -5,15 +5,14 @@ had a second, calendar-queue pending set. That queue is deleted (on
 CPython the C ``heapq`` beat it at every population, EXPERIMENTS.md
 EXP-P7), and the test names are kept so their history stays readable.
 Each case now replays a randomized event program -- mixed delays with
-heavy same-instant collisions, weak observers, mid-run scheduling,
-cancellations, reserved slots (queued later, reserved again or never
-queued), horizon runs and compaction -- on the one heap kernel
-and on :class:`_ReferenceSimulator`, a naive model that scans a plain
-list for its ``(time, seq)`` minimum, and requires identical fired
-streams, clocks and dispatch counts. :func:`replay_mixed` does the same
-with the kernel's two kinds of entry interleaved: with a handle
-(``schedule``, ``schedule_reserved``) and without (``call_at``,
-``call_reserved``).
+heavy same-instant collisions, weak observers, mid-run queueing,
+cancellations (of pending, fired and running entries), reserved slots
+(queued later, reserved again or never queued) and horizon runs -- on
+the one heap kernel and on :class:`_ReferenceSimulator`, a naive model
+that scans a plain list for its ``(time, seq)`` minimum, and requires
+identical fired streams, clocks and dispatch counts.
+:func:`replay_mixed` does the same with a second program shape:
+zero-delay chains, and cancellations before the run.
 """
 
 from __future__ import annotations
@@ -35,19 +34,14 @@ class _ReferenceEvent:
         self.time, self.seq, self.action, self.weak = time, seq, action, weak
         self.cancelled = self.fired = False
 
-    def cancel(self) -> bool:
-        if self.fired:
-            return False
-        self.cancelled = True
-        return True
-
 
 class _ReferenceSimulator:
     """The kernel's contract, spelled out with no data structure at all.
 
     Fire the live event with the smallest ``(time, seq)`` while a live
     strong event remains and the head is within the horizon; then
-    advance the clock to the horizon.
+    advance the clock to the horizon. An event is live once queued and
+    until it fires or is cancelled.
     """
 
     def __init__(self):
@@ -55,40 +49,32 @@ class _ReferenceSimulator:
         self.dispatched_events = 0
         self._events: list[_ReferenceEvent] = []
 
-    def schedule(self, delay, action, weak=False):
-        event = _ReferenceEvent(
-            self.now + delay, len(self._events), action, weak
-        )
+    def call_at(self, time, action, weak=False):
+        event = _ReferenceEvent(time, len(self._events), action, weak)
         self._events.append(event)
         return event
 
+    def cancel(self, event) -> bool:
+        if event.fired or event.cancelled:
+            return False
+        event.cancelled = True
+        return True
+
     def reserve(self, slot, time):
-        # The place takes its seq now but is no event until queued;
-        # ``cancelled`` stands for "not queued yet".
-        place = _ReferenceEvent(time, len(self._events), None, False)
-        place.cancelled = True
-        self._events.append(place)
+        # The place takes its seq now but is no event until queued (an
+        # event with no action).
+        place = self.call_at(time, None)
         slot.time, slot.seq = time, place.seq
 
-    def schedule_reserved(self, slot, action):
-        place = self._events[slot.seq]
-        place.action, place.cancelled = action, False
-        slot.seq = -1
-        return place
-
-    def call_at(self, time, action):
-        self.schedule(time - self.now, action)
-
     def call_reserved(self, slot, action):
-        self.schedule_reserved(slot, action)
-
-    def compact(self):
-        return 0
+        self._events[slot.seq].action = action
+        slot.seq = -1
 
     def run(self, until=None):
         while True:
             live = [
-                e for e in self._events if not (e.cancelled or e.fired)
+                e for e in self._events
+                if e.action is not None and not (e.cancelled or e.fired)
             ]
             if not any(not e.weak for e in live):
                 break
@@ -103,11 +89,27 @@ class _ReferenceSimulator:
             self.now = until
 
 
+def _finish(sim, rng, handles, cancels, horizon):
+    """Run to ``horizon``; past one, cancel a few entries and drain.
+
+    Returns the clock and dispatch count at the horizon, then at the end.
+    """
+    sim.run(until=horizon)
+    stop = (sim.now, sim.dispatched_events)
+    if horizon is not None:
+        for _ in range(3):
+            cancels.append(sim.cancel(rng.choice(handles)))
+        sim.run()
+    return stop, sim.now, sim.dispatched_events
+
+
 def replay(make_sim, program, horizon=None):
-    """Run one randomized program; return (fired, now, dispatched)."""
+    """Run one randomized program; return what it fired and cancelled
+    and the clock and dispatch counts (see :func:`_finish`)."""
     rng = random.Random(program)
     sim = make_sim()
     fired: list[tuple[int, int]] = []
+    cancels: list[bool] = []
     handles = []
     #: slots holding a reservation not queued yet; some never are.
     slots: list[Slot] = []
@@ -126,17 +128,20 @@ def replay(make_sim, program, horizon=None):
             fired.append((sim.now, tag))
             # Mid-run scheduling: events spawn more events.
             if rng.random() < 0.35 and len(fired) < 400:
-                sim.schedule(rng.randrange(0, 50), make(tag + 1000))
-            # Mid-run cancellation of a random live handle.
+                handles.append(sim.call_at(
+                    sim.now + rng.randrange(0, 50), make(tag + 1000)
+                ))
+            # Mid-run cancellation of a random entry: queued, fired,
+            # cancelled before or this very one.
             if handles and rng.random() < 0.2:
-                handles[rng.randrange(len(handles))].cancel()
+                cancels.append(
+                    sim.cancel(handles[rng.randrange(len(handles))])
+                )
             # Queue a reserved slot later, unless its time has passed.
             if slots and rng.random() < 0.3:
                 slot = slots.pop(rng.randrange(len(slots)))
                 if slot.time >= sim.now:
-                    handles.append(
-                        sim.schedule_reserved(slot, make(tag + 2000))
-                    )
+                    sim.call_reserved(slot, make(tag + 2000))
             if rng.random() < 0.1 and len(fired) < 400:
                 reserve()
 
@@ -145,14 +150,11 @@ def replay(make_sim, program, horizon=None):
     for tag in range(120):
         delay = rng.choice((0, 1, 1, 7, 7, 7, 64, 512, 4096))
         handles.append(
-            sim.schedule(delay, make(tag), weak=rng.random() < 0.1)
+            sim.call_at(delay, make(tag), weak=rng.random() < 0.1)
         )
         if rng.random() < 0.15:
             reserve()
-    if rng.random() < 0.5:
-        sim.compact()
-    sim.run(until=horizon)
-    return fired, sim.now, sim.dispatched_events
+    return fired, cancels, _finish(sim, rng, handles, cancels, horizon)
 
 
 @pytest.mark.parametrize("program", range(15))
@@ -169,25 +171,21 @@ def test_calendar_replays_heap_exactly_with_horizon(program):
 
 
 def replay_mixed(make_sim, program, horizon=None):
-    """A randomized program mixing entries with and without handles.
+    """A randomized program of zero-delay chains and early cancels.
 
-    Only entries with a handle can be cancelled or weak; plain entries
-    are strong, like the data plane's arrivals and wakeups. Returns
-    (fired, now, dispatched).
+    Returns what :func:`replay` returns.
     """
     rng = random.Random(10_000 + program)
     sim = make_sim()
     fired: list[tuple[int, int]] = []
+    cancels: list[bool] = []
     handles = []
     slots: list[Slot] = []
 
     def enqueue(delay, tag):
-        if rng.random() < 0.5:
-            sim.call_at(sim.now + delay, make(tag))
-        else:
-            handles.append(
-                sim.schedule(delay, make(tag), weak=rng.random() < 0.1)
-            )
+        handles.append(sim.call_at(
+            sim.now + delay, make(tag), weak=rng.random() < 0.05
+        ))
 
     def make(tag):
         def action():
@@ -195,16 +193,13 @@ def replay_mixed(make_sim, program, horizon=None):
             if rng.random() < 0.4 and len(fired) < 400:
                 enqueue(rng.choice((0, 0, 1, 7, 30)), tag + 1000)
             if handles and rng.random() < 0.25:
-                handles[rng.randrange(len(handles))].cancel()
+                cancels.append(
+                    sim.cancel(handles[rng.randrange(len(handles))])
+                )
             if slots and rng.random() < 0.3:
                 slot = slots.pop(rng.randrange(len(slots)))
                 if slot.time >= sim.now:
-                    if rng.random() < 0.5:
-                        sim.call_reserved(slot, make(tag + 2000))
-                    else:
-                        handles.append(
-                            sim.schedule_reserved(slot, make(tag + 2000))
-                        )
+                    sim.call_reserved(slot, make(tag + 2000))
             if rng.random() < 0.15 and len(fired) < 400:
                 slot = Slot()
                 sim.reserve(slot, sim.now + rng.choice((0, 1, 7, 64)))
@@ -219,11 +214,8 @@ def replay_mixed(make_sim, program, horizon=None):
             sim.reserve(slot, sim.now + rng.choice((0, 7, 512)))
             slots.append(slot)
         if handles and rng.random() < 0.1:
-            handles[rng.randrange(len(handles))].cancel()
-    if rng.random() < 0.5:
-        sim.compact()
-    sim.run(until=horizon)
-    return fired, sim.now, sim.dispatched_events
+            cancels.append(sim.cancel(handles[rng.randrange(len(handles))]))
+    return fired, cancels, _finish(sim, rng, handles, cancels, horizon)
 
 
 @pytest.mark.parametrize("program", range(20))
@@ -248,7 +240,7 @@ class TestCalendarQueueKernel:
         sim = Simulator()
         seen = []
         for i in range(50):
-            sim.schedule(7, lambda i=i: seen.append(i))
+            sim.call_at(7, lambda i=i: seen.append(i))
         sim.run()
         assert seen == list(range(50))
 
@@ -256,7 +248,7 @@ class TestCalendarQueueKernel:
         sim = Simulator()
         seen = []
         for t in (10**9, 3, 10**6, 44, 10**12, 500):
-            sim.schedule(t, lambda t=t: seen.append(t))
+            sim.call_at(t, lambda t=t: seen.append(t))
         sim.run()
         assert seen == sorted(seen)
         assert sim.now == 10**12
@@ -267,7 +259,7 @@ class TestCalendarQueueKernel:
         seen = []
         for round_base in (0, 100_000):
             for i in range(300):
-                sim.schedule_at(
+                sim.call_at(
                     round_base + (i * 37) % 991,
                     lambda i=i, t=round_base + (i * 37) % 991: seen.append(
                         (t, i)
@@ -277,24 +269,14 @@ class TestCalendarQueueKernel:
         assert len(seen) == 600
         assert seen == sorted(seen)
 
-    def test_step_and_peek_time(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(5, lambda: seen.append("a"))
-        sim.schedule(9, lambda: seen.append("b"))
-        assert sim.peek_time() == 5
-        assert sim.step()
-        assert seen == ["a"]
-        assert sim.peek_time() == 9
-
     def test_compact_drops_cancelled_entries(self):
+        # Cancelling compacts the queue at once: no dead entry stays.
         sim = Simulator()
-        keep = sim.schedule(10, lambda: None)
+        keep = sim.call_at(10, lambda: None)
         for _ in range(20):
-            sim.schedule(20, lambda: None).cancel()
-        assert sim.pending_events == 21
-        removed = sim.compact()
-        assert removed == 20
+            assert sim.cancel(sim.call_at(20, lambda: None))
         assert sim.pending_events == 1
-        assert sim.live_pending_events == 1
-        keep.cancel()
+        assert sim.max_heap_depth == 2
+        assert sim.cancel(keep)
+        assert sim.pending_events == 0
+        assert sim.run() == 0 and sim.now == 0
