@@ -9,6 +9,17 @@ speed, but what they produce may not move by a byte. These cases pin:
 * ``repro spans --signal-loss 0.2``: its trace.jsonl and
   anomalies.jsonl, plus spans.jsonl with the host-measured
   ``compute_ns`` field masked (the only wall-clock field);
+* the clean ``repro spans`` bundle CI captures: its trace.jsonl and
+  its masked spans.jsonl (channel roots and every hop of RT frames);
+* three small traced, spanned runs that reach the sites no bundle
+  does: a star that overflows a one-frame best-effort buffer, corrupts
+  frames on the wire, sends to an unknown node and sends on a grant
+  the switch never admitted until its frames miss their uplink
+  deadline; a star handshake that times out and then receives its late
+  positive response, plus a retried one that receives a duplicate
+  final response; a 3-switch chain that drops a best-effort frame and,
+  after a release, a frame of the released channel. Across all pinned
+  runs every data-plane trace category and span name appears;
 * one k=4 fat-tree data-plane run: frames delivered, dispatched
   events, the final simulated clock, the per-link deadline misses and
   the per-frame delay samples;
@@ -34,7 +45,9 @@ reason.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import re
@@ -46,6 +59,7 @@ from repro.cli import main
 from repro.core.admission import AdmissionController, SystemState
 from repro.core.channel import ChannelSpec
 from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
+from repro.core.rt_layer import ChannelGrant
 from repro.experiments.validation import run_validation
 from repro.faults.plan import FaultPlan
 from repro.multiswitch.graph import build_chain_graph, build_fat_tree
@@ -54,6 +68,7 @@ from repro.multiswitch.simnet import build_fabric_network
 from repro.network.topology import build_star
 from repro.obs import Telemetry, TelemetryConfig
 from repro.obs.profiling import KernelProfiler
+from repro.protocol.signaling import RetryPolicy
 from repro.service import AdmissionService, ChurnConfig, ChurnProcess
 from repro.service.intent import SharedLinkFabric
 from repro.sim.rng import RngRegistry
@@ -86,6 +101,48 @@ _SPANS_DIGESTS = {
     "spans.jsonl":
         "72a6234b0aa5cba80a8df405ac17a6bdaa7a5cb08c1df52c300b79364b598c95",
 }
+
+#: ``repro spans --masters 4 --slaves 12 --requests 40 --hyperperiods 2``
+#: (the clean capture CI runs), ``compute_ns`` masked in spans.jsonl.
+#: It is the ``obs capture`` run, so its trace.jsonl is the same file.
+_CLEAN_SPANS_DIGESTS = {
+    "trace.jsonl":
+        "9cc7210c90b397abfa6c9f2512ca07cf38479580f862cccd068b08fd50091095",
+    "spans.jsonl":
+        "2d49c9b2fc111232a333ee002c4722bc8d192c31ded2cc539e583360c33315a5",
+}
+
+#: The three fault runs below: sha256 of their trace records and of
+#: their spans, each as one JSON list.
+_FAULTY_STAR_DIGESTS = (
+    "70b42291610466257ed7e66ee28ba06ce3a20700b2081b8bf5d89a5e609f1fa4",
+    "10b04758ed128d205280f9dce46857b4ce3773f2915db15c5066e481f483205f",
+)
+_HANDSHAKE_DIGESTS = (
+    "a9df80a0d1e743f1e9bd8d725a26a58c7349e7bbdf5cd512371c1ccd3f7721aa",
+    "88ce8c08fa3ac56113a7ec4fff3dee387f580c7e713117f5ac3248714c0b7772",
+)
+_CHAIN_DROP_DIGESTS = (
+    "cd4014456f1d4d725ec085277fdf2afdd41a6a012f138f1417b96d60996a4f0e",
+    "83099ff1f8d45bbfdb8e9f89cf4c29b4421c0bff0279b3138f80eddf025d61b1",
+)
+
+#: Every trace category and span name the data plane writes.
+_DATA_PLANE_CATEGORIES = frozenset({
+    "rt.emit",
+    "port.rt_enqueue", "port.be_enqueue", "port.be_drop",
+    "port.rt_dequeue", "port.rt_miss",
+    "link.start", "link.idle", "link.lost", "link.deliver",
+    "switch.drop", "switch.signal", "fabric.drop",
+    "node.deliver",
+    "signal.request", "signal.retry", "signal.timeout", "signal.offer",
+    "signal.stale", "signal.late_response_teardown", "signal.response",
+    "signal.lease_reclaim",
+})
+_DATA_PLANE_SPANS = frozenset({
+    "signal.request", "retry", "admission", "lease", "teardown",
+    "channel", "queue", "wire", "processing", "lost", "dropped",
+})
 
 #: ``obs capture --profile``: (label, dispatched events) per profiler row.
 _PROFILE_ROWS = [
@@ -170,15 +227,47 @@ def _json(value) -> bytes:
     return json.dumps(value, sort_keys=True).encode()
 
 
-def test_obs_capture_bundle_is_pinned(tmp_path, capsys):
-    assert main(["obs", "capture", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+def _run_cli(tmp_path_factory, name: str, argv: list[str]):
+    """Run one CLI capture into a fresh directory; returns the path."""
+    out = tmp_path_factory.mktemp(name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def capture_dir(tmp_path_factory):
+    return _run_cli(tmp_path_factory, "capture", ["obs", "capture"])
+
+
+@pytest.fixture(scope="module")
+def lossy_spans_dir(tmp_path_factory):
+    return _run_cli(
+        tmp_path_factory, "lossy",
+        ["spans", "--signal-loss", "0.2", "--out"],
+    )
+
+
+@pytest.fixture(scope="module")
+def clean_spans_dir(tmp_path_factory):
+    return _run_cli(
+        tmp_path_factory, "clean",
+        ["spans", "--masters", "4", "--slaves", "12", "--requests", "40",
+         "--hyperperiods", "2", "--out"],
+    )
+
+
+def _masked(path) -> bytes:
+    return _COMPUTE_NS.sub(b'"compute_ns":0', path.read_bytes())
+
+
+def test_obs_capture_bundle_is_pinned(capture_dir):
+    assert sorted(p.name for p in capture_dir.iterdir()) == sorted(
         _CAPTURE_DIGESTS
     )
     for name, digest in _CAPTURE_DIGESTS.items():
-        assert _sha256((tmp_path / name).read_bytes()) == digest, name
-    metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert _sha256((capture_dir / name).read_bytes()) == digest, name
+    metrics = json.loads((capture_dir / "metrics.json").read_text())
     (depth,) = metrics["kernel.max_heap_depth"]["series"]
     assert depth["value"] == _CAPTURE_MAX_HEAP_DEPTH
 
@@ -214,15 +303,129 @@ def test_untraced_capture_label_rows():
     assert rows == _UNTRACED_PROFILE_ROWS
 
 
-def test_lossy_spans_bundle_is_pinned(tmp_path, capsys):
-    argv = ["spans", "--signal-loss", "0.2", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    capsys.readouterr()
+def test_lossy_spans_bundle_is_pinned(lossy_spans_dir):
     for name, digest in _SPANS_DIGESTS.items():
-        data = _COMPUTE_NS.sub(
-            b'"compute_ns":0', (tmp_path / name).read_bytes()
-        )
-        assert _sha256(data) == digest, name
+        assert _sha256(_masked(lossy_spans_dir / name)) == digest, name
+
+
+def test_clean_spans_bundle_is_pinned(clean_spans_dir):
+    for name, digest in _CLEAN_SPANS_DIGESTS.items():
+        assert _sha256(_masked(clean_spans_dir / name)) == digest, name
+
+
+def _spanned() -> Telemetry:
+    return Telemetry(TelemetryConfig(spans=True, probe_cadence_ns=None))
+
+
+def _records(telemetry: Telemetry) -> tuple[list, list]:
+    """A run's trace records and spans as JSON-ready lists."""
+    return (
+        [[r.time, r.category, r.subject, r.detail, r.fields]
+         for r in telemetry.recorder],
+        [span.as_dict() for span in telemetry.spans],
+    )
+
+
+@pytest.fixture(scope="module")
+def faulty_star():
+    """Buffer overflow, wire corruption, an unknown destination and RT
+    frames on a grant the switch never admitted."""
+    telemetry = _spanned()
+    net = build_star(
+        ["m0", "m1", "s0"], dps=SymmetricDPS(), be_buffer_frames=1,
+        loss_rate=0.1, loss_seed=3, telemetry=telemetry,
+    )
+    spec = ChannelSpec(period=100, capacity=3, deadline=40)
+    assert net.establish_analytically("m0", "s0", spec) is not None
+    rogue = net.node("m1")
+    rogue.rt_layer.install_grant(ChannelGrant(99, "m1", "s0", spec, 1))
+    net.start_all_sources(stop_after_messages=3)
+    for _ in range(2):
+        rogue.send_message(99)
+    for _ in range(3):
+        net.node("s0").send_best_effort("m0", 200)
+    net.node("s0").send_best_effort("nobody", 64)
+    net.sim.run()
+    assert rogue.uplink.stats.rt_link_deadline_misses > 0
+    return _records(telemetry)
+
+
+@pytest.fixture(scope="module")
+def late_handshakes():
+    """A request that times out before its positive response, and a
+    retransmitted one whose second final response is a duplicate."""
+    telemetry = _spanned()
+    net = build_star(["m0", "s0", "s1"], telemetry=telemetry)
+    spec = ChannelSpec(period=100, capacity=3, deadline=40)
+    assert net.establish("m0", "s0", spec, timeout_ns=20_000) is None
+    retry = RetryPolicy(timeout_ns=20_000, max_retries=3)
+    assert net.establish("m0", "s1", spec, retry=retry) is not None
+    assert net.node("m0").signal_stale_frames == 1
+    return _records(telemetry)
+
+
+@pytest.fixture(scope="module")
+def chain_drops():
+    """A best-effort frame and, after a release, frames of the released
+    channel reach fabric switches that have no route for them."""
+    telemetry = _spanned()
+    net = build_fabric_network(
+        build_chain_graph(3, 2), MultiHopProportional(), telemetry=telemetry,
+    )
+    spec = ChannelSpec(period=100, capacity=3, deadline=60)
+    channels = [
+        net.establish(source, destination, spec)
+        for source, destination in _CHAIN_CHANNELS[:2]
+    ]
+    net.start_all_sources(stop_after_messages=2)
+    net.nodes["n0_0"].send_best_effort("n2_0", 100)
+    net.sim.run(until=net.sim.now + 2 * net.phy.slot_ns)
+    net.release(channels[0].channel_id)
+    net.sim.run()
+    return _records(telemetry)
+
+
+@pytest.mark.parametrize(
+    "run, digests",
+    [
+        ("faulty_star", _FAULTY_STAR_DIGESTS),
+        ("late_handshakes", _HANDSHAKE_DIGESTS),
+        ("chain_drops", _CHAIN_DROP_DIGESTS),
+    ],
+)
+def test_fault_sites_are_pinned(run, digests, request):
+    records, spans = request.getfixturevalue(run)
+    assert (_sha256(_json(records)), _sha256(_json(spans))) == digests
+
+
+def _jsonl(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_pins_cover_every_data_plane_site(
+    capture_dir, lossy_spans_dir, clean_spans_dir,
+    faulty_star, late_handshakes, chain_drops,
+):
+    """A site that stops writing fails here by name, not only by digest."""
+    records = [
+        [r["time"], r["category"], r["subject"], r["detail"],
+         r.get("fields")]
+        for directory in (capture_dir, lossy_spans_dir, clean_spans_dir)
+        for r in _jsonl(directory / "trace.jsonl")
+    ]
+    spans = [
+        span
+        for directory in (lossy_spans_dir, clean_spans_dir)
+        for span in _jsonl(directory / "spans.jsonl")
+    ]
+    for run_records, run_spans in (faulty_star, late_handshakes, chain_drops):
+        records += run_records
+        spans += run_spans
+    assert _DATA_PLANE_CATEGORIES - {r[1] for r in records} == set()
+    assert _DATA_PLANE_SPANS - {span["name"] for span in spans} == set()
+    # wire corruption writes link.lost without fields, a fault plan with
+    lost = {str(r[4]) for r in records if r[1] == "link.lost"}
+    assert {"None", "{'cause': 'fault-plan'}"} <= lost
 
 
 class _DispatchStream(KernelProfiler):
