@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from ..errors import ProtocolError, UnknownChannelError
 from ..protocol.ethernet import EthernetFrame, FrameKind
 from ..protocol.headers import encode_rt_header
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer
 from ..units import ETH_MAX_PAYLOAD
 from .channel import ChannelSpec
 
@@ -100,27 +100,24 @@ class RTLayer:
     slot_ns:
         Duration of one timeslot, for converting the grant's slot-based
         deadlines into simulator nanoseconds.
-    trace:
-        Optional recorder; message segmentation emits ``rt.emit``
-        records (the birth event of every RT frame's lifecycle).
+    obs:
+        Optional :class:`~repro.sim.trace.Observer`; message
+        segmentation emits ``rt.emit`` records (the birth event of every
+        RT frame's lifecycle) and threads each frame into its channel's
+        span trace.
     """
 
     def __init__(
         self,
         node_name: str,
         slot_ns: int,
-        trace: TraceRecorder | None = None,
+        obs: Observer | None = None,
     ) -> None:
         if slot_ns <= 0:
             raise ProtocolError(f"slot_ns must be positive, got {slot_ns}")
         self._node = node_name
         self._slot_ns = slot_ns
-        self._trace = trace if trace is not None else TraceRecorder()
-        # Read once: nothing switches a recorder after construction.
-        self._tracing = self._trace.enabled
-        #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
-        #: telemetry bundle); every hook is gated on ``is not None``.
-        self.spans = None
+        self._obs = obs
         self._grants: dict[int, ChannelGrant] = {}
         self._message_seq: dict[int, int] = {}
 
@@ -190,24 +187,6 @@ class RTLayer:
         end_to_end_deadline = release_ns + grant.spec.deadline * self._slot_ns
         uplink_deadline = release_ns + grant.uplink_deadline_slots * self._slot_ns
         header = encode_rt_header(end_to_end_deadline, channel_id)
-        if self._tracing and self._trace.enabled_for("rt.emit"):
-            self._trace.record(
-                release_ns,
-                "rt.emit",
-                self._node,
-                f"ch{channel_id} msg#{seq} x{grant.spec.capacity}",
-                fields={
-                    "channel": channel_id,
-                    "seq": seq,
-                    "frames": grant.spec.capacity,
-                    "deadline_ns": end_to_end_deadline,
-                    "uplink_deadline_ns": uplink_deadline,
-                },
-            )
-        spans = self.spans
-        root = None
-        if spans is not None:
-            root = spans.channel_root(channel_id, release_ns, self._node)
         frames = []
         for fragment in range(grant.spec.capacity):
             frame = EthernetFrame(
@@ -221,11 +200,12 @@ class RTLayer:
                 fragment_index=fragment,
                 created_at=release_ns,
             )
-            if root is not None:
-                spans.attach_frame(
-                    frame.frame_id, root.trace_id, root.span_id
-                )
             frames.append(OutgoingFrame(frame, uplink_deadline))
+        if self._obs is not None:
+            self._obs.emitted(
+                release_ns, self._node, channel_id, seq,
+                end_to_end_deadline, uplink_deadline, frames,
+            )
         return frames
 
     def message_count(self, channel_id: int) -> int:

@@ -49,7 +49,7 @@ from ..network.phy import PhyProfile
 from ..network.port import OutputPort
 from ..protocol.ethernet import EthernetFrame, FrameKind, reset_frame_ids
 from ..sim.kernel import Simulator
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer, TraceRecorder
 from .admission import MultiAdmissionDecision, MultiSwitchAdmission
 from .graph import FabricGraph, address_pass
 from .partitioning import MultiHopDPS, MultiHopProportional
@@ -78,7 +78,8 @@ class FabricSwitchModel:
     As in the star's :class:`~repro.network.switch.Switch`, frames that
     wait out the processing delay sit in a FIFO and each processing
     event pops its head: the events fire at arrival + a constant delay,
-    in queueing order, and are never cancelled.
+    in queueing order, and are never cancelled. ``obs`` is the optional
+    :class:`~repro.sim.trace.Observer` for drops and processing spans.
     """
 
     def __init__(
@@ -86,12 +87,12 @@ class FabricSwitchModel:
         sim: Simulator,
         phy: PhyProfile,
         name: str,
-        trace: TraceRecorder | None = None,
+        obs: Observer | None = None,
     ) -> None:
         self._sim = sim
         self._phy = phy
         self.name = name
-        self._trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self._obs = obs
         self._ports: dict[str, OutputPort] = {}
         self._forwarding: dict[int, _ForwardingEntry] = {}
         self.frames_forwarded = 0
@@ -101,8 +102,6 @@ class FabricSwitchModel:
         self._processing: deque[EthernetFrame] = deque()
         # The processing event's action, bound once rather than per frame.
         self._forward_action = self._forward
-        #: optional SpanTracker (set by Telemetry.instrument_fabric).
-        self.spans = None
 
     @property
     def ports(self) -> dict[str, OutputPort]:
@@ -146,8 +145,8 @@ class FabricSwitchModel:
         """Frame fully arrived; route after the processing delay."""
         now = self._sim.now
         done = now + self._phy.switch_processing_ns
-        if self.spans is not None:
-            self.spans.frame_processing(frame.frame_id, now, done, self.name)
+        if self._obs is not None:
+            self._obs.processing(now, done, self.name, frame)
         self._processing.append(frame)
         self._sim.call_at(done, self._forward_action, self._process_label)
 
@@ -158,28 +157,19 @@ class FabricSwitchModel:
             # The fabric data plane models RT channels only; best-effort
             # routing over trees is out of this extension's scope.
             self.frames_dropped += 1
-            if self.spans is not None:
-                self.spans.frame_dropped(
-                    frame.frame_id, self._sim.now, self.name
-                )
-            if self._trace.enabled_for("fabric.drop"):
-                self._trace.record(
-                    self._sim.now, "fabric.drop", self.name, frame.describe(),
-                    fields={"reason": "non-rt"},
+            if self._obs is not None:
+                self._obs.dropped(
+                    "fabric.drop", self._sim.now, self.name, frame,
+                    {"reason": "non-rt"},
                 )
             return
         entry = self._forwarding.get(frame.channel_id)
         if entry is None:
             self.frames_dropped += 1
-            if self.spans is not None:
-                self.spans.frame_dropped(
-                    frame.frame_id, self._sim.now, self.name
-                )
-            if self._trace.enabled_for("fabric.drop"):
-                self._trace.record(
-                    self._sim.now, "fabric.drop", self.name, frame.describe(),
-                    fields={"reason": "unknown-channel",
-                            "channel": frame.channel_id},
+            if self._obs is not None:
+                self._obs.dropped(
+                    "fabric.drop", self._sim.now, self.name, frame,
+                    {"reason": "unknown-channel", "channel": frame.channel_id},
                 )
             return
         self._ports[entry.next_hop].submit_rt(
@@ -213,6 +203,9 @@ class FabricNetwork:
             self.trace = telemetry.recorder
         else:
             self.trace = TraceRecorder(enabled=trace_enabled)
+        self._obs = Observer.of(
+            self.trace, None if telemetry is None else telemetry.spans
+        )
         self.metrics = MetricsCollector(
             t_latency_ns=phy.t_latency_hops_ns(self._max_hop_count()),
             record_delays=record_delays,
@@ -237,8 +230,7 @@ class FabricNetwork:
     def _wire_everything(self) -> None:
         for switch_name in sorted(self.fabric.switches):
             self.switches[switch_name] = FabricSwitchModel(
-                sim=self.sim, phy=self.phy, name=switch_name,
-                trace=self.trace,
+                sim=self.sim, phy=self.phy, name=switch_name, obs=self._obs,
             )
         addresses = address_pass(self.fabric)
         for node_name in sorted(self.fabric.nodes):
@@ -247,7 +239,7 @@ class FabricNetwork:
                 sim=self.sim, phy=self.phy, name=node_name,
                 mac=address.mac, ip=address.ip,
                 switch_mac=0,  # fabric leaves have no signalling path yet
-                metrics=self.metrics, trace=self.trace,
+                metrics=self.metrics, obs=self._obs,
             )
         # one duplex cable per fabric edge = two HalfLinks + two ports
         for node_name in sorted(self.fabric.nodes):
@@ -267,14 +259,14 @@ class FabricNetwork:
                 phy=self.phy,
                 name=f"{tail}->{head}",
                 deliver=self._receiver(head),
-                trace=self.trace,
+                obs=self._obs,
             )
             port = OutputPort(
                 sim=self.sim,
                 phy=self.phy,
                 link=wire,
                 name=f"port:{tail}->{head}",
-                trace=self.trace,
+                obs=self._obs,
             )
             if tail in self.switches:
                 self.switches[tail].attach_port(head, port)
@@ -313,19 +305,10 @@ class FabricNetwork:
                 hop_index=hop_index,
             )
         self.metrics.register_channel(decision.channel_id, spec.capacity)
-        spans = None if self.telemetry is None else self.telemetry.spans
-        if spans is not None:
-            root = spans.channel_root(
-                decision.channel_id, self.sim.now, source
-            )
-            spans.event(
-                root.trace_id, root.span_id, "admission", source,
-                self.sim.now,
-                {
-                    "verdict": "accept",
-                    "destination": destination,
-                    "hops": len(links),
-                },
+        if self._obs is not None:
+            self._obs.admitted(
+                self.sim.now, source, decision.channel_id, destination,
+                len(links),
             )
         self.channels.append(decision)
         return decision
@@ -375,9 +358,10 @@ def build_fabric_network(
     """Convenience builder pairing a fabric with admission and a kernel.
 
     ``telemetry`` is an optional :class:`~repro.obs.Telemetry` bundle:
-    its recorder becomes the network's trace and the fabric is fully
-    instrumented (kernel counters, per-hop spans, delay observer) via
-    :meth:`~repro.obs.bundle.Telemetry.instrument_fabric`.
+    its recorder becomes the network's trace, its span tracker records
+    every hop through the network's :class:`~repro.sim.trace.Observer`,
+    and :meth:`~repro.obs.bundle.Telemetry.instrument_fabric` wires in
+    the kernel counters and the delay observer.
     """
     phy = phy or PhyProfile.fast_ethernet()
     admission = MultiSwitchAdmission(

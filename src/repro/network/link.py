@@ -39,7 +39,7 @@ from ..errors import SimulationError
 from ..protocol.ethernet import EthernetFrame
 from ..sim.events import Slot
 from ..sim.kernel import Simulator
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer
 from .phy import PhyProfile
 
 __all__ = ["HalfLink"]
@@ -73,8 +73,9 @@ class HalfLink:
         transmission; the owning port uses this to start the next frame.
         Assigned after construction because port and link reference each
         other.
-    trace:
-        Optional recorder for ``link.*`` milestones.
+    obs:
+        Optional :class:`~repro.sim.trace.Observer` for ``link.*``
+        milestones and wire spans.
     loss_rate:
         Probability that a transmitted frame is corrupted in flight and
         silently discarded at the receiver (FCS failure). The paper
@@ -98,7 +99,7 @@ class HalfLink:
         phy: PhyProfile,
         name: str,
         deliver: Callable[[EthernetFrame], None],
-        trace: TraceRecorder | None = None,
+        obs: Observer | None = None,
         loss_rate: float = 0.0,
         loss_rng=None,
         fault_plan=None,
@@ -117,9 +118,9 @@ class HalfLink:
         self.name = name
         self._deliver = deliver
         self.on_idle: Callable[[], None] | None = None
-        self._trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # Read once: nothing switches a recorder after construction.
-        self._tracing = self._trace.enabled
+        self._obs = obs
+        # Decided once: a traced ``link.idle`` queues every wakeup.
+        self._idle_traced = obs is not None and obs.traces("link.idle")
         #: Time (ns) the wire becomes free; in the past when idle. A
         #: plain attribute (the port reads it per frame); only the link
         #: assigns it.
@@ -139,9 +140,6 @@ class HalfLink:
         self._idle_label = f"{name}:idle"
         self._deliver_label = f"{name}:deliver"
         self._timing: dict[int, tuple[int, int]] = {}
-        #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
-        #: telemetry bundle); every hook is gated on ``is not None``.
-        self.spans = None
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
         self._fault_plan = fault_plan
@@ -223,26 +221,13 @@ class HalfLink:
         self.frames_carried += 1
         self.bytes_carried += wire_bytes
         self.busy_ns += tx
-        if self._tracing and self._trace.enabled_for("link.start"):
-            # duration_ns renders link.start as a span in the Chrome trace
-            self._trace.record(
-                now,
-                "link.start",
-                self.name,
-                frame.describe(),
-                fields={
-                    "duration_ns": tx,
-                    "channel": frame.channel_id,
-                    "bytes": wire_bytes,
-                },
-            )
-        if self._tracing and self._trace.enabled_for("link.idle"):
+        if self._idle_traced:
             sim.call_at(done, self._wire_free_action, self._idle_label)
         else:
             sim.reserve(self._wake, done)
         arrival = done + self._phy.propagation_ns
-        if self.spans is not None:
-            self.spans.frame_transmit(frame.frame_id, now, arrival, self.name)
+        if self._obs is not None:
+            self._obs.transmit(now, self.name, frame, tx, wire_bytes, arrival)
         self._in_flight.append(frame)
         sim.call_at(arrival, self._arrive_action, self._deliver_label)
         return done
@@ -268,8 +253,8 @@ class HalfLink:
             )
 
     def _wire_free(self) -> None:
-        if self._tracing and self._trace.enabled_for("link.idle"):
-            self._trace.record(self._sim.now, "link.idle", self.name)
+        if self._idle_traced:
+            self._obs.idle(self._sim.now, self.name)
         if self.on_idle is not None:
             self.on_idle()
 
@@ -281,36 +266,14 @@ class HalfLink:
         ):
             self.frames_lost += 1
             self.frames_faulted += 1
-            if self._tracing and self._trace.enabled_for("link.lost"):
-                self._trace.record(
-                    self._sim.now,
-                    "link.lost",
-                    self.name,
-                    frame.describe(),
-                    fields={"cause": "fault-plan"},
-                )
-            if self.spans is not None:
-                self.spans.frame_lost(
-                    frame.frame_id, self._sim.now, self.name, "fault-plan"
-                )
+            if self._obs is not None:
+                self._obs.lost(self._sim.now, self.name, frame, "fault-plan")
             return
         if self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate:
             self.frames_lost += 1
-            if self._tracing and self._trace.enabled_for("link.lost"):
-                self._trace.record(
-                    self._sim.now, "link.lost", self.name, frame.describe()
-                )
-            if self.spans is not None:
-                self.spans.frame_lost(
-                    frame.frame_id, self._sim.now, self.name, "corruption"
-                )
+            if self._obs is not None:
+                self._obs.lost(self._sim.now, self.name, frame, "corruption")
             return
-        if self._tracing and self._trace.enabled_for("link.deliver"):
-            self._trace.record(
-                self._sim.now,
-                "link.deliver",
-                self.name,
-                frame.describe(),
-                fields={"channel": frame.channel_id},
-            )
+        if self._obs is not None:
+            self._obs.arrived(self._sim.now, self.name, frame)
         self._deliver(frame)

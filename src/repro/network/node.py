@@ -49,7 +49,7 @@ from ..protocol.signaling import (
     destination_response,
 )
 from ..sim.kernel import Simulator
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer
 from .phy import PhyProfile
 from .port import OutputPort
 
@@ -98,8 +98,10 @@ class EndNode:
     destination_policy:
         Accept/decline decision for offered channels; default accepts
         everything (the paper's evaluation never declines).
-    trace:
-        Optional trace recorder.
+    obs:
+        Optional :class:`~repro.sim.trace.Observer` for delivery and
+        signalling milestones and request spans (shared with the RT
+        layer).
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         given, ``signal.retries`` and ``signal.stale_frames``
@@ -117,7 +119,7 @@ class EndNode:
         switch_mac: int,
         metrics: MetricsCollector,
         destination_policy: DestinationPolicy = accept_all,
-        trace: TraceRecorder | None = None,
+        obs: Observer | None = None,
         registry=None,
     ) -> None:
         self._sim = sim
@@ -128,15 +130,8 @@ class EndNode:
         self._switch_mac = switch_mac
         self._metrics = metrics
         self._policy = destination_policy
-        self._trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # Read once: nothing switches a recorder after construction.
-        self._tracing = self._trace.enabled
-        #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
-        #: telemetry bundle); every hook is gated on ``is not None``.
-        self.spans = None
-        self.rt_layer = RTLayer(
-            node_name=name, slot_ns=phy.slot_ns, trace=self._trace
-        )
+        self._obs = obs
+        self.rt_layer = RTLayer(node_name=name, slot_ns=phy.slot_ns, obs=obs)
         self.signaling = SourceSignaling(
             node_mac=mac, switch_mac=switch_mac, node_ip=ip
         )
@@ -245,15 +240,12 @@ class EndNode:
         rid = request.connect_request_id
         if on_complete is not None:
             self._request_callbacks[rid] = on_complete
+        obs = self._obs
         span_ctx = None
-        if self.spans is not None:
-            root = self.spans.begin_request(
-                self.name,
-                rid,
-                self._sim.now,
-                {"destination": destination_name, "request": rid},
+        if obs is not None:
+            span_ctx = obs.request_sent(
+                self._sim.now, self.name, rid, destination_name
             )
-            span_ctx = (root.trace_id, root.span_id)
         if retry is not None:
             self._retry_state[rid] = _RetryState(retry, retry_rng, request)
             self._sim.call_at(
@@ -274,16 +266,11 @@ class EndNode:
         self._send_signaling(
             request, payload_bytes=REQUEST_FRAME_BYTES, span_ctx=span_ctx
         )
-        if self._tracing and self._trace.enabled_for("signal.request"):
-            self._trace.record(
-                self._sim.now,
-                "signal.request",
-                self.name,
+        if obs is not None:
+            obs.signal(
+                "signal.request", self._sim.now, self.name,
                 f"req={rid} -> {destination_name}",
-                fields={
-                    "request": rid,
-                    "destination": destination_name,
-                },
+                {"request": rid, "destination": destination_name},
             )
 
     def _request_timeout(self, connect_request_id: int) -> None:
@@ -300,32 +287,12 @@ class EndNode:
                 if self._m_retries is not None:
                     self._m_retries.inc()
                 self.signaling.pending_request(connect_request_id).retries += 1
-                if self._tracing and self._trace.enabled_for("signal.retry"):
-                    self._trace.record(
-                        self._sim.now,
-                        "signal.retry",
-                        self.name,
-                        f"req={connect_request_id} attempt={state.attempt}",
-                        fields={
-                            "request": connect_request_id,
-                            "attempt": state.attempt,
-                        },
-                    )
                 span_ctx = None
-                if self.spans is not None:
-                    root = self.spans.request_root(
-                        self.name, connect_request_id
+                if self._obs is not None:
+                    span_ctx = self._obs.request_retried(
+                        self._sim.now, self.name, connect_request_id,
+                        state.attempt,
                     )
-                    if root is not None:
-                        span_ctx = (root.trace_id, root.span_id)
-                        self.spans.event(
-                            root.trace_id,
-                            root.span_id,
-                            "retry",
-                            self.name,
-                            self._sim.now,
-                            {"attempt": state.attempt},
-                        )
                 self._send_signaling(
                     state.frame,
                     payload_bytes=REQUEST_FRAME_BYTES,
@@ -343,17 +310,13 @@ class EndNode:
             record = self.signaling.timeout_request(connect_request_id)
         except ProtocolError:
             return  # the response won the race
-        if self.spans is not None:
-            self.spans.end_request(
-                self.name, connect_request_id, self._sim.now, "timed-out"
-            )
-        if self._tracing and self._trace.enabled_for("signal.timeout"):
-            self._trace.record(
-                self._sim.now,
-                "signal.timeout",
-                self.name,
-                f"req={connect_request_id}",
-                fields={"request": connect_request_id},
+        obs = self._obs
+        if obs is not None:
+            now = self._sim.now
+            obs.request_ended(now, self.name, connect_request_id, "timed-out")
+            obs.signal(
+                "signal.timeout", now, self.name, f"req={connect_request_id}",
+                {"request": connect_request_id},
             )
         callback = self._request_callbacks.pop(connect_request_id, None)
         if callback is not None:
@@ -395,11 +358,10 @@ class EndNode:
     ) -> None:
         """Send ``frame`` now and ``repeats - 1`` more times afterwards."""
         span_ctx = None
-        if self.spans is not None:
-            root = self.spans.begin_teardown(
-                frame.rt_channel_id, self.name, self._sim.now
+        if self._obs is not None:
+            span_ctx = self._obs.teardown_sent(
+                self._sim.now, self.name, frame.rt_channel_id
             )
-            span_ctx = (root.trace_id, root.span_id)
         self._send_signaling(
             frame, payload_bytes=TEARDOWN_FRAME_BYTES, span_ctx=span_ctx
         )
@@ -432,8 +394,8 @@ class EndNode:
             created_at=self._sim.now,
             payload_object=encoded,
         )
-        if self.spans is not None and span_ctx is not None:
-            self.spans.attach_frame(frame.frame_id, span_ctx[0], span_ctx[1])
+        if self._obs is not None:
+            self._obs.sent(frame, span_ctx)
         self._require_uplink().submit_be(frame)
 
     # -- RT data path (application API) -----------------------------------------
@@ -588,27 +550,16 @@ class EndNode:
         if frame.kind is FrameKind.SIGNALING:
             self._receive_signaling(frame)
             return
+        # the metrics run first: they drive the invariant monitor
         self._metrics.on_delivery(frame, self._sim.now)
-        if self.spans is not None:
-            self.spans.frame_done(frame.frame_id)
-        if self._tracing and self._trace.enabled_for("node.deliver"):
-            self._trace.record(
-                self._sim.now,
-                "node.deliver",
-                self.name,
-                frame.describe(),
-                fields={
-                    "channel": frame.channel_id,
-                    "delay_ns": self._sim.now - frame.created_at,
-                },
-            )
+        if self._obs is not None:
+            self._obs.delivered(self._sim.now, self.name, frame)
 
     def _receive_signaling(self, frame: EthernetFrame) -> None:
         self._metrics.on_delivery(frame, self._sim.now)
         span_ctx = None
-        if self.spans is not None:
-            span_ctx = self.spans.frame_context(frame.frame_id)
-            self.spans.frame_done(frame.frame_id)
+        if self._obs is not None:
+            span_ctx = self._obs.received(frame)
         payload = frame.payload_object
         if isinstance(payload, (bytes, bytearray)):
             # bit-exact wire encoding: run the real decoder
@@ -644,13 +595,11 @@ class EndNode:
             self._metrics.register_channel(
                 request.rt_channel_id, request.capacity
             )
-        if self._tracing and self._trace.enabled_for("signal.offer"):
-            self._trace.record(
-                self._sim.now,
-                "signal.offer",
-                self.name,
+        if self._obs is not None:
+            self._obs.signal(
+                "signal.offer", self._sim.now, self.name,
                 f"ch={request.rt_channel_id} ok={response.ok}",
-                fields={"channel": request.rt_channel_id, "ok": response.ok},
+                {"channel": request.rt_channel_id, "ok": response.ok},
             )
         self._send_signaling(
             response, payload_bytes=RESPONSE_FRAME_BYTES, span_ctx=span_ctx
@@ -667,24 +616,18 @@ class EndNode:
             self.signal_stale_frames += 1
             if self._m_stale is not None:
                 self._m_stale.inc()
-            if self._tracing and self._trace.enabled_for("signal.stale"):
-                self._trace.record(
-                    self._sim.now,
-                    "signal.stale",
-                    self.name,
+            if self._obs is not None:
+                self._obs.signal(
+                    "signal.stale", self._sim.now, self.name,
                     f"req={response.connect_request_id} kind={kind.value}",
-                    fields={
-                        "request": response.connect_request_id,
-                        "kind": kind.value,
-                    },
+                    {"request": response.connect_request_id,
+                     "kind": kind.value},
                 )
             return
         self._retry_state.pop(response.connect_request_id, None)
-        if self.spans is not None:
-            self.spans.end_request(
-                self.name,
-                response.connect_request_id,
-                self._sim.now,
+        if self._obs is not None:
+            self._obs.request_ended(
+                self._sim.now, self.name, response.connect_request_id,
                 "accepted" if response.ok else "rejected",
             )
         if completed.state is ConnectionRequestState.TIMED_OUT:
@@ -699,15 +642,11 @@ class EndNode:
                 self._repeat_teardown(
                     frame, self.teardown_repeats, TEARDOWN_SPACING_NS
                 )
-                if self._tracing and self._trace.enabled_for(
-                    "signal.late_response_teardown"
-                ):
-                    self._trace.record(
-                        self._sim.now,
-                        "signal.late_response_teardown",
-                        self.name,
-                        f"ch={response.rt_channel_id}",
-                        fields={"channel": response.rt_channel_id},
+                if self._obs is not None:
+                    self._obs.signal(
+                        "signal.late_response_teardown", self._sim.now,
+                        self.name, f"ch={response.rt_channel_id}",
+                        {"channel": response.rt_channel_id},
                     )
             return
         if response.ok:
@@ -718,16 +657,11 @@ class EndNode:
                 )
             self.rt_layer.install_grant(grant)
         callback = self._request_callbacks.pop(response.connect_request_id, None)
-        if self._tracing and self._trace.enabled_for("signal.response"):
-            self._trace.record(
-                self._sim.now,
-                "signal.response",
-                self.name,
+        if self._obs is not None:
+            self._obs.signal(
+                "signal.response", self._sim.now, self.name,
                 f"req={response.connect_request_id} ok={response.ok}",
-                fields={
-                    "request": response.connect_request_id,
-                    "ok": response.ok,
-                },
+                {"request": response.connect_request_id, "ok": response.ok},
             )
         if callback is not None:
             callback(completed, grant)

@@ -27,7 +27,7 @@ from ..core.edf_queue import EDFQueue, FCFSQueue, QueuedFrame
 from ..errors import SimulationError
 from ..protocol.ethernet import EthernetFrame, FrameKind
 from ..sim.kernel import Simulator
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer
 from .link import HalfLink
 from .phy import PhyProfile
 
@@ -90,8 +90,9 @@ class OutputPort:
         Optional callback ``(frame, completion_ns, link_deadline_ns)``
         fired when an RT frame finishes transmission on this port; the
         metrics layer uses it for per-link latency statistics.
-    trace:
-        Optional trace recorder.
+    obs:
+        Optional :class:`~repro.sim.trace.Observer` for ``port.*``
+        milestones and queue spans.
     """
 
     def __init__(
@@ -102,7 +103,7 @@ class OutputPort:
         name: str,
         be_buffer_frames: int | None = None,
         on_rt_complete: Callable[[EthernetFrame, int, int], None] | None = None,
-        trace: TraceRecorder | None = None,
+        obs: Observer | None = None,
     ) -> None:
         self._sim = sim
         self._link = link
@@ -115,12 +116,7 @@ class OutputPort:
         self._rt_entries = self._rt_queue.entries
         self._be_entries = self._be_queue.entries
         self._on_rt_complete = on_rt_complete
-        self._trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # Read once: nothing switches a recorder after construction.
-        self._tracing = self._trace.enabled
-        #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
-        #: telemetry bundle); every hook is gated on ``is not None``.
-        self.spans = None
+        self._obs = obs
         self.stats = PortStats()
         # Built once: the first-hop miss-check slack of every RT frame
         # submitted without its own allowance.
@@ -171,19 +167,10 @@ class OutputPort:
         stats.rt_enqueued += 1
         if len(self._rt_entries) > stats.rt_backlog_max:
             stats.rt_backlog_max = len(self._rt_entries)
-        if self.spans is not None:
-            self.spans.frame_enqueued(frame.frame_id, self._sim.now, self.name)
-        if self._tracing and self._trace.enabled_for("port.rt_enqueue"):
-            self._trace.record(
-                self._sim.now,
-                "port.rt_enqueue",
-                self.name,
-                frame.describe(),
-                fields={
-                    "channel": frame.channel_id,
-                    "link_deadline_ns": link_deadline_ns,
-                    "depth": len(self._rt_queue),
-                },
+        if self._obs is not None:
+            self._obs.enqueued(
+                self._sim.now, self.name, frame, len(self._rt_entries),
+                link_deadline_ns,
             )
         self._pump()
 
@@ -201,32 +188,16 @@ class OutputPort:
             self.stats.be_enqueued += 1
             if len(self._be_entries) > self.stats.be_backlog_max:
                 self.stats.be_backlog_max = len(self._be_entries)
-            if self.spans is not None:
-                self.spans.frame_enqueued(
-                    frame.frame_id, self._sim.now, self.name
-                )
-            if self._tracing and self._trace.enabled_for("port.be_enqueue"):
-                self._trace.record(
-                    self._sim.now,
-                    "port.be_enqueue",
-                    self.name,
-                    frame.describe(),
-                    fields={"depth": len(self._be_queue)},
+            if self._obs is not None:
+                self._obs.enqueued(
+                    self._sim.now, self.name, frame, len(self._be_entries)
                 )
             self._pump()
         else:
             self.stats.be_dropped += 1
-            if self.spans is not None:
-                self.spans.frame_dropped(
-                    frame.frame_id, self._sim.now, self.name
-                )
-            if self._tracing and self._trace.enabled_for("port.be_drop"):
-                self._trace.record(
-                    self._sim.now,
-                    "port.be_drop",
-                    self.name,
-                    frame.describe(),
-                    fields={"dropped_total": self.stats.be_dropped},
+            if self._obs is not None:
+                self._obs.be_dropped(
+                    self._sim.now, self.name, frame, self.stats.be_dropped
                 )
         return accepted
 
@@ -281,18 +252,8 @@ class OutputPort:
         self.stats.rt_queueing_delay_total_ns += delay
         if delay > self.stats.rt_queueing_delay_max_ns:
             self.stats.rt_queueing_delay_max_ns = delay
-        if self._tracing and self._trace.enabled_for("port.rt_dequeue"):
-            self._trace.record(
-                now,
-                "port.rt_dequeue",
-                self.name,
-                entry.payload.describe(),
-                fields={
-                    "channel": entry.channel_id,
-                    "wait_ns": delay,
-                    "link_deadline_ns": entry.absolute_deadline,
-                },
-            )
+        if self._obs is not None:
+            self._obs.dequeued(now, self.name, entry, delay)
         completion = self._link.transmit(entry.payload)
         self.stats.rt_transmitted += 1
         allowance = (
@@ -302,21 +263,8 @@ class OutputPort:
         )
         if completion > entry.absolute_deadline + allowance:
             self.stats.rt_link_deadline_misses += 1
-            if self._tracing and self._trace.enabled_for("port.rt_miss"):
-                self._trace.record(
-                    now,
-                    "port.rt_miss",
-                    self.name,
-                    f"{entry.payload.describe()} completion={completion} "
-                    f"deadline={entry.absolute_deadline}+{allowance}",
-                    fields={
-                        "channel": entry.channel_id,
-                        "completion_ns": completion,
-                        "overrun_ns": completion
-                        - entry.absolute_deadline
-                        - allowance,
-                    },
-                )
+            if self._obs is not None:
+                self._obs.missed(now, self.name, entry, completion, allowance)
         if self._on_rt_complete is not None:
             self._on_rt_complete(
                 entry.payload, completion, entry.absolute_deadline

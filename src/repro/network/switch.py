@@ -29,7 +29,6 @@ reservation.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter_ns
 
 from ..core.channel_manager import (
     NodeDirectory,
@@ -48,7 +47,7 @@ from ..protocol.frames import (
     RESPONSE_FRAME_BYTES,
 )
 from ..sim.kernel import Entry, Simulator
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer
 from .node import SWITCH_NAME
 from .phy import PhyProfile
 from .port import OutputPort
@@ -77,8 +76,9 @@ class Switch:
         The admission controller (with its system state and DPS).
     directory:
         Node address directory, shared with the topology builder.
-    trace:
-        Optional trace recorder.
+    obs:
+        Optional :class:`~repro.sim.trace.Observer` for switch and
+        signalling milestones, processing spans and admission verdicts.
     lease_ns:
         Reservation-lease duration for pending offers (None disables
         leases and every other loss-tolerance behaviour -- see
@@ -98,7 +98,7 @@ class Switch:
         mac: int,
         admission: AdmissionController,
         directory: NodeDirectory,
-        trace: TraceRecorder | None = None,
+        obs: Observer | None = None,
         lease_ns: int | None = None,
         response_cache_ns: int | None = None,
         registry=None,
@@ -112,7 +112,7 @@ class Switch:
         # The processing event's action, bound once rather than per frame.
         self._process_action = self._process
         self.mac = mac
-        self._trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self._obs = obs
         self.manager = SwitchChannelManager(
             admission=admission,
             directory=directory,
@@ -122,9 +122,6 @@ class Switch:
             metrics=registry,
         )
         self._lease_ns = lease_ns
-        #: optional :class:`~repro.obs.spans.SpanTracker` (set by the
-        #: telemetry bundle); every hook is gated on ``is not None``.
-        self.spans = None
         #: queued lease timers keyed by pending-offer channel ID.
         self._lease_events: dict[int, Entry] = {}
         self._ports: dict[str, OutputPort] = {}
@@ -167,8 +164,8 @@ class Switch:
         """
         now = self._sim.now
         done = now + self._phy.switch_processing_ns
-        if self.spans is not None:
-            self.spans.frame_processing(frame.frame_id, now, done, SWITCH_NAME)
+        if self._obs is not None:
+            self._obs.processing(now, done, SWITCH_NAME, frame)
         self._processing.append(frame)
         self._sim.call_at(done, self._process_action, "switch:process")
 
@@ -190,18 +187,10 @@ class Switch:
         except UnknownChannelError:
             # Channel torn down while the frame was in flight: drop.
             self.frames_dropped += 1
-            if self.spans is not None:
-                self.spans.frame_dropped(
-                    frame.frame_id, self._sim.now, SWITCH_NAME
-                )
-            if self._trace.enabled_for("switch.drop"):
-                self._trace.record(
-                    self._sim.now,
-                    "switch.drop",
-                    SWITCH_NAME,
-                    frame.describe(),
-                    fields={"reason": "unknown-channel",
-                            "channel": frame.channel_id},
+            if self._obs is not None:
+                self._obs.dropped(
+                    "switch.drop", self._sim.now, SWITCH_NAME, frame,
+                    {"reason": "unknown-channel", "channel": frame.channel_id},
                 )
             return
         port = self.port_toward(destination)
@@ -219,17 +208,11 @@ class Switch:
         port = self._ports.get(frame.destination)
         if port is None:
             self.frames_dropped += 1
-            if self.spans is not None:
-                self.spans.frame_dropped(
-                    frame.frame_id, self._sim.now, SWITCH_NAME
-                )
-            if self._trace.enabled_for("switch.drop"):
-                self._trace.record(
-                    self._sim.now,
-                    "switch.drop",
-                    SWITCH_NAME,
-                    f"no port toward {frame.destination!r}",
-                    fields={"reason": "unknown-destination"},
+            if self._obs is not None:
+                self._obs.dropped(
+                    "switch.drop", self._sim.now, SWITCH_NAME, frame,
+                    {"reason": "unknown-destination"},
+                    detail=f"no port toward {frame.destination!r}",
                 )
             return
         accepted = port.submit_be(frame)
@@ -246,98 +229,49 @@ class Switch:
             # bit-exact wire encoding from an end node: real decoder
             payload = decode_signaling(bytes(payload))
             self.signaling_frames_decoded += 1
-        spans = self.spans
-        span_ctx = None
-        if spans is not None:
-            span_ctx = spans.frame_context(frame.frame_id)
-            spans.frame_done(frame.frame_id)
+        obs = self._obs
+        now = self._sim.now
+        span_ctx = None if obs is None else obs.received(frame)
         if isinstance(payload, RequestFrame):
-            if spans is None:
-                actions = self.manager.handle_request(
-                    payload, now=self._sim.now
-                )
+            if obs is None:
+                actions = self.manager.handle_request(payload, now=now)
             else:
-                actions = self._handle_request_traced(payload, span_ctx)
+                actions = obs.handle_request(
+                    self.manager, payload, now, SWITCH_NAME, span_ctx
+                )
             if self._lease_ns is not None:
                 for action in actions:
                     if isinstance(action.frame, RequestFrame):
-                        self._arm_lease(action.frame.rt_channel_id)
-                        if spans is not None and span_ctx is not None:
-                            spans.lease_armed(
-                                action.frame.rt_channel_id,
-                                span_ctx[0],
-                                span_ctx[1],
-                                self._sim.now,
-                                self._sim.now + self._lease_ns,
+                        channel_id = action.frame.rt_channel_id
+                        self._arm_lease(channel_id)
+                        if obs is not None:
+                            obs.lease_armed(
+                                channel_id, span_ctx, now,
+                                now + self._lease_ns,
                             )
         elif isinstance(payload, ResponseFrame):
-            actions = self.manager.handle_response(payload, now=self._sim.now)
+            actions = self.manager.handle_response(payload, now=now)
             self._disarm_lease(payload.rt_channel_id)
-            if spans is not None:
-                spans.lease_resolved(payload.rt_channel_id, self._sim.now)
+            if obs is not None:
+                obs.lease_resolved(payload.rt_channel_id, now)
         elif isinstance(payload, TeardownFrame):
             actions = self.manager.handle_teardown(payload)
-            if spans is not None:
-                spans.end_teardown(payload.rt_channel_id, self._sim.now)
+            if obs is not None:
+                obs.teardown_ended(payload.rt_channel_id, now)
         else:
             raise ProtocolError(
                 f"switch received unexpected signalling payload "
                 f"{type(payload).__name__}"
             )
-        if self._trace.enabled_for("switch.signal"):
-            self._trace.record(
-                self._sim.now,
-                "switch.signal",
-                SWITCH_NAME,
-                f"{type(payload).__name__} -> {len(actions)} action(s)",
-                fields={"payload": type(payload).__name__,
-                        "actions": len(actions)},
+        if obs is not None:
+            kind = type(payload).__name__
+            obs.signal(
+                "switch.signal", now, SWITCH_NAME,
+                f"{kind} -> {len(actions)} action(s)",
+                {"payload": kind, "actions": len(actions)},
             )
         for action in actions:
             self._emit_signaling(action, span_ctx)
-
-    def _handle_request_traced(
-        self, payload: RequestFrame, span_ctx
-    ) -> list[SignalAction]:
-        """``manager.handle_request`` plus the admission verdict event.
-
-        Only runs when a span tracker is attached. The verdict event is
-        emitted on the request's trace when admission actually ran (a
-        fresh decision was appended); retransmitted requests answered
-        from the pending-offer table or the verdict cache are marked
-        ``duplicate`` instead. Wall-clock admission compute is measured
-        only when the tracker asks for it (non-deterministic by nature,
-        so deterministic sweep runs keep it off).
-        """
-        spans = self.spans
-        before = len(self.manager.decisions)
-        if spans.measure_compute:
-            start = perf_counter_ns()
-            actions = self.manager.handle_request(payload, now=self._sim.now)
-            compute = perf_counter_ns() - start
-        else:
-            actions = self.manager.handle_request(payload, now=self._sim.now)
-            compute = -1
-        if span_ctx is not None:
-            if len(self.manager.decisions) > before:
-                decision = self.manager.decisions[-1]
-                fields: dict = {
-                    "verdict": "accept" if decision.accepted else "reject",
-                }
-                if not decision.accepted and decision.reason is not None:
-                    fields["reason"] = decision.reason.name
-                if compute >= 0:
-                    fields["compute_ns"] = compute
-                spans.event(
-                    span_ctx[0], span_ctx[1], "admission", SWITCH_NAME,
-                    self._sim.now, fields,
-                )
-            else:
-                spans.event(
-                    span_ctx[0], span_ctx[1], "admission", SWITCH_NAME,
-                    self._sim.now, {"verdict": "duplicate"},
-                )
-        return actions
 
     # -- reservation leases ----------------------------------------------------
 
@@ -366,16 +300,8 @@ class Switch:
         for cid in reclaimed:
             if cid != channel_id:
                 self._disarm_lease(cid)
-            if self.spans is not None:
-                self.spans.lease_reclaimed(cid, self._sim.now)
-            if self._trace.enabled_for("signal.lease_reclaim"):
-                self._trace.record(
-                    self._sim.now,
-                    "signal.lease_reclaim",
-                    SWITCH_NAME,
-                    f"ch={cid}",
-                    fields={"channel": cid},
-                )
+            if self._obs is not None:
+                self._obs.lease_reclaimed(self._sim.now, SWITCH_NAME, cid)
 
     def _emit_signaling(self, action: SignalAction, span_ctx=None) -> None:
         if isinstance(action.frame, RequestFrame):
@@ -399,6 +325,6 @@ class Switch:
             created_at=self._sim.now,
             payload_object=payload_object,
         )
-        if self.spans is not None and span_ctx is not None:
-            self.spans.attach_frame(out.frame_id, span_ctx[0], span_ctx[1])
+        if self._obs is not None:
+            self._obs.sent(out, span_ctx)
         self.port_toward(action.target).submit_be(out)

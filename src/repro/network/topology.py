@@ -35,7 +35,7 @@ from ..protocol.ethernet import reset_frame_ids
 from ..protocol.signaling import DestinationPolicy, RetryPolicy, accept_all
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
-from ..sim.trace import TraceRecorder
+from ..sim.trace import Observer, TraceRecorder
 from .link import HalfLink
 from .node import EndNode, SWITCH_NAME
 from .phy import PhyProfile
@@ -229,8 +229,10 @@ def build_star(
     telemetry:
         Optional :class:`~repro.obs.Telemetry` bundle. When given, its
         recorder becomes the network's trace (``trace_enabled`` is
-        ignored), admission verdicts are counted into its registry, and
-        the whole network is instrumented
+        ignored) and its span tracker joins the recorder in the one
+        :class:`~repro.sim.trace.Observer` every component reports to;
+        admission verdicts are counted into its registry, and the
+        network's counters, delays and probes are wired in
         (:meth:`~repro.obs.bundle.Telemetry.instrument_star`).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`, installed on every
@@ -266,6 +268,7 @@ def build_star(
         trace = telemetry.recorder
     else:
         trace = TraceRecorder(enabled=trace_enabled)
+    obs = Observer.of(trace, None if telemetry is None else telemetry.spans)
     loss_rng = (
         RngRegistry(loss_seed).stream("link-loss") if loss_rate > 0 else None
     )
@@ -286,7 +289,7 @@ def build_star(
         mac=_SWITCH_MAC,
         admission=admission,
         directory=directory,
-        trace=trace,
+        obs=obs,
         lease_ns=signal_lease_ns,
         registry=registry,
     )
@@ -306,7 +309,7 @@ def build_star(
             switch_mac=_SWITCH_MAC,
             metrics=metrics,
             destination_policy=destination_policy,
-            trace=trace,
+            obs=obs,
             registry=registry,
         )
         nodes[name] = node
@@ -317,7 +320,7 @@ def build_star(
             phy=phy,
             name=f"{name}->switch",
             deliver=switch.receive,
-            trace=trace,
+            obs=obs,
             loss_rate=loss_rate,
             loss_rng=loss_rng,
             fault_plan=fault_plan,
@@ -329,7 +332,7 @@ def build_star(
             name=f"uplink:{name}",
             be_buffer_frames=be_buffer_frames,
             on_rt_complete=metrics.on_uplink_complete,
-            trace=trace,
+            obs=obs,
         )
         node.attach_uplink(up_port)
 
@@ -339,7 +342,7 @@ def build_star(
             phy=phy,
             name=f"switch->{name}",
             deliver=node.receive,
-            trace=trace,
+            obs=obs,
             loss_rate=loss_rate,
             loss_rng=loss_rng,
             fault_plan=fault_plan,
@@ -350,7 +353,7 @@ def build_star(
             link=down_wire,
             name=f"downlink:{name}",
             be_buffer_frames=be_buffer_frames,
-            trace=trace,
+            obs=obs,
         )
         switch.attach_port(name, down_port)
 

@@ -302,6 +302,28 @@ class Telemetry:
                 shard.spans, shard.span_next_id, dropped=shard.span_dropped
             )
 
+    def _delay_observer(self, sim, delay_help: str, miss_help: str):
+        """The metrics collector's per-RT-frame delivery hook: the delay
+        histogram, the miss counter and, when on, the monitor."""
+        delay_hist = self.registry.histogram(
+            "rt.frame_delay_ns", help=delay_help,
+        ).labels()
+        miss_counter = self.registry.counter(
+            "rt.deadline_misses", labels=("channel",), help=miss_help,
+        )
+        monitor = self.monitor
+
+        def observe_delay(
+            channel_id: int, delay_ns: int, missed: bool
+        ) -> None:
+            delay_hist.observe(delay_ns)
+            if missed:
+                miss_counter.labels(channel_id).inc()
+            if monitor is not None:
+                monitor.on_rt_delivery(channel_id, delay_ns, missed, sim.now)
+
+        return observe_delay
+
     def instrument_star(self, net) -> None:
         """Wire a built StarNetwork into this bundle.
 
@@ -314,54 +336,14 @@ class Telemetry:
         self.attach_simulator(net.sim)
         self.track_cache(net.admission.cache)
         registry = self.registry
-
-        # per-frame delay histogram + miss counter, fed by the metrics
-        # collector's delivery hook (one bound-method call per RT frame)
-        delay_hist = registry.histogram(
-            "rt.frame_delay_ns",
-            help="end-to-end RT frame delay (Eq. 18.1 observable)",
-        ).labels()
-        miss_counter = registry.counter(
-            "rt.deadline_misses", labels=("channel",),
-            help="frames delivered after d_i*slot + T_latency",
+        net.metrics.delay_observer = self._delay_observer(
+            net.sim,
+            "end-to-end RT frame delay (Eq. 18.1 observable)",
+            "frames delivered after d_i*slot + T_latency",
         )
-
         monitor = self.monitor
         if monitor is not None and monitor.bound_provider is None:
             monitor.bound_provider = star_bound_provider(net)
-
-        if monitor is None:
-            def observe_delay(
-                channel_id: int, delay_ns: int, missed: bool
-            ) -> None:
-                delay_hist.observe(delay_ns)
-                if missed:
-                    miss_counter.labels(channel_id).inc()
-        else:
-            sim = net.sim
-
-            def observe_delay(
-                channel_id: int, delay_ns: int, missed: bool
-            ) -> None:
-                delay_hist.observe(delay_ns)
-                if missed:
-                    miss_counter.labels(channel_id).inc()
-                monitor.on_rt_delivery(channel_id, delay_ns, missed, sim.now)
-
-        net.metrics.delay_observer = observe_delay
-
-        tracker = self.spans
-        if tracker is not None:
-            net.switch.spans = tracker
-            for node in net.nodes.values():
-                node.spans = tracker
-                node.rt_layer.spans = tracker
-                if node.uplink is not None:
-                    node.uplink.spans = tracker
-                    node.uplink.link.spans = tracker
-            for port in net.switch.ports.values():
-                port.spans = tracker
-                port.link.spans = tracker
 
         switch_forwarded = registry.gauge(
             "switch.frames_forwarded",
@@ -458,58 +440,17 @@ class Telemetry:
 
         Mirrors :meth:`instrument_star` for the extension data plane:
         kernel counters, the per-frame delay histogram + paper-bound
-        monitor hook, and span tracking on every port, wire, switch
-        model and RT layer (so a fabric run's per-hop transit shows up
-        as ``queue``/``wire``/``processing`` children of each channel's
-        trace, exactly like the star). Netcalc bounds are per-topology;
-        callers with a fabric bound provider can set
+        monitor hook, and per-switch forwarding gauges. Netcalc bounds
+        are per-topology; callers with a fabric bound provider can set
         ``monitor.bound_provider`` themselves.
         """
         self.attach_simulator(net.sim)
         registry = self.registry
-        delay_hist = registry.histogram(
-            "rt.frame_delay_ns",
-            help="end-to-end RT frame delay (generalized Eq. 18.1)",
-        ).labels()
-        miss_counter = registry.counter(
-            "rt.deadline_misses", labels=("channel",),
-            help="frames delivered after d_i*slot + T_latency(k)",
+        net.metrics.delay_observer = self._delay_observer(
+            net.sim,
+            "end-to-end RT frame delay (generalized Eq. 18.1)",
+            "frames delivered after d_i*slot + T_latency(k)",
         )
-
-        monitor = self.monitor
-        if monitor is None:
-            def observe_delay(
-                channel_id: int, delay_ns: int, missed: bool
-            ) -> None:
-                delay_hist.observe(delay_ns)
-                if missed:
-                    miss_counter.labels(channel_id).inc()
-        else:
-            sim = net.sim
-
-            def observe_delay(
-                channel_id: int, delay_ns: int, missed: bool
-            ) -> None:
-                delay_hist.observe(delay_ns)
-                if missed:
-                    miss_counter.labels(channel_id).inc()
-                monitor.on_rt_delivery(channel_id, delay_ns, missed, sim.now)
-
-        net.metrics.delay_observer = observe_delay
-
-        tracker = self.spans
-        if tracker is not None:
-            for node in net.nodes.values():
-                node.spans = tracker
-                node.rt_layer.spans = tracker
-                if node.uplink is not None:
-                    node.uplink.spans = tracker
-                    node.uplink.link.spans = tracker
-            for switch in net.switches.values():
-                switch.spans = tracker
-                for port in switch.ports.values():
-                    port.spans = tracker
-                    port.link.spans = tracker
 
         forwarded = registry.gauge(
             "fabric.frames_forwarded", labels=("switch",),

@@ -22,11 +22,10 @@ sites only measure it when :attr:`SpanTracker.measure_compute` is set
 (the CLI's ``repro spans`` does, the deterministic sweep runner never
 does, keeping merged shards byte-identical).
 
-The tracker is attached to components as a plain ``spans`` attribute
-(default ``None``); every call site is gated on ``is not None`` so a
-run without telemetry pays one attribute load per hook, and emits
-byte-identical traces and decision streams -- the same zero-cost
-discipline the PR 3 trace recorder follows.
+The data plane reaches the tracker only through its one
+:class:`~repro.sim.trace.Observer`, built with the network; a run
+without telemetry has no observer, pays one ``is not None`` test per
+site, and emits byte-identical traces and decision streams.
 """
 
 from __future__ import annotations

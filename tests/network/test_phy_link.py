@@ -10,7 +10,7 @@ from repro.network.link import HalfLink
 from repro.network.phy import PhyProfile
 from repro.protocol.ethernet import EthernetFrame, FrameKind
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import Observer, TraceRecorder
 from repro.units import ETH_MAX_PAYLOAD
 
 
@@ -138,7 +138,9 @@ class TestHalfLink:
         sim = Simulator()
         phy = PhyProfile.fast_ethernet()
         trace = TraceRecorder(enabled=True)
-        link = HalfLink(sim, phy, "test", lambda f: None, trace=trace)
+        link = HalfLink(
+            sim, phy, "test", lambda f: None, obs=Observer.of(trace)
+        )
         link.transmit(be_frame())
         sim.run()
         assert [r.time for r in trace.by_category("link.idle")] == [
