@@ -191,9 +191,9 @@ class Telemetry:
             "kernel.max_heap_depth",
             help="event-queue high-water mark",
         ).labels()
-        live = self.registry.gauge(
-            "kernel.live_pending_events",
-            help="non-cancelled events still queued",
+        pending = self.registry.gauge(
+            "kernel.pending_events",
+            help="events still queued",
         ).labels()
         clock = self.registry.gauge(
             "kernel.now_ns", help="simulation clock",
@@ -202,7 +202,7 @@ class Telemetry:
         def collect() -> None:
             dispatched.set(sim.dispatched_events)
             heap_max.set(sim.max_heap_depth)
-            live.set(sim.pending_events)
+            pending.set(sim.pending_events)
             clock.set(sim.now)
 
         self.registry.add_collector(collect)
@@ -429,7 +429,7 @@ class Telemetry:
                 ),
             )
             probes.add(
-                "kernel_live_pending_events",
+                "kernel_pending_events",
                 lambda: net.sim.pending_events,
             )
             probes.start()

@@ -76,12 +76,15 @@ from repro.traffic.patterns import master_slave_names, master_slave_requests
 from repro.traffic.spec import FixedSpecSampler
 
 _CAPTURE_DIGESTS = {
-    # Re-pinned when cancelled lease timers began leaving the queue at
-    # once: the one value that moved is kernel.max_heap_depth (below).
+    # Re-pinned when the pending-events gauge and probe lost their
+    # "live" (every queued entry is live since cancel became eager):
+    # kernel.pending_events ("events still queued") and
+    # kernel_pending_events. Mapped back to the old names and help text,
+    # both files parse equal to the previous pins' files.
     "metrics.json":
-        "c54400116278b41684185651d376d08bca1051ead0d35e709749534d387f1ad0",
+        "58aec801a82100011c13409dce70e3d3209fb605157882c9b680fc0d98acb64b",
     "timeseries.json":
-        "e502cfa02ecca5ea2a792842c4ac8ea237e1744866f725c5a091c2bfff81aab4",
+        "0c831a66ea98f7025b0dfc38a9bdb4e0af75e8d7c3c590f1ec3e26165ed72251",
     "trace.chrome.json":
         "37166fc661083787ff7a6a801bbe80e01f11a70c048c3b2b6893df028becfd24",
     "trace.jsonl":
