@@ -51,15 +51,6 @@ class MultiAdmissionDecision:
         return self.accepted
 
 
-def _link_ref(link: FabricLink) -> LinkRef:
-    """Map a fabric link onto a LinkRef so LinkTask can reuse validation.
-
-    The direction enum is vestigial here (every fabric link is just "a
-    processor"); we encode the full directed pair in the node field.
-    """
-    return LinkRef(node=f"{link.tail}->{link.head}", direction=LinkDirection.UPLINK)
-
-
 class MultiSwitchAdmission:
     """Admit-or-reject over a fabric graph.
 
@@ -77,7 +68,11 @@ class MultiSwitchAdmission:
         When True (default), per-link feasibility goes through the
         incremental :class:`~repro.core.feasibility_cache.FeasibilityCache`
         (one entry per directed fabric link); decisions are identical to
-        the from-scratch path, just cheaper per request.
+        the from-scratch path, just cheaper per request. Either way the
+        cache is the one store of every link's installed tasks; with
+        ``use_cache=False`` each check runs
+        :func:`~repro.core.feasibility.is_feasible` over those tasks
+        plus the candidate.
     """
 
     def __init__(
@@ -90,16 +85,18 @@ class MultiSwitchAdmission:
         fabric.validate_connected()
         self._fabric = fabric
         self._dps = dps
-        self._tasks: dict[FabricLink, list[LinkTask]] = {}
         self._channels: dict[int, MultiAdmissionDecision] = {}
-        self._cache = FeasibilityCache() if use_cache else None
+        self._cache = FeasibilityCache()
+        self._use_cache = use_cache
+        #: each fabric link's LinkRef (its cache key), built on first use
+        self._refs: dict[FabricLink, LinkRef] = {}
         self._next_id = 1
         self.accept_count = 0
         self.reject_count = 0
 
     @property
     def uses_cache(self) -> bool:
-        return self._cache is not None
+        return self._use_cache
 
     @property
     def fabric(self) -> FabricGraph:
@@ -109,12 +106,26 @@ class MultiSwitchAdmission:
     def active_channels(self) -> int:
         return len(self._channels)
 
+    def _ref(self, link: FabricLink) -> LinkRef:
+        """The LinkRef a fabric link's tasks carry.
+
+        The direction enum is vestigial here (every fabric link is just
+        "a processor"); the node field holds the full directed pair.
+        """
+        ref = self._refs.get(link)
+        if ref is None:
+            ref = self._refs[link] = LinkRef(
+                node=f"{link.tail}->{link.head}",
+                direction=LinkDirection.UPLINK,
+            )
+        return ref
+
     def link_load(self, link: FabricLink) -> int:
         """LinkLoad of one directed fabric link (paper's ``LL``)."""
-        return len(self._tasks.get(link, ()))
+        return self._cache.link_load(self._ref(link))
 
     def tasks_on(self, link: FabricLink) -> tuple[LinkTask, ...]:
-        return tuple(self._tasks.get(link, ()))
+        return self._cache.tasks_on(self._ref(link))
 
     @property
     def decisions(self) -> dict[int, MultiAdmissionDecision]:
@@ -123,9 +134,10 @@ class MultiSwitchAdmission:
 
     def occupied_links(self) -> tuple[FabricLink, ...]:
         """Directed fabric links currently carrying at least one task."""
-        return tuple(
-            sorted(link for link, tasks in self._tasks.items() if tasks)
-        )
+        return tuple(sorted(
+            link for link, ref in self._refs.items()
+            if self._cache.link_load(ref)
+        ))
 
     def channel_delay_bounds(self) -> dict[int, "PathBound"]:
         """Network-calculus end-to-end bound per admitted channel.
@@ -179,21 +191,20 @@ class MultiSwitchAdmission:
         channel_id = self._next_id
         reports: list[FeasibilityReport] = []
         candidate_tasks: list[LinkTask] = []
+        cache = self._cache
         for link, part in zip(links, parts):
             task = LinkTask(
-                link=_link_ref(link),
+                link=self._ref(link),
                 period=spec.period,
                 capacity=spec.capacity,
                 deadline=part,
                 channel_id=channel_id,
             )
             candidate_tasks.append(task)
-            if self._cache is not None:
-                report = self._cache.check(task)
+            if self._use_cache:
+                report = cache.check(task)
             else:
-                report = is_feasible(
-                    list(self._tasks.get(link, ())) + [task]
-                )
+                report = is_feasible([*cache.tasks_on(task.link), task])
             reports.append(report)
             if not report.feasible:
                 self.reject_count += 1
@@ -209,10 +220,8 @@ class MultiSwitchAdmission:
                     failed_link=link,
                 )
         self._next_id += 1
-        for link, task in zip(links, candidate_tasks):
-            if self._cache is not None:
-                self._cache.install(task)
-            self._tasks.setdefault(link, []).append(task)
+        for task in candidate_tasks:
+            cache.install(task)
         decision = MultiAdmissionDecision(
             accepted=True,
             channel_id=channel_id,
@@ -247,10 +256,5 @@ class MultiSwitchAdmission:
                 f"no active multi-hop channel {channel_id}"
             )
         for link in decision.links:
-            if self._cache is not None:
-                self._cache.release(_link_ref(link), channel_id)
-            tasks = self._tasks.get(link, [])
-            self._tasks[link] = [
-                t for t in tasks if t.channel_id != channel_id
-            ]
+            self._cache.release(self._ref(link), channel_id)
         return decision
