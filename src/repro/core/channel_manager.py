@@ -63,8 +63,8 @@ from .rt_layer import ChannelGrant
 __all__ = ["NodeDirectory", "SignalAction", "SwitchChannelManager"]
 
 #: How long a completed verdict stays re-answerable (sim ns) when leases
-#: are enabled and no explicit ``response_cache_ns`` was configured.
-#: Source retry schedules must finish within this window.
+#: are enabled (with leases off, no verdict is retained). Source retry
+#: schedules must finish within this window.
 DEFAULT_RESPONSE_CACHE_NS = 1_000_000_000
 
 #: Completed-verdict cache capacity (entries); oldest evicted first.
@@ -182,10 +182,8 @@ class SwitchChannelManager:
         Reservation-lease duration. ``None`` (default) disables every
         loss-tolerance behaviour (see module docstring); the network
         layer is then responsible for never losing signalling frames.
-    response_cache_ns:
-        How long completed verdicts stay re-answerable for duplicate
-        requests. Defaults to :data:`DEFAULT_RESPONSE_CACHE_NS` when
-        leases are enabled, disabled otherwise.
+        With leases on, completed verdicts stay re-answerable for
+        duplicate requests for :data:`DEFAULT_RESPONSE_CACHE_NS`.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         given, ``signal.lease_reclaims``, ``signal.stale_frames``
@@ -200,22 +198,19 @@ class SwitchChannelManager:
         switch_mac: int,
         *,
         lease_ns: int | None = None,
-        response_cache_ns: int | None = None,
         metrics=None,
     ) -> None:
         if lease_ns is not None and lease_ns <= 0:
             raise ProtocolError(f"lease_ns must be positive, got {lease_ns}")
-        if response_cache_ns is None and lease_ns is not None:
-            response_cache_ns = DEFAULT_RESPONSE_CACHE_NS
-        if response_cache_ns is not None and response_cache_ns <= 0:
-            raise ProtocolError(
-                f"response_cache_ns must be positive, got {response_cache_ns}"
-            )
         self._admission = admission
         self._directory = directory
         self._switch_mac = switch_mac
         self._lease_ns = lease_ns
-        self._response_cache_ns = response_cache_ns
+        #: completed-verdict retention: recorded in snapshots and
+        #: cross-checked on import like the other settings.
+        self._response_cache_ns = (
+            None if lease_ns is None else DEFAULT_RESPONSE_CACHE_NS
+        )
         #: channels reserved but awaiting the destination's verdict,
         #: keyed by channel ID.
         self._awaiting_destination: dict[int, _PendingOffer] = {}
@@ -577,10 +572,10 @@ class SwitchChannelManager:
         stamped request frames needed to re-forward on a retransmit),
         the completed-verdict cache (in eviction order, so duplicate
         suppression behaves identically after restore), and the
-        loss-tolerance counters. Configuration (``lease_ns``,
-        ``response_cache_ns``, ``switch_mac``) is recorded for
-        cross-checking at import time -- it is code-supplied, not
-        restored.
+        loss-tolerance counters. Configuration (``lease_ns``, the
+        ``response_cache_ns`` retention that follows from it,
+        ``switch_mac``) is recorded for cross-checking at import time --
+        it is code-supplied, not restored.
         """
         offers = []
         for channel_id in sorted(self._awaiting_destination):

@@ -221,9 +221,9 @@ def restore_signalling(
 
     ``manager`` must wrap the controller returned by :func:`restore`
     for the same snapshot and be configured (``switch_mac``,
-    ``lease_ns``, ``response_cache_ns``) exactly as the snapshotted
-    manager was; those are code-level settings the snapshot only
-    cross-checks. A snapshot taken without a manager (``signalling``
+    ``lease_ns``, and so the ``response_cache_ns`` retention that
+    follows from it) exactly as the snapshotted manager was; those are
+    code-level settings the snapshot only cross-checks. A snapshot taken without a manager (``signalling``
     is null) raises: restoring "no signalling state" into a live
     manager is almost certainly a caller error.
     """

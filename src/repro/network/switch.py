@@ -83,9 +83,6 @@ class Switch:
         Reservation-lease duration for pending offers (None disables
         leases and every other loss-tolerance behaviour -- see
         :class:`~repro.core.channel_manager.SwitchChannelManager`).
-    response_cache_ns:
-        Completed-verdict retention for duplicate requests (see the
-        manager; only meaningful with leases enabled).
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` for the
         manager's ``signal.*`` counters.
@@ -100,7 +97,6 @@ class Switch:
         directory: NodeDirectory,
         obs: Observer | None = None,
         lease_ns: int | None = None,
-        response_cache_ns: int | None = None,
         registry=None,
     ) -> None:
         self._sim = sim
@@ -118,7 +114,6 @@ class Switch:
             directory=directory,
             switch_mac=mac,
             lease_ns=lease_ns,
-            response_cache_ns=response_cache_ns,
             metrics=registry,
         )
         self._lease_ns = lease_ns
