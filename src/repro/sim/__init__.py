@@ -8,15 +8,17 @@ deterministic, integer-nanosecond event kernel:
 * :mod:`~repro.sim.rng` -- named, independently seeded random streams so
   that changing one traffic source's draws never perturbs another's.
 * :mod:`~repro.sim.trace` -- structured trace recording for debugging
-  and for the validation experiments.
+  and for the validation experiments, and the :class:`Observer` every
+  data-plane component reports its milestones to.
 """
 
 from .events import Slot
 from .kernel import Simulator
 from .rng import RngRegistry
-from .trace import TraceRecord, TraceRecorder
+from .trace import Observer, TraceRecord, TraceRecorder
 
 __all__ = [
+    "Observer",
     "Simulator",
     "Slot",
     "RngRegistry",
