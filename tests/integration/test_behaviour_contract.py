@@ -395,6 +395,7 @@ def chain_drops():
         ("late_handshakes", _HANDSHAKE_DIGESTS),
         ("chain_drops", _CHAIN_DROP_DIGESTS),
     ],
+    ids=["faulty_star", "late_handshakes", "chain_drops"],
 )
 def test_fault_sites_are_pinned(run, digests, request):
     records, spans = request.getfixturevalue(run)
