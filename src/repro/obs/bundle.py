@@ -332,6 +332,8 @@ class Telemetry:
         hand-built networks. Registers snapshot-time collectors for the
         switch/port/link statistics, hooks the per-frame delay observer,
         tracks the admission cache, and starts the sim-time probes.
+        Trace records and spans are not wired here: they come from the
+        :class:`~repro.sim.trace.Observer` the network was built with.
         """
         self.attach_simulator(net.sim)
         self.track_cache(net.admission.cache)
