@@ -2,10 +2,13 @@
 
 :class:`~repro.service.intent.IntentCoordinator` (trunks) and
 :class:`~repro.service.intent.SharedLinkFabric` (access links) decide
-through :class:`~repro.core.feasibility_cache.FeasibilityCache`. The
-caches are derived state: the checkpointed views (``committed`` and
-``_access``) stay authoritative, and :func:`is_feasible` over a task
-list rebuilt from them is the reference every verdict must equal.
+through :class:`~repro.core.feasibility_cache.FeasibilityCache`. On a
+trunk the cache is derived state: each coordinator's checkpointed
+``committed`` table stays authoritative, and :func:`is_feasible` over a
+task list rebuilt from it is the reference. On the access links the
+cache is the store itself: the reference is :func:`is_feasible` over
+the cache's own installed tasks, and the checkpoint's ``"access"``
+field must rebuild the same cache.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 
 from repro.core.feasibility import is_feasible
 from repro.core.feasibility_cache import FeasibilityCache
-from repro.core.task import LinkDirection, LinkTask
+from repro.core.task import LinkDirection, LinkRef, LinkTask
 from repro.faults.plan import FaultPlan
 from repro.protocol.frames import IntentFrame, IntentKind
 from repro.service.intent import IntentCoordinator, SharedLinkFabric
@@ -37,16 +40,17 @@ def build_fabric(seed: int, loss: float) -> SharedLinkFabric:
     )
 
 
-def reference(link, view: dict[int, list[int]], candidate: LinkTask) -> bool:
-    """``is_feasible`` of a view's task list plus the candidate.
-
-    ``view`` maps channel ID to ``[P, C, d]``.
-    """
-    tasks = [
+def view_tasks(link, view: dict[int, list[int]]) -> list[LinkTask]:
+    """A view's tasks; ``view`` maps channel ID to ``[P, C, d]``."""
+    return [
         LinkTask(link=link, period=p, capacity=c, deadline=d, channel_id=cid)
         for cid, (p, c, d) in sorted(view.items())
     ]
-    return is_feasible(tasks + [candidate]).feasible
+
+
+def reference(link, view: dict[int, list[int]], candidate: LinkTask) -> bool:
+    """``is_feasible`` of a view's task list plus the candidate."""
+    return is_feasible(view_tasks(link, view) + [candidate]).feasible
 
 
 class VerdictAudit:
@@ -54,39 +58,32 @@ class VerdictAudit:
 
     def __init__(self, fabric: SharedLinkFabric) -> None:
         self.verdicts = {"access": [], "trunk": []}
-        self._wrap(fabric._access_cache, "access", self._access_view(fabric))
+        access = fabric._access_cache
+        self._wrap(access, "access", lambda link: list(access.tasks_on(link)))
         for coordinator in fabric.coordinators:
             self._wrap(
-                coordinator._trunks, "trunk", self._trunk_view(coordinator)
+                coordinator._trunks, "trunk", self._trunk_tasks(coordinator)
             )
 
     @staticmethod
-    def _access_view(fabric):
-        def view_of(link):
-            side = "up" if link.direction is LinkDirection.UPLINK else "down"
-            return fabric._access.get(f"{link.node}|{side}", {})
-
-        return view_of
-
-    @staticmethod
-    def _trunk_view(coordinator):
+    def _trunk_tasks(coordinator):
         link_ids = {ref: link_id for link_id, ref in coordinator._refs.items()}
 
-        def view_of(link):
+        def tasks_of(link):
             committed = coordinator.committed[link_ids[link]]
-            return {cid: entry[1:4] for cid, entry in committed.items()}
+            return view_tasks(
+                link, {cid: entry[1:4] for cid, entry in committed.items()}
+            )
 
-        return view_of
+        return tasks_of
 
-    def _wrap(self, cache: FeasibilityCache, kind: str, view_of) -> None:
+    def _wrap(self, cache: FeasibilityCache, kind: str, tasks_of) -> None:
         check = cache.check
 
         def audited(candidate: LinkTask):
+            expected = is_feasible(tasks_of(candidate.link) + [candidate])
             report = check(candidate)
-            expected = reference(
-                candidate.link, view_of(candidate.link), candidate
-            )
-            assert report.feasible == expected, (kind, candidate)
+            assert report.feasible == expected.feasible, (kind, candidate)
             self.verdicts[kind].append(report.feasible)
             return report
 
@@ -102,13 +99,18 @@ def cache_rows(cache: FeasibilityCache) -> dict:
     }
 
 
-def fresh_access_cache(fabric: SharedLinkFabric) -> FeasibilityCache:
+def fresh_access_cache(checkpoint: dict) -> FeasibilityCache:
+    """An access cache rebuilt from a checkpoint's ``"access"`` field."""
     cache = FeasibilityCache()
-    for key, view in fabric._access.items():
+    for key, view in checkpoint["access"].items():
+        node, side = key.rsplit("|", 1)
+        direction = (
+            LinkDirection.UPLINK if side == "up" else LinkDirection.DOWNLINK
+        )
         for cid, (p, c, d) in view.items():
             cache.install(LinkTask(
-                link=fabric._access_ref(key), period=p, capacity=c,
-                deadline=d, channel_id=cid,
+                link=LinkRef(node=node, direction=direction), period=p,
+                capacity=c, deadline=d, channel_id=int(cid),
             ))
     return cache
 
@@ -227,20 +229,21 @@ class TestCoordinatorCache:
         victim = build_fabric(2004, 0.2)
         victim.start()
         victim.run_until(45_000_000)
+        checkpoint = json.loads(json.dumps(victim.checkpoints[-1]))
         resumed = SharedLinkFabric.resume(
-            json.loads(json.dumps(victim.checkpoints[-1])),
+            checkpoint,
             fault_plan=FaultPlan.control_loss(0.2, seed=2004),
             checkpoint_every_ns=CHECKPOINT_NS,
         )
-        assert resumed._access
+        assert checkpoint["access"]
         assert cache_rows(resumed._access_cache) == cache_rows(
-            fresh_access_cache(resumed)
+            fresh_access_cache(checkpoint)
         )
         for coordinator in resumed.coordinators:
             assert cache_rows(coordinator._trunks) == cache_rows(
                 fresh_trunk_cache(coordinator)
             )
-        # and the victim's live caches agree with its own views
+        # and the victim's live cache is the one a checkpoint writes
         assert cache_rows(victim._access_cache) == cache_rows(
-            fresh_access_cache(victim)
+            fresh_access_cache(victim.take_checkpoint())
         )

@@ -21,6 +21,8 @@ from repro.service.intent import SharedLinkFabric
 
 HORIZON = 60_000_000
 CHECKPOINT_NS = 10_000_000
+#: The pinned EXP-X4 run (tests/integration/test_behaviour_contract.py).
+PINNED_UNTIL_NS = 120_000_000
 
 
 def build_fabric(
@@ -34,6 +36,22 @@ def build_fabric(
         fault_plan=plan,
         checkpoint_every_ns=checkpoint_every_ns,
     )
+
+
+@pytest.fixture(scope="module")
+def pinned_run() -> SharedLinkFabric:
+    """The uninterrupted 120 ms, 20 %-loss, seed-2004 fabric."""
+    fabric = SharedLinkFabric(
+        n_switches=2,
+        nodes_per_switch=4,
+        seed=2004,
+        fault_plan=FaultPlan.control_loss(0.2, seed=2004),
+        checkpoint_every_ns=CHECKPOINT_NS,
+    )
+    fabric.start()
+    fabric.run_until(PINNED_UNTIL_NS)
+    assert len(fabric.checkpoints) == 12
+    return fabric
 
 
 def assert_clean(fabric: SharedLinkFabric) -> None:
@@ -180,6 +198,41 @@ class TestFabricCheckpointResume:
         assert json.dumps(checkpoint, sort_keys=True) == frozen
         for later in fabric.checkpoints:
             assert later == json.loads(json.dumps(later))
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_resume_from_every_checkpoint(self, pinned_run, index):
+        # The pinned EXP-X4 fabric resumed from each of its checkpoints:
+        # the ledger, the final coordinator states and every checkpoint
+        # the resumed run takes match the uninterrupted run. A resumed
+        # ledger holds only its suffix, so its checkpoints' ledger_len
+        # is offset by the resume point's.
+        reference = pinned_run
+        opening = reference.checkpoints[index]
+        base = opening["ledger_len"]
+        resumed = SharedLinkFabric.resume(
+            json.loads(json.dumps(opening)),
+            fault_plan=FaultPlan.control_loss(0.2, seed=2004),
+            checkpoint_every_ns=CHECKPOINT_NS,
+        )
+        resumed.run_until(PINNED_UNTIL_NS)
+
+        prefix = [list(e) for e in reference.ledger[:base]]
+        suffix = [list(e) for e in resumed.ledger]
+        assert prefix + suffix == [list(e) for e in reference.ledger]
+        assert json.dumps(
+            [c.export_state() for c in resumed.coordinators], sort_keys=True
+        ) == json.dumps(
+            [c.export_state() for c in reference.coordinators], sort_keys=True
+        )
+        later = reference.checkpoints[index + 1:]
+        assert [c["now_ns"] for c in resumed.checkpoints] == [
+            c["now_ns"] for c in later
+        ]
+        for taken, expected in zip(resumed.checkpoints, later):
+            shifted = dict(taken, ledger_len=taken["ledger_len"] + base)
+            assert json.dumps(shifted, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            )
 
     def test_resume_leaves_its_checkpoint_untouched(self):
         victim = build_fabric(loss=0.2, checkpoint_every_ns=CHECKPOINT_NS)
