@@ -54,19 +54,20 @@ rows, which are never mutated once inserted; the cost is linear in
 the live state.
 
 Scope: the coordination protocol governs the *shared* trunks. Access
-links (node uplink/downlink) are validated against the fabric's
-authoritative access view at arrival time, exactly as a single-switch
-star would; only trunk state is replicated and intent-locked.
+links (node uplink/downlink) are tested and reserved in the fabric's
+access cache at arrival time, exactly as a single-switch star would;
+only trunk state is replicated and intent-locked.
 
 **Admission engine.** Both tests -- a trunk at the hold's expiry and
 the two access links at arrival -- go through
 :class:`~repro.core.feasibility_cache.FeasibilityCache`, whose verdicts
 equal :func:`~repro.core.feasibility.is_feasible` on the same task set
-(THEORY.md sections 7 and 10.4). The caches are derived state: the
-checkpointed views (each coordinator's ``committed`` tables, the
-fabric's access view) stay authoritative, the caches follow every
-install and release of them, and :meth:`IntentCoordinator.import_state`
-and :meth:`SharedLinkFabric.resume` rebuild them.
+(THEORY.md sections 7 and 10.4). On the access links the cache is the
+store: it holds every reservation, a checkpoint writes it out and
+:meth:`SharedLinkFabric.resume` installs it back. On a trunk the cache
+is derived state: each coordinator's checkpointed ``committed`` table
+stays authoritative, the cache follows every install and release of
+it, and :meth:`IntentCoordinator.import_state` rebuilds it.
 """
 
 from __future__ import annotations
@@ -138,7 +139,10 @@ class IntentCoordinator:
     state is JSON-serializable via :meth:`export_state`, except the
     derived trunk admission cache, which :meth:`import_state` rebuilds.
     ``committed`` must change only through :meth:`apply_commit` and
-    :meth:`apply_release`, which keep that cache in step.
+    :meth:`apply_release`, which keep that cache in step. The intent
+    records in ``pending`` change only through :meth:`begin_intent`,
+    :meth:`record_ack`, :meth:`close_hold`, :meth:`resolve` and
+    :meth:`abandon`; a caller reads the records they hand back.
     """
 
     def __init__(self, mac: int, link_ids: tuple[int, ...]) -> None:
@@ -178,8 +182,17 @@ class IntentCoordinator:
         priority: int,
         spec_on_link: tuple[int, int, int],
         peers: tuple[int, ...],
+        *,
+        holding: int = 0,
+        src: str = "",
+        dst: str = "",
+        owner: int = -1,
     ) -> IntentFrame:
-        """Open a local intent record and build its ANNOUNCE frame."""
+        """Open a local intent record and build its ANNOUNCE frame.
+
+        ``holding``, ``src``, ``dst`` and ``owner`` ride in the record
+        for the caller; the protocol never reads them.
+        """
         period, capacity, deadline = spec_on_link
         self.pending[seq] = {
             "link_id": link_id,
@@ -192,6 +205,10 @@ class IntentCoordinator:
             "acked": [],
             "state": "announce",
             "defers": 0,
+            "holding": holding,
+            "src": src,
+            "dst": dst,
+            "owner": owner,
         }
         return IntentFrame(
             kind=IntentKind.ANNOUNCE,
@@ -223,8 +240,6 @@ class IntentCoordinator:
         for other_seq, record in self.pending.items():
             if other_seq == seq or record["link_id"] != mine["link_id"]:
                 continue
-            if record["state"] in ("committed", "aborted"):
-                continue
             if (record["priority"], self.mac, other_seq) < my_key:
                 count += 1
         for (mac, fseq), record in list(self.foreign.items()):
@@ -250,12 +265,32 @@ class IntentCoordinator:
             )
         ).feasible
 
-    def resolution_frame(self, seq: int, kind: IntentKind) -> IntentFrame:
-        """Build the COMMIT/ABORT frame for an own pending intent."""
-        record = self.pending[seq]
-        record["state"] = (
-            "committed" if kind is IntentKind.COMMIT else "aborted"
-        )
+    def close_hold(
+        self, seq: int, now_ns: int, ttl_ns: int, max_defers: int
+    ) -> str | None:
+        """Decide an own intent whose hold window just closed.
+
+        ``"defer"`` while a preceding intent blocks it, at most
+        ``max_defers`` times (counted in its ``defers``); then
+        ``"conflict"``. Else ``"trunk-infeasible"`` or ``"commit"``.
+        None when the intent is gone or not holding.
+        """
+        record = self.pending.get(seq)
+        if record is None or record["state"] != "hold":
+            return None
+        if self.blockers(seq, now_ns, ttl_ns):
+            if record["defers"] < max_defers:
+                record["defers"] += 1
+                return "defer"
+            return "conflict"
+        if not self.trunk_feasible(seq):
+            return "trunk-infeasible"
+        return "commit"
+
+    def resolve(self, seq: int, kind: IntentKind) -> tuple[IntentFrame, dict]:
+        """Close an own intent: pop its record and build its COMMIT or
+        ABORT frame; returns ``(frame, record)``."""
+        record = self.pending.pop(seq)
         return IntentFrame(
             kind=kind,
             intent_seq=seq,
@@ -267,7 +302,19 @@ class IntentCoordinator:
             period=record["period"],
             capacity=record["capacity"],
             deadline=record["deadline"],
-        )
+        ), record
+
+    def abandon(self, seq: int) -> dict | None:
+        """Pop an own intent still waiting for ACKs (its announce timed
+        out); None when it is gone or past the announce."""
+        record = self.pending.get(seq)
+        if record is None or record["state"] != "announce":
+            return None
+        return self.pending.pop(seq)
+
+    def reserved_channel_ids(self) -> list[int]:
+        """The channel IDs of this switch's unresolved intents."""
+        return [record["channel_id"] for record in self.pending.values()]
 
     def release_frame(self, seq: int, link_id: int, channel_id: int) -> IntentFrame:
         entry = self.committed[link_id][channel_id]
@@ -286,16 +333,8 @@ class IntentCoordinator:
 
     # -- frame application (local and remote, all idempotent) --------------
 
-    def record_announce(self, frame: IntentFrame, now_ns: int) -> IntentFrame:
-        """Note a peer's intent; return the ACK to send back."""
-        key = (frame.switch_mac, frame.intent_seq)
-        if key not in self.applied:
-            self.foreign[key] = {
-                "link_id": frame.link_id,
-                "channel_id": frame.channel_id,
-                "priority": frame.priority,
-                "heard_at": now_ns,
-            }
+    def ack_frame(self, frame: IntentFrame) -> IntentFrame:
+        """The ACK this switch returns for a peer's reliable frame."""
         return IntentFrame(
             kind=IntentKind.ACK,
             intent_seq=frame.intent_seq,
@@ -309,15 +348,31 @@ class IntentCoordinator:
             deadline=frame.deadline,
         )
 
+    def record_announce(self, frame: IntentFrame, now_ns: int) -> IntentFrame:
+        """Note a peer's intent; return the ACK to send back."""
+        key = (frame.switch_mac, frame.intent_seq)
+        if key not in self.applied:
+            self.foreign[key] = {
+                "link_id": frame.link_id,
+                "channel_id": frame.channel_id,
+                "priority": frame.priority,
+                "heard_at": now_ns,
+            }
+        return self.ack_frame(frame)
+
     def record_ack(self, frame: IntentFrame) -> bool:
-        """Credit a peer's ACK; True when every peer has answered."""
+        """Credit a peer's ACK; True when every peer has answered, which
+        moves the intent to ``"hold"``."""
         record = self.pending.get(frame.intent_seq)
         if record is None or record["state"] != "announce":
             return False
         if frame.ack_mac not in record["acked"]:
             record["acked"].append(frame.ack_mac)
             record["acked"].sort()
-        return record["acked"] == record["peers"]
+        if record["acked"] != record["peers"]:
+            return False
+        record["state"] = "hold"
+        return True
 
     def apply_commit(self, frame: IntentFrame) -> bool:
         """Install a commit into the replicated view (idempotent)."""
@@ -588,11 +643,11 @@ class SharedLinkFabric:
             )
             for i in range(n_switches)
         ]
-        # -- derived state (never checkpointed; resume() rebuilds it) --
-        #: incremental EDF test over the access views in ``_access``.
+        #: every access link's reservations, keyed by the interned
+        #: ``LinkRef.uplink(node)``/``LinkRef.downlink(node)``;
+        #: checkpointed as ``"access"``.
         self._access_cache = FeasibilityCache()
-        #: "node|dir" -> the access LinkRef it names.
-        self._access_refs: dict[str, LinkRef] = {}
+        # -- derived state (never checkpointed; resume() rebuilds it) --
         #: split_deadline(d, C, (1, 1, 1)) per (d, C); None = no split.
         self._splits: dict[tuple[int, int], list[int] | None] = {}
         #: the fault plan's link name of each bus leg, [src][dst].
@@ -622,12 +677,8 @@ class SharedLinkFabric:
         self._outstanding: dict[int, dict] = {}
         #: per-switch next channel id counter (stride-partitioned).
         self._next_channel = [0] * n_switches
-        #: global access-link view: "node|dir" -> {cid: [P, C, d]}.
-        self._access: dict[str, dict[int, list[int]]] = {}
         #: committed channels: cid -> [switch, link_id, src, dst, departs_at]
         self._active: dict[int, list] = {}
-        #: cids currently bound to an unresolved intent (id reuse guard).
-        self._reserved_ids: set[int] = set()
         self._next_arrival = [0] * n_switches
         self._last_gossip_util: dict[str, list[int]] = {}
         self._started = False
@@ -659,6 +710,10 @@ class SharedLinkFabric:
 
     def _peers_of_link(self, link_id: int) -> tuple[int, ...]:
         return (link_id, link_id + 1)
+
+    def _others_on_link(self, link_id: int, i: int) -> tuple[int, ...]:
+        """The switches sharing trunk ``link_id`` with switch ``i``."""
+        return tuple(p for p in self._peers_of_link(link_id) if p != i)
 
     def _switch_of_mac(self, mac: int) -> int:
         return mac - _SWITCH_MAC_BASE
@@ -786,18 +841,7 @@ class SharedLinkFabric:
 
     def _ack_and_mark(self, receiver: int, frame: IntentFrame) -> None:
         """Send the generic reliable-delivery ACK back to the origin."""
-        ack = IntentFrame(
-            kind=IntentKind.ACK,
-            intent_seq=frame.intent_seq,
-            switch_mac=frame.switch_mac,
-            ack_mac=self.coordinators[receiver].mac,
-            link_id=frame.link_id,
-            channel_id=frame.channel_id,
-            priority=frame.priority,
-            period=frame.period,
-            capacity=frame.capacity,
-            deadline=frame.deadline,
-        )
+        ack = self.coordinators[receiver].ack_frame(frame)
         self._transmit(receiver, self._switch_of_mac(frame.switch_mac), ack)
 
     # -- protocol event handlers -------------------------------------------
@@ -814,10 +858,7 @@ class SharedLinkFabric:
                 outstanding["pending"].remove(peer)
             if not outstanding["pending"]:
                 del self._outstanding[frame.intent_seq]
-        coordinator = self.coordinators[receiver]
-        if coordinator.record_ack(frame):
-            record = coordinator.pending[frame.intent_seq]
-            record["state"] = "hold"
+        if self.coordinators[receiver].record_ack(frame):
             self._push(
                 self.now + self.hold_ns, _PRIO_HOLD, frame.intent_seq, 0
             )
@@ -866,17 +907,20 @@ class SharedLinkFabric:
         self._next_arrival[i] = self.now + churn.next_interarrival_ns()
         self._push(self._next_arrival[i], _PRIO_ARRIVE, i, 0)
 
+    def _reserved_channel_ids(self) -> set[int]:
+        """Channel IDs bound to an unresolved intent (id reuse guard)."""
+        return {cid for coordinator in self.coordinators
+                for cid in coordinator.reserved_channel_ids()}
+
     def _allocate_channel_id(self, i: int) -> int:
         """Stride-partitioned 16-bit IDs: switch ``i`` owns ``i mod n``."""
         span = 0xFFFF // self.n_switches
+        reserved = self._reserved_channel_ids()
         for _ in range(span):
             slot = self._next_channel[i] % span
             self._next_channel[i] += 1
             candidate = 1 + slot * self.n_switches + i
-            if (
-                candidate not in self._active
-                and candidate not in self._reserved_ids
-            ):
+            if candidate not in self._active and candidate not in reserved:
                 return candidate
         raise ConfigurationError(
             f"switch {i} exhausted its channel-ID partition"
@@ -891,17 +935,6 @@ class SharedLinkFabric:
             except PartitioningError:
                 self._splits[key] = None
         return self._splits[key]
-
-    def _access_ref(self, key: str) -> LinkRef:
-        """The link an ``_access`` key (``node|up``/``node|down``) names."""
-        ref = self._access_refs.get(key)
-        if ref is None:
-            node, side = key.rsplit("|", 1)
-            direction = (
-                LinkDirection.UPLINK if side == "up" else LinkDirection.DOWNLINK
-            )
-            ref = self._access_refs[key] = LinkRef(node=node, direction=direction)
-        return ref
 
     def _admit(
         self,
@@ -923,17 +956,17 @@ class SharedLinkFabric:
             return
         channel_id = self._allocate_channel_id(i)
         reservations = [
-            (key, LinkTask(
-                link=self._access_ref(key),
+            LinkTask(
+                link=link,
                 period=spec.period,
                 capacity=spec.capacity,
                 deadline=deadline,
                 channel_id=channel_id,
-            ))
-            for key, deadline in ((f"{src}|up", parts[0]),
-                                  (f"{dst}|down", parts[2]))
+            )
+            for link, deadline in ((LinkRef.uplink(src), parts[0]),
+                                   (LinkRef.downlink(dst), parts[2]))
         ]
-        for _, task in reservations:
+        for task in reservations:
             if not self._access_cache.check(task).feasible:
                 self.counters["local_rejects"] += 1
                 self.ledger.append(
@@ -942,35 +975,25 @@ class SharedLinkFabric:
                 )
                 return
         # Reserve access capacity now; released on abort or departure.
-        for key, task in reservations:
-            self._access.setdefault(key, {})[channel_id] = list(task.pcd)
+        for task in reservations:
             self._access_cache.install(task)
-        self._reserved_ids.add(channel_id)
         seq = self._next_seq
         self._next_seq += 1
         # Rate-monotonic-flavoured precedence: shorter period wins the
         # trunk; (priority, MAC, seq) breaks the rest deterministically.
         priority = min(255, spec.period // 16)
-        coordinator = self.coordinators[i]
-        announce = coordinator.begin_intent(
+        peers = self._others_on_link(link_id, i)
+        announce = self.coordinators[i].begin_intent(
             seq,
             link_id,
             channel_id,
             priority,
             (spec.period, spec.capacity, parts[1]),
-            peers=tuple(
-                self.coordinators[p].mac
-                for p in self._peers_of_link(link_id)
-                if p != i
-            ),
-        )
-        record = coordinator.pending[seq]
-        record["holding"] = holding
-        record["src"] = src
-        record["dst"] = dst
-        record["owner"] = i
-        peers = tuple(
-            p for p in self._peers_of_link(link_id) if p != i
+            peers=tuple(self.coordinators[p].mac for p in peers),
+            holding=holding,
+            src=src,
+            dst=dst,
+            owner=i,
         )
         self.ledger.append(
             ("announce", self.now, i, channel_id, link_id, spec.period,
@@ -982,22 +1005,18 @@ class SharedLinkFabric:
         owner = self._owner_of_seq(seq)
         if owner is None:
             return
-        coordinator = self.coordinators[owner]
-        record = coordinator.pending.get(seq)
-        if record is None or record["state"] != "hold":
+        outcome = self.coordinators[owner].close_hold(
+            seq, self.now, self.foreign_ttl_ns, self.max_defers
+        )
+        if outcome is None:
             return
-        if coordinator.blockers(seq, self.now, self.foreign_ttl_ns):
-            if record["defers"] < self.max_defers:
-                record["defers"] += 1
-                self.counters["defers"] += 1
-                self._push(self.now + self.hold_ns, _PRIO_HOLD, seq, 0)
-                return
-            self._resolve_abort(owner, seq, "conflict")
-            return
-        if not coordinator.trunk_feasible(seq):
-            self._resolve_abort(owner, seq, "trunk-infeasible")
-            return
-        self._resolve_commit(owner, seq)
+        if outcome == "defer":
+            self.counters["defers"] += 1
+            self._push(self.now + self.hold_ns, _PRIO_HOLD, seq, 0)
+        elif outcome == "commit":
+            self._resolve_commit(owner, seq)
+        else:
+            self._resolve_abort(owner, seq, outcome)
 
     def _owner_of_seq(self, seq: int) -> int | None:
         for i, coordinator in enumerate(self.coordinators):
@@ -1007,74 +1026,46 @@ class SharedLinkFabric:
 
     def _resolve_commit(self, owner: int, seq: int) -> None:
         coordinator = self.coordinators[owner]
-        record = coordinator.pending[seq]
-        frame = coordinator.resolution_frame(seq, IntentKind.COMMIT)
+        frame, record = coordinator.resolve(seq, IntentKind.COMMIT)
         coordinator.apply_commit(frame)
-        channel_id = record["channel_id"]
-        self._reserved_ids.discard(channel_id)
+        channel_id, link_id = frame.channel_id, frame.link_id
         departs_at = self.now + record["holding"]
         self._active[channel_id] = [
-            owner, record["link_id"], record["src"], record["dst"], departs_at
+            owner, link_id, record["src"], record["dst"], departs_at
         ]
         self.counters["commits"] += 1
-        self.ledger.append(
-            ("commit", self.now, owner, channel_id, record["link_id"])
-        )
-        peers = tuple(
-            p
-            for p in self._peers_of_link(record["link_id"])
-            if p != owner
-        )
-        self._send_reliable(owner, frame, peers)
+        self.ledger.append(("commit", self.now, owner, channel_id, link_id))
+        self._send_reliable(owner, frame, self._others_on_link(link_id, owner))
         self._push(departs_at, _PRIO_DEPART, owner, channel_id)
-        self._maybe_threshold_gossip(owner, record["link_id"])
-        del coordinator.pending[seq]
+        self._maybe_threshold_gossip(owner, link_id)
 
     def _resolve_abort(self, owner: int, seq: int, reason: str) -> None:
-        coordinator = self.coordinators[owner]
-        record = coordinator.pending[seq]
-        frame = coordinator.resolution_frame(seq, IntentKind.ABORT)
-        self._drop_access(record["src"], record["dst"], record["channel_id"])
-        self._reserved_ids.discard(record["channel_id"])
-        self.counters["aborts"] += 1
-        self.ledger.append(
-            ("abort", self.now, owner, record["channel_id"], reason)
+        frame, record = self.coordinators[owner].resolve(seq, IntentKind.ABORT)
+        self._abort(owner, record, reason)
+        self._send_reliable(
+            owner, frame, self._others_on_link(frame.link_id, owner)
         )
-        peers = tuple(
-            p
-            for p in self._peers_of_link(record["link_id"])
-            if p != owner
-        )
-        self._send_reliable(owner, frame, peers)
-        del coordinator.pending[seq]
 
     def _announce_timed_out(self, seq: int) -> None:
         owner = self._owner_of_seq(seq)
         if owner is None:
             return
-        record = self.coordinators[owner].pending.get(seq)
-        if record is None or record["state"] != "announce":
+        record = self.coordinators[owner].abandon(seq)
+        if record is None:
             return
         self.counters["announce_timeouts"] += 1
-        self._drop_access(record["src"], record["dst"], record["channel_id"])
-        self._reserved_ids.discard(record["channel_id"])
+        self._abort(owner, record, "announce-timeout")
+
+    def _abort(self, owner: int, record: dict, reason: str) -> None:
+        """Free an aborted intent's access links, count and log it."""
+        channel_id = record["channel_id"]
+        self._drop_access(record["src"], record["dst"], channel_id)
         self.counters["aborts"] += 1
-        self.ledger.append(
-            ("abort", self.now, owner, record["channel_id"],
-             "announce-timeout")
-        )
-        del self.coordinators[owner].pending[seq]
+        self.ledger.append(("abort", self.now, owner, channel_id, reason))
 
     def _drop_access(self, src: str, dst: str, channel_id: int) -> None:
-        for key in (f"{src}|up", f"{dst}|down"):
-            view = self._access.get(key)
-            if view is not None:
-                if view.pop(channel_id, None) is not None:
-                    self._access_cache.release(
-                        self._access_ref(key), channel_id
-                    )
-                if not view:
-                    del self._access[key]
+        self._access_cache.release(LinkRef.uplink(src), channel_id)
+        self._access_cache.release(LinkRef.downlink(dst), channel_id)
 
     def _ev_depart(self, owner: int, channel_id: int) -> None:
         entry = self._active.pop(channel_id, None)
@@ -1089,42 +1080,33 @@ class SharedLinkFabric:
         coordinator.apply_release(frame)
         self.counters["departures"] += 1
         self.ledger.append(("depart", self.now, owner, channel_id))
-        peers = tuple(
-            p for p in self._peers_of_link(link_id) if p != owner
-        )
-        self._send_reliable(owner, frame, peers)
+        self._send_reliable(owner, frame, self._others_on_link(link_id, owner))
         self._maybe_threshold_gossip(owner, link_id)
 
     # -- gossip scheduling -------------------------------------------------
 
     def _ev_gossip(self, i: int) -> None:
         self.counters["gossip_rounds"] += 1
-        self._broadcast_gossip(i)
+        for link_id in self.coordinators[i].link_ids:
+            self._send_gossip(i, link_id)
         self._push(self.now + _GOSSIP_EVERY_NS, _PRIO_GOSSIP, i, 0)
 
-    def _broadcast_gossip(self, i: int) -> None:
-        coordinator = self.coordinators[i]
-        for link_id in coordinator.link_ids:
-            frame = coordinator.gossip_frame(link_id)
-            key = f"{i}:{link_id}"
-            self._last_gossip_util[key] = [frame.util_num, frame.util_den]
-            for p in self._peers_of_link(link_id):
-                if p != i:
-                    self._transmit(i, p, frame)
-
     def _maybe_threshold_gossip(self, i: int, link_id: int) -> None:
-        coordinator = self.coordinators[i]
-        num, den = coordinator.utilization_of(link_id)
-        key = f"{i}:{link_id}"
-        last = self._last_gossip_util.get(key, [0, 1])
+        num, den = self.coordinators[i].utilization_of(link_id)
+        last = self._last_gossip_util.get(f"{i}:{link_id}", [0, 1])
         # |num/den - last| > threshold, in integers.
         delta = abs(num * last[1] - last[0] * den)
         if delta * 100 > _GOSSIP_THRESHOLD_PCT * den * last[1]:
-            frame = coordinator.gossip_frame(link_id)
-            self._last_gossip_util[key] = [frame.util_num, frame.util_den]
-            for p in self._peers_of_link(link_id):
-                if p != i:
-                    self._transmit(i, p, frame)
+            self._send_gossip(i, link_id)
+
+    def _send_gossip(self, i: int, link_id: int) -> None:
+        """Send switch ``i``'s digest of one trunk to the other sharers."""
+        frame = self.coordinators[i].gossip_frame(link_id)
+        self._last_gossip_util[f"{i}:{link_id}"] = [
+            frame.util_num, frame.util_den
+        ]
+        for p in self._others_on_link(link_id, i):
+            self._transmit(i, p, frame)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -1172,15 +1154,12 @@ class SharedLinkFabric:
                 for k, v in sorted(self._outstanding.items())
             },
             "next_channel": list(self._next_channel),
-            "access": {
-                key: {str(cid): list(entry) for cid, entry in view.items()}
-                for key, view in sorted(self._access.items())
-            },
+            "access": self._access_rows(),
             "active": {
                 str(cid): list(entry)
                 for cid, entry in sorted(self._active.items())
             },
-            "reserved_ids": sorted(self._reserved_ids),
+            "reserved_ids": sorted(self._reserved_channel_ids()),
             "next_arrival": list(self._next_arrival),
             "last_gossip_util": {
                 k: list(v) for k, v in sorted(self._last_gossip_util.items())
@@ -1195,6 +1174,19 @@ class SharedLinkFabric:
         }
         self.checkpoints.append(data)
         return data
+
+    def _access_rows(self) -> dict[str, dict[str, list[int]]]:
+        """Occupied access links, sorted: ``node|up``/``node|down`` ->
+        ``{cid: [P, C, d]}`` in install order."""
+        cache = self._access_cache
+        rows = {}
+        for link in cache.occupied_links():
+            side = "up" if link.direction is LinkDirection.UPLINK else "down"
+            rows[f"{link.node}|{side}"] = {
+                str(task.channel_id): list(task.pcd)
+                for task in cache.tasks_on(link)
+            }
+        return dict(sorted(rows.items()))
 
     @classmethod
     def resume(cls, data: dict, **kwargs) -> "SharedLinkFabric":
@@ -1234,20 +1226,17 @@ class SharedLinkFabric:
             for k, v in data["outstanding"].items()
         }
         fabric._next_channel = [int(v) for v in data["next_channel"]]
-        fabric._access = {
-            key: {int(cid): list(map(int, e)) for cid, e in view.items()}
-            for key, view in data["access"].items()
-        }
-        for key, view in fabric._access.items():
-            ref = fabric._access_ref(key)
+        for key, view in data["access"].items():
+            node, side = key.rsplit("|", 1)
+            ref = LinkRef.uplink if side == "up" else LinkRef.downlink
             for cid, (p, c, d) in view.items():
                 fabric._access_cache.install(LinkTask(
-                    link=ref, period=p, capacity=c, deadline=d, channel_id=cid
+                    link=ref(node), period=int(p), capacity=int(c),
+                    deadline=int(d), channel_id=int(cid),
                 ))
         fabric._active = {
             int(cid): list(entry) for cid, entry in data["active"].items()
         }
-        fabric._reserved_ids = {int(v) for v in data["reserved_ids"]}
         fabric._next_arrival = [int(v) for v in data["next_arrival"]]
         fabric._last_gossip_util = {
             k: list(v) for k, v in data["last_gossip_util"].items()
@@ -1294,11 +1283,13 @@ class SharedLinkFabric:
         self.run_until(self.now + self.foreign_ttl_ns + 2 * _GOSSIP_EVERY_NS)
 
     def leaked_reservations(self) -> list[int]:
-        """Access-view channel IDs with neither a live channel nor an
+        """Access-link channel IDs with neither a live channel nor an
         unresolved intent behind them (must be empty after quiesce)."""
-        leaked = set()
-        for view in self._access.values():
-            for cid in view:
-                if cid not in self._active and cid not in self._reserved_ids:
-                    leaked.add(cid)
-        return sorted(leaked)
+        live = self._active.keys() | self._reserved_channel_ids()
+        cache = self._access_cache
+        return sorted({
+            task.channel_id
+            for link in cache.occupied_links()
+            for task in cache.tasks_on(link)
+            if task.channel_id not in live
+        })

@@ -12,6 +12,7 @@ from repro.service.intent import IntentCoordinator
 
 MAC_A = 0x0200_0000_0000
 MAC_B = 0x0200_0000_0001
+MAC_C = 0x0200_0000_0002
 
 SPEC = (100, 3, 40)  # (period, capacity, deadline) on the trunk
 
@@ -34,23 +35,48 @@ class TestHandshake:
         assert ack.switch_mac == MAC_A  # echoes the intent's origin
         assert ack.ack_mac == MAC_B
         assert (MAC_A, 1) in b.foreign
+        assert a.pending[1]["state"] == "announce"
         assert a.record_ack(ack) is True  # single peer -> hold opens
+        assert a.pending[1]["state"] == "hold"
+
+    def test_hold_opens_only_on_the_last_ack(self):
+        a = IntentCoordinator(MAC_A, (0,))
+        announce = a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_C, MAC_B))
+        b_ack = IntentCoordinator(MAC_B, (0,)).ack_frame(announce)
+        c_ack = IntentCoordinator(MAC_C, (0,)).ack_frame(announce)
+        assert a.record_ack(c_ack) is False
+        assert a.pending[1]["state"] == "announce"
+        assert a.record_ack(b_ack) is True
+        assert a.pending[1]["acked"] == [MAC_B, MAC_C]
+        assert a.pending[1]["state"] == "hold"
 
     def test_duplicate_ack_is_idempotent(self):
         a, b = pair()
         announce = a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
         ack = b.record_announce(announce, now_ns=0)
         assert a.record_ack(ack) is True
-        a.pending[1]["state"] = "hold"
         # a retransmitted ACK after the hold opened changes nothing
         assert a.record_ack(ack) is False
         assert a.pending[1]["acked"] == [MAC_B]
 
+    def test_the_record_carries_the_callers_fields(self):
+        a, _ = pair()
+        a.begin_intent(
+            1, 0, 7, 6, SPEC, peers=(MAC_B,),
+            holding=5_000, src="n0_1", dst="n1_2", owner=0,
+        )
+        record = a.pending[1]
+        assert [record[k] for k in ("holding", "src", "dst", "owner")] == [
+            5_000, "n0_1", "n1_2", 0,
+        ]
+
     def test_commit_applies_once(self):
         a, b = pair()
         a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
-        commit = a.resolution_frame(1, IntentKind.COMMIT)
-        assert a.pending[1]["state"] == "committed"
+        commit, record = a.resolve(1, IntentKind.COMMIT)
+        assert commit.kind is IntentKind.COMMIT
+        assert 1 not in a.pending  # resolve pops the record
+        assert record["channel_id"] == 7
         assert b.apply_commit(commit) is True
         assert b.apply_commit(commit) is False  # idempotent
         assert b.committed[0][7] == [MAC_A, 100, 3, 40, 1]
@@ -60,7 +86,9 @@ class TestHandshake:
         a, b = pair()
         announce = a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
         b.record_announce(announce, now_ns=0)
-        abort = a.resolution_frame(1, IntentKind.ABORT)
+        abort, _ = a.resolve(1, IntentKind.ABORT)
+        assert abort.kind is IntentKind.ABORT
+        assert a.pending == {}
         b.apply_abort(abort)
         assert (MAC_A, 1) not in b.foreign
         assert 7 not in b.committed[0]
@@ -68,7 +96,7 @@ class TestHandshake:
     def test_release_is_idempotent_and_logged(self):
         a, b = pair()
         a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
-        b.apply_commit(a.resolution_frame(1, IntentKind.COMMIT))
+        b.apply_commit(a.resolve(1, IntentKind.COMMIT)[0])
         a.apply_commit(
             IntentFrame(
                 kind=IntentKind.COMMIT,
@@ -88,6 +116,48 @@ class TestHandshake:
         assert b.apply_release(release) is False
         assert 7 not in b.committed[0]
         assert b.release_log[0] == [[7, 2]]
+
+
+class TestHoldAndTimeout:
+    def hold(self, a: IntentCoordinator, seq: int, channel_id: int, spec):
+        announce = a.begin_intent(seq, 0, channel_id, 6, spec, peers=(MAC_B,))
+        assert a.record_ack(IntentCoordinator(MAC_B, (0,)).ack_frame(announce))
+
+    def test_close_hold_ignores_an_intent_that_is_not_holding(self):
+        a, _ = pair()
+        a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
+        assert a.close_hold(1, 0, 10**9, max_defers=4) is None
+        assert a.close_hold(2, 0, 10**9, max_defers=4) is None
+
+    def test_close_hold_defers_then_reports_the_conflict(self):
+        a, _ = pair()
+        self.hold(a, 2, 8, SPEC)
+        a.record_announce(_announce_raw(MAC_B, 1, 0, 9, 0), now_ns=0)
+        outcomes = [a.close_hold(2, 0, 10**9, max_defers=2) for _ in range(3)]
+        assert outcomes == ["defer", "defer", "conflict"]
+        assert a.pending[2]["defers"] == 2
+
+    def test_close_hold_commits_or_reports_an_infeasible_trunk(self):
+        a, _ = pair()
+        for cid, seq in ((1, 10), (2, 11)):
+            a.apply_commit(_commit_raw(MAC_B, seq, 0, cid, 10, 3, 8))
+        self.hold(a, 5, 9, (10, 3, 8))
+        self.hold(a, 6, 10, (100, 3, 90))
+        # intent 5 precedes 6 (same priority, lower seq): decide it first
+        assert a.close_hold(5, 0, 10**9, max_defers=4) == "trunk-infeasible"
+        a.resolve(5, IntentKind.ABORT)
+        assert a.close_hold(6, 0, 10**9, max_defers=4) == "commit"
+
+    def test_abandon_pops_only_an_announcing_intent(self):
+        a, _ = pair()
+        a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
+        self.hold(a, 2, 8, SPEC)
+        assert a.abandon(2) is None
+        assert a.abandon(3) is None
+        record = a.abandon(1)
+        assert record["channel_id"] == 7
+        assert sorted(a.pending) == [2]
+        assert a.reserved_channel_ids() == [8]
 
 
 class TestArbitration:

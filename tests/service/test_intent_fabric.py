@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, LinkDownWindow
 from repro.obs.monitor import InvariantMonitor
 from repro.protocol.frames import (
     GOSSIP_FRAME_BYTES,
@@ -118,6 +118,34 @@ class TestLossyFabric:
             fabric.run_until(30_000_000)
             fabric.quiesce()
             assert_clean(fabric)
+
+
+class TestAnnounceTimeout:
+    def test_a_partitioned_bus_times_out_and_frees_every_intent(self):
+        # sw0 -> sw1 is down for 1.5 s: switch 1 never hears switch 0's
+        # announces and switch 0 never hears switch 1's ACKs, so every
+        # intent exhausts its retries and aborts without a peer answer.
+        plan = FaultPlan(
+            seed=1,
+            down_windows=[LinkDownWindow("sw0->sw1", 0, 1_500_000_000)],
+        )
+        fabric = SharedLinkFabric(
+            n_switches=2, nodes_per_switch=4, seed=7, fault_plan=plan
+        )
+        fabric.start()
+        fabric.run_until(1_400_000_000)
+        timeouts = [
+            e for e in fabric.ledger
+            if e[0] == "abort" and e[-1] == "announce-timeout"
+        ]
+        assert len(timeouts) == fabric.counters["announce_timeouts"] > 0
+        assert fabric.counters["aborts"] == len(timeouts)
+        assert fabric.counters["commits"] == 0
+        assert fabric.leaked_reservations() == []
+        fabric.run_until(2_000_000_000)
+        assert fabric.counters["commits"] > 0
+        fabric.quiesce()
+        assert_clean(fabric)
 
 
 class TestFabricConfiguration:
