@@ -27,7 +27,14 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..netcalc.bounds import PathBound
@@ -39,6 +46,7 @@ from ..errors import (
     PartitioningError,
     UnknownChannelError,
 )
+from ..protocol.headers import MAX_CHANNEL_ID
 from .channel import ChannelSpec, ChannelState, DeadlinePartition, RTChannel
 from .feasibility import FeasibilityReport, is_feasible
 from .feasibility_cache import FeasibilityCache
@@ -50,7 +58,37 @@ __all__ = [
     "RejectionReason",
     "AdmissionDecision",
     "AdmissionController",
+    "allocate_channel_id",
 ]
+
+
+def allocate_channel_id(
+    hint: int, is_live: Callable[[int], bool], n_live: int, max_id: int
+) -> tuple[int, int]:
+    """The first free channel ID at or after ``hint``, and the next hint.
+
+    IDs run over ``1..max_id`` (the wire value 0 means "not set"). They
+    are handed out in increasing order from a moving hint, so a run
+    that never creates more than ``max_id`` channels sees the monotone
+    sequence 1, 2, 3, ... Past ``max_id`` the search wraps and *skips
+    live IDs*: reusing a live ID would alias two channels in every
+    table keyed on it. Only when all ``max_id`` IDs are live
+    (``n_live >= max_id``) is the space exhausted, and
+    :class:`AdmissionError` is raised. The caller consumes the ID by
+    storing the returned hint, so an ID it only peeks at stays free.
+    """
+    if n_live >= max_id:
+        raise AdmissionError(
+            f"exhausted the 16-bit RT channel ID space "
+            f"(all {max_id} IDs are live)"
+        )
+    for offset in range(max_id):
+        candidate = 1 + (hint - 1 + offset) % max_id
+        if not is_live(candidate):
+            return candidate, 1 + candidate % max_id
+    raise AdmissionError(  # pragma: no cover - guarded by n_live above
+        f"exhausted the 16-bit RT channel ID space (all {max_id} IDs are live)"
+    )
 
 
 class _CandidateLoadView:
@@ -381,14 +419,14 @@ class AdmissionController:
 
     Notes
     -----
-    Channel IDs are assigned from a monotone counter starting at 1 (the
-    wire value 0 means "not yet valid" in the RequestFrame) and never
-    reused within one controller's lifetime, mirroring the 16-bit
-    network-unique *RT channel ID* of the signalling frames. The
-    controller raises :class:`AdmissionError` once the 16-bit space is
-    exhausted, making the paper's field-width limit explicit instead of
-    silently aliasing IDs. Only :meth:`request` consumes IDs --
-    :meth:`preview` never advances the counter.
+    Channel IDs come from :func:`allocate_channel_id`: 1, 2, 3, ... (the
+    wire value 0 means "not yet valid" in the RequestFrame), wrapping
+    past :attr:`MAX_CHANNEL_ID` and skipping live IDs, mirroring the
+    16-bit network-unique *RT channel ID* of the signalling frames. The
+    controller raises :class:`AdmissionError` once every ID is live,
+    making the paper's field-width limit explicit instead of silently
+    aliasing IDs. Only acceptances consume IDs -- :meth:`preview` never
+    advances the hint.
 
     Channels may also be installed or released straight through the
     state (``persistence.restore`` does): the state keeps each link's
@@ -396,7 +434,7 @@ class AdmissionController:
     decision sees them.
     """
 
-    MAX_CHANNEL_ID = 0xFFFF  # 16-bit field in Figures 18.3/18.4
+    MAX_CHANNEL_ID = MAX_CHANNEL_ID  # 16-bit field in Figures 18.3/18.4
 
     #: Assessment-memo capacity; cleared wholesale on overflow (the memo
     #: is a cache of pure results, so clearing is always correct).
@@ -540,9 +578,6 @@ class AdmissionController:
         an acceptance sweep (the same rejected spec re-requested
         hundreds of times against unchanged links) a dictionary hit.
         """
-        cache = self._cache
-        if cache is None or not self._dps.local_only:
-            return self._assess_uncached(source, destination, spec)
         # Pre-checks inlined (has_node is a measurable method call here,
         # and _decide below assumes they already ran).
         nodes = self._state._nodes
@@ -552,6 +587,9 @@ class AdmissionController:
             return _Assessment(reason=RejectionReason.NOT_PARTITIONABLE)
         up_link = LinkRef.uplink(source)
         down_link = LinkRef.downlink(destination)
+        cache = self._cache
+        if cache is None or not self._dps.local_only:
+            return self._decide(source, destination, spec, up_link, down_link)
         up_entry = cache.entry(up_link)
         down_entry = cache.entry(down_link)
         key = (source, destination, spec)
@@ -567,23 +605,6 @@ class AdmissionController:
             self._assess_memo.clear()
         self._assess_memo[key] = (up_entry.epoch, down_entry.epoch, assessment)
         return assessment
-
-    def _assess_uncached(
-        self, source: str, destination: str, spec: ChannelSpec
-    ) -> _Assessment:
-        """The decision procedure with pre-checks (no memo consulted)."""
-        nodes = self._state._nodes
-        if source not in nodes or destination not in nodes:
-            return _Assessment(reason=RejectionReason.UNKNOWN_NODE)
-        if not spec.is_partitionable():
-            return _Assessment(reason=RejectionReason.NOT_PARTITIONABLE)
-        return self._decide(
-            source,
-            destination,
-            spec,
-            LinkRef.uplink(source),
-            LinkRef.downlink(destination),
-        )
 
     def _decide(
         self,
@@ -636,33 +657,43 @@ class AdmissionController:
             return _Assessment(reason, partition, up_report, down_report)
         return _Assessment(None, partition, up_report, down_report)
 
-    def _allocate_id(self) -> int:
-        """Consume the next free channel ID, wrapping past the 16-bit limit.
+    def _admit_one(
+        self, source: str, destination: str, spec: ChannelSpec
+    ) -> AdmissionDecision:
+        """Decide one request and install the channel on acceptance.
 
-        IDs are handed out in increasing order from a moving hint, so a
-        run that never creates more than ``MAX_CHANNEL_ID`` channels
-        sees the historical monotone sequence unchanged. Under churn
-        (long-lived service, channels departing) the allocator wraps
-        around and *skips live IDs* -- reusing a live ID would alias two
-        channels in ``{N, K}`` and in every verdict/dedup cache keyed on
-        it. Only when every ID in ``1..MAX_CHANNEL_ID`` is simultaneously
-        live is the space genuinely exhausted.
+        The one decision path of :meth:`request` and :meth:`admit_many`;
+        it counts nothing (each caller counts its own way).
         """
-        span = self.MAX_CHANNEL_ID  # IDs 1..MAX (0 = "not set" on the wire)
-        if len(self._state) >= span:
-            raise AdmissionError(
-                "exhausted the 16-bit RT channel ID space "
-                f"(> {self.MAX_CHANNEL_ID} channels created)"
+        candidate = RTChannel(source=source, destination=destination, spec=spec)
+        assessment = self._assess(source, destination, spec)
+        if assessment.reason is not None:
+            candidate.state = ChannelState.REJECTED
+            return AdmissionDecision(
+                False,
+                candidate,
+                assessment.reason,
+                assessment.partition,
+                assessment.uplink_report,
+                assessment.downlink_report,
             )
-        hint = self._next_id
-        for offset in range(span):
-            candidate = 1 + (hint - 1 + offset) % span
-            if not self._state.has_channel(candidate):
-                self._next_id = 1 + candidate % span
-                return candidate
-        raise AdmissionError(  # pragma: no cover - guarded by len() above
-            "exhausted the 16-bit RT channel ID space "
-            f"(> {self.MAX_CHANNEL_ID} channels created)"
+        state = self._state
+        candidate.channel_id, self._next_id = allocate_channel_id(
+            self._next_id, state.has_channel, len(state), self.MAX_CHANNEL_ID
+        )
+        # Direct assignment instead of assign_partition(): _decide already
+        # ran validate_for on this exact partition/spec pair, so the
+        # trusted construction in LinkTask.pair_for_channel stays sound.
+        candidate.partition = assessment.partition
+        candidate.state = ChannelState.ACTIVE
+        state.install(candidate)
+        return AdmissionDecision(
+            True,
+            candidate,
+            None,
+            assessment.partition,
+            assessment.uplink_report,
+            assessment.downlink_report,
         )
 
     def request(
@@ -674,37 +705,14 @@ class AdmissionController:
         signalling (for the full handshake, including the destination's
         veto, see :mod:`repro.core.channel_manager`).
         """
-        candidate = RTChannel(source=source, destination=destination, spec=spec)
-        assessment = self._assess(source, destination, spec)
-        if assessment.reason is not None:
-            candidate.state = ChannelState.REJECTED
-            self._count_rejection(assessment.reason)
-            return AdmissionDecision(
-                False,
-                candidate,
-                assessment.reason,
-                assessment.partition,
-                assessment.uplink_report,
-                assessment.downlink_report,
-            )
-        candidate.channel_id = self._allocate_id()
-        # Direct assignment instead of assign_partition(): _decide already
-        # ran validate_for on this exact partition/spec pair, so the
-        # trusted construction in LinkTask.pair_for_channel stays sound.
-        candidate.partition = assessment.partition
-        candidate.state = ChannelState.ACTIVE
-        self._state.install(candidate)
+        decision = self._admit_one(source, destination, spec)
+        if decision.reason is not None:
+            self._count_rejection(decision.reason)
+            return decision
         self.accept_count += 1
         if self._m_accepts is not None:
             self._m_accepts.inc()
-        return AdmissionDecision(
-            True,
-            candidate,
-            None,
-            assessment.partition,
-            assessment.uplink_report,
-            assessment.downlink_report,
-        )
+        return decision
 
     # -- batch engine ------------------------------------------------------
 
@@ -717,8 +725,8 @@ class AdmissionController:
         requests]`` -- same decisions, same rejection reasons, same
         channel IDs, same final state and counters (the differential
         campaign ``repro admission-diff --batch`` and the Hypothesis
-        property suite enforce stream equality). A fresh request is
-        decided exactly as :meth:`request` decides it, one scalar
+        property suite enforce stream equality). A fresh request goes
+        through :meth:`request`'s own decision path, one scalar
         :meth:`~repro.core.feasibility_cache.FeasibilityCache.check` per
         affected link; the burst amortizes the rest:
 
@@ -781,63 +789,34 @@ class AdmissionController:
                         hit[5][0] += 1
                         append(hit[4])
                         continue
-                # Fresh path: identical, step for step, to request()
-                # minus the counter updates (flushed below).
+                # Fresh path: request()'s decision path; the counter
+                # updates are flushed below.
                 source, destination, spec = key
-                candidate = RTChannel(
-                    source=source, destination=destination, spec=spec
-                )
-                assessment = self._assess(source, destination, spec)
-                reason = assessment.reason
-                if reason is not None:
-                    candidate.state = ChannelState.REJECTED
-                    decision = AdmissionDecision(
-                        False,
-                        candidate,
-                        reason,
-                        assessment.partition,
-                        assessment.uplink_report,
-                        assessment.downlink_report,
-                    )
-                    cell = [1]
-                    records.append((reason, cell))
-                    if (
-                        reason is RejectionReason.UNKNOWN_NODE
-                        or reason is RejectionReason.NOT_PARTITIONABLE
-                    ):
-                        templates[key] = (None, 0, None, 0, decision, cell)
-                    else:
-                        up_entry = cache.entry(LinkRef.uplink(source))
-                        down_entry = cache.entry(
-                            LinkRef.downlink(destination)
-                        )
-                        templates[key] = (
-                            up_entry,
-                            up_entry.epoch,
-                            down_entry,
-                            down_entry.epoch,
-                            decision,
-                            cell,
-                        )
-                    fresh_done += 1
-                    append(decision)
-                    continue
-                candidate.channel_id = self._allocate_id()
-                candidate.partition = assessment.partition
-                candidate.state = ChannelState.ACTIVE
-                self._state.install(candidate)
-                accepts += 1
+                decision = self._admit_one(source, destination, spec)
                 fresh_done += 1
-                append(
-                    AdmissionDecision(
-                        True,
-                        candidate,
-                        None,
-                        assessment.partition,
-                        assessment.uplink_report,
-                        assessment.downlink_report,
+                append(decision)
+                reason = decision.reason
+                if reason is None:
+                    accepts += 1
+                    continue
+                cell = [1]
+                records.append((reason, cell))
+                if (
+                    reason is RejectionReason.UNKNOWN_NODE
+                    or reason is RejectionReason.NOT_PARTITIONABLE
+                ):
+                    templates[key] = (None, 0, None, 0, decision, cell)
+                else:
+                    up_entry = cache.entry(LinkRef.uplink(source))
+                    down_entry = cache.entry(LinkRef.downlink(destination))
+                    templates[key] = (
+                        up_entry,
+                        up_entry.epoch,
+                        down_entry,
+                        down_entry.epoch,
+                        decision,
+                        cell,
                     )
-                )
         finally:
             # Every cell increment pairs with exactly one appended
             # decision, so on a mid-burst exception the flushed

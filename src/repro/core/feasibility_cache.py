@@ -820,7 +820,12 @@ class FeasibilityCache:
         self.stats = CacheStats()
 
     def entry(self, link: LinkRef) -> LinkCacheEntry:
-        """The cache entry for ``link``, created empty on first use."""
+        """The cache entry for ``link``, created empty on first use.
+
+        For :meth:`check`, :meth:`install`, :meth:`release` and callers
+        that watch an entry's ``epoch``; reads go through
+        :meth:`tasks_on`, :meth:`link_load` or :meth:`link_utilization`.
+        """
         entry = self._entries.get(link)
         if entry is None:
             entry = LinkCacheEntry(link, ())
@@ -865,14 +870,20 @@ class FeasibilityCache:
             entry.memo_i[key] = overlay
         return report
 
+    # The three reads below never create an entry: a link the cache has
+    # not seen holds no task.
+
     def link_utilization(self, link: LinkRef) -> Fraction:
-        return self.entry(link).util
+        entry = self._entries.get(link)
+        return Fraction(0) if entry is None else entry.util
 
     def link_load(self, link: LinkRef) -> int:
-        return len(self.entry(link).tasks)
+        entry = self._entries.get(link)
+        return 0 if entry is None else len(entry.tasks)
 
     def tasks_on(self, link: LinkRef) -> tuple[LinkTask, ...]:
-        return tuple(self.entry(link).tasks)
+        entry = self._entries.get(link)
+        return () if entry is None else tuple(entry.tasks)
 
     def occupied_links(self) -> tuple[LinkRef, ...]:
         """Links that currently hold at least one task, sorted."""

@@ -70,7 +70,6 @@ def run_requests(
     checkpoints: Sequence[int] | None = None,
     telemetry=None,
     lane: TraceLane | None = None,
-    batch: bool = True,
 ) -> list[int]:
     """Feed ``requests`` to a fresh admission controller.
 
@@ -85,15 +84,13 @@ def run_requests(
     this run a distinct timeline in a multi-run sweep (see
     :class:`TraceLane`).
 
-    ``batch=True`` (the default) drives the hot path through
+    Requests are decided by
     :meth:`~repro.core.admission.AdmissionController.admit_many`, one
     burst per inter-checkpoint segment, so sweeps benefit from the
     saturated-tail decision template and the once-per-burst counter
-    flush. The decision stream, trace records, counts, span stream and
-    feasibility-cache counters are byte-identical to the scalar path
-    (``batch=False``) -- the batch engine's own stream equality
-    guarantee plus checkpoint-aligned segmentation make the two
-    indistinguishable to every observer.
+    flush. The counts, trace records and feasibility-cache counters
+    equal those of a scalar ``request()`` loop -- the batch engine's
+    stream equality plus checkpoint-aligned bursts.
     """
     if checkpoints is None:
         checkpoints = [len(requests)]
@@ -135,25 +132,18 @@ def run_requests(
         next_checkpoint += 1
 
     # Burst boundaries: one admit_many() per inter-checkpoint segment
-    # (and a final tail segment past the last checkpoint). The scalar
-    # path observes the same boundaries so its span stream -- one
-    # "admission" span per segment -- is byte-identical.
+    # (and a final tail segment past the last checkpoint), each with one
+    # "admission" span.
     bounds = [c for c in checkpoints if c > 0]
     if not bounds or bounds[-1] < len(requests):
         bounds.append(len(requests))
     segment_ends = set(bounds)
 
     def decisions():
-        if not batch:
-            for request in requests:
-                yield controller.request(
-                    request.source, request.destination, request.spec
-                )
-            return
-        # Counts are observed at exactly the controller states the
-        # scalar loop would see, because the generator is lazy -- a
-        # checkpoint is read after its segment's burst and before the
-        # next one starts.
+        # Counts are observed at exactly the controller states a scalar
+        # loop would see, because the generator is lazy -- a checkpoint
+        # is read after its segment's burst and before the next one
+        # starts.
         start = 0
         for stop in bounds:
             if stop > start:

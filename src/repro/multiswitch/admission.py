@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from ..core.admission import allocate_channel_id
 from ..core.channel import ChannelSpec
 from ..core.feasibility import FeasibilityReport, is_feasible
 from ..core.feasibility_cache import FeasibilityCache
 from ..core.task import LinkRef, LinkDirection, LinkTask
 from ..errors import PartitioningError, UnknownChannelError
+from ..protocol.headers import MAX_CHANNEL_ID
 from .graph import FabricGraph, FabricLink
 from .partitioning import MultiHopDPS
 
@@ -73,7 +75,17 @@ class MultiSwitchAdmission:
         ``use_cache=False`` each check runs
         :func:`~repro.core.feasibility.is_feasible` over those tasks
         plus the candidate.
+
+    Channel IDs come from the star's
+    :func:`~repro.core.admission.allocate_channel_id`: 1, 2, 3, ...,
+    wrapping past :attr:`MAX_CHANNEL_ID` and skipping live IDs, so they
+    fit the RT header's 16 bits. A request peeks at the next ID and
+    consumes it only on acceptance; once every ID is live, a request
+    that reaches the link tests raises
+    :class:`~repro.errors.AdmissionError`.
     """
+
+    MAX_CHANNEL_ID = MAX_CHANNEL_ID
 
     def __init__(
         self,
@@ -122,10 +134,12 @@ class MultiSwitchAdmission:
 
     def link_load(self, link: FabricLink) -> int:
         """LinkLoad of one directed fabric link (paper's ``LL``)."""
-        return self._cache.link_load(self._ref(link))
+        ref = self._refs.get(link)
+        return 0 if ref is None else self._cache.link_load(ref)
 
     def tasks_on(self, link: FabricLink) -> tuple[LinkTask, ...]:
-        return self._cache.tasks_on(self._ref(link))
+        ref = self._refs.get(link)
+        return () if ref is None else self._cache.tasks_on(ref)
 
     @property
     def decisions(self) -> dict[int, MultiAdmissionDecision]:
@@ -188,7 +202,12 @@ class MultiSwitchAdmission:
             )
         # Peek the ID -- it is only consumed on acceptance, so rejected
         # requests no longer burn through the channel-ID space.
-        channel_id = self._next_id
+        channel_id, next_id = allocate_channel_id(
+            self._next_id,
+            self._channels.__contains__,
+            len(self._channels),
+            self.MAX_CHANNEL_ID,
+        )
         reports: list[FeasibilityReport] = []
         candidate_tasks: list[LinkTask] = []
         cache = self._cache
@@ -219,7 +238,7 @@ class MultiSwitchAdmission:
                     reports=tuple(reports),
                     failed_link=link,
                 )
-        self._next_id += 1
+        self._next_id = next_id
         for task in candidate_tasks:
             cache.install(task)
         decision = MultiAdmissionDecision(

@@ -13,6 +13,7 @@ individually so a regression names the mechanism that broke.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -311,6 +312,26 @@ class TestDriftResync:
         cache.release(LINK, 0)
         third = cache.entry(LINK).epoch
         assert first < second < third
+
+
+class TestReadsNeverInsert:
+    """Reading a link the cache has not seen creates no entry."""
+
+    def test_cache_reads_of_an_unknown_link(self):
+        cache = FeasibilityCache()
+        assert cache.tasks_on(LINK) == ()
+        assert cache.link_load(LINK) == 0
+        assert cache.link_utilization(LINK) == Fraction(0)
+        assert cache.occupied_links() == ()
+        assert cache._entries == {}
+
+    def test_system_state_reads_of_an_unknown_link(self):
+        state = SystemState(nodes=["a", "b"])
+        ghost = LinkRef.uplink("zzz")
+        assert state.tasks_on(ghost) == ()
+        assert state.link_load(ghost) == 0
+        assert state.link_utilization(ghost) == 0
+        assert state.cache._entries == {}
 
 
 class TestMultiLinkIndependence:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.admission import AdmissionController, SystemState
 from repro.core.channel import ChannelSpec
 from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
 from repro.errors import ConfigurationError
@@ -204,51 +205,69 @@ class TestAcceptanceCurve:
 
 
 class TestBatchEngine:
-    """run_requests' admit_many hot path vs the scalar reference loop.
+    """run_requests' admit_many bursts against a scalar request() loop.
 
-    The batch engine must be invisible to every observer: counts, trace
-    records, span streams and feasibility-cache counters are
-    byte-identical, because admit_many guarantees stream equality, runs
-    the same per-link checks as request(), and the burst boundaries
-    align with the checkpoints the scalar loop reads at.
+    The counts, each request's verdict and running accept count (its
+    ``admission.decision`` trace record) and the feasibility-cache
+    counters must equal those of the loop written here: the batch
+    engine's stream equality plus bursts aligned with the checkpoints.
     """
 
-    def observe(self, batch, checkpoints=(3, 7, 12), n=12):
-        from repro.obs import span_jsonl_lines, trace_jsonl_lines
+    @staticmethod
+    def scalar_loop(requests, checkpoints):
+        controller = AdmissionController(
+            SystemState(nodes=NODES), AsymmetricDPS()
+        )
+        counts, verdicts, accepted = [], [], 0
+        for offered, request in enumerate(requests, start=1):
+            decision = controller.request(
+                request.source, request.destination, request.spec
+            )
+            accepted += decision.accepted
+            verdict = "accept" if decision.accepted else decision.reason.value
+            verdicts.append((verdict, accepted))
+            if offered in checkpoints:
+                counts.append(accepted)
+        return counts, verdicts, controller.cache.stats.as_dict()
 
+    @staticmethod
+    def observe(requests, checkpoints):
         telemetry = Telemetry(TelemetryConfig(
             spans=True, probe_cadence_ns=None,
         ))
         counts = run_requests(
-            NODES, reqs(n), AsymmetricDPS(),
-            checkpoints=None if checkpoints is None else list(checkpoints),
+            NODES, requests, AsymmetricDPS(),
+            checkpoints=checkpoints,
             telemetry=telemetry,
             lane=TraceLane(trial=0, scheme="adps"),
-            batch=batch,
         )
-        cache_counters = {
-            name: family
+        verdicts = [
+            (record.fields["verdict"], record.fields["accepted_so_far"])
+            for record in telemetry.recorder
+            if record.category == "admission.decision"
+        ]
+        cache = {
+            name.removeprefix("feasibility_cache."): family["series"][0][
+                "value"
+            ]
             for name, family in telemetry.registry.snapshot().items()
             if name.startswith("feasibility_cache.")
         }
-        return (
-            counts,
-            "\n".join(trace_jsonl_lines(telemetry.recorder)),
-            "\n".join(span_jsonl_lines(telemetry.spans)),
-            cache_counters,
-        )
+        return counts, verdicts, cache
 
-    def test_batch_matches_scalar_byte_for_byte(self):
-        assert self.observe(batch=True) == self.observe(batch=False)
+    def test_batch_matches_scalar_with_checkpoints(self):
+        requests = reqs(12)
+        observed = self.observe(requests, [3, 7, 12])
+        assert observed == self.scalar_loop(requests, {3, 7, 12})
+        assert observed[0] == [3, 7, 10]
 
     def test_batch_matches_scalar_without_checkpoints(self):
-        assert self.observe(batch=True, checkpoints=None) == self.observe(
-            batch=False, checkpoints=None
+        requests = reqs(12)
+        assert self.observe(requests, None) == self.scalar_loop(
+            requests, {12}
         )
 
     def test_batch_path_actually_calls_admit_many(self, monkeypatch):
-        from repro.core.admission import AdmissionController
-
         calls = []
         original = AdmissionController.admit_many
 
@@ -259,18 +278,6 @@ class TestBatchEngine:
         monkeypatch.setattr(AdmissionController, "admit_many", spy)
         run_requests(NODES, reqs(8), SymmetricDPS(), checkpoints=[4, 8])
         assert len(calls) == 2  # one burst per inter-checkpoint segment
-
-    def test_scalar_path_never_calls_admit_many(self, monkeypatch):
-        from repro.core.admission import AdmissionController
-
-        def forbidden(self, requests):
-            raise AssertionError("scalar path must not batch")
-
-        monkeypatch.setattr(AdmissionController, "admit_many", forbidden)
-        counts = run_requests(
-            NODES, reqs(8), SymmetricDPS(), checkpoints=[4, 8], batch=False
-        )
-        assert len(counts) == 2
 
     def test_sweep_root_span_summarizes_run(self):
         telemetry = Telemetry(TelemetryConfig(

@@ -5,11 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.channel import ChannelSpec
-from repro.errors import PartitioningError, UnknownChannelError
+from repro.errors import (
+    AdmissionError,
+    PartitioningError,
+    UnknownChannelError,
+)
 from repro.multiswitch.admission import MultiSwitchAdmission
 from repro.multiswitch.graph import (
     FabricLink,
     build_chain_graph,
+    build_fat_tree,
     build_star_graph,
 )
 from repro.multiswitch.partitioning import (
@@ -290,3 +295,62 @@ class TestMultiSwitchCacheParity:
         )
         assert decision.accepted
         assert decision.channel_id == 1
+
+
+class TestMultiSwitchReads:
+    def test_reads_never_insert(self):
+        fabric = build_fat_tree(4, hosts_per_edge=2)
+        admission = MultiSwitchAdmission(
+            fabric=fabric, dps=MultiHopSymmetric()
+        )
+        hosts = sorted(fabric.nodes)
+        links = {
+            link
+            for source in hosts[:8]
+            for destination in hosts[8:]
+            for link in fabric.path_links(source, destination)
+        }
+        assert len(links) == 48
+        for link in links:
+            assert admission.tasks_on(link) == ()
+            assert admission.link_load(link) == 0
+        assert admission.occupied_links() == ()
+        assert admission._cache._entries == {}
+        assert admission._refs == {}
+
+
+class TestFabricChannelIds:
+    """The fabric's IDs stay in 1..MAX_CHANNEL_ID (shrunk to 3 here, as
+    tests/core/test_admission.py does for the star)."""
+
+    SPEC = ChannelSpec(period=1000, capacity=1, deadline=1000)
+
+    def admission(self) -> MultiSwitchAdmission:
+        admission = MultiSwitchAdmission(
+            fabric=build_chain_graph(2, 2), dps=MultiHopSymmetric()
+        )
+        admission.MAX_CHANNEL_ID = 3
+        return admission
+
+    def admit(self, admission) -> int:
+        decision = admission.request("n0_0", "n1_0", self.SPEC)
+        assert decision.accepted
+        return decision.channel_id
+
+    def test_ids_wrap_and_skip_live_ones(self):
+        admission = self.admission()
+        assert [self.admit(admission) for _ in range(3)] == [1, 2, 3]
+        admission.release(2)
+        assert self.admit(admission) == 2  # wraps past 3, skips live 1
+        admission.release(1)
+        assert self.admit(admission) == 1  # skips live 3
+        assert sorted(admission.decisions) == [1, 2, 3]
+
+    def test_exhaustion_raises(self):
+        admission = self.admission()
+        for _ in range(3):
+            self.admit(admission)
+        with pytest.raises(AdmissionError, match="exhausted"):
+            admission.request("n0_0", "n1_0", self.SPEC)
+        admission.release(3)
+        assert self.admit(admission) == 3

@@ -111,6 +111,21 @@ class TestEstablishment:
         assert channel.channel_id not in net.nodes["n0_0"].rt_layer.grants
         assert net.sim.pending_events == 0
 
+    def test_a_wrapped_channel_id_delivers(self):
+        # Start the ID hint at the top of the 16-bit space instead of
+        # making 65 535 channels: the next ID after 65 535 is 1, which
+        # the RT header can carry.
+        net = chain_network(2, 2)
+        net.admission._next_id = net.admission.MAX_CHANNEL_ID
+        first = net.establish("n0_0", "n1_0", SPEC)
+        assert first.channel_id == 65_535
+        net.release(first.channel_id)
+        second = net.establish("n0_0", "n1_0", SPEC)
+        assert second.channel_id == 1
+        net.start_all_sources(stop_after_messages=3)
+        net.sim.run()
+        assert net.metrics.total_rt_messages == 3
+
     def test_cumulative_deadlines_increase_along_path(self):
         net = chain_network()
         channel = net.establish("n0_0", "n2_0", SPEC)
