@@ -76,13 +76,9 @@ class MultiSwitchAdmission:
         :func:`~repro.core.feasibility.is_feasible` over those tasks
         plus the candidate.
 
-    Channel IDs come from the star's
-    :func:`~repro.core.admission.allocate_channel_id`: 1, 2, 3, ...,
-    wrapping past :attr:`MAX_CHANNEL_ID` and skipping live IDs, so they
-    fit the RT header's 16 bits. A request peeks at the next ID and
-    consumes it only on acceptance; once every ID is live, a request
-    that reaches the link tests raises
-    :class:`~repro.errors.AdmissionError`.
+    Channel IDs come from
+    :func:`~repro.core.admission.allocate_channel_id`, within the RT
+    header's 16 bits; a request consumes one only on acceptance.
     """
 
     MAX_CHANNEL_ID = MAX_CHANNEL_ID
