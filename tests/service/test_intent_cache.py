@@ -184,7 +184,7 @@ def release(mac: int, seq: int, channel_id: int) -> IntentFrame:
 def trunk_candidate(coordinator: IntentCoordinator, spec) -> bool:
     coordinator.begin_intent(999, 0, 4242, 0, spec, peers=(MAC_B,))
     verdict = coordinator.trunk_feasible(999)
-    del coordinator.pending[999]
+    coordinator.abandon(999)
     return verdict
 
 
