@@ -643,10 +643,6 @@ class SharedLinkFabric:
             )
             for i in range(n_switches)
         ]
-        #: every access link's reservations, keyed by the interned
-        #: ``LinkRef.uplink(node)``/``LinkRef.downlink(node)``;
-        #: checkpointed as ``"access"``.
-        self._access_cache = FeasibilityCache()
         # -- derived state (never checkpointed; resume() rebuilds it) --
         #: split_deadline(d, C, (1, 1, 1)) per (d, C); None = no split.
         self._splits: dict[tuple[int, int], list[int] | None] = {}
@@ -677,6 +673,10 @@ class SharedLinkFabric:
         self._outstanding: dict[int, dict] = {}
         #: per-switch next channel id counter (stride-partitioned).
         self._next_channel = [0] * n_switches
+        #: every access link's reservations, keyed by the interned
+        #: ``LinkRef.uplink(node)``/``LinkRef.downlink(node)``; a
+        #: checkpoint writes them as ``"access"``.
+        self._access_cache = FeasibilityCache()
         #: committed channels: cid -> [switch, link_id, src, dst, departs_at]
         self._active: dict[int, list] = {}
         self._next_arrival = [0] * n_switches
