@@ -120,6 +120,8 @@ def _utilization(capacity: int, period: int) -> Fraction:
 _UTIL_SUMS: dict[tuple[int, int, int, int], Fraction] = {}
 _UTIL_SUMS_MAX = 1 << 16
 
+_ZERO = Fraction(0)
+
 
 def _util_sum(base: Fraction, capacity: int, period: int) -> Fraction:
     key = (base.numerator, base.denominator, capacity, period)
@@ -307,7 +309,7 @@ class LinkCacheEntry:
         "epoch",
     )
 
-    def __init__(self, link: LinkRef, tasks: Iterable[LinkTask]) -> None:
+    def __init__(self, link: LinkRef, tasks: Iterable[LinkTask] = ()) -> None:
         self.link = link
         self.tasks: list[LinkTask] = list(tasks)
         #: Verdict memos keyed by the candidate's ``(P, C, d)``, split by
@@ -317,7 +319,22 @@ class LinkCacheEntry:
         #: THEORY.md §7) and die only on release/rebuild.
         self.memo_f: dict[tuple[int, int, int], _Overlay] = {}
         self.memo_i: dict[tuple[int, int, int], _Overlay] = {}
-        self._rebuild()
+        if self.tasks:
+            self._rebuild()
+            return
+        # The empty set's values, as _rebuild() would compute them: the
+        # cache creates one empty entry per link it meets.
+        self.plist = []
+        self.clist = []
+        self.dlist = []
+        self.util = _ZERO
+        self.fdensity = 0
+        self.cap_sum = 0
+        self.hyper = 1
+        self.min_p = 1
+        self.implicit = 0
+        self._mark_dirty()
+        self.epoch = next(_EPOCH)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -777,30 +794,34 @@ class LinkCacheEntry:
                 f"channel {channel_id} has no cached task on {self.link}"
             )
         removed = self.tasks.pop(index)
-        del self.plist[index]
+        plist = self.plist
+        del plist[index]
         del self.clist[index]
         del self.dlist[index]
-        self.util -= _utilization(removed.capacity, removed.period)
+        # The interned sum with -C: exact, and no Fraction.__sub__.
+        self.util = util = _util_sum(
+            self.util, -removed.capacity, removed.period
+        )
         # Recompute (not subtract) the float density: subtraction would
         # accumulate rounding drift over long install/release histories.
         self.fdensity = sum(
             c / (d if d < p else p)
-            for p, c, d in zip(self.plist, self.clist, self.dlist)
+            for p, c, d in zip(plist, self.clist, self.dlist)
         )
         self.cap_sum -= removed.capacity
-        self.hyper = 1
-        for period in self.plist:
-            self.hyper = math.lcm(self.hyper, period)
-        self.min_p = min(self.plist, default=1)
+        self.hyper = math.lcm(*plist)
+        self.min_p = min(plist, default=1)
         if removed.deadline == removed.period:
             self.implicit -= 1
         was_feasible = self.feasible
         self._mark_dirty()
         # Removing work cannot break feasibility (demand only shrinks),
         # so a known-feasible base stays known-feasible; the arrays are
-        # rebuilt lazily on the next check.
+        # rebuilt lazily on the next check. (U <= 1 as plain ints.)
         if was_feasible:
-            self.feasible = True if self.util <= 1 else None
+            self.feasible = (
+                True if util.numerator <= util.denominator else None
+            )
         self.memo_f.clear()
         self.memo_i.clear()
         self.epoch = next(_EPOCH)
@@ -828,7 +849,7 @@ class FeasibilityCache:
         """
         entry = self._entries.get(link)
         if entry is None:
-            entry = LinkCacheEntry(link, ())
+            entry = LinkCacheEntry(link)
             self._entries[link] = entry
         return entry
 
@@ -875,7 +896,7 @@ class FeasibilityCache:
 
     def link_utilization(self, link: LinkRef) -> Fraction:
         entry = self._entries.get(link)
-        return Fraction(0) if entry is None else entry.util
+        return _ZERO if entry is None else entry.util
 
     def link_load(self, link: LinkRef) -> int:
         entry = self._entries.get(link)
@@ -901,6 +922,15 @@ class FeasibilityCache:
         self.entry(task.link).install(task)
 
     def release(self, link: LinkRef, channel_id: int) -> None:
-        """Drop ``channel_id``'s task from ``link``."""
+        """Drop ``channel_id``'s task from ``link``.
+
+        A release that fails (no such task) creates no entry and is not
+        counted in ``stats.releases``.
+        """
+        entry = self._entries.get(link)
+        if entry is None:
+            raise UnknownChannelError(
+                f"channel {channel_id} has no cached task on {link}"
+            )
+        entry.release(channel_id)
         self.stats.releases += 1
-        self.entry(link).release(channel_id)

@@ -233,6 +233,50 @@ class TestInstallGraft:
         cache.install(task(100, 3, 40, 7))
         with pytest.raises(UnknownChannelError):
             cache.release(LINK, 8)
+        assert cache.stats.releases == 0
+        cache.release(LINK, 7)
+        assert cache.stats.releases == 1
+
+    def test_release_on_an_unknown_link_leaves_nothing_behind(self):
+        # A failed release creates no entry and is not counted.
+        cache = FeasibilityCache()
+        with pytest.raises(UnknownChannelError, match="channel 1"):
+            cache.release(LinkRef.uplink("x"), 1)
+        assert cache._entries == {}
+        assert cache.stats.releases == 0
+
+    def test_release_keeps_every_field_equal_to_a_rebuild(self):
+        # release() subtracts the utilization through the interned sums
+        # and recomputes the hyperperiod in one lcm; every derived field
+        # must equal a from-scratch rebuild of the remaining tasks.
+        cache = FeasibilityCache()
+        specs = ((100, 5, 30), (60, 4, 60), (45, 3, 20), (100, 7, 100),
+                 (30, 2, 25))
+        for cid, spec in enumerate(specs):
+            cache.install(task(*spec, cid))
+        for cid in (2, 0, 4, 1, 3):
+            cache.release(LINK, cid)
+            entry = cache.entry(LINK)
+            fresh = LinkCacheEntry(LINK, entry.tasks)
+            for name in REBUILT:
+                assert getattr(entry, name) == getattr(fresh, name), name
+        assert cache.link_utilization(LINK) == 0
+
+    def test_an_empty_entry_matches_an_empty_rebuild(self):
+        entry = LinkCacheEntry(LINK)
+        before = {name: getattr(entry, name) for name in REBUILT + DIRTY}
+        types = {name: type(value) for name, value in before.items()}
+        entry._rebuild()
+        after = {name: getattr(entry, name) for name in REBUILT + DIRTY}
+        assert after == before
+        assert {name: type(value) for name, value in after.items()} == types
+
+
+#: The fields LinkCacheEntry._rebuild() computes from the task list, and
+#: the lazily rebuilt ones it clears.
+REBUILT = ("plist", "clist", "dlist", "util", "fdensity", "cap_sum",
+           "hyper", "min_p", "implicit")
+DIRTY = ("busy", "horizon", "points", "demands", "next_pt", "feasible")
 
 
 class TestFallbacks:
