@@ -54,6 +54,15 @@ shift-and-mask per field). A value that does not fit its field raises
 :class:`~repro.errors.FieldRangeError` instead of being silently
 truncated: the paper's field widths are protocol invariants.
 
+Every frame built from fresh values goes through that check. The one
+exception is :meth:`_Frame._trusted`, which sets the fields directly
+and checks nothing. It is allowed only where every value is copied
+from a frame or record already checked in this process (an ACK or a
+COMMIT/ABORT that copies an ANNOUNCE's fields, a replay of a committed
+entry) or is a constant of the protocol; the caller must check
+anything it reads from outside the process, such as a checkpoint,
+before it copies from it.
+
 A :class:`TeardownFrame` (type 3) is added as a natural extension -- the
 paper establishes channels dynamically but does not give a release
 frame; a real deployment needs one, and the admission controller
@@ -157,6 +166,8 @@ class _Frame:
     _UNPACK: ClassVar[tuple[tuple[int, int], ...]]
     #: (index, kind) of the fields whose kind is not a plain int.
     _TYPED: ClassVar[tuple[tuple[int, type], ...]]
+    #: the slot setter of each field, in wire order (for :meth:`_trusted`).
+    _SETTERS: ClassVar[tuple]
 
     def __post_init__(self) -> None:
         for name, width, kind in self._FIELDS:
@@ -173,6 +184,20 @@ class _Frame:
                     f"field declared by the paper "
                     f"(range 0..{(1 << width) - 1})"
                 )
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Build a frame from its field values in wire order, unchecked.
+
+        Skips the frozen ``__init__`` and :meth:`__post_init__`. Only for
+        values that already passed the check in this process, or
+        protocol constants (see the module docstring): a value out of
+        its field's range would corrupt :meth:`encode` without an error.
+        """
+        frame = object.__new__(cls)
+        for set_, value in zip(cls._SETTERS, values):
+            set_(frame, value)
+        return frame
 
     def encode(self) -> bytes:
         """Serialize: the tag, then each field MSB first, zero-padded."""
@@ -345,6 +370,9 @@ def _dispatch_table(*classes: type[_Frame]) -> dict[int, type[_Frame]]:
             (index, kind)
             for index, (_, _, kind) in enumerate(cls._FIELDS)
             if kind is not int
+        )
+        cls._SETTERS = tuple(
+            cls.__dict__[name].__set__ for name, _, _ in cls._FIELDS
         )
         table[cls.TYPE] = cls
     return table

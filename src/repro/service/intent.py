@@ -49,9 +49,23 @@ it. The codec round-trips every frame the coordinators build, so the
 resumed bus carries equal frames and kill-and-resume reproduces the
 uninterrupted decision stream byte for byte -- even with
 announce/commit legs in flight at the checkpoint. Checkpoints are
-built from fresh containers, except the coordinators' ``applied``
-rows, which are never mutated once inserted; the cost is linear in
-the live state.
+built from fresh containers, except the coordinators' rows that are
+never mutated once created: the ``applied`` rows, the committed
+entries, the release-log rows and the foreign-intent records. A
+checkpoint shares those with live state; the cost is linear in the
+live state.
+
+**Trusted frames.** ACKs, the COMMIT/ABORT frames of :meth:`resolve
+<IntentCoordinator.resolve>` and the reconciliation replays copy every
+field from a frame, an intent record or a committed entry that was
+already checked, so they are built unchecked
+(:meth:`~repro.protocol.frames._Frame._trusted`), and so are the
+access and trunk :class:`~repro.core.task.LinkTask` s. The checks stay
+at the boundary: ANNOUNCE, RELEASE and gossip frames and the codec are
+checked, a coordinator checks its MAC and link IDs once,
+:meth:`IntentCoordinator.begin_intent` and ``apply_commit`` check the
+channel parameters, and :meth:`IntentCoordinator.import_state` checks
+every row a trusted frame or task later copies.
 
 Scope: the coordination protocol governs the *shared* trunks. Access
 links (node uplink/downlink) are tested and reserved in the fabric's
@@ -74,6 +88,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from dataclasses import replace
+from fractions import Fraction
 
 from ..core.channel import ChannelSpec
 
@@ -81,8 +97,8 @@ from ..core.channel import ChannelSpec
 # this module: perfbench's tracer tests patch it by this name.
 from ..core.feasibility import is_feasible  # noqa: F401
 from ..core.feasibility_cache import FeasibilityCache
-from ..core.task import LinkDirection, LinkRef, LinkTask
-from ..errors import ConfigurationError, PartitioningError
+from ..core.task import LinkDirection, LinkRef, LinkTask, _trusted_task
+from ..errors import ChannelParameterError, ConfigurationError, PartitioningError
 from ..protocol.frames import GossipFrame, IntentFrame, IntentKind, decode_signaling
 from ..protocol.signaling import RetryPolicy
 from ..faults.plan import FaultPlan, class_of_tag
@@ -131,6 +147,16 @@ def _copy_record(record: dict) -> dict:
     return dict(record, peers=list(record["peers"]), acked=list(record["acked"]))
 
 
+def _check_channel(period: int, capacity: int, deadline: int) -> None:
+    """The :class:`LinkTask` invariants of values a trusted trunk task
+    copies: ``0 < C <= P`` and ``C <= d``."""
+    if not 0 < capacity <= period or deadline < capacity:
+        raise ChannelParameterError(
+            f"trunk task (P, C, d) = ({period}, {capacity}, {deadline}) "
+            f"breaks 0 < C <= P, C <= d"
+        )
+
+
 class IntentCoordinator:
     """One switch's replicated-trunk state machine.
 
@@ -142,12 +168,19 @@ class IntentCoordinator:
     :meth:`apply_release`, which keep that cache in step. The intent
     records in ``pending`` change only through :meth:`begin_intent`,
     :meth:`record_ack`, :meth:`close_hold`, :meth:`resolve` and
-    :meth:`abandon`; a caller reads the records they hand back.
+    :meth:`abandon`; a caller reads the records they hand back. A
+    committed entry, an ``applied`` or release-log row and a
+    foreign-intent record are replaced or dropped, never edited:
+    :meth:`export_state` shares them.
     """
 
     def __init__(self, mac: int, link_ids: tuple[int, ...]) -> None:
         self.mac = mac
         self.link_ids = tuple(link_ids)
+        # The one range check of the MAC and link IDs that trusted
+        # frames copy: a probe ACK per link through the codec's checks.
+        for link_id in self.link_ids or (0,):
+            IntentFrame(IntentKind.ACK, 0, mac, mac, link_id, 0, 0, 0, 0, 0)
         self._refs = {link_id: _trunk_ref(link_id) for link_id in self.link_ids}
         #: link_id -> {channel_id: [owner_mac, period, capacity, deadline, seq]}
         self.committed: dict[int, dict[int, list[int]]] = {
@@ -191,9 +224,24 @@ class IntentCoordinator:
         """Open a local intent record and build its ANNOUNCE frame.
 
         ``holding``, ``src``, ``dst`` and ``owner`` ride in the record
-        for the caller; the protocol never reads them.
+        for the caller; the protocol never reads them. The frame and
+        the channel parameters are checked before the record opens:
+        the trusted COMMIT/ABORT frame and trunk task copy them.
         """
         period, capacity, deadline = spec_on_link
+        announce = IntentFrame(
+            kind=IntentKind.ANNOUNCE,
+            intent_seq=seq,
+            switch_mac=self.mac,
+            ack_mac=0,
+            link_id=link_id,
+            channel_id=channel_id,
+            priority=priority,
+            period=period,
+            capacity=capacity,
+            deadline=deadline,
+        )
+        _check_channel(period, capacity, deadline)
         self.pending[seq] = {
             "link_id": link_id,
             "channel_id": channel_id,
@@ -210,18 +258,7 @@ class IntentCoordinator:
             "dst": dst,
             "owner": owner,
         }
-        return IntentFrame(
-            kind=IntentKind.ANNOUNCE,
-            intent_seq=seq,
-            switch_mac=self.mac,
-            ack_mac=0,
-            link_id=link_id,
-            channel_id=channel_id,
-            priority=priority,
-            period=period,
-            capacity=capacity,
-            deadline=deadline,
-        )
+        return announce
 
     def precedence_of(self, seq: int) -> tuple[int, int, int]:
         record = self.pending[seq]
@@ -256,12 +293,12 @@ class IntentCoordinator:
         """EDF-test the committed view plus this intent's candidate."""
         record = self.pending[seq]
         return self._trunks.check(
-            LinkTask(
-                link=self._refs[record["link_id"]],
-                period=record["period"],
-                capacity=record["capacity"],
-                deadline=record["deadline"],
-                channel_id=record["channel_id"],
+            _trusted_task(
+                self._refs[record["link_id"]],
+                record["period"],
+                record["capacity"],
+                record["deadline"],
+                record["channel_id"],
             )
         ).feasible
 
@@ -290,19 +327,23 @@ class IntentCoordinator:
     def resolve(self, seq: int, kind: IntentKind) -> tuple[IntentFrame, dict]:
         """Close an own intent: pop its record and build its COMMIT or
         ABORT frame; returns ``(frame, record)``."""
+        if kind is not IntentKind.COMMIT and kind is not IntentKind.ABORT:
+            raise ConfigurationError(
+                f"an intent resolves by COMMIT or ABORT, not {kind!r}"
+            )
         record = self.pending.pop(seq)
-        return IntentFrame(
-            kind=kind,
-            intent_seq=seq,
-            switch_mac=self.mac,
-            ack_mac=0,
-            link_id=record["link_id"],
-            channel_id=record["channel_id"],
-            priority=record["priority"],
-            period=record["period"],
-            capacity=record["capacity"],
-            deadline=record["deadline"],
-        ), record
+        return self._resolution_frame(seq, record, kind), record
+
+    def _resolution_frame(
+        self, seq: int, record: dict, kind: IntentKind
+    ) -> IntentFrame:
+        """The COMMIT or ABORT frame of an intent record, which copies
+        the fields its checked ANNOUNCE carried."""
+        return IntentFrame._trusted(
+            kind, seq, self.mac, 0, record["link_id"], record["channel_id"],
+            record["priority"], record["period"], record["capacity"],
+            record["deadline"],
+        )
 
     def abandon(self, seq: int) -> dict | None:
         """Pop an own intent still waiting for ACKs (its announce timed
@@ -334,18 +375,12 @@ class IntentCoordinator:
     # -- frame application (local and remote, all idempotent) --------------
 
     def ack_frame(self, frame: IntentFrame) -> IntentFrame:
-        """The ACK this switch returns for a peer's reliable frame."""
-        return IntentFrame(
-            kind=IntentKind.ACK,
-            intent_seq=frame.intent_seq,
-            switch_mac=frame.switch_mac,
-            ack_mac=self.mac,
-            link_id=frame.link_id,
-            channel_id=frame.channel_id,
-            priority=frame.priority,
-            period=frame.period,
-            capacity=frame.capacity,
-            deadline=frame.deadline,
+        """The ACK this switch returns for a peer's reliable frame: the
+        checked frame's fields plus this switch's checked MAC."""
+        return IntentFrame._trusted(
+            IntentKind.ACK, frame.intent_seq, frame.switch_mac, self.mac,
+            frame.link_id, frame.channel_id, frame.priority, frame.period,
+            frame.capacity, frame.deadline,
         )
 
     def record_announce(self, frame: IntentFrame, now_ns: int) -> IntentFrame:
@@ -380,6 +415,7 @@ class IntentCoordinator:
         self.foreign.pop(key, None)
         if key in self.applied:
             return False
+        _check_channel(frame.period, frame.capacity, frame.deadline)
         self._mark_applied(key)
         entry = [
             frame.switch_mac,
@@ -405,13 +441,11 @@ class IntentCoordinator:
     def _install_trunk(
         self, link_id: int, channel_id: int, entry: list[int]
     ) -> None:
+        """Install a committed entry whose channel parameters passed
+        :func:`_check_channel`."""
         self._trunks.install(
-            LinkTask(
-                link=self._refs[link_id],
-                period=entry[1],
-                capacity=entry[2],
-                deadline=entry[3],
-                channel_id=channel_id,
+            _trusted_task(
+                self._refs[link_id], entry[1], entry[2], entry[3], channel_id
             )
         )
 
@@ -436,8 +470,14 @@ class IntentCoordinator:
 
     # -- gossip ------------------------------------------------------------
 
+    def trunk_utilization(self, link_id: int) -> Fraction:
+        """Exact committed utilization of a link, as the trunk cache
+        keeps it (the value of :meth:`utilization_of`)."""
+        return self._trunks.link_utilization(self._refs[link_id])
+
     def utilization_of(self, link_id: int) -> tuple[int, int]:
-        """Exact committed utilization of a link as (num, den)."""
+        """Exact committed utilization of a link as (num, den), the
+        product of its periods unreduced (the gossip frame's fields)."""
         num, den = 0, 1
         for entry in self.committed[link_id].values():
             num = num * entry[1] + entry[2] * den
@@ -465,39 +505,20 @@ class IntentCoordinator:
 
         Commits are replayed from the live view; releases from the
         bounded recent-release log. Every frame is idempotent at the
-        receiver, so over-sending is harmless.
+        receiver, so over-sending is harmless. The frames copy checked
+        rows (see :meth:`import_state`), so they are built unchecked.
         """
-        frames = []
-        for channel_id, entry in sorted(self.committed[link_id].items()):
-            frames.append(
-                IntentFrame(
-                    kind=IntentKind.COMMIT,
-                    intent_seq=entry[4],
-                    switch_mac=entry[0],
-                    ack_mac=0,
-                    link_id=link_id,
-                    channel_id=channel_id,
-                    priority=0,
-                    period=entry[1],
-                    capacity=entry[2],
-                    deadline=entry[3],
-                )
-            )
-        for channel_id, seq in self.release_log[link_id]:
-            frames.append(
-                IntentFrame(
-                    kind=IntentKind.RELEASE,
-                    intent_seq=seq,
-                    switch_mac=self.mac,
-                    ack_mac=0,
-                    link_id=link_id,
-                    channel_id=channel_id,
-                    priority=0,
-                    period=1,
-                    capacity=1,
-                    deadline=1,
-                )
-            )
+        trusted = IntentFrame._trusted
+        frames = [
+            trusted(IntentKind.COMMIT, entry[4], entry[0], 0, link_id,
+                    channel_id, 0, entry[1], entry[2], entry[3])
+            for channel_id, entry in sorted(self.committed[link_id].items())
+        ]
+        frames += [
+            trusted(IntentKind.RELEASE, seq, self.mac, 0, link_id,
+                    channel_id, 0, 1, 1, 1)
+            for channel_id, seq in self.release_log[link_id]
+        ]
         return frames
 
     # -- checkpoint/resume -------------------------------------------------
@@ -505,16 +526,18 @@ class IntentCoordinator:
     def export_state(self) -> dict:
         """The coordinator's state in JSON-compatible containers.
 
-        Every container is fresh except the ``applied`` rows: the outer
-        list is new, but each ``[mac, seq]`` row is the live one, which
-        is never mutated once inserted. A consumer that edits the state
-        copies it first.
+        Every container is fresh except the rows that are never mutated
+        once created, which are the live ones: each ``[mac, seq]`` row
+        of ``applied``, each committed entry, each ``[channel_id, seq]``
+        release-log row and each foreign-intent record. The pending
+        records, which change until they resolve, are copied. A
+        consumer that edits the state copies it first.
         """
         return {
             "mac": self.mac,
             "committed": {
                 str(link_id): {
-                    str(channel_id): list(entry)
+                    str(channel_id): entry
                     for channel_id, entry in view.items()
                 }
                 for link_id, view in self.committed.items()
@@ -524,17 +547,27 @@ class IntentCoordinator:
                 str(seq): _copy_record(r) for seq, r in self.pending.items()
             },
             "foreign": [
-                [mac, seq, dict(record)]
+                [mac, seq, record]
                 for (mac, seq), record in sorted(self.foreign.items())
             ],
             "applied": list(self._applied_rows),
             "release_log": {
-                str(k): [list(e) for e in v]
-                for k, v in self.release_log.items()
+                str(k): list(v) for k, v in self.release_log.items()
             },
         }
 
     def import_state(self, data: dict) -> None:
+        """Load :meth:`export_state` output into fresh containers.
+
+        Every row a trusted frame or task later copies is checked here:
+        the COMMIT and ABORT frames of the pending records and the
+        reconciliation replays of the committed entries and the release
+        log go through the checking constructor (``FieldRangeError``),
+        and the channel parameters of the pending records and committed
+        entries must satisfy the :class:`LinkTask` invariants
+        (``ChannelParameterError``). A corrupt checkpoint therefore
+        fails here, not mid-run.
+        """
         if int(data["mac"]) != self.mac:
             raise ConfigurationError(
                 f"coordinator snapshot is for MAC {data['mac']:#x}, "
@@ -563,9 +596,18 @@ class IntentCoordinator:
             int(k): [list(map(int, e)) for e in v]
             for k, v in data["release_log"].items()
         }
+        for seq, record in self.pending.items():
+            replace(self._resolution_frame(seq, record, IntentKind.COMMIT))
+            _check_channel(
+                record["period"], record["capacity"], record["deadline"]
+            )
+        for link_id in self.committed:
+            for frame in self.reconciliation_frames(link_id):
+                replace(frame)
         self._trunks = FeasibilityCache()
         for link_id, view in self.committed.items():
             for channel_id, entry in view.items():
+                _check_channel(entry[1], entry[2], entry[3])
                 self._install_trunk(link_id, channel_id, entry)
 
 
@@ -955,14 +997,11 @@ class SharedLinkFabric:
             )
             return
         channel_id = self._allocate_channel_id(i)
+        # Trusted tasks: the spec is a checked ChannelSpec (0 < C <= P)
+        # and every part of the split is at least C.
         reservations = [
-            LinkTask(
-                link=link,
-                period=spec.period,
-                capacity=spec.capacity,
-                deadline=deadline,
-                channel_id=channel_id,
-            )
+            _trusted_task(link, spec.period, spec.capacity, deadline,
+                          channel_id)
             for link, deadline in ((LinkRef.uplink(src), parts[0]),
                                    (LinkRef.downlink(dst), parts[2]))
         ]
@@ -1092,7 +1131,10 @@ class SharedLinkFabric:
         self._push(self.now + _GOSSIP_EVERY_NS, _PRIO_GOSSIP, i, 0)
 
     def _maybe_threshold_gossip(self, i: int, link_id: int) -> None:
-        num, den = self.coordinators[i].utilization_of(link_id)
+        # The test depends only on the utilization's value, so the
+        # trunk cache's reduced fraction serves.
+        util = self.coordinators[i].trunk_utilization(link_id)
+        num, den = util.numerator, util.denominator
         last = self._last_gossip_util.get(f"{i}:{link_id}", [0, 1])
         # |num/den - last| > threshold, in integers.
         delta = abs(num * last[1] - last[0] * den)
@@ -1128,9 +1170,10 @@ class SharedLinkFabric:
         written as their wire encoding in hex. Every container is built
         fresh -- nested lists the engine keeps mutating (ack lists,
         outstanding peer sets) are copied -- except the coordinators'
-        ``applied`` rows, which are never mutated once inserted (see
-        :meth:`IntentCoordinator.export_state`); so the checkpoint stays
-        frozen as the run continues past it.
+        rows that are never mutated once created: ``applied`` rows,
+        committed entries, release-log rows and foreign-intent records
+        (see :meth:`IntentCoordinator.export_state`). So the checkpoint
+        stays frozen as the run continues past it.
         """
         data = {
             "version": FABRIC_CHECKPOINT_VERSION,

@@ -165,14 +165,16 @@ class AdmissionService:
     def take_checkpoint(self, now_ns: int | None = None) -> ServiceCheckpoint:
         """Capture everything a resumed service needs, right now."""
         now = self._sim.now if now_ns is None else now_ns
-        # One serialisation serves both the digest and the payload; the
-        # rest of ``data`` is built from fresh containers, so nothing in
-        # the checkpoint stays shared with live state.
-        blob = json.dumps(persistence.snapshot(self._controller), sort_keys=True)
+        # The snapshot is built from fresh JSON-native containers, so the
+        # checkpoint keeps it as is; its sort-keys serialisation is the
+        # digest's input. The rest of ``data`` is fresh too, so nothing
+        # in the checkpoint stays shared with live state.
+        snapshot = persistence.snapshot(self._controller)
+        blob = json.dumps(snapshot, sort_keys=True)
         data = {
             "version": SERVICE_CHECKPOINT_VERSION,
             "now_ns": now,
-            "admission": json.loads(blob),
+            "admission": snapshot,
             "churn": self._churn.export_state(),
             "departures": sorted(
                 [at, channel_id]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.protocol.frames import IntentFrame, IntentKind
+from repro.errors import ChannelParameterError, ConfigurationError, FieldRangeError
+from repro.protocol.frames import IntentFrame, IntentKind, decode_signaling
 from repro.service.intent import IntentCoordinator
 
 MAC_A = 0x0200_0000_0000
@@ -252,6 +253,98 @@ class TestReconciliation:
         assert len(a.release_log[0]) == 64
 
 
+def assert_checked(frame: IntentFrame) -> None:
+    """A frame built on the trusted path passes the checking
+    constructor and the codec unchanged."""
+    assert replace(frame) == frame
+    assert type(frame.kind) is IntentKind
+    assert decode_signaling(frame.encode()) == frame
+
+
+class TestTrustedFrames:
+    """ACKs, COMMIT/ABORT frames and reconciliation replays are built
+    unchecked from checked values; each equals its checked build."""
+
+    def test_ack_frame_copies_the_frame_and_adds_the_mac(self):
+        a, b = pair()
+        announce = a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
+        ack = b.ack_frame(announce)
+        assert ack == replace(announce, kind=IntentKind.ACK, ack_mac=MAC_B)
+        assert_checked(ack)
+        # an ACK of a decoded frame (a resumed bus) is the same frame
+        assert b.ack_frame(decode_signaling(announce.encode())) == ack
+
+    @pytest.mark.parametrize("kind", [IntentKind.COMMIT, IntentKind.ABORT])
+    def test_resolve_copies_the_announce(self, kind):
+        a, _ = pair()
+        announce = a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
+        frame, record = a.resolve(1, kind)
+        assert frame == replace(announce, kind=kind)
+        assert frame.kind is kind
+        assert_checked(frame)
+        assert record["channel_id"] == 7
+
+    def test_resolve_takes_only_commit_or_abort(self):
+        a, _ = pair()
+        a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
+        for kind in (IntentKind.RELEASE, 2):
+            with pytest.raises(ConfigurationError, match="COMMIT or ABORT"):
+                a.resolve(1, kind)
+        assert 1 in a.pending
+
+    def test_reconciliation_frames_replay_the_view_and_the_log(self):
+        a, _ = pair()
+        a.apply_commit(_commit_raw(MAC_B, 9, 0, 3, 100, 2, 30))
+        a.apply_commit(_commit_raw(MAC_A, 4, 0, 5, 50, 5, 45))
+        a.apply_release(a.release_frame(11, 0, 5))
+        frames = a.reconciliation_frames(0)
+        assert frames == [
+            _commit_raw(MAC_B, 9, 0, 3, 100, 2, 30),
+            IntentFrame(
+                kind=IntentKind.RELEASE,
+                intent_seq=11,
+                switch_mac=MAC_A,
+                ack_mac=0,
+                link_id=0,
+                channel_id=5,
+                priority=0,
+                period=1,
+                capacity=1,
+                deadline=1,
+            ),
+        ]
+        for frame in frames:
+            assert_checked(frame)
+
+    def test_the_mac_and_link_ids_are_checked_once(self):
+        with pytest.raises(FieldRangeError, match="switch_mac"):
+            IntentCoordinator(1 << 48, (0,))
+        with pytest.raises(FieldRangeError, match="switch_mac"):
+            IntentCoordinator(-1, ())
+        with pytest.raises(FieldRangeError, match="link_id"):
+            IntentCoordinator(MAC_A, (0, 1 << 16))
+
+    def test_begin_intent_checks_what_the_trusted_path_copies(self):
+        a, _ = pair()
+        with pytest.raises(FieldRangeError, match="intent_seq"):
+            a.begin_intent(1 << 32, 0, 7, 6, SPEC, peers=(MAC_B,))
+        with pytest.raises(FieldRangeError, match="period"):
+            a.begin_intent(1, 0, 7, 6, (1 << 32, 3, 40), peers=(MAC_B,))
+        with pytest.raises(ChannelParameterError):
+            a.begin_intent(1, 0, 7, 6, (100, 101, 200), peers=(MAC_B,))
+        with pytest.raises(ChannelParameterError):
+            a.begin_intent(1, 0, 7, 6, (100, 3, 2), peers=(MAC_B,))
+        assert a.pending == {}
+
+    def test_apply_commit_checks_the_channel_before_any_change(self):
+        a, _ = pair()
+        with pytest.raises(ChannelParameterError):
+            a.apply_commit(_commit_raw(MAC_B, 9, 0, 3, 100, 200, 300))
+        assert a.committed[0] == {}
+        assert a.applied == set()
+        assert a.version[0] == 0
+
+
 class TestStateRoundTrip:
     def test_export_import_is_lossless(self):
         a, b = pair()
@@ -282,6 +375,28 @@ class TestStateRoundTrip:
         a, b = pair()
         with pytest.raises(ConfigurationError):
             b.import_state(a.export_state())
+
+    def test_export_shares_only_rows_that_never_change(self):
+        a, b = pair()
+        announce = a.begin_intent(1, 0, 7, 6, SPEC, peers=(MAC_B,))
+        b.record_announce(announce, now_ns=5)
+        b.apply_commit(_commit_raw(MAC_A, 3, 0, 4, 100, 2, 30))
+        b.apply_commit(_commit_raw(MAC_A, 4, 0, 6, 100, 2, 30))
+        b.apply_release(
+            replace(_commit_raw(MAC_A, 5, 0, 6, 100, 2, 30),
+                    kind=IntentKind.RELEASE)
+        )
+        state_a, state_b = a.export_state(), b.export_state()
+        assert state_b["committed"]["0"]["4"] is b.committed[0][4]
+        assert state_b["release_log"]["0"][0] is b.release_log[0][0]
+        assert state_b["foreign"][0][2] is b.foreign[(MAC_A, 1)]
+        assert state_b["applied"][0] is b._applied_rows[0]
+        # the pending record changes until it resolves: a copy
+        record = state_a["pending"]["1"]
+        assert record == a.pending[1]
+        assert record is not a.pending[1]
+        assert record["acked"] is not a.pending[1]["acked"]
+        assert record["peers"] is not a.pending[1]["peers"]
 
 
 def _announce(coordinator: IntentCoordinator, seq: int) -> IntentFrame:

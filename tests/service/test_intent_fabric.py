@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ChannelParameterError, ConfigurationError, FieldRangeError
 from repro.faults.plan import FaultPlan, LinkDownWindow
 from repro.obs.monitor import InvariantMonitor
 from repro.protocol.frames import (
@@ -23,6 +25,9 @@ HORIZON = 60_000_000
 CHECKPOINT_NS = 10_000_000
 #: The pinned EXP-X4 run (tests/integration/test_behaviour_contract.py).
 PINNED_UNTIL_NS = 120_000_000
+#: A channel in switch 1's trunk view at the pinned run's sixth
+#: checkpoint, with period 40.
+CID = "64"
 
 
 def build_fabric(
@@ -262,6 +267,70 @@ class TestFabricCheckpointResume:
                 expected, sort_keys=True
             )
 
+    def test_every_checkpoint_survives_the_rest_of_the_run(self, monkeypatch):
+        # Checkpoints share the rows that never change (applied rows,
+        # committed entries, release-log rows, foreign-intent records)
+        # with live state. Each checkpoint of the pinned fabric must
+        # read the same at the end of the run as when it was taken.
+        frozen = []
+        take = SharedLinkFabric.take_checkpoint
+
+        def recording(fabric):
+            data = take(fabric)
+            frozen.append((data, json.dumps(data, sort_keys=True)))
+            return data
+
+        monkeypatch.setattr(SharedLinkFabric, "take_checkpoint", recording)
+        fabric = SharedLinkFabric(
+            n_switches=2,
+            nodes_per_switch=4,
+            seed=2004,
+            fault_plan=FaultPlan.control_loss(0.2, seed=2004),
+            checkpoint_every_ns=CHECKPOINT_NS,
+        )
+        fabric.start()
+        fabric.run_until(PINNED_UNTIL_NS)
+        assert [data for data, _ in frozen] == fabric.checkpoints
+        assert len(frozen) == 12
+        for data, dump in frozen:
+            assert json.dumps(data, sort_keys=True) == dump
+            assert data == json.loads(dump)
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            # trusted replays would encode these wrongly, so they fail
+            # at resume, not mid-run
+            (lambda c: c["committed"]["0"][CID].__setitem__(1, 1 << 32),
+             FieldRangeError),
+            (lambda c: c["release_log"]["0"][0].__setitem__(1, 1 << 32),
+             FieldRangeError),
+            (lambda c: next(iter(c["pending"].values())).update(
+                period=1 << 32), FieldRangeError),
+            # capacity > period breaks the trunk task's invariants
+            (lambda c: c["committed"]["0"][CID].__setitem__(2, 41),
+             ChannelParameterError),
+            (lambda c: next(iter(c["pending"].values())).update(
+                capacity=101, period=100), ChannelParameterError),
+        ],
+        ids=["committed-period", "release-seq", "pending-period",
+             "committed-capacity", "pending-capacity"],
+    )
+    def test_resume_rejects_rows_the_trusted_path_copies(
+        self, pinned_run, corrupt, error
+    ):
+        checkpoint = copy.deepcopy(pinned_run.checkpoints[5])
+        coordinator = checkpoint["coordinators"][1]
+        assert coordinator["committed"]["0"][CID][1] == 40
+        assert coordinator["release_log"]["0"] and coordinator["pending"]
+        corrupt(coordinator)
+        with pytest.raises(error):
+            SharedLinkFabric.resume(
+                checkpoint,
+                fault_plan=FaultPlan.control_loss(0.2, seed=2004),
+                checkpoint_every_ns=CHECKPOINT_NS,
+            )
+
     def test_resume_leaves_its_checkpoint_untouched(self):
         victim = build_fabric(loss=0.2, checkpoint_every_ns=CHECKPOINT_NS)
         victim.start()
@@ -307,6 +376,9 @@ class TestBusCodecRoundTrip:
         }
         seen = set()
         for frame in sent:
+            # ACKs, COMMIT/ABORT frames and replays are built unchecked:
+            # each must pass the checking constructor unchanged.
+            assert replace(frame) == frame
             wire = frame.encode()
             assert len(wire) == sizes[type(frame)]
             assert decode_signaling(wire) == frame

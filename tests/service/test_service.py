@@ -113,18 +113,20 @@ class TestCheckpointResume:
     def test_checkpoint_survives_later_mutation(self):
         # Regression: the checkpoint payload must be deep-frozen -- a
         # snapshot sharing nested lists with live state rots as soon as
-        # the service keeps running past it.
+        # the service keeps running past it. Every checkpoint is dumped
+        # when it is taken and must read the same after the run.
         service = build_service()
         service.start()
-        service.run_until(6_000_000)
-        checkpoint = service.last_checkpoint
-        assert checkpoint is not None
-        assert checkpoint.data == json.loads(json.dumps(checkpoint.data))
-        frozen = json.dumps(checkpoint.data, sort_keys=True)
-        service.run_until(30_000_000)
-        assert json.dumps(checkpoint.data, sort_keys=True) == frozen
-        for later in service.checkpoints:
-            assert later.data == json.loads(json.dumps(later.data))
+        frozen = []
+        for until in range(5_000_000, 30_000_001, 5_000_000):
+            service.run_until(until)
+            checkpoint = service.last_checkpoint
+            assert checkpoint.taken_at_ns == until
+            frozen.append(json.dumps(checkpoint.data, sort_keys=True))
+        assert len(service.checkpoints) == len(frozen) == 6
+        for checkpoint, dump in zip(service.checkpoints, frozen):
+            assert json.dumps(checkpoint.data, sort_keys=True) == dump
+            assert checkpoint.data == json.loads(dump)
 
     def test_resume_rejects_unknown_version(self):
         service = build_service()
