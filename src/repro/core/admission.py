@@ -410,12 +410,6 @@ class AdmissionController:
         :meth:`SystemState.tasks_on`, for differential testing; the two
         produce identical decision streams (enforced by
         :mod:`repro.oracle.admission_diff`).
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`. When
-        given, verdicts are counted into ``admission.decisions``
-        (labelled by verdict) and ``admission.rejections`` (labelled by
-        reason); without one the per-request telemetry cost is a single
-        ``is not None`` check.
 
     Notes
     -----
@@ -446,7 +440,6 @@ class AdmissionController:
         dps: DeadlinePartitioningScheme,
         *,
         use_cache: bool = True,
-        metrics=None,
     ) -> None:
         self._state = state
         self._dps = dps
@@ -472,43 +465,11 @@ class AdmissionController:
         #: rejection histogram keyed by :class:`RejectionReason`.
         self.rejections_by_reason: dict[RejectionReason, int] = {}
         #: :meth:`admit_many` bursts processed and repeat-request
-        #: decisions served from a burst-local template (plain ints so
-        #: tests and benchmarks can read them without a registry).
+        #: decisions served from a burst-local template. Like the counts
+        #: above, plain ints: telemetry reads them at snapshot time
+        #: (:meth:`repro.obs.Telemetry.track_admission`).
         self.batch_count = 0
         self.batch_template_hits = 0
-        # optional MetricsRegistry: pre-bound counter children so the
-        # per-request cost is one attribute add (None = no telemetry)
-        if metrics is not None:
-            decisions = metrics.counter(
-                "admission.decisions",
-                help="admission verdicts",
-                labels=("verdict",),
-            )
-            self._m_accepts = decisions.labels("accept")
-            self._m_rejects = decisions.labels("reject")
-            reasons = metrics.counter(
-                "admission.rejections",
-                help="rejections by reason",
-                labels=("reason",),
-            )
-            self._m_reasons = {
-                reason: reasons.labels(reason.value)
-                for reason in RejectionReason
-            }
-            self._m_batches = metrics.counter(
-                "admission.batches",
-                help="admit_many bursts processed",
-            ).labels()
-            self._m_batch_hits = metrics.counter(
-                "admission.batch_template_hits",
-                help="burst-local repeat decisions served without re-assessment",
-            ).labels()
-        else:
-            self._m_accepts = None
-            self._m_rejects = None
-            self._m_reasons = None
-            self._m_batches = None
-            self._m_batch_hits = None
 
     @property
     def state(self) -> SystemState:
@@ -533,9 +494,6 @@ class AdmissionController:
         self.rejections_by_reason[reason] = (
             self.rejections_by_reason.get(reason, 0) + 1
         )
-        if self._m_rejects is not None:
-            self._m_rejects.inc()
-            self._m_reasons[reason].inc()
 
     # -- core decision -----------------------------------------------------
 
@@ -710,8 +668,6 @@ class AdmissionController:
             self._count_rejection(decision.reason)
             return decision
         self.accept_count += 1
-        if self._m_accepts is not None:
-            self._m_accepts.inc()
         return decision
 
     # -- batch engine ------------------------------------------------------
@@ -837,16 +793,6 @@ class AdmissionController:
                     self.rejections_by_reason.get(reason, 0) + count
                 )
             self.reject_count += rejects
-            if self._m_accepts is not None:
-                if accepts:
-                    self._m_accepts.inc(accepts)
-                if rejects:
-                    self._m_rejects.inc(rejects)
-                    for reason, count in rejections.items():
-                        self._m_reasons[reason].inc(count)
-                self._m_batches.inc()
-                if template_hits:
-                    self._m_batch_hits.inc(template_hits)
         return decisions
 
     def preview(

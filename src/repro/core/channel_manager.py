@@ -184,11 +184,6 @@ class SwitchChannelManager:
         layer is then responsible for never losing signalling frames.
         With leases on, completed verdicts stay re-answerable for
         duplicate requests for :data:`DEFAULT_RESPONSE_CACHE_NS`.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        given, ``signal.lease_reclaims``, ``signal.stale_frames``
-        (site="switch") and ``signal.duplicate_requests`` are pre-bound
-        so the per-frame cost is one ``is not None`` check.
     """
 
     def __init__(
@@ -198,7 +193,6 @@ class SwitchChannelManager:
         switch_mac: int,
         *,
         lease_ns: int | None = None,
-        metrics=None,
     ) -> None:
         if lease_ns is not None and lease_ns <= 0:
             raise ProtocolError(f"lease_ns must be positive, got {lease_ns}")
@@ -230,26 +224,6 @@ class SwitchChannelManager:
         #: lease reclaims that found the capacity already released by a
         #: racing teardown (counted, never raised; see reclaim_expired).
         self.reclaim_races = 0
-        # optional pre-bound registry counters (None = no telemetry)
-        if metrics is not None:
-            self._m_stale = metrics.counter(
-                "signal.stale_frames",
-                help="duplicate/stale signalling frames absorbed",
-                labels=("site",),
-            ).labels("switch")
-            self._m_reclaims = metrics.counter(
-                "signal.lease_reclaims",
-                help="reservations reclaimed after lease expiry",
-            ).labels()
-            self._m_duplicates = metrics.counter(
-                "signal.duplicate_requests",
-                help="retransmitted RequestFrames answered without "
-                "re-running admission",
-            ).labels()
-        else:
-            self._m_stale = None
-            self._m_reclaims = None
-            self._m_duplicates = None
 
     @property
     def admission(self) -> AdmissionController:
@@ -305,8 +279,6 @@ class SwitchChannelManager:
             if offer.expires_at is not None:
                 offer.expires_at = now + self._lease_ns
             self.duplicate_requests += 1
-            if self._m_duplicates is not None:
-                self._m_duplicates.inc()
             return [SignalAction(target=destination.name, frame=offer.request)]
         # A retransmission of an already-decided request: re-answer from
         # the cache (the first final response was evidently lost). A
@@ -321,8 +293,6 @@ class SwitchChannelManager:
             verdict = None
         if verdict is not None:
             self.duplicate_requests += 1
-            if self._m_duplicates is not None:
-                self._m_duplicates.inc()
             reply = ResponseFrame(
                 connect_request_id=request.connect_request_id,
                 rt_channel_id=verdict.channel_id if verdict.ok else 0,
@@ -384,8 +354,6 @@ class SwitchChannelManager:
         pending = self._awaiting_destination.pop(response.rt_channel_id, None)
         if pending is None:
             self.stale_frames += 1
-            if self._m_stale is not None:
-                self._m_stale.inc()
             return []
         channel, request = pending.channel, pending.request
         del self._offer_by_request[
@@ -451,15 +419,11 @@ class SwitchChannelManager:
         """
         if teardown.rt_channel_id in self._awaiting_destination:
             self.stale_frames += 1
-            if self._m_stale is not None:
-                self._m_stale.inc()
             return []
         try:
             self._admission.release(teardown.rt_channel_id)
         except UnknownChannelError:
             self.stale_frames += 1
-            if self._m_stale is not None:
-                self._m_stale.inc()
             return []
         # The channel is gone: a duplicate request for the logical
         # request that created it must not resurrect the dead grant.
@@ -496,8 +460,6 @@ class SwitchChannelManager:
                 self.reclaim_races += 1
             offer.channel.state = ChannelState.REJECTED
             self.lease_reclaims += 1
-            if self._m_reclaims is not None:
-                self._m_reclaims.inc()
         return tuple(expired)
 
     # -- completed-verdict cache ---------------------------------------------

@@ -198,28 +198,6 @@ class CacheStats:
             "releases": self.releases,
         }
 
-    def publish(self, registry, prefix: str = "feasibility_cache.") -> None:
-        """Mirror these counters into a metrics registry as gauges.
-
-        Registers a snapshot-time collector on ``registry`` (a
-        :class:`~repro.obs.registry.MetricsRegistry`), so the hot-path
-        counters stay plain integer fields and the registry reads them
-        only when a snapshot is taken. For summing over *several* caches
-        (one per trial in a sweep) use
-        :meth:`repro.obs.Telemetry.track_cache` instead, which shares
-        one set of gauges across all tracked caches.
-        """
-        gauges = {
-            key: registry.gauge(prefix + key, help="feasibility-cache counter")
-            for key in self.as_dict()
-        }
-
-        def collect() -> None:
-            for key, value in self.as_dict().items():
-                gauges[key].set(value)
-
-        registry.add_collector(collect)
-
 
 def _busy_period_capped(
     periods: Sequence[int], capacities: Sequence[int], start: int, cap: int

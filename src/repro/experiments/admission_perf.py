@@ -243,7 +243,8 @@ def _instrumented_pass(
     sequences: list[list[ChannelRequest]],
     config: AdmissionPerfConfig,
 ) -> dict[str, float]:
-    """Replay the cached sweep once with a metrics registry attached."""
+    """Replay the cached sweep once with telemetry tracking each
+    controller (its counts are read at snapshot time)."""
     from ..obs import Telemetry, TelemetryConfig
 
     telemetry = Telemetry(TelemetryConfig(tracing=False))
@@ -252,9 +253,8 @@ def _instrumented_pass(
             SystemState(nodes=nodes),
             _SCHEMES[config.scheme](),
             use_cache=True,
-            metrics=telemetry.registry,
         )
-        telemetry.track_cache(controller.cache)
+        telemetry.track_admission(controller)
         for request in requests:
             controller.request(
                 request.source, request.destination, request.spec

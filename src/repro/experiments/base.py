@@ -78,9 +78,9 @@ def run_requests(
     final count is returned (as a one-element list). An optional
     :class:`~repro.obs.Telemetry` bundle collects verdict counters,
     feasibility-cache statistics and (when tracing is on) one
-    ``admission.decision`` trace event per request; the controller's
-    cache is retired into the bundle's running totals when the run
-    completes, so sweeps do not accumulate dead caches. ``lane`` gives
+    ``admission.decision`` trace event per request; the controller is
+    retired into the bundle's running totals when the run completes,
+    so sweeps do not accumulate dead controllers. ``lane`` gives
     this run a distinct timeline in a multi-run sweep (see
     :class:`TraceLane`).
 
@@ -101,15 +101,11 @@ def run_requests(
             f"({len(requests)})"
         )
     state = SystemState(nodes=node_names)
-    controller = AdmissionController(
-        state=state,
-        dps=dps,
-        metrics=None if telemetry is None else telemetry.registry,
-    )
+    controller = AdmissionController(state=state, dps=dps)
     recorder = None
     spans = None
     if telemetry is not None:
-        telemetry.track_cache(controller.cache)
+        telemetry.track_admission(controller)
         if telemetry.recorder.enabled_for("admission.decision"):
             recorder = telemetry.recorder
         spans = telemetry.spans
@@ -210,7 +206,7 @@ def run_requests(
         root.fields["accepted"] = accepted_running
         root.fields["offered"] = len(requests)
     if telemetry is not None:
-        telemetry.retire_cache(controller.cache)
+        telemetry.retire_admission(controller)
     return counts
 
 

@@ -102,11 +102,6 @@ class EndNode:
         Optional :class:`~repro.sim.trace.Observer` for delivery and
         signalling milestones and request spans (shared with the RT
         layer).
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        given, ``signal.retries`` and ``signal.stale_frames``
-        (site="node") are pre-bound so the per-event cost is one
-        ``is not None`` check.
     """
 
     def __init__(
@@ -120,7 +115,6 @@ class EndNode:
         metrics: MetricsCollector,
         destination_policy: DestinationPolicy = accept_all,
         obs: Observer | None = None,
-        registry=None,
     ) -> None:
         self._sim = sim
         self._phy = phy
@@ -150,20 +144,6 @@ class EndNode:
         self.signal_retries = 0
         #: duplicate/stale responses absorbed by this node.
         self.signal_stale_frames = 0
-        if registry is not None:
-            self._m_retries = registry.counter(
-                "signal.retries",
-                help="RequestFrame retransmissions",
-                labels=("node",),
-            ).labels(name)
-            self._m_stale = registry.counter(
-                "signal.stale_frames",
-                help="duplicate/stale signalling frames absorbed",
-                labels=("site",),
-            ).labels("node")
-        else:
-            self._m_retries = None
-            self._m_stale = None
         #: signalling frames that arrived as wire bytes and were decoded
         #: with the bit-exact codec (fidelity counter for tests).
         self.signaling_frames_decoded = 0
@@ -284,8 +264,6 @@ class EndNode:
             if state.attempt < state.policy.max_retries:
                 state.attempt += 1
                 self.signal_retries += 1
-                if self._m_retries is not None:
-                    self._m_retries.inc()
                 self.signaling.pending_request(connect_request_id).retries += 1
                 span_ctx = None
                 if self._obs is not None:
@@ -614,8 +592,6 @@ class EndNode:
             # Expected on lossy wires with retransmission (the switch
             # re-answers duplicated requests): absorb and count.
             self.signal_stale_frames += 1
-            if self._m_stale is not None:
-                self._m_stale.inc()
             if self._obs is not None:
                 self._obs.signal(
                     "signal.stale", self._sim.now, self.name,

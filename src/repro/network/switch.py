@@ -83,9 +83,6 @@ class Switch:
         Reservation-lease duration for pending offers (None disables
         leases and every other loss-tolerance behaviour -- see
         :class:`~repro.core.channel_manager.SwitchChannelManager`).
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` for the
-        manager's ``signal.*`` counters.
     """
 
     def __init__(
@@ -97,7 +94,6 @@ class Switch:
         directory: NodeDirectory,
         obs: Observer | None = None,
         lease_ns: int | None = None,
-        registry=None,
     ) -> None:
         self._sim = sim
         self._phy = phy
@@ -114,7 +110,6 @@ class Switch:
             directory=directory,
             switch_mac=mac,
             lease_ns=lease_ns,
-            metrics=registry,
         )
         self._lease_ns = lease_ns
         #: queued lease timers keyed by pending-offer channel ID.

@@ -230,9 +230,8 @@ def build_star(
         Optional :class:`~repro.obs.Telemetry` bundle. When given, its
         recorder becomes the network's trace (``trace_enabled`` is
         ignored) and its span tracker joins the recorder in the one
-        :class:`~repro.sim.trace.Observer` every component reports to;
-        admission verdicts are counted into its registry, and the
-        network's counters, delays and probes are wired in
+        :class:`~repro.sim.trace.Observer` every component reports to,
+        and the network's counters, delays and probes are wired in
         (:meth:`~repro.obs.bundle.Telemetry.instrument_star`).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`, installed on every
@@ -280,9 +279,7 @@ def build_star(
     admission = AdmissionController(
         state=state,
         dps=dps or SymmetricDPS(),
-        metrics=None if telemetry is None else telemetry.registry,
     )
-    registry = None if telemetry is None else telemetry.registry
     switch = Switch(
         sim=sim,
         phy=phy,
@@ -291,7 +288,6 @@ def build_star(
         directory=directory,
         obs=obs,
         lease_ns=signal_lease_ns,
-        registry=registry,
     )
 
     nodes: dict[str, EndNode] = {}
@@ -310,7 +306,6 @@ def build_star(
             metrics=metrics,
             destination_policy=destination_policy,
             obs=obs,
-            registry=registry,
         )
         nodes[name] = node
 

@@ -13,9 +13,11 @@ One instance owns
 and knows how to instrument the repo's building blocks:
 ``attach_simulator`` for kernel counters/profiling,
 ``instrument_star`` for a fully built
-:class:`~repro.network.topology.StarNetwork` (port/link/switch
-collectors, delay histograms, sim-time probes), ``track_cache`` for
-feasibility caches, and ``write`` to emit the bundle directory::
+:class:`~repro.network.topology.StarNetwork` (admission, signalling,
+port, link and switch collectors, delay histograms, sim-time probes),
+``track_admission`` for an admission controller (its verdict counts
+and its feasibility cache's stats), and ``write`` to emit the bundle
+directory::
 
     out/
       metrics.json       MetricsRegistry.snapshot()
@@ -23,10 +25,15 @@ feasibility caches, and ``write`` to emit the bundle directory::
       trace.jsonl        one structured record per line
       trace.chrome.json  Chrome trace_event JSON (open in Perfetto)
 
-Everything here is pull-based: instrumented components update their own
-cheap counters as before, and registered collectors harvest them only
-when a snapshot is taken, so the simulation hot path pays nothing for
-the registry's existence.
+Everything here is pull-based, and this package is the only code that
+builds or writes a metric: the model (admission controllers, the
+switch's channel manager, end nodes, ports, links, caches, the kernel)
+keeps its counts as plain fields, and collectors registered here read
+them only when a snapshot is taken. The decision and data paths run no
+telemetry code, whether or not a bundle is attached. The one
+exception is the per-frame delay observer (the delay histogram and the
+deadline-miss counter), which the metrics collector calls once per
+delivered RT frame.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.admission import RejectionReason
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecord, TraceRecorder
 from .export import (
@@ -46,13 +54,64 @@ from .flight import FlightRecorder
 from .monitor import InvariantMonitor, star_bound_provider
 from .probes import ProbeSet
 from .profiling import KernelProfiler
-from .registry import MetricsRegistry
+from .registry import MetricFamily, MetricsRegistry
 from .spans import Span, SpanTracker
 
 __all__ = ["TelemetryConfig", "Telemetry", "TelemetryShard"]
 
-#: Delay histogram buckets also used for per-hop waits: 1 us .. ~1 s.
 _CACHE_STAT_PREFIX = "feasibility_cache."
+
+#: The counters a tracked admission controller feeds: name -> (help,
+#: label names).
+_ADMISSION_COUNTERS = {
+    "admission.decisions": ("admission verdicts", ("verdict",)),
+    "admission.rejections": ("rejections by reason", ("reason",)),
+    "admission.batches": ("admit_many bursts processed", ()),
+    "admission.batch_template_hits": (
+        "burst-local repeat decisions served without re-assessment", (),
+    ),
+}
+
+
+def _admission_counts(controller) -> dict[tuple[str, ...], int]:
+    """A controller's published counts, keyed by ``(metric, *labels)``.
+
+    Every verdict and every rejection reason has a key, zero or not;
+    the ``feasibility_cache.*`` keys appear only when the controller
+    decides through a cache.
+    """
+    counts = {
+        ("admission.decisions", "accept"): controller.accept_count,
+        ("admission.decisions", "reject"): controller.reject_count,
+        ("admission.batches",): controller.batch_count,
+        ("admission.batch_template_hits",): controller.batch_template_hits,
+    }
+    by_reason = controller.rejections_by_reason
+    for reason in RejectionReason:
+        counts["admission.rejections", reason.value] = by_reason.get(
+            reason, 0
+        )
+    if controller.cache is not None:
+        for key, value in controller.cache.stats.as_dict().items():
+            counts[(_CACHE_STAT_PREFIX + key,)] = value
+    return counts
+
+
+def _counter_totals(family: MetricFamily):
+    """``publish(total, *labels)``: raise one child of a counter family
+    to a model's running total.
+
+    Each call adds only what the previous calls have not published, so
+    several sources feeding one child (two networks in one bundle) and
+    counts merged in from worker shards add up, as counters do.
+    """
+    published: dict[tuple, int] = {}
+
+    def publish(total: int, *labels) -> None:
+        family.labels(*labels).inc(total - published.get(labels, 0))
+        published[labels] = total
+
+    return publish
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +209,11 @@ class Telemetry:
                 flight=self.flight,
                 flight_dir=self.config.flight_dir,
             )
-        self._caches: list = []
-        self._cache_totals: dict[str, int] = {}
-        self._cache_collector_installed = False
+        #: live tracked admission controllers, and the summed final
+        #: counts of the retired ones.
+        self._admissions: list = []
+        self._admission_totals: dict[tuple[str, ...], int] = {}
+        self._admission_collector_installed = False
 
     def _flight_spans(self) -> list[dict]:
         if self.spans is None:
@@ -207,64 +268,62 @@ class Telemetry:
 
         self.registry.add_collector(collect)
 
-    def track_cache(self, cache) -> None:
-        """Surface a feasibility cache's private stats as metrics.
+    def track_admission(self, controller) -> None:
+        """Publish an admission controller's counts and cache stats.
 
-        Several controllers (one per trial/scheme in a sweep) may be
-        tracked; the published gauges are sums over all of them, so a
-        sweep's snapshot reports total cache traffic. Callers that are
-        done with a controller should hand its cache to
-        :meth:`retire_cache`, which folds the final counts into a
-        running total and releases the reference -- otherwise a long
-        sweep retains one dead cache per (trial, scheme) and every
-        snapshot re-walks all of them.
+        The controller keeps its verdict counts, rejections by reason,
+        ``admit_many`` bursts and template hits as plain ints, and its
+        cache keeps :class:`~repro.core.feasibility_cache.CacheStats`.
+        A snapshot-time collector sums them over every tracked
+        controller into the ``admission.*`` counters and the
+        ``feasibility_cache.*`` gauges, so a sweep's snapshot reports
+        its total traffic. Hand a finished controller to
+        :meth:`retire_admission`, or a long sweep retains one dead
+        controller per (trial, scheme) and every snapshot re-reads all
+        of them.
         """
-        if cache is None:
+        self._admissions.append(controller)
+        if self._admission_collector_installed:
             return
-        self._caches.append(cache)
-        self._ensure_cache_collector()
-
-    def retire_cache(self, cache) -> None:
-        """Fold a finished cache's stats into the totals and drop it.
-
-        Idempotent: retiring a cache that was never tracked (or was
-        already retired) is a no-op, so callers do not need to know
-        whether telemetry saw the controller. After retirement the
-        published ``feasibility_cache.*`` gauges are unchanged -- the
-        final counter values live on in ``_cache_totals`` -- but the
-        bundle holds O(1) state however many caches a sweep retires.
-        """
-        if cache is None:
-            return
-        try:
-            self._caches.remove(cache)
-        except ValueError:
-            return
-        for key, value in cache.stats.as_dict().items():
-            self._cache_totals[key] = self._cache_totals.get(key, 0) + value
-
-    def _ensure_cache_collector(self) -> None:
-        if self._cache_collector_installed:
-            return
-        self._cache_collector_installed = True
-        gauges: dict[str, object] = {}
+        self._admission_collector_installed = True
+        registry = self.registry
+        publish = {
+            name: _counter_totals(registry.counter(name, help_text, labels))
+            for name, (help_text, labels) in _ADMISSION_COUNTERS.items()
+        }
 
         def collect() -> None:
-            totals = dict(self._cache_totals)
-            for tracked in self._caches:
-                for key, value in tracked.stats.as_dict().items():
+            totals = dict(self._admission_totals)
+            for tracked in self._admissions:
+                for key, value in _admission_counts(tracked).items():
                     totals[key] = totals.get(key, 0) + value
-            for key, value in totals.items():
-                gauge = gauges.get(key)
-                if gauge is None:
-                    gauge = self.registry.gauge(
-                        _CACHE_STAT_PREFIX + key,
-                        help="summed over tracked caches",
-                    ).labels()
-                    gauges[key] = gauge
-                gauge.set(value)
+            for (name, *labels), value in totals.items():
+                if name in publish:
+                    publish[name](value, *labels)
+                else:
+                    registry.gauge(
+                        name, help="summed over tracked caches",
+                    ).labels().set(value)
 
-        self.registry.add_collector(collect)
+        registry.add_collector(collect)
+
+    def retire_admission(self, controller) -> None:
+        """Fold a finished controller's counts into the totals and drop it.
+
+        Idempotent: retiring a controller that was never tracked (or
+        was already retired) is a no-op, so callers do not need to know
+        whether telemetry saw it. The published values do not change --
+        the final counts live on in the running totals -- but the
+        bundle holds O(1) state however many controllers a sweep
+        retires.
+        """
+        try:
+            self._admissions.remove(controller)
+        except ValueError:
+            return
+        totals = self._admission_totals
+        for key, value in _admission_counts(controller).items():
+            totals[key] = totals.get(key, 0) + value
 
     # -- parallel-sweep merging ------------------------------------------
 
@@ -272,8 +331,8 @@ class Telemetry:
         """Summarize this bundle for a parent process to absorb.
 
         Used by the parallel sweep runner: each worker snapshots its own
-        registry (collectors run, so retired-cache totals and any live
-        tracked caches are materialized as gauges) and ships the trace
+        registry (collectors run, so the retired controllers' totals and
+        any live tracked ones are materialized) and ships the trace
         records it recorded.
         """
         tracker = self.spans
@@ -330,13 +389,15 @@ class Telemetry:
         Called by :func:`~repro.network.topology.build_star` when a
         telemetry bundle is passed in; safe to call manually for
         hand-built networks. Registers snapshot-time collectors for the
-        switch/port/link statistics, hooks the per-frame delay observer,
-        tracks the admission cache, and starts the sim-time probes.
+        signalling counters of the switch's channel manager and the end
+        nodes and for the switch/port/link statistics, tracks the
+        admission controller, hooks the per-frame delay observer, and
+        starts the sim-time probes.
         Trace records and spans are not wired here: they come from the
         :class:`~repro.sim.trace.Observer` the network was built with.
         """
         self.attach_simulator(net.sim)
-        self.track_cache(net.admission.cache)
+        self.track_admission(net.admission)
         registry = self.registry
         net.metrics.delay_observer = self._delay_observer(
             net.sim,
@@ -366,6 +427,27 @@ class Telemetry:
         }
         link_util = registry.gauge("link.utilization", labels=("link",))
 
+        stale = _counter_totals(registry.counter(
+            "signal.stale_frames",
+            help="duplicate/stale signalling frames absorbed",
+            labels=("site",),
+        ))
+        reclaims = _counter_totals(registry.counter(
+            "signal.lease_reclaims",
+            help="reservations reclaimed after lease expiry",
+        ))
+        duplicates = _counter_totals(registry.counter(
+            "signal.duplicate_requests",
+            help="retransmitted RequestFrames answered without "
+            "re-running admission",
+        ))
+        retries = _counter_totals(registry.counter(
+            "signal.retries",
+            help="RequestFrame retransmissions",
+            labels=("node",),
+        ))
+        manager = net.switch.manager
+
         def ports():
             for node in net.nodes.values():
                 if node.uplink is not None:
@@ -373,6 +455,15 @@ class Telemetry:
             yield from net.switch.ports.values()
 
         def collect() -> None:
+            stale(manager.stale_frames, "switch")
+            stale(
+                sum(node.signal_stale_frames for node in net.nodes.values()),
+                "node",
+            )
+            reclaims(manager.lease_reclaims)
+            duplicates(manager.duplicate_requests)
+            for name, node in net.nodes.items():
+                retries(node.signal_retries, name)
             switch_forwarded.set(net.switch.frames_forwarded)
             switch_dropped.set(net.switch.frames_dropped)
             for port in ports():
@@ -467,24 +558,6 @@ class Telemetry:
                 dropped.labels(name).set(switch.frames_dropped)
 
         registry.add_collector(collect)
-
-    def check_invariants(self, net) -> int:
-        """Run the monitor's structural checks against a star network.
-
-        Returns the number of anomalies emitted (0 when the monitor is
-        off or everything holds). Delivery-time bound checks run
-        continuously through the delay observer; this adds the
-        on-demand link-overbooking and lease-leak assertions.
-        """
-        if self.monitor is None:
-            return 0
-        emitted = self.monitor.check_links(
-            net.admission.state, now_ns=net.sim.now
-        )
-        emitted += self.monitor.check_leases(
-            net.switch.manager, now_ns=net.sim.now
-        )
-        return emitted
 
     # -- output ----------------------------------------------------------
 

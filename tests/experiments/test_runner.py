@@ -231,8 +231,8 @@ class TestCacheRetention:
     def test_sweep_retains_no_dead_caches(self):
         telemetry = Telemetry(TelemetryConfig(probe_cadence_ns=None))
         small_curve(1, telemetry=telemetry)
-        # 3 trials x 2 schemes ran; every controller cache was retired
-        assert telemetry._caches == []
+        # 3 trials x 2 schemes ran; every controller was retired
+        assert telemetry._admissions == []
         snap = telemetry.snapshot()
         checks = snap["feasibility_cache.checks"]["series"][0]["value"]
         assert checks > 0, "retired totals must still publish"
