@@ -21,9 +21,9 @@ queues it there; the output port arms it only while a frame waits
 behind the one on the wire. An armed wakeup fires in the ``(time,
 seq)`` place an event scheduled at transmission start would have, so
 no frame submitted at the instant the wire frees can overtake the queue
-head; an unarmed one costs no event. When ``link.idle`` is traced,
-:meth:`transmit` queues every wakeup at once, so a trace records each
-idle instant.
+head; an unarmed one costs no event. Tracing queues nothing more: a
+``link.idle`` record marks each wakeup that fires, so a traced run
+dispatches the same events as an untraced one.
 
 The link never queues: :meth:`transmit` on a busy link is a programming
 error (:class:`~repro.errors.SimulationError`) -- queueing is the output
@@ -119,8 +119,6 @@ class HalfLink:
         self._deliver = deliver
         self.on_idle: Callable[[], None] | None = None
         self._obs = obs
-        # Decided once: a traced ``link.idle`` queues every wakeup.
-        self._idle_traced = obs is not None and obs.traces("link.idle")
         #: Time (ns) the wire becomes free; in the past when idle. A
         #: plain attribute (the port reads it per frame); only the link
         #: assigns it.
@@ -221,10 +219,7 @@ class HalfLink:
         self.frames_carried += 1
         self.bytes_carried += wire_bytes
         self.busy_ns += tx
-        if self._idle_traced:
-            sim.call_at(done, self._wire_free_action, self._idle_label)
-        else:
-            sim.reserve(self._wake, done)
+        sim.reserve(self._wake, done)
         arrival = done + self._phy.propagation_ns
         if self._obs is not None:
             self._obs.transmit(now, self.name, frame, tx, wire_bytes, arrival)
@@ -253,7 +248,7 @@ class HalfLink:
             )
 
     def _wire_free(self) -> None:
-        if self._idle_traced:
+        if self._obs is not None:
             self._obs.idle(self._sim.now, self.name)
         if self.on_idle is not None:
             self.on_idle()

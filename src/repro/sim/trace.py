@@ -231,10 +231,6 @@ class Observer:
             return None
         return cls(recorder, spans)
 
-    def traces(self, category: str) -> bool:
-        """True when the recorder takes ``category``."""
-        return self._takes(category)
-
     def signal(
         self, category: str, now: int, subject: str, detail: str, fields
     ) -> None:
@@ -307,8 +303,10 @@ class Observer:
             self._spans.frame_transmit(frame.frame_id, now, arrival, link)
 
     def idle(self, now: int, link: str) -> None:
-        """The wire became free."""
-        self._record(now, "link.idle", link)
+        """The wire became free and its armed wakeup fired (a port arms
+        one only while a frame waits)."""
+        if self._takes("link.idle"):
+            self._record(now, "link.idle", link)
 
     def lost(self, now: int, link: str, frame, cause: str) -> None:
         """A frame died on the wire by ``"fault-plan"`` or by

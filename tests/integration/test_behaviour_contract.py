@@ -29,9 +29,9 @@ speed, but what they produce may not move by a byte. These cases pin:
 * one traced three-switch chain run: its ``node.deliver`` records and
   its per-frame delay samples (timing through the fabric's end nodes);
 * tracing does not move the data plane: a star and a chain run traced
-  and untraced give equal delays, clocks and port counters, though the
-  untraced run dispatches fewer events (it queues a port's wire-free
-  wakeup only while a frame waits; ``link.idle`` tracing queues all);
+  and untraced dispatch the same number of events and give equal
+  delays, clocks and port counters (a port queues its wire-free wakeup
+  only while a frame waits, traced or not);
 * the service plane: the EXP-X4 two-switch intent-lock fabric at 20 %
   control loss (its ledger, coordinator states and checkpoints -- whose
   ``wire`` and ``outstanding`` entries carry encoded signalling frames
@@ -76,29 +76,33 @@ from repro.traffic.patterns import master_slave_names, master_slave_requests
 from repro.traffic.spec import FixedSpecSampler
 
 _CAPTURE_DIGESTS = {
-    # Re-pinned when the pending-events gauge and probe lost their
-    # "live" (every queued entry is live since cancel became eager):
-    # kernel.pending_events ("events still queued") and
-    # kernel_pending_events. Mapped back to the old names and help text,
-    # both files parse equal to the previous pins' files.
+    # Re-pinned when tracing stopped queueing the wire-free wakeups no
+    # frame waits for: trace.jsonl keeps 288 of its 612 link.idle
+    # records and every other record is identical; metrics.json differs
+    # only in kernel.dispatched_events (1670 -> 1346, the untraced
+    # count) and kernel.max_heap_depth; the probe series and the Chrome
+    # trace follow.
     "metrics.json":
-        "58aec801a82100011c13409dce70e3d3209fb605157882c9b680fc0d98acb64b",
+        "41e960d5824c9dd9262d7c01aad2d46ab00dc3bc9753fa92d6f0917990affd6c",
     "timeseries.json":
-        "0c831a66ea98f7025b0dfc38a9bdb4e0af75e8d7c3c590f1ec3e26165ed72251",
+        "2bf7ee677b5f46d69479d93dda9f05709c96a37f348fbeed765f0e1a6f4be520",
     "trace.chrome.json":
-        "37166fc661083787ff7a6a801bbe80e01f11a70c048c3b2b6893df028becfd24",
+        "e34bb0ce16bc999c8ec3befbf40f6da6df14a1a4022c2441bbea9d0e302b2ffd",
     "trace.jsonl":
-        "9cc7210c90b397abfa6c9f2512ca07cf38479580f862cccd068b08fd50091095",
+        "744e3d504cbce5e64976067812ecb6ef38592db23330786583e26cd45469f198",
 }
 
 #: The capture's event-queue high-water mark. It was 103 while a lease
 #: timer cancelled by its ResponseFrame stayed queued (lazily) until its
-#: 50 ms expiry; it counts only events that will fire.
-_CAPTURE_MAX_HEAP_DEPTH = 65
+#: 50 ms expiry, and 65 while tracing queued every wire-free wakeup; it
+#: counts only events that will fire.
+_CAPTURE_MAX_HEAP_DEPTH = 61
 
 _SPANS_DIGESTS = {
+    # trace.jsonl re-pinned with the capture's: 52 of its 301 link.idle
+    # records remain, every other record is identical.
     "trace.jsonl":
-        "08b3b82d09e356a65af33e680c7c4e45cce71609506508d0dd55bd347156d33c",
+        "6469a4b77b7d294513d4073b958128c82947327edd89e98efe5ca4dff58514a4",
     "anomalies.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "spans.jsonl":
@@ -110,23 +114,26 @@ _SPANS_DIGESTS = {
 #: It is the ``obs capture`` run, so its trace.jsonl is the same file.
 _CLEAN_SPANS_DIGESTS = {
     "trace.jsonl":
-        "9cc7210c90b397abfa6c9f2512ca07cf38479580f862cccd068b08fd50091095",
+        "744e3d504cbce5e64976067812ecb6ef38592db23330786583e26cd45469f198",
     "spans.jsonl":
         "2d49c9b2fc111232a333ee002c4722bc8d192c31ded2cc539e583360c33315a5",
 }
 
 #: The three fault runs below: sha256 of their trace records and of
-#: their spans, each as one JSON list.
+#: their spans, each as one JSON list. The record digests were
+#: re-pinned when tracing stopped queueing the wire-free wakeups no
+#: frame waits for: 12 of 26, 1 of 11 and 10 of 29 link.idle records
+#: remain, every other record and every span is unchanged.
 _FAULTY_STAR_DIGESTS = (
-    "70b42291610466257ed7e66ee28ba06ce3a20700b2081b8bf5d89a5e609f1fa4",
+    "a5627578954bdcbca06dcaaf1103705a4e5cb34bbc1a3c76ad0c98cebc100efa",
     "10b04758ed128d205280f9dce46857b4ce3773f2915db15c5066e481f483205f",
 )
 _HANDSHAKE_DIGESTS = (
-    "a9df80a0d1e743f1e9bd8d725a26a58c7349e7bbdf5cd512371c1ccd3f7721aa",
+    "c2649dffd6288525b35961b75696621e3bbf92bc1797767d1ac716d295670f48",
     "88ce8c08fa3ac56113a7ec4fff3dee387f580c7e713117f5ac3248714c0b7772",
 )
 _CHAIN_DROP_DIGESTS = (
-    "cd4014456f1d4d725ec085277fdf2afdd41a6a012f138f1417b96d60996a4f0e",
+    "baf040297b3afa63967c78cc8d9b301498a7569551af5c781ca8a2aa6bbbe006",
     "83099ff1f8d45bbfdb8e9f89cf4c29b4421c0bff0279b3138f80eddf025d61b1",
 )
 
@@ -147,16 +154,11 @@ _DATA_PLANE_SPANS = frozenset({
     "channel", "queue", "wire", "processing", "lost", "dropped",
 })
 
-#: ``obs capture --profile``: (label, dispatched events) per profiler row.
+#: ``obs capture --profile``: (label, dispatched events) per profiler
+#: row, traced or not. Only the wire-free wakeups that find a frame
+#: waiting are queued; the traced rows read ("idle", 612) while tracing
+#: queued every wakeup.
 _PROFILE_ROWS = [
-    ("deliver", 612), ("idle", 612), ("period", 76), ("probe", 26),
-    ("process", 306), ("start", 38),
-]
-
-#: The same run with tracing off (``TelemetryConfig(tracing=False)``):
-#: ``link.idle`` is not recorded, so only the wire-free wakeups that
-#: found a frame waiting are queued; every other label is unchanged.
-_UNTRACED_PROFILE_ROWS = [
     ("deliver", 612), ("idle", 288), ("period", 76), ("probe", 26),
     ("process", 306), ("start", 38),
 ]
@@ -292,8 +294,8 @@ def test_profiled_capture_keeps_trace_and_label_rows(tmp_path, capsys):
 
 
 def test_untraced_capture_label_rows():
-    """``obs capture --profile``'s run with tracing off: the idle
-    wakeups that find both queues empty are never queued."""
+    """``obs capture --profile``'s run with tracing off dispatches the
+    same events under the same labels as the traced capture."""
     telemetry = Telemetry(TelemetryConfig(tracing=False, profile=True))
     run_validation(
         n_masters=4, n_slaves=12, n_requests=40, hyperperiods=2, seed=55,
@@ -303,7 +305,7 @@ def test_untraced_capture_label_rows():
         (series["labels"]["label"], series["value"])
         for series in telemetry.snapshot()["kernel.profile.events"]["series"]
     )
-    assert rows == _UNTRACED_PROFILE_ROWS
+    assert rows == _PROFILE_ROWS
 
 
 def test_lossy_spans_bundle_is_pinned(lossy_spans_dir):
@@ -583,14 +585,15 @@ def _chain_outcome(trace_enabled: bool):
     "outcome", [_star_outcome, _chain_outcome], ids=["star", "chain"]
 )
 def test_tracing_does_not_move_the_data_plane(outcome):
-    """Tracing queues every wire-free wakeup (``link.idle`` records each
-    idle instant); untraced ports queue only those a waiting frame
-    needs. The extra wakeups find both queues empty, so delays, the
-    clock, grants and port counters stay equal."""
+    """Tracing queues no event of its own: ports queue a wire-free
+    wakeup only while a frame waits, traced or not, and ``link.idle``
+    records the wakeups that fire. So the traced and untraced runs
+    dispatch the same events and give equal delays, clocks, grants and
+    port counters."""
     traced_events, traced = outcome(True)
     untraced_events, untraced = outcome(False)
     assert untraced == traced
-    assert untraced_events < traced_events
+    assert untraced_events == traced_events
 
 
 def test_lossy_intent_fabric_is_pinned():

@@ -132,9 +132,10 @@ class TestHalfLink:
         sim.run()
         assert events == [phy.slot_ns]
 
-    def test_traced_link_queues_every_wakeup(self):
-        # link.idle records every idle instant, so the wakeup is queued
-        # at transmission start, armed or not.
+    def test_traced_link_records_only_armed_wakeups(self):
+        # Tracing queues no wakeup of its own: an unarmed transmission
+        # dispatches its arrival alone, and link.idle marks the armed
+        # wakeup of the second transmission when it fires.
         sim = Simulator()
         phy = PhyProfile.fast_ethernet()
         trace = TraceRecorder(enabled=True)
@@ -143,10 +144,16 @@ class TestHalfLink:
         )
         link.transmit(be_frame())
         sim.run()
+        assert trace.by_category("link.idle") == []
+        assert sim.dispatched_events == 1
+        start = sim.now
+        link.transmit(be_frame())
+        link.wake_when_free()
+        sim.run()
         assert [r.time for r in trace.by_category("link.idle")] == [
-            phy.slot_ns
+            start + phy.slot_ns
         ]
-        assert sim.dispatched_events == 2
+        assert sim.dispatched_events == 3
 
     def test_statistics(self):
         sim, phy, link, _ = self.make()
