@@ -108,7 +108,7 @@ from .churn import ChurnConfig, ChurnProcess
 
 __all__ = ["IntentCoordinator", "SharedLinkFabric", "FABRIC_CHECKPOINT_VERSION"]
 
-FABRIC_CHECKPOINT_VERSION = 1
+FABRIC_CHECKPOINT_VERSION = 2
 
 #: Locally administered unicast base for synthetic switch MACs.
 _SWITCH_MAC_BASE = 0x0200_0000_0000
@@ -219,12 +219,11 @@ class IntentCoordinator:
         holding: int = 0,
         src: str = "",
         dst: str = "",
-        owner: int = -1,
     ) -> IntentFrame:
         """Open a local intent record and build its ANNOUNCE frame.
 
-        ``holding``, ``src``, ``dst`` and ``owner`` ride in the record
-        for the caller; the protocol never reads them. The frame and
+        ``holding``, ``src`` and ``dst`` ride in the record for the
+        caller; the protocol never reads them. The frame and
         the channel parameters are checked before the record opens:
         the trusted COMMIT/ABORT frame and trunk task copy them.
         """
@@ -256,7 +255,6 @@ class IntentCoordinator:
             "holding": holding,
             "src": src,
             "dst": dst,
-            "owner": owner,
         }
         return announce
 
@@ -707,11 +705,13 @@ class SharedLinkFabric:
         #: fabric-global intent/message sequence.
         self._next_seq = 1
         self._next_delivery = 1
-        #: delivery_id -> [src_idx, dst_idx, frame]; checkpoints write
-        #: the frame as its wire encoding in hex.
+        #: delivery_id -> [dst_idx, frame]; checkpoints write the frame
+        #: as its wire encoding in hex.
         self._wire: dict[int, list] = {}
         #: seq -> reliable-broadcast record; its "payload" is the frame
-        #: it retransmits, written to checkpoints as hex like ``_wire``.
+        #: it retransmits (whose kind and switch MAC name the leg's
+        #: kind and sender), written to checkpoints as hex like
+        #: ``_wire``.
         self._outstanding: dict[int, dict] = {}
         #: per-switch next channel id counter (stride-partitioned).
         self._next_channel = [0] * n_switches
@@ -719,7 +719,7 @@ class SharedLinkFabric:
         #: ``LinkRef.uplink(node)``/``LinkRef.downlink(node)``; a
         #: checkpoint writes them as ``"access"``.
         self._access_cache = FeasibilityCache()
-        #: committed channels: cid -> [switch, link_id, src, dst, departs_at]
+        #: committed channels: cid -> [link_id, src, dst]
         self._active: dict[int, list] = {}
         self._next_arrival = [0] * n_switches
         self._last_gossip_util: dict[str, list[int]] = {}
@@ -817,7 +817,7 @@ class SharedLinkFabric:
             return
         delivery_id = self._next_delivery
         self._next_delivery += 1
-        self._wire[delivery_id] = [src, dst, frame]
+        self._wire[delivery_id] = [dst, frame]
         self._push(
             self.now + _CONTROL_LATENCY_NS, _PRIO_DELIVER, delivery_id, 0
         )
@@ -833,8 +833,6 @@ class SharedLinkFabric:
         idempotent, so duplicated deliveries are harmless).
         """
         self._outstanding[frame.intent_seq] = {
-            "src": src,
-            "kind": int(frame.kind),
             "payload": frame,
             "pending": sorted(peers),
             "attempt": 0,
@@ -855,15 +853,17 @@ class SharedLinkFabric:
         if not record["pending"]:
             del self._outstanding[seq]
             return
+        frame = record["payload"]
         if record["attempt"] >= _RETRY.max_retries:
             del self._outstanding[seq]
-            if record["kind"] == int(IntentKind.ANNOUNCE):
+            if frame.kind is IntentKind.ANNOUNCE:
                 self._announce_timed_out(seq)
             return
         record["attempt"] += 1
+        src = self._switch_of_mac(frame.switch_mac)
         for dst in record["pending"]:
             self.counters["retransmissions"] += 1
-            self._transmit(record["src"], dst, record["payload"])
+            self._transmit(src, dst, frame)
         self._push(
             self.now + _RETRY.delay_ns(record["attempt"]),
             _PRIO_RETRY,
@@ -875,7 +875,7 @@ class SharedLinkFabric:
         entry = self._wire.pop(delivery_id, None)
         if entry is None:
             return
-        _, dst, frame = entry
+        dst, frame = entry
         if type(frame) is GossipFrame:
             self._on_gossip(dst, frame)
         else:
@@ -1032,7 +1032,6 @@ class SharedLinkFabric:
             holding=holding,
             src=src,
             dst=dst,
-            owner=i,
         )
         self.ledger.append(
             ("announce", self.now, i, channel_id, link_id, spec.period,
@@ -1069,9 +1068,7 @@ class SharedLinkFabric:
         coordinator.apply_commit(frame)
         channel_id, link_id = frame.channel_id, frame.link_id
         departs_at = self.now + record["holding"]
-        self._active[channel_id] = [
-            owner, link_id, record["src"], record["dst"], departs_at
-        ]
+        self._active[channel_id] = [link_id, record["src"], record["dst"]]
         self.counters["commits"] += 1
         self.ledger.append(("commit", self.now, owner, channel_id, link_id))
         self._send_reliable(owner, frame, self._others_on_link(link_id, owner))
@@ -1110,7 +1107,7 @@ class SharedLinkFabric:
         entry = self._active.pop(channel_id, None)
         if entry is None:
             return
-        _, link_id, src, dst, _ = entry
+        link_id, src, dst = entry
         self._drop_access(src, dst, channel_id)
         coordinator = self.coordinators[owner]
         seq = self._next_seq
@@ -1185,8 +1182,8 @@ class SharedLinkFabric:
             "next_seq": self._next_seq,
             "next_delivery": self._next_delivery,
             "wire": {
-                str(k): [src, dst, frame.encode().hex()]
-                for k, (src, dst, frame) in sorted(self._wire.items())
+                str(k): [dst, frame.encode().hex()]
+                for k, (dst, frame) in sorted(self._wire.items())
             },
             "outstanding": {
                 str(k): dict(
@@ -1202,7 +1199,6 @@ class SharedLinkFabric:
                 str(cid): list(entry)
                 for cid, entry in sorted(self._active.items())
             },
-            "reserved_ids": sorted(self._reserved_channel_ids()),
             "next_arrival": list(self._next_arrival),
             "last_gossip_util": {
                 k: list(v) for k, v in sorted(self._last_gossip_util.items())
@@ -1257,8 +1253,8 @@ class SharedLinkFabric:
         fabric._next_seq = int(data["next_seq"])
         fabric._next_delivery = int(data["next_delivery"])
         fabric._wire = {
-            int(k): [src, dst, decode_signaling(bytes.fromhex(payload))]
-            for k, (src, dst, payload) in data["wire"].items()
+            int(k): [dst, decode_signaling(bytes.fromhex(payload))]
+            for k, (dst, payload) in data["wire"].items()
         }
         fabric._outstanding = {
             int(k): dict(

@@ -64,11 +64,11 @@ class TestHandshake:
         a, _ = pair()
         a.begin_intent(
             1, 0, 7, 6, SPEC, peers=(MAC_B,),
-            holding=5_000, src="n0_1", dst="n1_2", owner=0,
+            holding=5_000, src="n0_1", dst="n1_2",
         )
         record = a.pending[1]
-        assert [record[k] for k in ("holding", "src", "dst", "owner")] == [
-            5_000, "n0_1", "n1_2", 0,
+        assert [record[k] for k in ("holding", "src", "dst")] == [
+            5_000, "n0_1", "n1_2",
         ]
 
     def test_commit_applies_once(self):

@@ -390,7 +390,7 @@ class TestBusCodecRoundTrip:
 
         assert len(fabric.checkpoints) == 12
         for checkpoint in fabric.checkpoints:
-            for _, _, payload in checkpoint["wire"].values():
+            for _, payload in checkpoint["wire"].values():
                 assert round_trip(payload) == payload
             for record in checkpoint["outstanding"].values():
                 assert round_trip(record["payload"]) == record["payload"]
