@@ -346,6 +346,58 @@ class TestFabricCheckpointResume:
         assert json.dumps(checkpoint, sort_keys=True) == frozen
 
 
+class TestThreeSwitchFabric:
+    """A chain of three switches: the middle one shares two trunks, a
+    case no two-switch fabric reaches."""
+
+    KILL_AT_NS = 55_000_000
+
+    @staticmethod
+    def build(loss: float) -> SharedLinkFabric:
+        plan = FaultPlan.control_loss(loss, seed=2004) if loss else None
+        return SharedLinkFabric(
+            n_switches=3,
+            nodes_per_switch=4,
+            seed=2004,
+            fault_plan=plan,
+            checkpoint_every_ns=CHECKPOINT_NS,
+        )
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_kill_resume_and_quiesce(self, loss):
+        reference = self.build(loss)
+        reference.start()
+        reference.run_until(PINNED_UNTIL_NS)
+        assert reference.coordinators[1].link_ids == (0, 1)
+        committed_on = {e[4] for e in reference.ledger if e[0] == "commit"}
+        assert committed_on == {0, 1}
+
+        victim = self.build(loss)
+        victim.start()
+        victim.run_until(self.KILL_AT_NS)
+        checkpoint = json.loads(json.dumps(victim.checkpoints[-1]))
+        resumed = SharedLinkFabric.resume(
+            checkpoint,
+            fault_plan=(
+                FaultPlan.control_loss(loss, seed=2004) if loss else None
+            ),
+            checkpoint_every_ns=CHECKPOINT_NS,
+        )
+        resumed.run_until(PINNED_UNTIL_NS)
+
+        prefix = [list(e) for e in victim.ledger[: checkpoint["ledger_len"]]]
+        suffix = [list(e) for e in resumed.ledger]
+        assert prefix + suffix == [list(e) for e in reference.ledger]
+        assert json.dumps(
+            [c.export_state() for c in resumed.coordinators], sort_keys=True
+        ) == json.dumps(
+            [c.export_state() for c in reference.coordinators], sort_keys=True
+        )
+        for fabric in (reference, resumed):
+            fabric.quiesce()
+            assert_clean(fabric)
+
+
 class TestBusCodecRoundTrip:
     def test_every_bus_frame_and_checkpoint_round_trips(self, monkeypatch):
         # The bus delivers the frame object it was handed and encodes
