@@ -778,20 +778,15 @@ class AdmissionController:
             # decision, so on a mid-burst exception the flushed
             # counters cover precisely the already-decided prefix --
             # the same totals the scalar loop would have left behind.
-            template_hits = len(decisions) - fresh_done
             self.batch_count += 1
-            self.batch_template_hits += template_hits
+            self.batch_template_hits += len(decisions) - fresh_done
             self.accept_count += accepts
-            rejections: dict[RejectionReason, int] = {}
+            by_reason = self.rejections_by_reason
             rejects = 0
             for reason, cell in records:
                 count = cell[0]
                 rejects += count
-                rejections[reason] = rejections.get(reason, 0) + count
-            for reason, count in rejections.items():
-                self.rejections_by_reason[reason] = (
-                    self.rejections_by_reason.get(reason, 0) + count
-                )
+                by_reason[reason] = by_reason.get(reason, 0) + count
             self.reject_count += rejects
         return decisions
 
