@@ -1,9 +1,14 @@
 """A zero-dependency metrics registry: counters, gauges, histograms.
 
 The observability layer's contract is *cheap enough to stay enabled in
-benchmarks*: a hot-path increment is one dictionary-free attribute add
-on a pre-bound child object, and everything heavier (label resolution,
-snapshotting, derived collectors) happens off the hot path.
+benchmarks*. The model keeps its own counts as plain fields, and
+*collectors* read them at snapshot time, so most metrics cost the
+decision and data paths nothing. Pre-bound children remain only for
+per-event observations, which have no model field to read: the
+``rt.frame_delay_ns`` histogram and the ``rt.deadline_misses`` counter
+behind the per-frame delay observer. There, an observation is one
+attribute add on a pre-bound child object, and everything heavier
+(label resolution, snapshotting) happens off the hot path.
 
 Model
 -----
@@ -25,9 +30,10 @@ Families with no labels expose the single child's methods directly
 metrics need no ceremony.
 
 *Collectors* are zero-argument callables run at snapshot time; they let
-subsystems with their own private counters (the feasibility cache, port
-stats, link stats) surface current values as gauges with zero hot-path
-cost.
+subsystems with their own private counters (admission verdicts,
+signalling retries, the feasibility cache, port and link stats)
+surface current values with zero hot-path cost. Only :mod:`repro.obs`
+builds families or registers collectors.
 """
 
 from __future__ import annotations
