@@ -353,8 +353,8 @@ class _Assessment(NamedTuple):
     ``reason is None`` means "would be accepted". Shared by
     :meth:`AdmissionController.request` (which then mutates) and
     :meth:`AdmissionController.preview` (which never does). One is
-    built per non-memoized decision, so it is a NamedTuple rather than
-    a dataclass (measurably cheaper to construct).
+    built per decision, so it is a NamedTuple rather than a dataclass
+    (measurably cheaper to construct).
     """
 
     reason: RejectionReason | None
@@ -430,10 +430,6 @@ class AdmissionController:
 
     MAX_CHANNEL_ID = MAX_CHANNEL_ID  # 16-bit field in Figures 18.3/18.4
 
-    #: Assessment-memo capacity; cleared wholesale on overflow (the memo
-    #: is a cache of pure results, so clearing is always correct).
-    _ASSESS_MEMO_MAX = 8192
-
     def __init__(
         self,
         state: SystemState,
@@ -451,14 +447,6 @@ class AdmissionController:
             is not DeadlinePartitioningScheme.partition_with_probe
         )
         self._cache = state.cache if use_cache else None
-        #: Whole-assessment memo, keyed by (source, destination, spec)
-        #: and validated by the two endpoint links' cache epochs. Only
-        #: used when the DPS declares itself ``local_only`` (the
-        #: assessment is then a pure function of those two links).
-        self._assess_memo: dict[
-            tuple[str, str, ChannelSpec],
-            tuple[int, int, _Assessment],
-        ] = {}
         self._next_id = 1
         self.accept_count = 0
         self.reject_count = 0
@@ -526,18 +514,12 @@ class AdmissionController:
 
         Neither the system state, nor the counters, nor the ID stream
         are touched; :meth:`request` applies the side effects afterward
-        and :meth:`preview` returns the assessment as-is.
-
-        When the DPS is ``local_only`` and the cache is active, whole
-        assessments are memoized per ``(source, destination, spec)`` and
-        revalidated in O(1) against the two endpoint links' cache
-        epochs: any install/release on either link bumps its epoch and
-        the stale entry simply misses. This makes the saturated tail of
-        an acceptance sweep (the same rejected spec re-requested
-        hundreds of times against unchanged links) a dictionary hit.
+        and :meth:`preview` returns the assessment as-is. Only the two
+        links the candidate would use are tested (Section 18.3.2); with
+        a cache, a request repeated against unchanged links is two hits
+        in its per-link verdict memo.
         """
-        # Pre-checks inlined (has_node is a measurable method call here,
-        # and _decide below assumes they already ran).
+        # Pre-checks inlined (has_node is a measurable method call here).
         nodes = self._state._nodes
         if source not in nodes or destination not in nodes:
             return _Assessment(reason=RejectionReason.UNKNOWN_NODE)
@@ -545,39 +527,6 @@ class AdmissionController:
             return _Assessment(reason=RejectionReason.NOT_PARTITIONABLE)
         up_link = LinkRef.uplink(source)
         down_link = LinkRef.downlink(destination)
-        cache = self._cache
-        if cache is None or not self._dps.local_only:
-            return self._decide(source, destination, spec, up_link, down_link)
-        up_entry = cache.entry(up_link)
-        down_entry = cache.entry(down_link)
-        key = (source, destination, spec)
-        hit = self._assess_memo.get(key)
-        if (
-            hit is not None
-            and hit[0] == up_entry.epoch
-            and hit[1] == down_entry.epoch
-        ):
-            return hit[2]
-        assessment = self._decide(source, destination, spec, up_link, down_link)
-        if len(self._assess_memo) >= self._ASSESS_MEMO_MAX:
-            self._assess_memo.clear()
-        self._assess_memo[key] = (up_entry.epoch, down_entry.epoch, assessment)
-        return assessment
-
-    def _decide(
-        self,
-        source: str,
-        destination: str,
-        spec: ChannelSpec,
-        up_link: LinkRef,
-        down_link: LinkRef,
-    ) -> _Assessment:
-        """Partition choice plus per-link tests.
-
-        Callers have already verified both nodes exist and the spec is
-        partitionable (Eq. 18.9 on the end-to-end deadline), and pass in
-        the two interned endpoint link refs they derived doing so.
-        """
         loads = self._state.with_candidate(source, destination, spec)
 
         try:
@@ -639,7 +588,7 @@ class AdmissionController:
         candidate.channel_id, self._next_id = allocate_channel_id(
             self._next_id, state.has_channel, len(state), self.MAX_CHANNEL_ID
         )
-        # Direct assignment instead of assign_partition(): _decide already
+        # Direct assignment instead of assign_partition(): _assess already
         # ran validate_for on this exact partition/spec pair, so the
         # trusted construction in LinkTask.pair_for_channel stays sound.
         candidate.partition = assessment.partition
@@ -713,14 +662,14 @@ class AdmissionController:
         append = decisions.append
         #: (source, destination, spec) -> (up_entry, up_epoch,
         #: down_entry, down_epoch, rejection decision, count cell).
-        #: Validated like the assessment memo -- the decision is
-        #: reusable while both endpoint links' epochs are unchanged --
-        #: but against the *entry objects themselves* (two attribute
-        #: loads, no lookup; the cache never replaces an entry, so an
-        #: entry's epoch is its link's). ``None`` entries mark
-        #: decisions that do not depend on link state at all (unknown
-        #: node / unpartitionable spec): nodes and specs are immutable
-        #: during a burst, so those are always valid. The one-element count
+        #: The decision is reusable while both endpoint links' epochs
+        #: are unchanged (the scheme is ``local_only``), checked against
+        #: the *entry objects themselves* (two attribute loads, no
+        #: lookup; the cache never replaces an entry, so an entry's
+        #: epoch is its link's). ``None`` entries mark decisions that
+        #: do not depend on link state at all (unknown node /
+        #: unpartitionable spec): nodes and specs are immutable during a
+        #: burst, so those are always valid. The one-element count
         #: cell tallies how many decisions the record answered (fresh
         #: + template hits), so the hit path touches no dict of
         #: counters; ``records`` keeps every cell ever created,

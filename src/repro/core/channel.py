@@ -69,10 +69,10 @@ class ChannelSpec:
     period: int
     capacity: int
     deadline: int
-    #: Precomputed hash. Specs key every admission memo (assessment
-    #: memos, batch templates, request dedup) and the generated
-    #: three-field tuple hash is measurable at 10^6 decisions/sec;
-    #: excluded from ordering and equality.
+    #: Precomputed hash. Specs key every admission memo (batch
+    #: templates, request dedup) and the generated three-field tuple
+    #: hash is measurable at 10^6 decisions/sec; excluded from ordering
+    #: and equality.
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

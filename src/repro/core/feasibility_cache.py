@@ -91,9 +91,10 @@ _DENSITY_MARGIN = 1.0 - 1e-6
 
 #: Global mutation clock. Every entry stamps itself with the next tick
 #: on construction and on each install/release, giving observers
-#: (the admission controller's assessment memo) an O(1) "has anything
-#: on this link changed?" test that can never confuse two different
-#: task-set states -- ticks are process-unique, not per-entry counters.
+#: (the burst templates of ``AdmissionController.admit_many``) an O(1)
+#: "has anything on this link changed?" test that can never confuse two
+#: different task-set states -- ticks are process-unique, not per-entry
+#: counters.
 _EPOCH = itertools.count()
 
 #: Interned ``Fraction(C, P)`` terms. Admission sees few distinct

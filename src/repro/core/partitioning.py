@@ -162,11 +162,12 @@ class DeadlinePartitioningScheme(abc.ABC):
 
     #: True when the scheme's choice (and any probing) depends *only* on
     #: the candidate's two endpoint links -- the source uplink and the
-    #: destination downlink. The admission controller then memoizes whole
-    #: assessments keyed by ``(source, destination, spec)`` and
-    #: invalidates them via those two links' cache epochs alone. A scheme
-    #: that consults any other link (or non-link state) must leave this
-    #: False (the conservative default) or the memo would serve stale
+    #: destination downlink. :meth:`AdmissionController.admit_many
+    #: <repro.core.admission.AdmissionController.admit_many>` then
+    #: answers a repeated rejected request in a burst from a template
+    #: validated by those two links' cache epochs alone. A scheme that
+    #: consults any other link (or non-link state) must leave this False
+    #: (the conservative default) or a template would serve stale
     #: decisions.
     local_only: bool = False
 

@@ -397,6 +397,23 @@ class TestCachedControllerEquivalence:
                     link
                 ) == naive.state.link_utilization(link)
 
+    def test_repeated_rejection_is_decided_by_the_verdict_memo(
+        self, paper_spec
+    ):
+        """A rejected request repeated against unchanged links is
+        decided afresh: two cache checks, both verdict-memo hits."""
+        ctrl = controller(SymmetricDPS())
+        for dest in ["b", "c", "d"] * 2:
+            assert ctrl.request("a", dest, paper_spec).accepted
+        first = ctrl.request("a", "b", paper_spec)
+        assert first.reason is RejectionReason.UPLINK_INFEASIBLE
+        stats = ctrl.cache.stats
+        checks, memo_hits = stats.checks, stats.memo_hits
+        again = ctrl.request("a", "b", paper_spec)
+        assert again == first
+        assert stats.checks == checks + 2
+        assert stats.memo_hits == memo_hits + 2
+
     def test_release_keeps_cache_in_lockstep(self, paper_spec):
         ctrl = controller(SymmetricDPS())
         ids = [
