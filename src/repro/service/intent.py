@@ -38,22 +38,21 @@ still differed (ROADMAP, "Intent lock, safety: ghost reservations on
 shared trunks").
 
 :class:`SharedLinkFabric` packages the protocol with a churn-driven
-workload into one checkpointable engine, mirroring
-:class:`~repro.service.service.AdmissionService`: a single
-content-ordered agenda heap (no sequence numbers) and a modelled
-control bus that carries the frozen frame objects themselves. Bytes
-appear only in checkpoints: a checkpoint writes each in-flight frame
-as its bit-exact wire encoding in hex, which makes every piece of
-state JSON-serializable, and :meth:`SharedLinkFabric.resume` decodes
-it. The codec round-trips every frame the coordinators build, so the
-resumed bus carries equal frames and kill-and-resume reproduces the
-uninterrupted decision stream byte for byte -- even with
-announce/commit legs in flight at the checkpoint. Checkpoints are
-built from fresh containers, except the coordinators' rows that are
-never mutated once created: the ``applied`` rows, the committed
-entries, the release-log rows and the foreign-intent records. A
-checkpoint shares those with live state; the cost is linear in the
-live state.
+workload into one checkpointable engine: a single content-ordered
+agenda heap (no sequence numbers; THEORY.md §10.3 says why the fabric
+needs content order) and a modelled control bus that carries the
+frozen frame objects themselves. Bytes appear only in checkpoints: a
+checkpoint writes each in-flight frame as its bit-exact wire encoding
+in hex, which makes every piece of state JSON-serializable, and
+:meth:`SharedLinkFabric.resume` decodes it. The codec round-trips
+every frame the coordinators build, so the resumed bus carries equal
+frames and kill-and-resume reproduces the uninterrupted decision
+stream byte for byte -- even with announce/commit legs in flight at
+the checkpoint. Checkpoints are built from fresh containers, except
+the coordinators' rows that are never mutated once created: the
+``applied`` rows, the committed entries, the release-log rows and the
+foreign-intent records. A checkpoint shares those with live state; the
+cost is linear in the live state.
 
 **Trusted frames.** ACKs, the COMMIT/ABORT frames of :meth:`resolve
 <IntentCoordinator.resolve>` and the reconciliation replays copy every
@@ -126,8 +125,8 @@ _GOSSIP_EVERY_NS = 10_000_000
 #: by more than this many percentage points since its last digest.
 _GOSSIP_THRESHOLD_PCT = 10
 
-# Agenda priorities (same content-ordered-heap discipline as the
-# service: ties break on (prio, k1, k2), never on insertion order).
+# Agenda priorities (a content-ordered heap: ties break on
+# (prio, k1, k2), never on insertion order).
 _PRIO_DELIVER = 0
 _PRIO_RETRY = 1
 _PRIO_HOLD = 2
@@ -621,8 +620,7 @@ class SharedLinkFabric:
     type through a :class:`~repro.faults.plan.FaultPlan`, and per-leg
     retransmission; they are encoded only when a checkpoint is written.
 
-    The engine is a content-ordered agenda heap (the
-    :class:`~repro.service.service.AdmissionService` discipline), so
+    The engine is a content-ordered agenda heap, so
     :meth:`take_checkpoint`/:meth:`resume` reproduce the uninterrupted
     run byte for byte from any checkpoint -- including mid-handshake.
     """

@@ -1,14 +1,22 @@
 """The resident admission service: churn in, decisions out, forever.
 
 :class:`AdmissionService` runs inside the discrete-event kernel as a
-long-lived process. Its *agenda* is a deterministic heap of
-``(at_ns, priority, key)`` entries -- departures before arrivals before
-checkpoints at equal times, departures ordered by channel ID -- pumped
-through the :class:`~repro.sim.kernel.Simulator` one instant at a time.
-The agenda deliberately carries **no insertion sequence numbers**: its
-order is a pure function of content, which is what makes
-checkpoint/resume exact -- a resumed service rebuilds the identical
-agenda from the checkpoint and continues the identical decision stream.
+long-lived process. Each arrival, departure and checkpoint is its own
+:class:`~repro.sim.kernel.Simulator` event, and the kernel fires
+same-instant events in the order they were queued. That order is what
+makes checkpoint/resume exact:
+
+* the arrival that admits a channel queues its departure before it
+  queues the next arrival, so a departure always fires before an
+  arrival at the same instant (a channel whose holding time ends
+  exactly when a request lands does not block it);
+* a checkpoint writes the pending departures in the order they were
+  queued, and :func:`resume` queues them, then the pending arrival,
+  then the next checkpoint -- the relative order the uninterrupted run
+  holds them in.
+
+A checkpoint sees the instant as far as it has run: events queued after
+it for the same instant fire after it, in both runs.
 
 Checkpoints ride the schema-v2 persistence path
 (:func:`repro.core.persistence.snapshot`) plus the service's own state:
@@ -23,9 +31,9 @@ the uninterrupted run.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.admission import AdmissionController
 from ..core.partitioning import DeadlinePartitioningScheme
@@ -39,14 +47,6 @@ __all__ = ["AdmissionService", "ServiceCheckpoint", "resume"]
 
 #: Checkpoint layout version (independent of the admission snapshot's).
 SERVICE_CHECKPOINT_VERSION = 1
-
-# Agenda priorities at equal timestamps: departures free capacity before
-# the same instant's arrival is decided (a channel whose holding time
-# ends exactly when a request lands does not block it), and checkpoints
-# observe the instant's final state.
-_PRIO_DEPARTURE = 0
-_PRIO_ARRIVAL = 1
-_PRIO_CHECKPOINT = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,14 +95,10 @@ class AdmissionService:
         self._churn = churn
         self._sim = Simulator()
         self._checkpoint_every_ns = checkpoint_every_ns
-        #: heap of (at_ns, priority, key); key = channel_id for
-        #: departures, 0 otherwise. Content-ordered (no seq numbers).
-        self._agenda: list[tuple[int, int, int]] = []
-        #: authoritative departure schedule (channel_id -> at_ns).
+        #: pending departures (channel_id -> at_ns), in queueing order.
         self._departures: dict[int, int] = {}
         self._next_arrival_at: int | None = None
         self._next_checkpoint_at: int | None = None
-        self._pump_scheduled_at: int | None = None
         self._started = False
         #: decision stream: JSON-able tuples, in processing order.
         self.ledger: list[tuple] = []
@@ -138,17 +134,9 @@ class AdmissionService:
         if self._started:
             raise ConfigurationError("service already started")
         self._started = True
-        self._next_arrival_at = self._churn.next_interarrival_ns()
-        heapq.heappush(
-            self._agenda, (self._next_arrival_at, _PRIO_ARRIVAL, 0)
-        )
+        self._queue_arrival(self._churn.next_interarrival_ns())
         if self._checkpoint_every_ns is not None:
-            self._next_checkpoint_at = self._checkpoint_every_ns
-            heapq.heappush(
-                self._agenda,
-                (self._next_checkpoint_at, _PRIO_CHECKPOINT, 0),
-            )
-        self._schedule_pump()
+            self._queue_checkpoint(self._checkpoint_every_ns)
 
     def run_until(self, until_ns: int) -> int:
         """Advance the kernel (and so the service) to ``until_ns``."""
@@ -162,9 +150,9 @@ class AdmissionService:
 
     # -- checkpointing -----------------------------------------------------
 
-    def take_checkpoint(self, now_ns: int | None = None) -> ServiceCheckpoint:
+    def take_checkpoint(self) -> ServiceCheckpoint:
         """Capture everything a resumed service needs, right now."""
-        now = self._sim.now if now_ns is None else now_ns
+        now = self._sim.now
         # The snapshot is built from fresh JSON-native containers, so the
         # checkpoint keeps it as is; its sort-keys serialisation is the
         # digest's input. The rest of ``data`` is fresh too, so nothing
@@ -176,10 +164,10 @@ class AdmissionService:
             "now_ns": now,
             "admission": snapshot,
             "churn": self._churn.export_state(),
-            "departures": sorted(
+            "departures": [
                 [at, channel_id]
                 for channel_id, at in self._departures.items()
-            ),
+            ],
             "next_arrival_at": self._next_arrival_at,
             "next_checkpoint_at": self._next_checkpoint_at,
             "checkpoint_every_ns": self._checkpoint_every_ns,
@@ -192,31 +180,24 @@ class AdmissionService:
         self.checkpoints.append(checkpoint)
         return checkpoint
 
-    # -- the agenda pump ---------------------------------------------------
+    # -- events ------------------------------------------------------------
 
-    def _schedule_pump(self) -> None:
-        if not self._agenda:
-            return
-        head_at = self._agenda[0][0]
-        if self._pump_scheduled_at == head_at:
-            return
-        self._pump_scheduled_at = head_at
-        self._sim.call_at(head_at, self._pump, "service:pump")
+    def _queue_arrival(self, at: int) -> None:
+        self._next_arrival_at = at
+        self._sim.call_at(at, self._arrive, "service:arrive")
 
-    def _pump(self) -> None:
+    def _queue_departure(self, at: int, channel_id: int) -> None:
+        self._departures[channel_id] = at
+        self._sim.call_at(
+            at, partial(self._depart, channel_id), "service:depart"
+        )
+
+    def _queue_checkpoint(self, at: int) -> None:
+        self._next_checkpoint_at = at
+        self._sim.call_at(at, self._checkpoint, "service:checkpoint")
+
+    def _arrive(self) -> None:
         now = self._sim.now
-        self._pump_scheduled_at = None
-        while self._agenda and self._agenda[0][0] == now:
-            _, prio, key = heapq.heappop(self._agenda)
-            if prio == _PRIO_DEPARTURE:
-                self._process_departure(now, key)
-            elif prio == _PRIO_ARRIVAL:
-                self._process_arrival(now)
-            else:
-                self._process_checkpoint(now)
-        self._schedule_pump()
-
-    def _process_arrival(self, now: int) -> None:
         request = self._churn.draw_request()
         decision = self._controller.request(
             request.source, request.destination, request.spec
@@ -226,11 +207,7 @@ class AdmissionService:
         if decision.accepted:
             self.counters["accepts"] += 1
             channel_id = decision.channel.channel_id
-            departs_at = now + self._churn.holding_ns()
-            self._departures[channel_id] = departs_at
-            heapq.heappush(
-                self._agenda, (departs_at, _PRIO_DEPARTURE, channel_id)
-            )
+            self._queue_departure(now + self._churn.holding_ns(), channel_id)
         else:
             self.counters["rejects"] += 1
         self.ledger.append(
@@ -246,29 +223,24 @@ class AdmissionService:
                 channel_id,
             )
         )
-        self._next_arrival_at = now + self._churn.next_interarrival_ns()
-        heapq.heappush(
-            self._agenda, (self._next_arrival_at, _PRIO_ARRIVAL, 0)
-        )
+        self._queue_arrival(now + self._churn.next_interarrival_ns())
 
-    def _process_departure(self, now: int, channel_id: int) -> None:
+    def _depart(self, channel_id: int) -> None:
         del self._departures[channel_id]
         self._controller.release(channel_id)
         self.counters["departures"] += 1
-        self.ledger.append(("depart", now, channel_id))
+        self.ledger.append(("depart", self._sim.now, channel_id))
 
-    def _process_checkpoint(self, now: int) -> None:
+    def _checkpoint(self) -> None:
         # Advance the counter and the next-checkpoint time *before*
         # capturing: the snapshot must describe the world as of this
         # checkpoint having happened, or a resumed run re-fires it
         # (duplicate ledger entry) and finishes one checkpoint short.
+        now = self._sim.now
         self.counters["checkpoints"] += 1
         assert self._checkpoint_every_ns is not None
-        self._next_checkpoint_at = now + self._checkpoint_every_ns
-        heapq.heappush(
-            self._agenda, (self._next_checkpoint_at, _PRIO_CHECKPOINT, 0)
-        )
-        checkpoint = self.take_checkpoint(now)
+        self._queue_checkpoint(now + self._checkpoint_every_ns)
+        checkpoint = self.take_checkpoint()
         self.ledger.append(("checkpoint", now, checkpoint.digest))
 
 
@@ -301,24 +273,14 @@ def resume(
     )
     service._started = True
     for at, channel_id in data.get("departures", ()):
-        service._departures[int(channel_id)] = int(at)
-        heapq.heappush(
-            service._agenda, (int(at), _PRIO_DEPARTURE, int(channel_id))
-        )
+        service._queue_departure(int(at), int(channel_id))
     next_arrival = data.get("next_arrival_at")
     if next_arrival is not None:
-        service._next_arrival_at = int(next_arrival)
-        heapq.heappush(
-            service._agenda, (int(next_arrival), _PRIO_ARRIVAL, 0)
-        )
+        service._queue_arrival(int(next_arrival))
     next_checkpoint = data.get("next_checkpoint_at")
     if next_checkpoint is not None and service._checkpoint_every_ns:
-        service._next_checkpoint_at = int(next_checkpoint)
-        heapq.heappush(
-            service._agenda, (int(next_checkpoint), _PRIO_CHECKPOINT, 0)
-        )
+        service._queue_checkpoint(int(next_checkpoint))
     for key, count in data.get("counters", {}).items():
         if key in service.counters:
             service.counters[key] = int(count)
-    service._schedule_pump()
     return service

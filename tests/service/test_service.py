@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.core.admission import AdmissionController, SystemState
+from repro.core.channel import ChannelSpec
 from repro.core.partitioning import SymmetricDPS
 from repro.errors import ConfigurationError
 from repro.service import (
@@ -16,6 +17,7 @@ from repro.service import (
     ChurnProcess,
     resume,
 )
+from repro.service.churn import ChurnRequest
 from repro.service.service import SERVICE_CHECKPOINT_VERSION
 from repro.sim.rng import RngRegistry
 
@@ -156,3 +158,99 @@ class TestCheckpointResume:
             assert checkpoint.digest == (
                 hashlib.sha256(blob.encode()).hexdigest()[:16]
             )
+
+
+class _LockstepChurn:
+    """A churn whose channels hold for exactly one interarrival gap.
+
+    Arrivals land every 1 ms and each admitted channel departs 1 ms
+    later, so every departure shares its instant with the next arrival.
+    Every request asks m0 -> m1 for 6 of every 10 slots: the two links
+    have room for one such channel at a time.
+    """
+
+    GAP_NS = 1_000_000
+
+    def __init__(self, registry=None, config=None) -> None:
+        self.draws = 0
+
+    def next_interarrival_ns(self) -> int:
+        return self.GAP_NS
+
+    def holding_ns(self) -> int:
+        return self.GAP_NS
+
+    def draw_request(self) -> ChurnRequest:
+        self.draws += 1
+        return ChurnRequest(
+            "m0", "m1", ChannelSpec(period=10, capacity=6, deadline=20)
+        )
+
+    def export_state(self) -> dict:
+        return {"draws": self.draws}
+
+    def import_state(self, data: dict) -> None:
+        self.draws = data["draws"]
+
+
+def build_lockstep_service(checkpoint_every_ns=None) -> AdmissionService:
+    return AdmissionService(
+        AdmissionController(SystemState(NODES), SymmetricDPS()),
+        _LockstepChurn(),
+        checkpoint_every_ns=checkpoint_every_ns,
+    )
+
+
+class TestSharedInstant:
+    """Events that share an instant fire in the order the service relies
+    on: a departure before the arrival it makes room for."""
+
+    def test_departure_makes_room_for_the_same_instants_arrival(self):
+        service = build_lockstep_service()
+        service.start()
+        service.run_until(5_000_000)
+        # Two of these channels never fit together on m0's uplink.
+        probe = AdmissionController(SystemState(NODES), SymmetricDPS())
+        spec = ChannelSpec(period=10, capacity=6, deadline=20)
+        assert probe.request("m0", "m1", spec).accepted
+        assert not probe.request("m0", "m1", spec).accepted
+        assert service.ledger[:3] == [
+            ("arrive", 1_000_000, "m0", "m1", 10, 6, 20, 1, 1),
+            ("depart", 2_000_000, 1),
+            ("arrive", 2_000_000, "m0", "m1", 10, 6, 20, 1, 2),
+        ]
+        assert service.counters["arrivals"] == 5
+        assert service.counters["rejects"] == 0
+
+    def test_resume_from_a_checkpoint_sharing_the_instant(
+        self, monkeypatch
+    ):
+        horizon = 9_000_000
+        reference = build_lockstep_service(checkpoint_every_ns=2_000_000)
+        reference.start()
+        reference.run_until(horizon)
+
+        victim = build_lockstep_service(checkpoint_every_ns=2_000_000)
+        victim.start()
+        victim.run_until(3_500_000)
+        checkpoint = victim.last_checkpoint
+        assert checkpoint.taken_at_ns == 2_000_000
+        # The checkpoint's instant also holds a departure and an arrival.
+        instants = [entry[:2] for entry in reference.ledger]
+        assert ("depart", 2_000_000) in instants
+        assert ("arrive", 2_000_000) in instants
+
+        monkeypatch.setattr(
+            "repro.service.service.ChurnProcess", _LockstepChurn
+        )
+        resumed = resume(
+            json.loads(json.dumps(checkpoint.data)),
+            SymmetricDPS(),
+            RngRegistry(42),
+            ChurnConfig(nodes=NODES),
+        )
+        resumed.run_until(horizon)
+        prefix = victim.ledger[: checkpoint.data["ledger_len"] + 1]
+        assert list(reference.ledger) == list(prefix) + list(resumed.ledger)
+        assert reference.final_state_json() == resumed.final_state_json()
+        assert reference.counters == resumed.counters
