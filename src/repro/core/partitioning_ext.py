@@ -31,6 +31,7 @@ from fractions import Fraction
 from ..errors import PartitioningError
 from .channel import ChannelSpec, DeadlinePartition
 from .partitioning import (
+    AsymmetricDPS,
     DeadlinePartitioningScheme,
     FeasibilityProbe,
     LoadView,
@@ -159,7 +160,7 @@ class SearchDPS(DeadlinePartitioningScheme):
             )
         self._max_probes = max_probes
         self._strict = strict
-        self._heuristic = _AdpsHeuristic()
+        self._heuristic = AsymmetricDPS()
 
     def partition(
         self,
@@ -194,29 +195,6 @@ class SearchDPS(DeadlinePartitioningScheme):
                 f"feasible ({probes} probes)"
             )
         return centre
-
-
-class _AdpsHeuristic(DeadlinePartitioningScheme):
-    """Internal: ADPS arithmetic reused as SearchDPS's starting point."""
-
-    name = "adps-heuristic"
-    local_only = True
-
-    def partition(
-        self,
-        source: str,
-        destination: str,
-        spec: ChannelSpec,
-        loads: LoadView,
-    ) -> DeadlinePartition:
-        ll_up = loads.link_load(LinkRef.uplink(source))
-        ll_down = loads.link_load(LinkRef.downlink(destination))
-        total = ll_up + ll_down
-        if total == 0:
-            return clamp_partition(spec, spec.deadline // 2)
-        return clamp_partition(
-            spec, split_round_half_up(spec.deadline, ll_up, total)
-        )
 
 
 def _fan_out(centre: int, lo: int, hi: int):

@@ -78,8 +78,8 @@ class LinkRef:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def uplink(cls, node: str) -> "LinkRef":
+    @staticmethod
+    def uplink(node: str) -> "LinkRef":
         """The node→switch direction of ``node``'s link.
 
         Instances are interned per node name (they are immutable and the
@@ -87,19 +87,15 @@ class LinkRef:
         request); the node population is bounded by the network, so the
         intern table is too.
         """
-        if cls is not LinkRef:
-            return cls(node=node, direction=LinkDirection.UPLINK)
         ref = _UPLINK_INTERN.get(node)
         if ref is None:
             ref = LinkRef(node=node, direction=LinkDirection.UPLINK)
             _UPLINK_INTERN[node] = ref
         return ref
 
-    @classmethod
-    def downlink(cls, node: str) -> "LinkRef":
+    @staticmethod
+    def downlink(node: str) -> "LinkRef":
         """The switch→node direction of ``node``'s link (interned)."""
-        if cls is not LinkRef:
-            return cls(node=node, direction=LinkDirection.DOWNLINK)
         ref = _DOWNLINK_INTERN.get(node)
         if ref is None:
             ref = LinkRef(node=node, direction=LinkDirection.DOWNLINK)
@@ -190,8 +186,8 @@ class LinkTask:
         """``C / P`` -- the task's long-run demand on its link direction."""
         return self.capacity / self.period
 
-    @classmethod
-    def pair_for_channel(cls, channel: RTChannel) -> tuple["LinkTask", "LinkTask"]:
+    @staticmethod
+    def pair_for_channel(channel: RTChannel) -> tuple["LinkTask", "LinkTask"]:
         """Derive ``(T_iu, T_id)`` from a channel with an assigned partition.
 
         Implements Eq. 18.6/18.7: the uplink task runs on the source
@@ -211,22 +207,6 @@ class LinkTask:
         spec: ChannelSpec = channel.spec
         up_d = channel.uplink_deadline  # raises if no partition assigned
         down_d = channel.downlink_deadline
-        if cls is not LinkTask:
-            up = cls(
-                link=LinkRef.uplink(channel.source),
-                period=spec.period,
-                capacity=spec.capacity,
-                deadline=up_d,
-                channel_id=channel.channel_id,
-            )
-            down = cls(
-                link=LinkRef.downlink(channel.destination),
-                period=spec.period,
-                capacity=spec.capacity,
-                deadline=down_d,
-                channel_id=channel.channel_id,
-            )
-            return up, down
         return (
             _trusted_task(
                 LinkRef.uplink(channel.source),

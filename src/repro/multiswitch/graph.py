@@ -214,19 +214,6 @@ class FabricGraph:
         """True when the (connected) graph has no redundant cable."""
         return self._edge_count == len(self._adj) - 1
 
-    def _reachable(self, start: str, goal: str) -> bool:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            vertex = queue.popleft()
-            if vertex == goal:
-                return True
-            for neighbour in self._adj[vertex]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    queue.append(neighbour)
-        return False
-
     def validate_connected(self) -> None:
         """Raise unless the fabric is non-empty and connected."""
         if self._validated:
