@@ -480,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="export the soak report as JSON")
     soak.add_argument(
         "--telemetry-out", metavar="DIR", default=None,
-        help="write the soak report plus a schema-checked "
-             "anomalies.jsonl into DIR",
+        help="write the soak report, a schema-checked anomalies.jsonl "
+             "and metrics.json into DIR",
     )
 
     return parser
@@ -969,6 +969,9 @@ def _cmd_service_soak(args) -> int:
             "".join(line + "\n" for line in lines)
         )
         print(f"wrote {report_path} and {anomalies_path}")
+        telemetry = _telemetry_for(args, tracing=False)
+        telemetry.track_soak(result)
+        _write_telemetry(telemetry, args)
     return 0 if result.ok else 1
 
 

@@ -16,8 +16,8 @@ and knows how to instrument the repo's building blocks:
 :class:`~repro.network.topology.StarNetwork` (admission, signalling,
 port, link and switch collectors, delay histograms, sim-time probes),
 ``track_admission`` for an admission controller (its verdict counts
-and its feasibility cache's stats), and ``write`` to emit the bundle
-directory::
+and its feasibility cache's stats), ``track_soak`` for an EXP-X4 soak
+result, and ``write`` to emit the bundle directory::
 
     out/
       metrics.json       MetricsRegistry.snapshot()
@@ -556,6 +556,41 @@ class Telemetry:
             for name, switch in net.switches.items():
                 forwarded.labels(name).set(switch.frames_forwarded)
                 dropped.labels(name).set(switch.frames_dropped)
+
+        registry.add_collector(collect)
+
+    def track_soak(self, result) -> None:
+        """Publish an EXP-X4 soak result at snapshot time.
+
+        ``result`` is a
+        :class:`~repro.experiments.service_soak.ServiceSoakResult`: the
+        resumed fabric's counters become ``intent.events{event}``, and
+        the audit after quiescing becomes the
+        ``intent.double_bookings`` and ``intent.leaked_reservations``
+        gauges.
+        """
+        registry = self.registry
+        publish = _counter_totals(
+            registry.counter(
+                "intent.events",
+                "intent-plane events of the resumed soak fabric",
+                ("event",),
+            )
+        )
+        double_bookings = registry.gauge(
+            "intent.double_bookings",
+            help="double-booked shared links after quiescing",
+        ).labels()
+        leaked = registry.gauge(
+            "intent.leaked_reservations",
+            help="access reservations of no live channel or intent",
+        ).labels()
+
+        def collect() -> None:
+            for event, total in result.fabric_counters.items():
+                publish(total, event)
+            double_bookings.set(result.double_bookings)
+            leaked.set(result.leaked_reservations)
 
         registry.add_collector(collect)
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.service_soak import run_service_soak
+from repro.obs import validate_bundle
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +76,4 @@ class TestServiceSoakCli:
         assert report["ok"] is True
         assert (out / "service_soak.json").exists()
         assert (out / "anomalies.jsonl").exists()
+        assert validate_bundle(out) == []

@@ -263,6 +263,25 @@ class TestSignalCounters:
         assert _value(snap, "admission.decisions", verdict="accept") == 4
 
 
+class TestSoakCollector:
+    def test_publishes_the_soak_result(self):
+        telemetry = Telemetry(TelemetryConfig(probe_cadence_ns=None))
+        result = SimpleNamespace(
+            fabric_counters={"commits": 14, "aborts": 167},
+            double_bookings=0,
+            leaked_reservations=2,
+        )
+        telemetry.track_soak(result)
+        telemetry.snapshot()
+        snap = telemetry.snapshot()  # a second snapshot adds nothing
+        assert _value(snap, "intent.events", event="commits") == 14
+        assert _value(snap, "intent.events", event="aborts") == 167
+        assert snap["intent.events"]["type"] == "counter"
+        assert _value(snap, "intent.double_bookings") == 0
+        assert _value(snap, "intent.leaked_reservations") == 2
+        assert validate(snap, METRICS_SCHEMA) == []
+
+
 class TestNonPerturbation:
     def test_report_identical_with_and_without_telemetry(self):
         bare = run_validation(**_SMALL)
