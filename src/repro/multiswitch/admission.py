@@ -21,7 +21,7 @@ from ..core.admission import allocate_channel_id
 from ..core.channel import ChannelSpec
 from ..core.feasibility import FeasibilityReport, is_feasible
 from ..core.feasibility_cache import FeasibilityCache
-from ..core.task import LinkRef, LinkDirection, LinkTask
+from ..core.task import LinkRef, LinkDirection, LinkTask, _trusted_task
 from ..errors import PartitioningError, UnknownChannelError
 from ..protocol.headers import MAX_CHANNEL_ID
 from .graph import FabricGraph, FabricLink
@@ -105,6 +105,13 @@ class MultiSwitchAdmission:
     @property
     def uses_cache(self) -> bool:
         return self._use_cache
+
+    @property
+    def cache(self) -> FeasibilityCache:
+        """The per-link task store, with its
+        :class:`~repro.core.feasibility_cache.CacheStats` (under
+        ``use_cache=False`` it counts installs and releases only)."""
+        return self._cache
 
     @property
     def fabric(self) -> FabricGraph:
@@ -208,12 +215,11 @@ class MultiSwitchAdmission:
         candidate_tasks: list[LinkTask] = []
         cache = self._cache
         for link, part in zip(links, parts):
-            task = LinkTask(
-                link=self._ref(link),
-                period=spec.period,
-                capacity=spec.capacity,
-                deadline=part,
-                channel_id=channel_id,
+            # Trusted task: the spec is a checked ChannelSpec (0 < C <= P)
+            # and both MultiHopDPS schemes split through split_deadline,
+            # whose every part is an int >= C.
+            task = _trusted_task(
+                self._ref(link), spec.period, spec.capacity, part, channel_id
             )
             candidate_tasks.append(task)
             if self._use_cache:

@@ -27,11 +27,17 @@ graph library -- so routing behaviour is fully pinned by this file.
 
 Routing determinism
 -------------------
-All shortest vertex paths between the two end nodes are enumerated
-from the source's breadth-first predecessor DAG (vertices expanded in
-sorted order; one DAG per source, memoised and cleared together with
-the path cache whenever the graph changes), canonically sorted, and
-one is selected by indexing with a CRC-32 digest of
+Every end node is a leaf with one cable, so every shortest path
+between two end nodes is the source, a shortest path between their two
+attachment switches, and the destination.  Routing therefore works per
+switch: one breadth-first predecessor DAG per attachment switch
+(switches expanded in sorted order), and per (switch, switch) pair the
+canonically sorted list of its shortest switch paths, both memoised
+and cleared together with the host-pair path cache whenever the graph
+changes.  All switch paths of one pair have the same length, so the
+common source prefix and destination suffix keep their sorted order
+and their count (the equal-cost fan).  One path is selected by
+indexing that fan with a CRC-32 digest of
 ``"{routing_seed}|{source}->{destination}"``.  The
 digest is stable across platforms, processes and Python hash
 randomization, so the choice is reproducible under a fixed seed while
@@ -45,8 +51,8 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..errors import RoutingError, TopologyError
 
@@ -87,6 +93,22 @@ class FabricLink:
 
     tail: str
     head: str
+    #: Precomputed hash, as on :class:`~repro.core.task.LinkRef`: the
+    #: admission path looks every link of a route up by this key. It
+    #: equals ``hash((tail, head))``, the generated dataclass hash, so
+    #: no set or dict order moves.
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.tail, self.head)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: a str hash is per process,
+        # so a pickled ``_hash`` would be stale wherever it is loaded.
+        return FabricLink, (self.tail, self.head)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.tail}->{self.head}"
@@ -94,6 +116,10 @@ class FabricLink:
     @property
     def reverse(self) -> "FabricLink":
         return FabricLink(tail=self.head, head=self.tail)
+
+
+#: One shortest switch path and the directed links between its switches.
+_SwitchPath = tuple[tuple[str, ...], tuple[FabricLink, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,12 +153,16 @@ class FabricGraph:
         self._adj: dict[str, set[str]] = {}
         self._switches: set[str] = set()
         self._node_order: list[str] = []
-        self._node_set: set[str] = set()
+        #: end node -> the one switch it is cabled to
+        self._attach: dict[str, str] = {}
         self._edge_count = 0
         self.routing_seed = routing_seed
         self._path_cache: dict[tuple[str, str], tuple[FabricLink, ...]] = {}
-        #: source -> (BFS distances, predecessor lists); see :meth:`_dag`
+        #: switch -> (BFS distances, predecessor lists); see :meth:`_dag`
         self._dags: dict[str, tuple[dict, dict]] = {}
+        #: (switch, switch) -> its sorted shortest switch paths, each with
+        #: its inter-switch links; see :meth:`_switch_paths`
+        self._routes: dict[tuple[str, str], tuple[_SwitchPath, ...]] = {}
         self._validated = False
 
     # -- construction ------------------------------------------------------
@@ -149,7 +179,7 @@ class FabricGraph:
         self._check_fresh(name)
         if switch not in self._switches:
             raise TopologyError(f"unknown switch {switch!r}")
-        self._node_set.add(name)
+        self._attach[name] = switch
         self._node_order.append(name)
         self._adj.setdefault(name, set())
         self._add_edge(name, switch)
@@ -176,12 +206,13 @@ class FabricGraph:
     def _invalidate(self) -> None:
         self._path_cache.clear()
         self._dags.clear()
+        self._routes.clear()
         self._validated = False
 
     def _check_fresh(self, name: str) -> None:
         if not name:
             raise TopologyError("names must be non-empty")
-        if name in self._switches or name in self._node_set:
+        if name in self._switches or name in self._attach:
             raise TopologyError(f"{name!r} is already in the fabric")
 
     # -- queries -----------------------------------------------------------
@@ -192,7 +223,7 @@ class FabricGraph:
 
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self._node_set)
+        return frozenset(self._attach)
 
     @property
     def node_order(self) -> tuple[str, ...]:
@@ -200,7 +231,7 @@ class FabricGraph:
         return tuple(self._node_order)
 
     def is_node(self, name: str) -> bool:
-        return name in self._node_set
+        return name in self._attach
 
     @property
     def vertex_count(self) -> int:
@@ -244,14 +275,15 @@ class FabricGraph:
         and the enumerated paths are sorted, so neither set iteration
         order nor hash randomization can leak into the result.
         """
-        self._check_endpoints(source, destination)
-        self.validate_connected()
-        return self._all_shortest(source, destination)
+        return [
+            (source, *path, destination)
+            for path, _ in self._switch_paths(source, destination)
+        ]
 
     def _check_endpoints(self, source: str, destination: str) -> None:
-        if source not in self._node_set:
+        if source not in self._attach:
             raise RoutingError(f"source {source!r} is not an end node")
-        if destination not in self._node_set:
+        if destination not in self._attach:
             raise RoutingError(
                 f"destination {destination!r} is not an end node"
             )
@@ -259,47 +291,61 @@ class FabricGraph:
             raise RoutingError("source and destination must differ")
 
     def _dag(
-        self, source: str
+        self, switch: str
     ) -> tuple[dict[str, int], dict[str, list[str]]]:
-        """BFS distances and shortest-path predecessors from ``source``.
+        """BFS distances and shortest-path predecessors from ``switch``
+        over the switches.
 
-        Vertices are expanded in sorted order, so every predecessor list
-        is a pure function of the graph. Memoised per source until the
-        graph changes (:meth:`_invalidate`).
+        End nodes are leaves, so no shortest path runs through one and
+        the search skips them. Switches are expanded in sorted order, so
+        every predecessor list is a pure function of the graph. Memoised
+        per switch until the graph changes (:meth:`_invalidate`).
         """
-        dag = self._dags.get(source)
+        dag = self._dags.get(switch)
         if dag is not None:
             return dag
-        dist: dict[str, int] = {source: 0}
+        dist: dict[str, int] = {switch: 0}
         preds: dict[str, list[str]] = {}
-        queue = deque([source])
+        queue = deque([switch])
         while queue:
             vertex = queue.popleft()
             here = dist[vertex]
             for neighbour in sorted(self._adj[vertex]):
+                if neighbour in self._attach:
+                    continue
                 if neighbour not in dist:
                     dist[neighbour] = here + 1
                     preds[neighbour] = [vertex]
                     queue.append(neighbour)
                 elif dist[neighbour] == here + 1:
                     preds[neighbour].append(vertex)
-        dag = self._dags[source] = (dist, preds)
+        dag = self._dags[switch] = (dist, preds)
         return dag
 
-    def _all_shortest(
+    def _switch_paths(
         self, source: str, destination: str
-    ) -> list[tuple[str, ...]]:
-        dist, preds = self._dag(source)
-        if destination not in dist:  # pragma: no cover - validate_connected
-            raise RoutingError(
-                f"no path from {source!r} to {destination!r}"
-            )
+    ) -> tuple[_SwitchPath, ...]:
+        """The sorted shortest switch paths between the two end nodes'
+        attachment switches, each with its inter-switch links, memoised
+        per (switch, switch) pair.
 
+        A pair whose fan exceeds :data:`MAX_EQUAL_COST_PATHS` raises a
+        :class:`~repro.errors.RoutingError` naming the requested end
+        nodes and memoises nothing.
+        """
+        self._check_endpoints(source, destination)
+        self.validate_connected()
+        key = (self._attach[source], self._attach[destination])
+        routes = self._routes.get(key)
+        if routes is not None:
+            return routes
+        first, last = key
+        preds = self._dag(first)[1]
         paths: list[tuple[str, ...]] = []
 
         def walk(vertex: str, suffix: tuple[str, ...]) -> None:
-            if vertex == source:
-                paths.append((source,) + suffix)
+            if vertex == first:
+                paths.append((first,) + suffix)
                 if len(paths) > MAX_EQUAL_COST_PATHS:
                     raise RoutingError(
                         f"more than {MAX_EQUAL_COST_PATHS} equal-cost "
@@ -309,9 +355,13 @@ class FabricGraph:
             for pred in preds[vertex]:
                 walk(pred, (vertex,) + suffix)
 
-        walk(destination, ())
+        walk(last, ())
         paths.sort()
-        return paths
+        routes = self._routes[key] = tuple(
+            (path, tuple(FabricLink(a, b) for a, b in zip(path, path[1:])))
+            for path in paths
+        )
+        return routes
 
     def _route_index(self, source: str, destination: str, fan: int) -> int:
         """Seeded, platform-stable index into the sorted equal-cost fan."""
@@ -336,35 +386,42 @@ class FabricGraph:
         key = (source, destination)
         cached = self._path_cache.get(key)
         if cached is None:
-            paths = self.equal_cost_paths(source, destination)
-            chosen = paths[self._route_index(source, destination, len(paths))]
-            cached = tuple(
-                FabricLink(tail=a, head=b)
-                for a, b in zip(chosen, chosen[1:])
+            routes = self._switch_paths(source, destination)
+            path, between = routes[
+                self._route_index(source, destination, len(routes))
+            ]
+            cached = self._path_cache[key] = (
+                FabricLink(source, path[0]),
+                *between,
+                FabricLink(path[-1], destination),
             )
-            self._path_cache[key] = cached
         return list(cached)
 
     def hop_count(self, source: str, destination: str) -> int:
         """Number of links a channel between these nodes traverses.
 
-        Every equal-cost path has the BFS distance as its length, so
-        this needs no path enumeration.
+        The two access links plus the distance between the attachment
+        switches: every equal-cost path has that length, so this needs
+        no path enumeration.
         """
         self._check_endpoints(source, destination)
+        return 2 + self.switch_distance(
+            self._attach[source], self._attach[destination]
+        )
+
+    def switch_distance(self, first: str, last: str) -> int:
+        """Cables on a shortest path between two switches."""
+        if first not in self._switches or last not in self._switches:
+            raise RoutingError(f"both {first!r} and {last!r} must be switches")
         self.validate_connected()
-        return self._dag(source)[0][destination]
+        return self._dag(first)[0][last]
 
     def attachment(self, node: str) -> str:
         """The switch an end node is cabled to (leaves have exactly one)."""
-        if node not in self._node_set:
+        switch = self._attach.get(node)
+        if switch is None:
             raise RoutingError(f"{node!r} is not an end node")
-        neighbours = list(self._adj[node])
-        if len(neighbours) != 1:  # pragma: no cover - construction forbids
-            raise TopologyError(
-                f"end node {node!r} has {len(neighbours)} cables"
-            )
-        return neighbours[0]
+        return switch
 
     def switch_adjacencies(self) -> list[tuple[str, str]]:
         """All switch-to-switch cables, each once, deterministically ordered."""

@@ -220,12 +220,15 @@ class FabricNetwork:
     # -- construction ------------------------------------------------------
 
     def _max_hop_count(self) -> int:
-        nodes = sorted(self.fabric.nodes)
-        worst = 2
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                worst = max(worst, self.fabric.hop_count(a, b))
-        return worst
+        # Every end node is a one-cable leaf: a pair's hop count is the
+        # distance between its attachment switches plus the two access
+        # links, so the worst pair is found over switch pairs.
+        fabric = self.fabric
+        switches = {fabric.attachment(node) for node in fabric.nodes}
+        return 2 + max(
+            (fabric.switch_distance(a, b) for a in switches for b in switches),
+            default=0,
+        )
 
     def _wire_everything(self) -> None:
         for switch_name in sorted(self.fabric.switches):

@@ -15,9 +15,11 @@ and knows how to instrument the repo's building blocks:
 ``instrument_star`` for a fully built
 :class:`~repro.network.topology.StarNetwork` (admission, signalling,
 port, link and switch collectors, delay histograms, sim-time probes),
-``track_admission`` for an admission controller (its verdict counts
-and its feasibility cache's stats), ``track_soak`` for an EXP-X4 soak
-result, and ``write`` to emit the bundle directory::
+``instrument_fabric`` for a :class:`~repro.multiswitch.simnet.FabricNetwork`,
+``track_admission`` for an admission controller or a fabric's
+:class:`~repro.multiswitch.admission.MultiSwitchAdmission` (its verdict
+counts and its feasibility cache's stats), ``track_soak`` for an EXP-X4
+soak result, and ``write`` to emit the bundle directory::
 
     out/
       metrics.json       MetricsRegistry.snapshot()
@@ -76,21 +78,28 @@ _ADMISSION_COUNTERS = {
 def _admission_counts(controller) -> dict[tuple[str, ...], int]:
     """A controller's published counts, keyed by ``(metric, *labels)``.
 
-    Every verdict and every rejection reason has a key, zero or not;
-    the ``feasibility_cache.*`` keys appear only when the controller
-    decides through a cache.
+    Both verdicts always have a key. A single-switch
+    :class:`~repro.core.admission.AdmissionController` adds its
+    ``admit_many`` bursts and template hits and every rejection reason,
+    zero or not; a fabric's
+    :class:`~repro.multiswitch.admission.MultiSwitchAdmission` keeps
+    none of these, so it publishes none. The ``feasibility_cache.*``
+    keys appear only when the controller has a cache.
     """
     counts = {
         ("admission.decisions", "accept"): controller.accept_count,
         ("admission.decisions", "reject"): controller.reject_count,
-        ("admission.batches",): controller.batch_count,
-        ("admission.batch_template_hits",): controller.batch_template_hits,
     }
-    by_reason = controller.rejections_by_reason
-    for reason in RejectionReason:
-        counts["admission.rejections", reason.value] = by_reason.get(
-            reason, 0
+    by_reason = getattr(controller, "rejections_by_reason", None)
+    if by_reason is not None:
+        counts[("admission.batches",)] = controller.batch_count
+        counts[("admission.batch_template_hits",)] = (
+            controller.batch_template_hits
         )
+        for reason in RejectionReason:
+            counts["admission.rejections", reason.value] = by_reason.get(
+                reason, 0
+            )
     if controller.cache is not None:
         for key, value in controller.cache.stats.as_dict().items():
             counts[(_CACHE_STAT_PREFIX + key,)] = value
@@ -271,13 +280,15 @@ class Telemetry:
     def track_admission(self, controller) -> None:
         """Publish an admission controller's counts and cache stats.
 
-        The controller keeps its verdict counts, rejections by reason,
-        ``admit_many`` bursts and template hits as plain ints, and its
-        cache keeps :class:`~repro.core.feasibility_cache.CacheStats`.
-        A snapshot-time collector sums them over every tracked
-        controller into the ``admission.*`` counters and the
+        The controller keeps its verdict counts (a single-switch one
+        also its rejections by reason, ``admit_many`` bursts and
+        template hits) as plain ints, and its cache keeps
+        :class:`~repro.core.feasibility_cache.CacheStats`. A
+        snapshot-time collector sums them over every tracked controller
+        into the ``admission.*`` counters and the
         ``feasibility_cache.*`` gauges, so a sweep's snapshot reports
-        its total traffic. Hand a finished controller to
+        its total traffic; a counter family appears once some tracked
+        controller keeps it. Hand a finished controller to
         :meth:`retire_admission`, or a long sweep retains one dead
         controller per (trial, scheme) and every snapshot re-reads all
         of them.
@@ -287,10 +298,7 @@ class Telemetry:
             return
         self._admission_collector_installed = True
         registry = self.registry
-        publish = {
-            name: _counter_totals(registry.counter(name, help_text, labels))
-            for name, (help_text, labels) in _ADMISSION_COUNTERS.items()
-        }
+        publish = {}  # counter name -> its _counter_totals publisher
 
         def collect() -> None:
             totals = dict(self._admission_totals)
@@ -298,7 +306,12 @@ class Telemetry:
                 for key, value in _admission_counts(tracked).items():
                     totals[key] = totals.get(key, 0) + value
             for (name, *labels), value in totals.items():
-                if name in publish:
+                if name in _ADMISSION_COUNTERS:
+                    if name not in publish:
+                        help_text, label_names = _ADMISSION_COUNTERS[name]
+                        publish[name] = _counter_totals(
+                            registry.counter(name, help_text, label_names)
+                        )
                     publish[name](value, *labels)
                 else:
                     registry.gauge(
@@ -532,12 +545,16 @@ class Telemetry:
         """Wire a built multi-switch :class:`FabricNetwork` in.
 
         Mirrors :meth:`instrument_star` for the extension data plane:
-        kernel counters, the per-frame delay histogram + paper-bound
-        monitor hook, and per-switch forwarding gauges. Netcalc bounds
-        are per-topology; callers with a fabric bound provider can set
+        kernel counters, the fabric's admission verdicts and
+        feasibility-cache stats (through :meth:`track_admission`), the
+        per-frame delay histogram + paper-bound monitor hook, and
+        per-switch forwarding gauges. There are no ``signal.*`` counts:
+        fabric leaves have no signalling path. Netcalc bounds are
+        per-topology; callers with a fabric bound provider can set
         ``monitor.bound_provider`` themselves.
         """
         self.attach_simulator(net.sim)
+        self.track_admission(net.admission)
         registry = self.registry
         net.metrics.delay_observer = self._delay_observer(
             net.sim,

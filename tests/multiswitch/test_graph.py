@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
 import itertools
+import pickle
 import zlib
 from collections import deque
 
@@ -358,7 +360,8 @@ def _switch_ring(n_switches: int) -> FabricGraph:
 
 
 class TestRouteMemo:
-    """One BFS predecessor DAG per source serves every destination."""
+    """One BFS predecessor DAG per attachment switch, and one sorted
+    equal-cost enumeration per switch pair, serve every end-node pair."""
 
     @pytest.mark.parametrize(
         "build",
@@ -395,11 +398,83 @@ class TestRouteMemo:
         ]
         assert graph.hop_count("n0_0", "n3_0") == 3
 
-    def test_network_build_runs_one_bfs_per_source(self):
+    def test_network_build_runs_one_bfs_per_attachment_switch(self):
         net = build_fabric_network(build_fat_tree(4, hosts_per_edge=13))
         graph = net.fabric
-        # at most one memoised DAG per end node
-        assert set(graph._dags) <= graph.nodes  # noqa: SLF001
-        # the worst-hop scan asked hop_count for all 5 356 host pairs
-        # without enumerating or caching a single path
+        edges = {graph.attachment(node) for node in graph.nodes}
+        assert len(edges) == 8
+        # the worst-hop scan reads switch distances only: at most one
+        # DAG per edge switch, and not a single path enumerated or cached
+        assert set(graph._dags) <= edges  # noqa: SLF001
+        assert graph._routes == {}  # noqa: SLF001
         assert graph._path_cache == {}  # noqa: SLF001
+        for source, destination in itertools.permutations(
+            graph.node_order, 2
+        ):
+            graph.path_links(source, destination)
+        assert len(graph._path_cache) == 104 * 103  # noqa: SLF001
+        # 10 712 host pairs routed over at most 8 x 8 switch pairs
+        assert len(graph._dags) <= 8  # noqa: SLF001
+        assert len(graph._routes) <= 64  # noqa: SLF001
+        assert set(graph._routes) <= set(  # noqa: SLF001
+            itertools.product(edges, edges)
+        )
+
+
+class TestEqualCostCap:
+    """``MAX_EQUAL_COST_PATHS`` bounds the fan of one switch pair."""
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        graph_module = importlib.import_module("repro.multiswitch.graph")
+        monkeypatch.setattr(graph_module, "MAX_EQUAL_COST_PATHS", 3)
+        return build_fat_tree(4)
+
+    def test_inter_pod_fan_over_the_cap_names_the_end_nodes(self, capped):
+        with pytest.raises(RoutingError) as raised:
+            capped.path_links("h0_0_0", "h3_1_1")
+        message = str(raised.value)
+        assert "more than 3 equal-cost paths" in message
+        assert "'h0_0_0'" in message and "'h3_1_1'" in message
+        # another host pair over the same edge-switch pair raises again:
+        # the failed enumeration memoised nothing
+        with pytest.raises(RoutingError) as again:
+            capped.equal_cost_paths("h0_0_1", "h3_1_0")
+        assert "'h0_0_1'" in str(again.value)
+        assert "'h3_1_0'" in str(again.value)
+        assert ("edge0_0", "edge3_1") not in capped._routes  # noqa: SLF001
+        assert capped._path_cache == {}  # noqa: SLF001
+
+    def test_intra_pod_fan_under_the_cap_still_routes(self, capped):
+        assert len(capped.equal_cost_paths("h0_0_0", "h0_1_0")) == 2
+        assert len(capped.path_links("h0_0_0", "h0_1_0")) == 4
+
+
+class TestFabricLinkHash:
+    def test_hash_is_the_field_tuples(self):
+        link = FabricLink("edge0_0", "agg0_1")
+        assert hash(link) == hash(("edge0_0", "agg0_1"))
+        assert hash(link.reverse) == hash(("agg0_1", "edge0_0"))
+
+    def test_equality_and_order_ignore_the_cached_hash(self):
+        a = FabricLink("a", "b")
+        b = FabricLink("a", "b")
+        assert a == b and not a < b and a <= b
+        object.__setattr__(b, "_hash", a._hash + 1)  # noqa: SLF001
+        assert a == b and not a < b and not b < a
+        assert FabricLink("a", "b") < FabricLink("a", "c")
+        assert sorted([FabricLink("b", "a"), FabricLink("a", "z")]) == [
+            FabricLink("a", "z"), FabricLink("b", "a"),
+        ]
+        assert "_hash" not in repr(a)
+
+    def test_pickling_recomputes_the_hash(self):
+        link = FabricLink("edge0_0", "agg0_1")
+        # a hash written by another process (str hashes are salted per
+        # process) must not survive a pickle round trip
+        object.__setattr__(link, "_hash", 12345)  # noqa: SLF001
+        loaded = pickle.loads(pickle.dumps(link))
+        assert loaded == link
+        assert hash(loaded) == hash(("edge0_0", "agg0_1"))
+        assert {FabricLink("edge0_0", "agg0_1"): 1}[loaded] == 1
+        assert copy.deepcopy(loaded) == loaded

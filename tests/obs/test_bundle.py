@@ -263,6 +263,71 @@ class TestSignalCounters:
         assert _value(snap, "admission.decisions", verdict="accept") == 4
 
 
+class TestFabricAdmissionCollector:
+    def _fabric(self, telemetry):
+        from repro.multiswitch import (
+            MultiHopProportional,
+            build_chain_graph,
+            build_fabric_network,
+        )
+
+        net = build_fabric_network(
+            build_chain_graph(3, 2), MultiHopProportional(),
+            telemetry=telemetry,
+        )
+        spec = ChannelSpec(period=100, capacity=3, deadline=40)
+        assert net.establish("n0_0", "n2_1", spec) is not None
+        assert net.establish("n2_0", "n0_1", spec) is not None
+        return net
+
+    def test_publishes_the_fabric_admission_counts(self):
+        telemetry = Telemetry(TelemetryConfig(probe_cadence_ns=None))
+        net = self._fabric(telemetry)
+        # an over-long request is rejected by the partition
+        assert net.establish(
+            "n0_0", "n2_0", ChannelSpec(period=100, capacity=30, deadline=40)
+        ) is None
+        admission = net.admission
+        assert (admission.accept_count, admission.reject_count) == (2, 1)
+        stats = admission.cache.stats
+        assert (stats.checks, stats.installs) == (8, 8)
+        telemetry.snapshot()
+        snap = telemetry.snapshot()  # a second snapshot adds nothing
+        assert _value(snap, "admission.decisions", verdict="accept") == 2
+        assert _value(snap, "admission.decisions", verdict="reject") == 1
+        assert snap["admission.decisions"]["type"] == "counter"
+        for key, value in stats.as_dict().items():
+            assert _value(snap, "feasibility_cache." + key) == value
+        assert _value(snap, "feasibility_cache.checks") == 8
+        assert _value(snap, "feasibility_cache.installs") == 8
+        # what the fabric engine does not keep is not published, and
+        # fabric leaves have no signalling path
+        assert not any(
+            name.startswith("signal.") for name in snap
+        )
+        for name in (
+            "admission.rejections", "admission.batches",
+            "admission.batch_template_hits",
+        ):
+            assert name not in snap
+        assert validate(snap, METRICS_SCHEMA) == []
+
+    def test_a_star_and_a_fabric_in_one_bundle_add_up(self):
+        telemetry = Telemetry(TelemetryConfig(probe_cadence_ns=None))
+        star = _late_handshakes(telemetry)
+        net = self._fabric(telemetry)
+        snap = telemetry.snapshot()
+        controller = star.admission
+        assert _value(snap, "admission.decisions", verdict="accept") == (
+            controller.accept_count + net.admission.accept_count
+        )
+        assert _value(snap, "feasibility_cache.installs") == (
+            controller.cache.stats.installs
+            + net.admission.cache.stats.installs
+        )
+        assert _value(snap, "admission.batches") == controller.batch_count
+
+
 class TestSoakCollector:
     def test_publishes_the_soak_result(self):
         telemetry = Telemetry(TelemetryConfig(probe_cadence_ns=None))
