@@ -13,14 +13,16 @@ test needs in incremental form:
   deadlines (allocation-free scalar overlay checks and base rebuilds),
 * the exact utilization as a running :class:`fractions.Fraction`,
 * the cached busy period, reused as a **warm start** for the candidate
-  overlay's fixpoint iteration,
+  overlay's fixpoint iteration -- which mostly does not run: when the
+  combined capacity sum fits inside every period it *is* the busy
+  period, in closed form,
 * the cached, sorted control-point and demand arrays of the *installed*
   set, so an overlay only evaluates what the candidate can change, and
 * a verdict memo keyed by the candidate's ``(P, C, d)``, invalidated on
   every install/release, which makes the saturated tail of an
   acceptance sweep (hundreds of identical rejected requests) O(1).
 
-The overlay exploits two facts proved in THEORY.md §7:
+The overlay exploits three facts proved in THEORY.md §7:
 
 1. If the installed set is feasible then ``h(t) <= t`` holds for *all*
    ``t`` (not only within the checked busy period), so a candidate with
@@ -28,7 +30,13 @@ The overlay exploits two facts proved in THEORY.md §7:
    points ``t >= d`` -- everything below ``d`` is skipped.
 2. The busy period is monotone in the task set, so the installed set's
    busy period is a valid warm start (lower bound) for the overlay's
-   fixpoint iteration.
+   fixpoint iteration; and when ``sum C`` (candidate included) is at
+   most every period, ``sum C`` is the least fixpoint outright.
+3. The installed set's ``h`` is a step function rising only at its
+   control points, and the cached arrays hold every one of them up to
+   the base horizon, so a new point's base demand is the cached demand
+   before it (inside the horizon) or a running sum over the growth jobs
+   (past it) -- never a scan over the tasks.
 
 A deliberate engineering note: the cache runs in *scalar* Python over
 the cached sorted lists, with no NumPy. The admission workloads this
@@ -201,25 +209,29 @@ class CacheStats:
 
 
 def _busy_period_capped(
-    periods: Sequence[int], capacities: Sequence[int], start: int, cap: int
+    periods: Sequence[int], capacities: Sequence[int], cap: int
 ) -> int:
-    """Ascend ``W(L) = sum ceil(L/P_i) C_i`` from a warm start.
+    """Ascend ``W(L) = sum ceil(L/P_i) C_i`` from ``L = sum C_i``.
 
-    ``start`` must not exceed the least fixpoint (the busy period of any
-    subset of the task set qualifies -- THEORY.md §7 -- as does 0); the
-    iteration then ascends monotonically to it. Returns the least
-    fixpoint, or the first iterate ``>= cap``: callers only ever use
-    ``min(busy, cap)`` with ``cap`` the hyperperiod, for which both are
-    interchangeable (an early-exit iterate is still a lower bound on the
-    true fixpoint, so it stays a valid warm start later).
+    Returns the least fixpoint (the busy period), or the first iterate
+    ``>= cap``: callers only ever use ``min(busy, cap)`` with ``cap``
+    the hyperperiod, for which both are interchangeable (an early-exit
+    iterate is still a lower bound on the true fixpoint, so it stays a
+    valid warm start later).
 
-    Callers guarantee ``U <= 1``, so the capped iteration terminates.
-    Plain-integer arithmetic: exact at any magnitude.
+    When ``sum C_i`` fits inside the shortest period every ceiling is 1,
+    so ``W(sum C_i) = sum C_i``; nothing lies below it (``W(L) >=
+    sum C_i`` for every ``L > 0``), so it is the least fixpoint with no
+    iteration (THEORY.md §7 item 2). Callers guarantee ``U <= 1``, so
+    the capped iteration terminates. Plain-integer arithmetic: exact at
+    any magnitude.
     """
     total = sum(capacities)
     if total == 0:
         return 0
-    length = max(int(start), total)
+    if total <= min(periods):
+        return total
+    length = total
     for _ in range(max_busy_period_iterations):
         if length >= cap:
             return length
@@ -245,9 +257,9 @@ class _Overlay(NamedTuple):
     result came from a shortcut (utilization, Liu & Layland, density) or
     a reference-test fallback; a feasible shortcut overlay with
     ``busy > 0`` still lets an install adopt the busy period even though
-    there are no arrays to graft. (A NamedTuple, not a dataclass: one is
-    constructed per fresh check and tuple construction is measurably
-    cheaper on the admission hot path.)
+    there are no arrays to graft. (A NamedTuple, not a dataclass, and
+    built positionally: one is constructed per fresh check, and keyword
+    construction costs about 0.6 us more per record.)
     """
 
     report: FeasibilityReport
@@ -382,7 +394,7 @@ class LinkCacheEntry:
             return False
         if self.busy is None:
             self.busy = _busy_period_capped(
-                self.plist, self.clist, 0, self.hyper
+                self.plist, self.clist, self.hyper
             )
             self.horizon = min(self.busy, self.hyper)
         if self.points is None:
@@ -425,14 +437,6 @@ class LinkCacheEntry:
 
     # -- the overlay check -----------------------------------------------
 
-    def _base_demand_at(self, t: int) -> int:
-        """Scalar ``h(t)`` of the installed set (no candidate)."""
-        total = 0
-        for p, c, d in zip(self.plist, self.clist, self.dlist):
-            if t >= d:
-                total += (1 + (t - d) // p) * c
-        return total
-
     def _shortcut_overlay(
         self, util: Fraction, cand_p: int, cand_c: int, cand_d: int
     ) -> _Overlay | None:
@@ -446,13 +450,11 @@ class LinkCacheEntry:
         # measurable here): num/den > 1  <=>  num > den.
         if util.numerator > util.denominator:
             return _Overlay(
-                report=_shortcut_report(False, util, 0, False),
-                busy=0, hyper=0, cut=0, points=None, demands=None,
+                _shortcut_report(False, util, 0, False), 0, 0, 0, None, None
             )
         if self.all_implicit and cand_d == cand_p:
             return _Overlay(
-                report=_shortcut_report(True, util, 0, True),
-                busy=0, hyper=0, cut=0, points=None, demands=None,
+                _shortcut_report(True, util, 0, True), 0, 0, 0, None, None
             )
         # Density sufficient test: sum C/min(d, P) <= 1 proves EDF
         # feasibility outright (THEORY.md §7), turning the accept path
@@ -465,32 +467,38 @@ class LinkCacheEntry:
         if fdens <= _DENSITY_MARGIN:
             busy2, hyper2 = self._combined_busy(cand_p, cand_c)
             return _Overlay(
-                report=_shortcut_report(
+                _shortcut_report(
                     True, util, busy2 if busy2 < hyper2 else hyper2, False
                 ),
-                busy=busy2, hyper=hyper2, cut=0, points=None, demands=None,
+                busy2, hyper2, 0, None, None,
             )
         return None
 
     def _fallback_overlay(self, candidate: LinkTask) -> _Overlay:
         """Reference-test overlay (base unknown-feasible or too big)."""
         return _Overlay(
-            report=is_feasible(list(self.tasks) + [candidate]),
-            busy=0, hyper=0, cut=0, points=None, demands=None,
+            is_feasible(list(self.tasks) + [candidate]), 0, 0, 0, None, None
         )
 
     def _combined_busy(self, cand_p: int, cand_c: int) -> tuple[int, int]:
         """Busy period and hyperperiod of ``tasks + [candidate]``.
 
-        Warm-started fixpoint with the candidate folded in
-        (allocation-free; see :func:`_busy_period_capped` for the
-        theory). ``W_new(busy) >= busy + C_cand``, so the cached base
-        busy period (when materialized) is a valid warm start.
+        When the combined capacity sum ``S`` fits inside every period,
+        ``S`` is the least fixpoint outright (see
+        :func:`_busy_period_capped`); this is the common case, and the
+        warm start below would stop at ``S`` on its first pass anyway.
+        Otherwise: warm-started fixpoint with the candidate folded in
+        (allocation-free). ``W_new(busy) >= busy + C_cand``, so the
+        cached base busy period (when materialized) is a valid warm
+        start.
         """
         hyper = self.hyper
         hyper2 = hyper if hyper % cand_p == 0 else math.lcm(hyper, cand_p)
+        total = self.cap_sum + cand_c
+        if total <= cand_p and (total <= self.min_p or not self.plist):
+            return total, hyper2
         start = self.busy if self.busy is not None else 0
-        length = max(start + cand_c, self.cap_sum + cand_c)
+        length = max(start + cand_c, total)
         plist = self.plist
         clist = self.clist
         for _ in range(max_busy_period_iterations):
@@ -511,21 +519,24 @@ class LinkCacheEntry:
 
     def _new_points(
         self, cand_p: int, cand_d: int, horizon2: int
-    ) -> tuple[int, list[int]] | None:
-        """Control points of the combined set not in the cached base.
+    ) -> tuple[int, list[int], list[int]] | None:
+        """Control points of the combined set not in the cached base,
+        with the base set's demand at each.
 
-        Returns ``(lo_idx, new_pts)`` where ``lo_idx`` is the base-array
-        index of the first point ``>= cand_d`` and ``new_pts`` is the
-        sorted, deduplicated list of (b) base tasks' horizon-growth
-        points in ``(base_h, horizon2]`` and (c) the candidate's own
-        points ``d + m P`` not coinciding with a cached base point.
-        ``None`` when the size guard overflows ``MAX_CACHED_POINTS``
-        (caller falls back to the reference test). Requires a
-        materialized feasible base (``_ensure_base() == True``) and
-        ``cand_d <= horizon2``.
+        Returns ``(lo_idx, new_pts, new_dems)`` where ``lo_idx`` is the
+        base-array index of the first point ``>= cand_d``, ``new_pts``
+        is the sorted, deduplicated list of (b) base tasks'
+        horizon-growth points in ``(base_h, horizon2]`` and (c) the
+        candidate's own points ``d + m P`` not coinciding with a cached
+        base point, and ``new_dems[k]`` is the installed set's ``h`` at
+        ``new_pts[k]`` (no candidate). ``None`` when the size guard
+        overflows ``MAX_CACHED_POINTS`` (caller falls back to the
+        reference test). Requires a materialized feasible base
+        (``_ensure_base() == True``) and ``cand_d <= horizon2``.
         """
         base_h = self.horizon
         pts = self.points
+        dems = self.demands
         plist = self.plist
         lo_idx = bisect_left(pts, cand_d)
 
@@ -553,33 +564,48 @@ class LinkCacheEntry:
             if estimated > MAX_CACHED_POINTS:
                 return None
 
+        # The base h(t) is a step function that rises only at its
+        # control points, and the cached arrays hold every one of them
+        # up to base_h (THEORY.md §7 item 7). So a new point inside the
+        # horizon takes the demand of the last cached point before it,
+        # and one past the horizon takes h(base_h) plus the capacity of
+        # every growth job due by then: no per-point task scan.
         new_pts: list[int] = []
+        new_dems: list[int] = []
+        growth: dict[int, int] = {}  # growth point -> capacity due there
         next_pt = self.next_pt
         if (
             horizon2 > base_h
             and next_pt is not None
             and next_pt <= horizon2
         ):
-            for p, d in zip(plist, self.dlist):
+            get = growth.get
+            for p, c, d in zip(plist, self.clist, self.dlist):
                 if d > horizon2:
                     continue
                 t = d if d > base_h else d + ((base_h - d) // p + 1) * p
                 while t <= horizon2:
-                    new_pts.append(t)
+                    growth[t] = get(t, 0) + c
                     t += p
         n_pts = len(pts)
         t = cand_d
-        while t <= horizon2:
-            if t > base_h:
+        while t <= base_h:
+            i = bisect_left(pts, t, lo_idx)
+            if i >= n_pts or pts[i] != t:
                 new_pts.append(t)
-            else:
-                i = bisect_left(pts, t, lo_idx)
-                if i >= n_pts or pts[i] != t:
-                    new_pts.append(t)
+                new_dems.append(dems[i - 1] if i else 0)
             t += cand_p
-        if new_pts:
-            new_pts = sorted(set(new_pts))
-        return lo_idx, new_pts
+        while t <= horizon2:
+            if t not in growth:
+                growth[t] = 0
+            t += cand_p
+        if growth:
+            running = dems[-1] if dems else 0
+            for t in sorted(growth):
+                running += growth[t]
+                new_pts.append(t)
+                new_dems.append(running)
+        return lo_idx, new_pts, new_dems
 
     def _merge_overlay(
         self,
@@ -653,12 +679,8 @@ class LinkCacheEntry:
                 violation=violation,
             )
         return _Overlay(
-            report=report,
-            busy=busy2,
-            hyper=hyper2,
-            cut=min(cand_d, self.horizon + 1),
-            points=merged_pts,
-            demands=merged_dems,
+            report, busy2, hyper2, min(cand_d, self.horizon + 1),
+            merged_pts, merged_dems,
         )
 
     def overlay_check(self, candidate: LinkTask) -> _Overlay:
@@ -688,14 +710,13 @@ class LinkCacheEntry:
             # h(t) <= t at *all* t (THEORY.md §7 fact 1) -- including
             # horizon-growth points -- so no violation is possible.
             return _Overlay(
-                report=_shortcut_report(True, util, horizon2, False),
-                busy=busy2, hyper=hyper2, cut=0, points=None, demands=None,
+                _shortcut_report(True, util, horizon2, False),
+                busy2, hyper2, 0, None, None,
             )
         sized = self._new_points(cand_p, cand_d, horizon2)
         if sized is None:
             return self._fallback_overlay(candidate)
-        lo_idx, new_pts = sized
-        new_dems = [self._base_demand_at(t) for t in new_pts]
+        lo_idx, new_pts, new_dems = sized
         return self._merge_overlay(
             util, cand_p, cand_c, cand_d, busy2, hyper2,
             lo_idx, new_pts, new_dems,

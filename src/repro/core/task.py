@@ -78,6 +78,13 @@ class LinkRef:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through the intern table: a str hash is per process,
+        # so a pickled ``_hash`` would be stale wherever it is loaded.
+        if self.direction is LinkDirection.UPLINK:
+            return LinkRef.uplink, (self.node,)
+        return LinkRef.downlink, (self.node,)
+
     @staticmethod
     def uplink(node: str) -> "LinkRef":
         """The node→switch direction of ``node``'s link.

@@ -425,20 +425,6 @@ class Telemetry:
             "switch.frames_forwarded",
         ).labels()
         switch_dropped = registry.gauge("switch.frames_dropped").labels()
-        port_gauges = {
-            name: registry.gauge("port." + name, labels=("port",))
-            for name in (
-                "rt_enqueued", "rt_transmitted", "be_enqueued",
-                "be_transmitted", "be_dropped", "rt_link_deadline_misses",
-                "rt_backlog_max", "be_backlog_max", "rt_queue_max_depth",
-            )
-        }
-        link_gauges = {
-            name: registry.gauge("link." + name, labels=("link",))
-            for name in ("frames_carried", "bytes_carried", "busy_ns",
-                         "frames_lost")
-        }
-        link_util = registry.gauge("link.utilization", labels=("link",))
 
         stale = _counter_totals(registry.counter(
             "signal.stale_frames",
@@ -461,12 +447,6 @@ class Telemetry:
         ))
         manager = net.switch.manager
 
-        def ports():
-            for node in net.nodes.values():
-                if node.uplink is not None:
-                    yield node.uplink
-            yield from net.switch.ports.values()
-
         def collect() -> None:
             stale(manager.stale_frames, "switch")
             stale(
@@ -479,7 +459,40 @@ class Telemetry:
                 retries(node.signal_retries, name)
             switch_forwarded.set(net.switch.frames_forwarded)
             switch_dropped.set(net.switch.frames_dropped)
-            for port in ports():
+
+        registry.add_collector(collect)
+        self._instrument_ports(net, list(net.switch.ports.values()))
+
+    def _instrument_ports(self, net, downlinks: list) -> None:
+        """Port and link gauges and the sim-time probes of a data plane.
+
+        ``downlinks`` are the switches' output ports (on a fabric, trunk
+        ports included); the end nodes' uplinks come first. Each port
+        feeds its own half-link.
+        """
+        registry = self.registry
+        uplinks = [
+            node.uplink for node in net.nodes.values()
+            if node.uplink is not None
+        ]
+        ports = uplinks + downlinks
+        port_gauges = {
+            name: registry.gauge("port." + name, labels=("port",))
+            for name in (
+                "rt_enqueued", "rt_transmitted", "be_enqueued",
+                "be_transmitted", "be_dropped", "rt_link_deadline_misses",
+                "rt_backlog_max", "be_backlog_max", "rt_queue_max_depth",
+            )
+        }
+        link_gauges = {
+            name: registry.gauge("link." + name, labels=("link",))
+            for name in ("frames_carried", "bytes_carried", "busy_ns",
+                         "frames_lost")
+        }
+        link_util = registry.gauge("link.utilization", labels=("link",))
+
+        def collect() -> None:
+            for port in ports:
                 stats = port.stats
                 name = port.name
                 for field in (
@@ -507,14 +520,7 @@ class Telemetry:
         cadence = self.config.probe_cadence_ns
         if cadence is not None:
             probes = ProbeSet(net.sim, registry, cadence_ns=cadence)
-            uplinks = [
-                node.uplink for node in net.nodes.values()
-                if node.uplink is not None
-            ]
-            downlinks = list(net.switch.ports.values())
-            all_links = [p.link for p in uplinks] + [
-                p.link for p in downlinks
-            ]
+            all_links = [p.link for p in ports]
             probes.add(
                 "uplink_rt_backlog_frames",
                 lambda: sum(p.rt_backlog for p in uplinks),
@@ -547,9 +553,11 @@ class Telemetry:
         Mirrors :meth:`instrument_star` for the extension data plane:
         kernel counters, the fabric's admission verdicts and
         feasibility-cache stats (through :meth:`track_admission`), the
-        per-frame delay histogram + paper-bound monitor hook, and
-        per-switch forwarding gauges. There are no ``signal.*`` counts:
-        fabric leaves have no signalling path. Netcalc bounds are
+        per-frame delay histogram + paper-bound monitor hook,
+        per-switch forwarding gauges, and the star's port and link
+        gauges and probes over the node uplinks and every switch port
+        (trunks included). There are no ``signal.*`` counts: fabric
+        leaves have no signalling path. Netcalc bounds are
         per-topology; callers with a fabric bound provider can set
         ``monitor.bound_provider`` themselves.
         """
@@ -575,6 +583,11 @@ class Telemetry:
                 dropped.labels(name).set(switch.frames_dropped)
 
         registry.add_collector(collect)
+        self._instrument_ports(net, [
+            port
+            for switch in net.switches.values()
+            for port in switch.ports.values()
+        ])
 
     def track_soak(self, result) -> None:
         """Publish an EXP-X4 soak result at snapshot time.

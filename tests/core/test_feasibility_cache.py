@@ -12,6 +12,7 @@ individually so a regression names the mechanism that broke.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from repro.core.feasibility_cache import (
     FeasibilityCache,
     LinkCacheEntry,
     MAX_CACHED_POINTS,
+    _busy_period_capped,
 )
 from repro.core.task import LinkRef, LinkTask
 from repro.errors import UnknownChannelError
@@ -52,41 +54,69 @@ def reference(installed, candidate):
 
 class TestVerdictParity:
     def test_randomized_histories_match_reference(self):
-        """check/install/release in random order: verdicts always agree."""
+        """check/install/release in random order: verdicts always agree,
+        and a check that misses both memos reports the reference's
+        horizon and violation too (a memoized infeasible report keeps
+        describing the smaller set it was derived on, THEORY.md §7
+        item 6)."""
         rng = random.Random(18_5)
-        for _ in range(3):
-            cache = FeasibilityCache()
-            mirror: list[LinkTask] = []
-            next_id = 0
-            for _ in range(120):
-                period = rng.choice((10, 20, 25, 40, 50, 100))
-                capacity = rng.randint(1, max(1, period // 4))
-                deadline = rng.randint(capacity, 2 * period)
-                candidate = task(period, capacity, deadline, next_id)
-                report = cache.check(candidate)
-                expected = reference(mirror, candidate)
-                assert report.feasible == expected.feasible, (
-                    f"verdict diverged for {candidate} over {mirror}"
+        # (periods, max capacity, max deadline): the first menu runs
+        # every path. In the second every deadline is at most 40, so a
+        # feasible set holds at most 40 slots (h(40) <= 40), and every
+        # period exceeds that plus a candidate's capacity: each busy
+        # period is the closed-form capacity sum.
+        menus = [
+            ((10, 20, 25, 40, 50, 100), lambda p: max(1, p // 4),
+             lambda p: 2 * p),
+            ((200, 250, 400, 500), lambda p: 4, lambda p: 40),
+        ]
+        fresh = [0, 0]
+        for menu, (periods, max_capacity, max_deadline) in enumerate(menus):
+            for _ in range(3):
+                cache = FeasibilityCache()
+                mirror: list[LinkTask] = []
+                next_id = 0
+                for _ in range(120):
+                    period = rng.choice(periods)
+                    capacity = rng.randint(1, max_capacity(period))
+                    deadline = rng.randint(capacity, max_deadline(period))
+                    candidate = task(period, capacity, deadline, next_id)
+                    hits = cache.stats.memo_hits
+                    report = cache.check(candidate)
+                    expected = reference(mirror, candidate)
+                    assert report.feasible == expected.feasible, (
+                        f"verdict diverged for {candidate} over {mirror}"
+                    )
+                    assert report.link_utilization == (
+                        expected.link_utilization
+                    )
+                    if cache.stats.memo_hits == hits:
+                        fresh[menu] += 1
+                        assert report.horizon == expected.horizon
+                        assert report.violation == expected.violation
+                        if menu == 1:
+                            assert sum(
+                                t.capacity for t in mirror
+                            ) + capacity <= min(periods)
+                    roll = rng.random()
+                    if roll < 0.45 and report.feasible:
+                        cache.install(candidate)
+                        mirror.append(candidate)
+                        next_id += 1
+                    elif roll < 0.60 and mirror:
+                        victim = rng.choice(mirror)
+                        cache.release(LINK, victim.channel_id)
+                        mirror.remove(victim)
+                stats = cache.stats
+                assert stats.checks == 120
+                assert (
+                    stats.memo_hits
+                    + stats.incremental_checks
+                    + stats.shortcut_accepts
+                    + stats.full_fallbacks
+                    == stats.checks
                 )
-                assert report.link_utilization == expected.link_utilization
-                roll = rng.random()
-                if roll < 0.45 and report.feasible:
-                    cache.install(candidate)
-                    mirror.append(candidate)
-                    next_id += 1
-                elif roll < 0.60 and mirror:
-                    victim = rng.choice(mirror)
-                    cache.release(LINK, victim.channel_id)
-                    mirror.remove(victim)
-            stats = cache.stats
-            assert stats.checks == 120
-            assert (
-                stats.memo_hits
-                + stats.incremental_checks
-                + stats.shortcut_accepts
-                + stats.full_fallbacks
-                == stats.checks
-            )
+        assert min(fresh) > 100
 
     def test_incremental_report_fields_match_reference(self):
         """A fresh (non-shortcut) overlay matches the reference report
@@ -117,6 +147,189 @@ class TestVerdictParity:
         assert not want.feasible
         assert not got.feasible
         assert got.violation == want.violation
+
+
+def busy_reference(periods, capacities):
+    """Least L > 0 with W(L) = L: W iterated from L_0 = W(0+) = sum C."""
+    length = sum(capacities)
+    while True:
+        nxt = sum(-(-length // p) * c for p, c in zip(periods, capacities))
+        if nxt == length:
+            return length
+        length = nxt
+
+
+def demand_reference(tasks, t):
+    """h(t) of ``tasks``: every job due by t, counted task by task."""
+    return sum(
+        (1 + (t - x.deadline) // x.period) * x.capacity
+        for x in tasks
+        if t >= x.deadline
+    )
+
+
+def random_task_set(rng, n, periods, max_capacity):
+    """``n`` tasks with utilization at most 1 (drawn until it is)."""
+    while True:
+        tasks = []
+        for cid in range(n):
+            period = rng.choice(periods)
+            capacity = rng.randint(1, min(period, max_capacity))
+            tasks.append(task(
+                period, capacity, rng.randint(capacity, 2 * period), cid
+            ))
+        if sum(Fraction(x.capacity, x.period) for x in tasks) <= 1:
+            return tasks
+
+
+class TestClosedForms:
+    """The closed-form busy periods and the one-pass new-point demands
+    against plain loops written here (THEORY.md §7 items 2 and 7)."""
+
+    PERIODS = (6, 10, 12, 15, 20, 25, 40, 60, 100)
+
+    def test_base_busy_period_matches_a_plain_iteration(self):
+        rng = random.Random(24)
+        inside = outside = 0
+        for _ in range(600):
+            tasks = random_task_set(
+                rng, rng.randint(1, 7), self.PERIODS, rng.choice((2, 8, 30))
+            )
+            periods = [x.period for x in tasks]
+            capacities = [x.capacity for x in tasks]
+            want = busy_reference(periods, capacities)
+            hyper = math.lcm(*periods)
+            # uncapped, the result is the least fixpoint itself
+            assert _busy_period_capped(periods, capacities, 10**18) == want
+            got = _busy_period_capped(periods, capacities, hyper)
+            if sum(capacities) <= min(periods):
+                inside += 1
+                assert got == want == sum(capacities)
+            else:
+                outside += 1
+                # an early exit at the cap is still a lower bound
+                assert min(got, hyper) == min(want, hyper)
+                assert got <= want
+        assert inside > 100 and outside > 100
+        assert _busy_period_capped([], [], 1) == 0
+
+    def test_combined_busy_period_matches_a_plain_iteration(self):
+        rng = random.Random(25)
+        inside = outside = 0
+        for _ in range(600):
+            tasks = random_task_set(
+                rng, rng.randint(0, 6), self.PERIODS, rng.choice((2, 8, 30))
+            )
+            entry = LinkCacheEntry(LINK, tasks)
+            if rng.random() < 0.5:
+                entry._ensure_base()  # warm start from the cached busy
+            period = rng.choice(self.PERIODS)
+            capacity = rng.randint(1, min(period, rng.choice((2, 8, 30))))
+            combined = tasks + [task(period, capacity, period)]
+            if sum(Fraction(x.capacity, x.period) for x in combined) > 1:
+                continue
+            periods = [x.period for x in combined]
+            capacities = [x.capacity for x in combined]
+            want = busy_reference(periods, capacities)
+            got, hyper2 = entry._combined_busy(period, capacity)
+            assert hyper2 == math.lcm(*periods)
+            if sum(capacities) <= min(periods):
+                inside += 1
+                assert got == want == sum(capacities)
+            else:
+                outside += 1
+                assert min(got, hyper2) == min(want, hyper2)
+                assert got <= want
+        assert inside > 100 and outside > 100
+
+    def test_cached_busy_never_exceeds_the_least_fixpoint(self):
+        """Installs adopt overlay busy periods; each stays a lower bound
+        on the installed set's busy period, which is what lets the
+        closed form stand in for the warm-started iteration."""
+        rng = random.Random(26)
+        for _ in range(6):
+            cache = FeasibilityCache()
+            mirror: list[LinkTask] = []
+            for cid in range(80):
+                period = rng.choice(self.PERIODS)
+                capacity = rng.randint(1, max(1, period // 5))
+                candidate = task(
+                    period, capacity, rng.randint(capacity, 2 * period), cid
+                )
+                if cache.check(candidate).feasible:
+                    cache.install(candidate)
+                    mirror.append(candidate)
+                elif mirror and rng.random() < 0.3:
+                    victim = rng.choice(mirror)
+                    cache.release(LINK, victim.channel_id)
+                    mirror.remove(victim)
+                entry = cache.entry(LINK)
+                if entry.busy is not None and mirror:
+                    assert entry.busy <= busy_reference(
+                        entry.plist, entry.clist
+                    )
+
+    def test_new_point_demands_match_the_task_scan(self):
+        """Every demand ``_new_points`` returns is the installed set's
+        h(t) counted task by task, and the points are exactly the
+        combined set's control points the cached arrays lack."""
+        rng = random.Random(27)
+        seen = {"inside": 0, "growth": 0, "beyond": 0, "no_base_point": 0}
+        for _ in range(400):
+            tasks = random_task_set(
+                rng, rng.randint(1, 6), self.PERIODS, rng.choice((3, 10))
+            )
+            if rng.random() < 0.5:
+                entry = LinkCacheEntry(LINK, tasks)
+            else:
+                # the same set reached through check-and-install, so
+                # grafted arrays are covered too
+                cache = FeasibilityCache()
+                for t in tasks:
+                    if cache.check(t).feasible:
+                        cache.install(t)
+                entry = cache.entry(LINK)
+                tasks = list(entry.tasks)
+            if not entry._ensure_base():
+                continue
+            for _ in range(8):
+                period = rng.choice(self.PERIODS)
+                capacity = rng.randint(1, max(1, period // 4))
+                deadline = rng.randint(capacity, 2 * period)
+                if entry.util + Fraction(capacity, period) > 1:
+                    continue
+                busy2, hyper2 = entry._combined_busy(period, capacity)
+                horizon2 = min(busy2, hyper2)
+                if deadline > horizon2:
+                    continue
+                sized = entry._new_points(period, deadline, horizon2)
+                assert sized is not None
+                lo_idx, new_pts, new_dems = sized
+                assert lo_idx == sum(1 for t in entry.points if t < deadline)
+                base_h = entry.horizon
+                expected = {
+                    x.deadline + m * x.period
+                    for x in tasks
+                    for m in range(horizon2 // x.period + 1)
+                    if base_h < x.deadline + m * x.period <= horizon2
+                }
+                expected |= {
+                    t for t in range(deadline, horizon2 + 1, period)
+                    if t not in entry.points
+                }
+                assert new_pts == sorted(expected)
+                assert len(new_dems) == len(new_pts)
+                for t, h in zip(new_pts, new_dems):
+                    assert h == demand_reference(tasks, t), (t, tasks)
+                    if t <= base_h:
+                        seen["inside"] += 1
+                    elif (t - deadline) % period or t < deadline:
+                        seen["growth"] += 1
+                    else:
+                        seen["beyond"] += 1
+                if new_pts and not entry.points:
+                    seen["no_base_point"] += 1
+        assert min(seen.values()) > 10, seen
 
 
 class TestShortcutPaths:

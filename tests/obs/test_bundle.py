@@ -328,6 +328,79 @@ class TestFabricAdmissionCollector:
         assert _value(snap, "admission.batches") == controller.batch_count
 
 
+_PORT_FIELDS = (
+    "rt_enqueued", "rt_transmitted", "be_enqueued", "be_transmitted",
+    "be_dropped", "rt_link_deadline_misses", "rt_backlog_max",
+    "be_backlog_max",
+)
+_LINK_FIELDS = ("frames_carried", "bytes_carried", "busy_ns", "frames_lost")
+
+
+class TestFabricPortsAndProbes:
+    def test_fabric_ports_links_and_probes_reach_the_bundle(self, tmp_path):
+        from repro.multiswitch import (
+            MultiHopProportional,
+            build_chain_graph,
+            build_fabric_network,
+        )
+
+        telemetry = Telemetry(TelemetryConfig())
+        net = build_fabric_network(
+            build_chain_graph(3, 2), MultiHopProportional(),
+            telemetry=telemetry,
+        )
+        spec = ChannelSpec(period=100, capacity=3, deadline=40)
+        assert net.establish("n0_0", "n2_1", spec) is not None
+        assert net.establish("n2_0", "n0_1", spec) is not None
+        net.start_all_sources(stop_after_messages=3)
+        net.sim.run()
+        snap = telemetry.snapshot()
+
+        # six one-cable leaves and two trunks: sixteen directed ports
+        ports = [node.uplink for node in net.nodes.values()] + [
+            port
+            for switch in net.switches.values()
+            for port in switch.ports.values()
+        ]
+        assert len(ports) == 16
+        assert len(snap["port.rt_transmitted"]["series"]) == 16
+        assert len(snap["link.frames_carried"]["series"]) == 16
+        for port in ports:
+            for field in _PORT_FIELDS:
+                assert _value(snap, "port." + field, port=port.name) == (
+                    getattr(port.stats, field)
+                ), (port.name, field)
+            assert _value(
+                snap, "port.rt_queue_max_depth", port=port.name
+            ) == port.rt_queue_max_depth
+            link = port.link
+            for field in _LINK_FIELDS:
+                assert _value(snap, "link." + field, link=link.name) == (
+                    getattr(link, field)
+                ), (link.name, field)
+            assert _value(snap, "link.utilization", link=link.name) == (
+                link.utilization()
+            )
+        # frames crossed the trunks, and the per-link misses the fabric
+        # sums are the ones the bundle carries
+        assert _value(snap, "port.rt_transmitted", port="port:sw0->sw1") > 0
+        assert sum(
+            _value(snap, "port.rt_link_deadline_misses", port=port.name)
+            for port in ports
+        ) == net.per_link_misses()
+
+        written = telemetry.write(tmp_path)
+        assert "timeseries" in written
+        series = json.loads((tmp_path / "timeseries.json").read_text())
+        assert sorted(series) == [
+            "kernel_pending_events", "link_utilization_mean",
+            "switch_be_buffer_frames", "switch_rt_buffer_frames",
+            "uplink_rt_backlog_frames",
+        ]
+        assert series["link_utilization_mean"]
+        assert validate_bundle(tmp_path) == []
+
+
 class TestSoakCollector:
     def test_publishes_the_soak_result(self):
         telemetry = Telemetry(TelemetryConfig(probe_cadence_ns=None))
