@@ -160,10 +160,8 @@ class _CompletedVerdict:
     #: produced this verdict. A node that reuses a connect-request ID
     #: under churn produces the *same* cache key for a *different*
     #: logical request; the fingerprint tells them apart so the stale
-    #: verdict is flushed instead of re-answered. ``None`` only for
-    #: verdicts imported from pre-fingerprint snapshots (treated as
-    #: matching, preserving the old behaviour for old data).
-    fingerprint: tuple[int, int, int, int] | None = None
+    #: verdict is flushed instead of re-answered.
+    fingerprint: tuple[int, int, int, int]
 
 
 class SwitchChannelManager:
@@ -216,7 +214,11 @@ class SwitchChannelManager:
         self._completed: OrderedDict[tuple[int, int], _CompletedVerdict] = (
             OrderedDict()
         )
-        self.decisions: list[AdmissionDecision] = []
+        #: the admission decision of the last :meth:`handle_request`;
+        #: None when it answered without running admission (a
+        #: retransmission served from the pending offers or the
+        #: verdict cache).
+        self.last_decision: AdmissionDecision | None = None
         # loss-tolerance statistics (plain ints; always maintained)
         self.stale_frames = 0
         self.lease_reclaims = 0
@@ -266,6 +268,7 @@ class SwitchChannelManager:
         ages the completed-verdict cache. The default keeps direct
         (simulator-less) unit-test drives working unchanged.
         """
+        self.last_decision = None
         self._purge_completed(now)
         source = self._directory.by_mac(request.source_mac)
         destination = self._directory.by_mac(request.destination_mac)
@@ -286,8 +289,8 @@ class SwitchChannelManager:
         # parameters is a *reused* request ID carrying a new logical
         # request -- flush it and run fresh admission below.
         verdict = self._completed.get(key)
-        if verdict is not None and not self._fingerprint_matches(
-            verdict, request
+        if verdict is not None and (
+            verdict.fingerprint != self._fingerprint_of(request)
         ):
             del self._completed[key]
             verdict = None
@@ -310,7 +313,7 @@ class SwitchChannelManager:
             deadline=request.deadline,
         )
         decision = self._admission.request(source.name, destination.name, spec)
-        self.decisions.append(decision)
+        self.last_decision = decision
         if not decision.accepted:
             self._record_verdict(
                 key,
@@ -474,14 +477,6 @@ class SwitchChannelManager:
             request.deadline,
         )
 
-    @classmethod
-    def _fingerprint_matches(
-        cls, verdict: _CompletedVerdict, request: RequestFrame
-    ) -> bool:
-        if verdict.fingerprint is None:
-            return True  # pre-fingerprint snapshot entry
-        return verdict.fingerprint == cls._fingerprint_of(request)
-
     def _record_verdict(
         self,
         key: tuple[int, int],
@@ -490,7 +485,7 @@ class SwitchChannelManager:
         channel_id: int,
         grant: ChannelGrant | None,
         now: int,
-        fingerprint: tuple[int, int, int, int] | None = None,
+        fingerprint: tuple[int, int, int, int],
     ) -> None:
         if self._response_cache_ns is None:
             return
@@ -570,9 +565,7 @@ class SwitchChannelManager:
                     "ok": verdict.ok,
                     "channel_id": verdict.channel_id,
                     "expires_at": verdict.expires_at,
-                    "fingerprint": None
-                    if verdict.fingerprint is None
-                    else list(verdict.fingerprint),
+                    "fingerprint": list(verdict.fingerprint),
                     "grant": None
                     if grant is None
                     else {
@@ -660,6 +653,13 @@ class SwitchChannelManager:
                 )
             )
             fingerprint = record.get("fingerprint")
+            if fingerprint is None:
+                raise ConfigurationError(
+                    "signalling snapshot verdict for request "
+                    f"{record['connect_request_id']} of source MAC "
+                    f"{record['source_mac']:#014x} has no 'fingerprint'; "
+                    "every cached verdict must carry one"
+                )
             self._completed[
                 (record["source_mac"], record["connect_request_id"])
             ] = _CompletedVerdict(
@@ -667,7 +667,7 @@ class SwitchChannelManager:
                 channel_id=record["channel_id"],
                 grant=grant,
                 expires_at=record["expires_at"],
-                fingerprint=None if fingerprint is None else tuple(fingerprint),
+                fingerprint=tuple(fingerprint),
             )
         counters = data.get("counters", {})
         self.stale_frames = int(counters.get("stale_frames", 0))

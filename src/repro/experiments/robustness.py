@@ -10,7 +10,8 @@ critical-instant analysis. Three robustness questions a deployer asks:
 2. **Frame loss** -- with corrupted frames the guarantee degrades from
    "every message within the bound" to "every *delivered* frame within
    the bound"; messages lose fragments but never arrive late.
-   :func:`run_loss_robustness` injects Bernoulli loss on every wire and
+   :func:`run_loss_robustness` installs a :class:`FaultPlan` whose
+   ``corruption`` drops every wire arrival with the loss rate, and
    verifies exactly that degradation: completeness suffers in
    proportion to the loss rate, timeliness does not.
 3. **Signalling loss** (EXP-R2) -- the handshake of Figures 18.3/18.4
@@ -237,8 +238,7 @@ def run_loss_robustness(
         n_slaves,
         n_requests,
         seed,
-        loss_rate=loss_rate,
-        loss_seed=seed,
+        fault_plan=FaultPlan(seed=seed, corruption=loss_rate),
     )
     net.start_all_sources(stop_after_messages=messages)
     net.sim.run()

@@ -1,8 +1,8 @@
-"""Targeted, deterministic control-plane fault injection.
+"""Deterministic fault injection: the one place frames are dropped.
 
-:class:`~repro.network.link.HalfLink`'s ``loss_rate`` corrupts frames
-indiscriminately; robustness experiments for the *signalling* plane need
-sharper tools:
+Every loss a wire or the intent bus suffers comes from a
+:class:`FaultPlan`. Its targeted rules serve robustness experiments on
+the *signalling* plane:
 
 * drop a **specific handshake step** (the paper's Figure 18.3/18.4
   messages each have a distinct on-wire shape, so arrivals classify
@@ -15,10 +15,14 @@ sharper tools:
 * take a link down for a **scheduled time window** (cable pull /
   switchover), matching links by ``fnmatch`` pattern.
 
-A :class:`FaultPlan` is consulted by every :class:`HalfLink` it is
-installed on (``build_star(fault_plan=...)`` installs one plan on every
-wire) at frame-arrival time, before the legacy Bernoulli draw, and by
-the intent bus of :class:`~repro.service.intent.SharedLinkFabric`,
+Beside them, ``corruption`` drops any arrival the rules let through
+with one probability, whatever its class (FCS failure on a noisy wire,
+EXP-R1's frame loss).
+
+A plan is consulted by every :class:`~repro.network.link.HalfLink` it
+is installed on (``build_star(fault_plan=...)`` installs one plan on
+every wire) at frame-arrival time (:meth:`FaultPlan.drop_cause`), and
+by the intent bus of :class:`~repro.service.intent.SharedLinkFabric`,
 which names each frame's class itself
 (:meth:`FaultPlan.should_drop_class`). All randomness comes from a
 :class:`~repro.sim.rng.RngRegistry` seeded at construction, so a plan
@@ -149,7 +153,7 @@ class FaultPlan:
     Parameters
     ----------
     seed:
-        Root seed for the per-class RNG streams.
+        Root seed for the per-class and ``link-loss`` RNG streams.
     bernoulli:
         ``{frame class: drop probability}``; classes absent drop never.
     drop_occurrences:
@@ -159,6 +163,13 @@ class FaultPlan:
         once" tests.
     down_windows:
         Scheduled :class:`LinkDownWindow` outages.
+    corruption:
+        Probability that a wire arrival the rules above let through is
+        corrupted and dropped, whatever its class. The paper assumes
+        error-free wires, so this is a fault-injection knob: losses
+        surface as incomplete messages, never as wrong results. Draws
+        come from the registry's ``link-loss`` stream, one per arrival
+        the rules let through.
     """
 
     def __init__(
@@ -167,6 +178,7 @@ class FaultPlan:
         bernoulli: Mapping[str, float] | None = None,
         drop_occurrences: Mapping[str, Sequence[int]] | None = None,
         down_windows: Sequence[LinkDownWindow] = (),
+        corruption: float = 0.0,
     ) -> None:
         bernoulli = dict(bernoulli or {})
         drop_occurrences = {
@@ -191,6 +203,10 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"occurrence indices for {cls!r} must be >= 0"
                 )
+        if not (0.0 <= corruption < 1.0):
+            raise ConfigurationError(
+                f"corruption probability must be in [0, 1), got {corruption}"
+            )
         self._bernoulli = bernoulli
         self._drop_occurrences = drop_occurrences
         self._down_windows = tuple(down_windows)
@@ -198,6 +214,10 @@ class FaultPlan:
         self._rngs = {
             cls: registry.stream(f"fault-{cls}") for cls in bernoulli
         }
+        self._corruption = corruption
+        self._corruption_rng = (
+            registry.stream("link-loss") if corruption > 0.0 else None
+        )
         #: arrivals seen so far, per class (network-wide).
         self.seen: dict[str, int] = {cls: 0 for cls in FRAME_CLASSES}
         #: drops performed, per class.
@@ -271,11 +291,12 @@ class FaultPlan:
 
         The configuration (rates, occurrence schedules, windows, seed)
         is code-supplied and NOT exported; only the arrival counters and
-        the per-class RNG positions travel, so a plan rebuilt with the
-        same configuration and fed :meth:`import_state` produces drop
-        draws byte-identical to the never-checkpointed plan.
+        the RNG positions travel (the ``link-loss`` one only when the
+        plan corrupts), so a plan rebuilt with the same configuration
+        and fed :meth:`import_state` produces drop draws byte-identical
+        to the never-checkpointed plan.
         """
-        return {
+        state = {
             "seen": dict(self.seen),
             "drops_by_class": dict(self.drops_by_class),
             "window_drops": self.window_drops,
@@ -284,6 +305,11 @@ class FaultPlan:
                 for cls, rng in sorted(self._rngs.items())
             },
         }
+        if self._corruption_rng is not None:
+            state["link_loss_rng_state"] = (
+                self._corruption_rng.bit_generator.state
+            )
+        return state
 
     def import_state(self, data: dict) -> None:
         """Adopt counters and RNG positions from :meth:`export_state`."""
@@ -309,17 +335,43 @@ class FaultPlan:
                     f"rebuild the plan with the snapshot's configuration"
                 )
             rng.bit_generator.state = state
+        link_loss = data.get("link_loss_rng_state")
+        if link_loss is not None:
+            if self._corruption_rng is None:
+                raise ConfigurationError(
+                    "snapshot carries a link_loss_rng_state but this plan "
+                    "corrupts no frames; rebuild the plan with the "
+                    "snapshot's configuration"
+                )
+            self._corruption_rng.bit_generator.state = link_loss
+
+    def drop_cause(
+        self, link_name: str, frame: EthernetFrame, now: int
+    ) -> str | None:
+        """Decide the fate of one wire arrival (called by the link).
+
+        Returns ``"fault-plan"`` when a targeted rule drops the frame,
+        ``"corruption"`` when the corruption draw does, and None when
+        it arrives. Only arrivals the rules let through draw.
+        """
+        if self.should_drop_class(self.classify(frame), link_name, now):
+            return "fault-plan"
+        rng = self._corruption_rng
+        if rng is not None and rng.random() < self._corruption:
+            return "corruption"
+        return None
 
     def should_drop(self, link_name: str, frame: EthernetFrame, now: int) -> bool:
-        """Decide the fate of one arrival (called by the link)."""
-        return self.should_drop_class(self.classify(frame), link_name, now)
+        """True when :meth:`drop_cause` drops the arrival."""
+        return self.drop_cause(link_name, frame, now) is not None
 
     def should_drop_class(self, cls: str, link_name: str, now: int) -> bool:
         """Decide the fate of one arrival of frame class ``cls``.
 
-        The caller has already named the class (``should_drop`` by
-        :meth:`classify`); counters and RNG draws are those of
-        :meth:`should_drop` on a frame of that class.
+        The caller has already named the class (``drop_cause`` by
+        :meth:`classify`); counters and RNG draws are those of the
+        targeted rules in :meth:`drop_cause` on a frame of that class.
+        The corruption draw is the wire's alone.
         """
         index = self.seen[cls]
         self.seen[cls] = index + 1

@@ -54,8 +54,8 @@ class HalfLink:
     own frame. The link carries one frame at a time and a transmission
     takes positive time, so the arrival times ``done + propagation``
     strictly increase in queueing order; arrivals are never cancelled;
-    and a fault-plan or loss drop happens after the pop, so it consumes
-    its own frame too.
+    and a fault-plan drop happens after the pop, so it consumes its own
+    frame too.
 
     Parameters
     ----------
@@ -76,21 +76,13 @@ class HalfLink:
     obs:
         Optional :class:`~repro.sim.trace.Observer` for ``link.*``
         milestones and wire spans.
-    loss_rate:
-        Probability that a transmitted frame is corrupted in flight and
-        silently discarded at the receiver (FCS failure). The paper
-        assumes error-free wires (its guarantee has no retransmission
-        budget); a non-zero rate is a **fault-injection knob** for
-        robustness experiments -- losses then surface as incomplete
-        messages in the metrics, never as silent wrong results.
-    loss_rng:
-        RNG for loss draws; required when ``loss_rate > 0`` so fault
-        injection stays reproducible.
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` consulted on every
-        arrival *before* the Bernoulli loss draw; it targets specific
-        frame classes (signalling handshake steps, RT data) and time
-        windows, where ``loss_rate`` corrupts indiscriminately.
+        Optional :class:`~repro.faults.FaultPlan` asked once per
+        arrival whether the frame is lost (:meth:`FaultPlan.drop_cause`):
+        its targeted rules (frame classes, occurrences, time windows)
+        and its ``corruption`` draw are the only way a wire drops a
+        frame. The paper assumes error-free wires, so a link without a
+        plan delivers everything.
     """
 
     def __init__(
@@ -100,19 +92,8 @@ class HalfLink:
         name: str,
         deliver: Callable[[EthernetFrame], None],
         obs: Observer | None = None,
-        loss_rate: float = 0.0,
-        loss_rng=None,
         fault_plan=None,
     ) -> None:
-        if not (0.0 <= loss_rate < 1.0):
-            raise SimulationError(
-                f"loss_rate must be in [0, 1), got {loss_rate}"
-            )
-        if loss_rate > 0.0 and loss_rng is None:
-            raise SimulationError(
-                "a loss_rng is required when loss_rate > 0 "
-                "(fault injection must be reproducible)"
-            )
         self._sim = sim
         self._phy = phy
         self.name = name
@@ -138,15 +119,15 @@ class HalfLink:
         self._idle_label = f"{name}:idle"
         self._deliver_label = f"{name}:deliver"
         self._timing: dict[int, tuple[int, int]] = {}
-        self._loss_rate = loss_rate
-        self._loss_rng = loss_rng
         self._fault_plan = fault_plan
         # statistics
         self.frames_carried = 0
         self.bytes_carried = 0
         self.busy_ns = 0
+        #: every frame the fault plan dropped.
         self.frames_lost = 0
-        #: subset of ``frames_lost`` dropped by the fault plan.
+        #: subset of ``frames_lost`` dropped by a targeted rule (the
+        #: rest were corrupted).
         self.frames_faulted = 0
 
     @property
@@ -154,22 +135,13 @@ class HalfLink:
         """True while a frame is on the wire (or its IFG is running)."""
         return self._sim.now < self.busy_until
 
-    def utilization(self, since_ns: int = 0) -> float:
+    def utilization(self) -> float:
         """Fraction of wall-clock the wire has been busy since time zero.
 
-        Only ``since_ns=0`` is supported: ``busy_ns`` is a lifetime
-        total, so dividing it by a *window* would over-report (busy time
-        accumulated before the window start leaks into the numerator --
-        the old behaviour, masked by the ``min(1.0, ...)`` cap). For a
-        windowed measurement take a :meth:`busy_mark` at the window
-        start and ask :meth:`utilization_since`.
+        ``busy_ns`` is a lifetime total; for a windowed measurement take
+        a :meth:`busy_mark` at the window start and ask
+        :meth:`utilization_since`.
         """
-        if since_ns != 0:
-            raise SimulationError(
-                "utilization(since_ns != 0) would divide lifetime busy time "
-                "by a window; use busy_mark()/utilization_since(mark) for "
-                "windowed utilization"
-            )
         if self._sim.now <= 0:
             return 0.0
         return min(1.0, self.busy_ns / self._sim.now)
@@ -256,19 +228,16 @@ class HalfLink:
     def _arrive(self) -> None:
         """The oldest frame in flight has fully arrived at the far end."""
         frame = self._in_flight.popleft()
-        if self._fault_plan is not None and self._fault_plan.should_drop(
-            self.name, frame, self._sim.now
-        ):
-            self.frames_lost += 1
-            self.frames_faulted += 1
-            if self._obs is not None:
-                self._obs.lost(self._sim.now, self.name, frame, "fault-plan")
-            return
-        if self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate:
-            self.frames_lost += 1
-            if self._obs is not None:
-                self._obs.lost(self._sim.now, self.name, frame, "corruption")
-            return
+        now = self._sim.now
+        if self._fault_plan is not None:
+            cause = self._fault_plan.drop_cause(self.name, frame, now)
+            if cause is not None:
+                self.frames_lost += 1
+                if cause == "fault-plan":
+                    self.frames_faulted += 1
+                if self._obs is not None:
+                    self._obs.lost(now, self.name, frame, cause)
+                return
         if self._obs is not None:
-            self._obs.arrived(self._sim.now, self.name, frame)
+            self._obs.arrived(now, self.name, frame)
         self._deliver(frame)

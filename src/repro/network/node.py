@@ -8,7 +8,11 @@ An :class:`EndNode` bundles everything the paper places in one station
 * the **RT layer** holding established channel grants and mangling
   headers (:class:`repro.core.rt_layer.RTLayer`);
 * **source signalling** state for channel establishment
-  (:class:`repro.protocol.signaling.SourceSignaling`);
+  (:class:`repro.protocol.signaling.SourceSignaling`): one
+  :class:`~repro.protocol.signaling.PendingRequest` per request holds
+  the frame as sent, its :class:`~repro.protocol.signaling.RetryPolicy`
+  timer and its completion callback, and the node drives the timer
+  from that record;
 * a **destination policy** deciding whether to accept offered channels;
 * reception: delivered frames are reported to the shared
   :class:`~repro.analysis.metrics.MetricsCollector`, and signalling
@@ -58,24 +62,12 @@ __all__ = ["EndNode"]
 #: Name used for the switch endpoint in frame source/destination fields.
 SWITCH_NAME = "switch"
 
-#: Default gap between repeated TeardownFrames (see
+#: Gap between repeated TeardownFrames (see
 #: :meth:`EndNode.teardown_channel`): long enough for the previous copy
 #: to clear the handshake RTT, short against any retry timeout.
 TEARDOWN_SPACING_NS = 250_000
 
 RequestCallback = Callable[[PendingRequest, ChannelGrant | None], None]
-
-
-class _RetryState:
-    """Live retransmission bookkeeping for one outstanding request."""
-
-    __slots__ = ("policy", "rng", "attempt", "frame")
-
-    def __init__(self, policy: RetryPolicy, rng, frame: RequestFrame) -> None:
-        self.policy = policy
-        self.rng = rng
-        self.attempt = 0
-        self.frame = frame
 
 
 class EndNode:
@@ -131,11 +123,9 @@ class EndNode:
         )
         #: set by the topology builder once the uplink wire exists.
         self.uplink: OutputPort | None = None
-        self._request_callbacks: dict[int, RequestCallback] = {}
-        #: retransmission state per outstanding request ID.
-        self._retry_state: dict[int, _RetryState] = {}
-        #: how many times each TeardownFrame is sent (lossy wires lose
-        #: fire-and-forget frames; repeats make the release survive).
+        #: how many times each TeardownFrame is sent, explicit or
+        #: late-response (lossy wires lose fire-and-forget frames;
+        #: repeats make the release survive).
         self.teardown_repeats = 1
         #: channels this node receives on (destination side), id -> capacity.
         self.incoming_channels: dict[int, int] = {}
@@ -175,35 +165,25 @@ class EndNode:
         destination_name: str,
         spec: ChannelSpec,
         on_complete: RequestCallback | None = None,
-        timeout_ns: int | None = None,
         retry: RetryPolicy | None = None,
         retry_rng=None,
     ) -> None:
         """Send a RequestFrame for a new RT channel to the switch.
 
-        ``on_complete`` fires when the final ResponseFrame arrives, with
-        the completed :class:`PendingRequest` and, on acceptance, the
-        installed :class:`ChannelGrant`.
+        ``on_complete`` fires once, when the request completes, with its
+        :class:`PendingRequest` and, on acceptance, the installed
+        :class:`ChannelGrant`.
 
-        ``timeout_ns`` arms a one-shot local timer: if no response
-        arrives in time (possible only on lossy wires -- the paper's
-        model is error-free), the request completes as ``TIMED_OUT``
-        with a ``None`` grant, and a late positive response is
-        automatically answered with a teardown so the switch's
-        reservation is not leaked.
-
-        ``retry`` replaces the one-shot timer with retransmission: each
-        expiry within the policy's budget re-sends the identical
-        RequestFrame and re-arms with exponential backoff; the request
-        only becomes ``TIMED_OUT`` once ``max_retries`` retransmissions
-        went unanswered. ``retry_rng`` supplies the jitter draws
-        (required when the policy has jitter > 0). Mutually exclusive
-        with ``timeout_ns``.
+        ``retry`` is the request's timer (none by default: the paper's
+        wires lose nothing). Each expiry within the policy's budget
+        re-sends the identical RequestFrame and re-arms with exponential
+        backoff; once ``max_retries`` retransmissions went unanswered
+        the request completes as ``TIMED_OUT`` with a ``None`` grant
+        (``RetryPolicy(timeout_ns=T)`` gives up ``T`` after the send).
+        A late positive response is then answered with a teardown so the
+        switch's reservation is not leaked. ``retry_rng`` supplies the
+        jitter draws (required when the policy has jitter > 0).
         """
-        if retry is not None and timeout_ns is not None:
-            raise SimulationError(
-                "pass either timeout_ns (one-shot) or retry (policy), not both"
-            )
         if retry is not None and retry.jitter > 0.0 and retry_rng is None:
             raise SimulationError(
                 "a jittered RetryPolicy needs retry_rng "
@@ -216,10 +196,11 @@ class EndNode:
             period=spec.period,
             capacity=spec.capacity,
             deadline=spec.deadline,
+            retry=retry,
+            retry_rng=retry_rng,
+            on_complete=on_complete,
         )
         rid = request.connect_request_id
-        if on_complete is not None:
-            self._request_callbacks[rid] = on_complete
         obs = self._obs
         span_ctx = None
         if obs is not None:
@@ -227,22 +208,7 @@ class EndNode:
                 self._sim.now, self.name, rid, destination_name
             )
         if retry is not None:
-            self._retry_state[rid] = _RetryState(retry, retry_rng, request)
-            self._sim.call_at(
-                self._sim.now + retry.delay_ns(0, retry_rng),
-                lambda: self._request_timeout(rid),
-                f"{self.name}:req{rid}:timeout",
-            )
-        elif timeout_ns is not None:
-            if timeout_ns <= 0:
-                raise SimulationError(
-                    f"timeout_ns must be positive, got {timeout_ns}"
-                )
-            self._sim.call_at(
-                self._sim.now + timeout_ns,
-                lambda: self._request_timeout(rid),
-                f"{self.name}:req{rid}:timeout",
-            )
+            self._arm_request_timer(self.signaling.pending_request(rid))
         self._send_signaling(
             request, payload_bytes=REQUEST_FRAME_BYTES, span_ctx=span_ctx
         )
@@ -253,88 +219,74 @@ class EndNode:
                 {"request": rid, "destination": destination_name},
             )
 
-    def _request_timeout(self, connect_request_id: int) -> None:
-        """Timer expiry for one outstanding request (no-op if completed)."""
-        state = self._retry_state.get(connect_request_id)
-        if state is not None:
-            if not self.signaling.is_pending(connect_request_id):
-                # the response won the race; nothing left to retry
-                self._retry_state.pop(connect_request_id, None)
-                return
-            if state.attempt < state.policy.max_retries:
-                state.attempt += 1
-                self.signal_retries += 1
-                self.signaling.pending_request(connect_request_id).retries += 1
-                span_ctx = None
-                if self._obs is not None:
-                    span_ctx = self._obs.request_retried(
-                        self._sim.now, self.name, connect_request_id,
-                        state.attempt,
-                    )
-                self._send_signaling(
-                    state.frame,
-                    payload_bytes=REQUEST_FRAME_BYTES,
-                    span_ctx=span_ctx,
-                )
-                self._sim.call_at(
-                    self._sim.now
-                    + state.policy.delay_ns(state.attempt, state.rng),
-                    lambda: self._request_timeout(connect_request_id),
-                    f"{self.name}:req{connect_request_id}:timeout",
-                )
-                return
-            self._retry_state.pop(connect_request_id, None)
-        try:
-            record = self.signaling.timeout_request(connect_request_id)
-        except ProtocolError:
+    def _arm_request_timer(self, record: PendingRequest) -> None:
+        """Queue the expiry of ``record``'s current attempt."""
+        delay = record.retry.delay_ns(record.retries, record.retry_rng)
+        self._sim.call_at(
+            self._sim.now + delay,
+            lambda: self._request_timeout(record),
+            f"{self.name}:req{record.connect_request_id}:timeout",
+        )
+
+    def _request_timeout(self, record: PendingRequest) -> None:
+        """Timer expiry for one request (no-op once it completed)."""
+        if record.state is not ConnectionRequestState.PENDING:
             return  # the response won the race
+        rid = record.connect_request_id
+        if record.retries < record.retry.max_retries:
+            record.retries += 1
+            self.signal_retries += 1
+            span_ctx = None
+            if self._obs is not None:
+                span_ctx = self._obs.request_retried(
+                    self._sim.now, self.name, rid, record.retries
+                )
+            self._send_signaling(
+                record.frame, payload_bytes=REQUEST_FRAME_BYTES,
+                span_ctx=span_ctx,
+            )
+            self._arm_request_timer(record)
+            return
+        self.signaling.timeout_request(rid)
         obs = self._obs
         if obs is not None:
             now = self._sim.now
-            obs.request_ended(now, self.name, connect_request_id, "timed-out")
+            obs.request_ended(now, self.name, rid, "timed-out")
             obs.signal(
-                "signal.timeout", now, self.name, f"req={connect_request_id}",
-                {"request": connect_request_id},
+                "signal.timeout", now, self.name, f"req={rid}",
+                {"request": rid},
             )
-        callback = self._request_callbacks.pop(connect_request_id, None)
-        if callback is not None:
-            callback(record, None)
+        self._complete(record, None)
 
-    def teardown_channel(
-        self,
-        channel_id: int,
-        repeats: int | None = None,
-        spacing_ns: int = TEARDOWN_SPACING_NS,
-    ) -> None:
+    @staticmethod
+    def _complete(record: PendingRequest, grant: ChannelGrant | None) -> None:
+        """Fire ``record``'s callback once, then clear it."""
+        callback = record.on_complete
+        record.on_complete = None
+        if callback is not None:
+            callback(record, grant)
+
+    def teardown_channel(self, channel_id: int) -> None:
         """Release an established sending channel.
 
         The TeardownFrame carries :data:`EXPLICIT_TEARDOWN_ID` in the
         connect-request field (that ID is never allocated to a real
         request, so traces can tell explicit teardowns apart). On lossy
         wires a lost teardown would strand the switch's reservation
-        forever -- ``repeats`` (default :attr:`teardown_repeats`) sends
-        the frame that many times, ``spacing_ns`` apart; the switch
-        absorbs whichever duplicates survive.
+        forever -- the frame is sent :attr:`teardown_repeats` times,
+        :data:`TEARDOWN_SPACING_NS` apart; the switch absorbs whichever
+        duplicates survive.
         """
-        repeats = self.teardown_repeats if repeats is None else repeats
-        if repeats < 1:
-            raise SimulationError(f"repeats must be >= 1, got {repeats}")
-        if spacing_ns <= 0:
-            raise SimulationError(
-                f"spacing_ns must be positive, got {spacing_ns}"
-            )
         self.rt_layer.remove_grant(channel_id)
         self._active_sources.pop(channel_id, None)
         self.signaling.channel_torn_down(channel_id)
         frame = TeardownFrame(
             connect_request_id=EXPLICIT_TEARDOWN_ID, rt_channel_id=channel_id
         )
-        self._repeat_teardown(frame, repeats, spacing_ns)
+        self._repeat_teardown(frame)
 
-    def _repeat_teardown(
-        self, frame: TeardownFrame, repeats: int, spacing_ns: int
-    ) -> None:
-        """Send ``frame`` now and ``repeats - 1`` more times afterwards."""
+    def _repeat_teardown(self, frame: TeardownFrame) -> None:
+        """Send ``frame`` now and ``teardown_repeats - 1`` more times."""
         span_ctx = None
         if self._obs is not None:
             span_ctx = self._obs.teardown_sent(
@@ -343,9 +295,9 @@ class EndNode:
         self._send_signaling(
             frame, payload_bytes=TEARDOWN_FRAME_BYTES, span_ctx=span_ctx
         )
-        for i in range(1, repeats):
+        for i in range(1, self.teardown_repeats):
             self._sim.call_at(
-                self._sim.now + i * spacing_ns,
+                self._sim.now + i * TEARDOWN_SPACING_NS,
                 lambda f=frame, ctx=span_ctx: self._send_signaling(
                     f, payload_bytes=TEARDOWN_FRAME_BYTES, span_ctx=ctx
                 ),
@@ -600,7 +552,6 @@ class EndNode:
                      "kind": kind.value},
                 )
             return
-        self._retry_state.pop(response.connect_request_id, None)
         if self._obs is not None:
             self._obs.request_ended(
                 self._sim.now, self.name, response.connect_request_id,
@@ -615,9 +566,7 @@ class EndNode:
                     connect_request_id=response.connect_request_id,
                     rt_channel_id=response.rt_channel_id,
                 )
-                self._repeat_teardown(
-                    frame, self.teardown_repeats, TEARDOWN_SPACING_NS
-                )
+                self._repeat_teardown(frame)
                 if self._obs is not None:
                     self._obs.signal(
                         "signal.late_response_teardown", self._sim.now,
@@ -632,12 +581,10 @@ class EndNode:
                     "arrived without a channel grant"
                 )
             self.rt_layer.install_grant(grant)
-        callback = self._request_callbacks.pop(response.connect_request_id, None)
         if self._obs is not None:
             self._obs.signal(
                 "signal.response", self._sim.now, self.name,
                 f"req={response.connect_request_id} ok={response.ok}",
                 {"request": response.connect_request_id, "ok": response.ok},
             )
-        if callback is not None:
-            callback(completed, grant)
+        self._complete(completed, grant)

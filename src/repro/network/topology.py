@@ -34,7 +34,6 @@ from ..multiswitch.graph import address_pass, build_star_graph
 from ..protocol.ethernet import reset_frame_ids
 from ..protocol.signaling import DestinationPolicy, RetryPolicy, accept_all
 from ..sim.kernel import Simulator
-from ..sim.rng import RngRegistry
 from ..sim.trace import Observer, TraceRecorder
 from .link import HalfLink
 from .node import EndNode, SWITCH_NAME
@@ -80,7 +79,6 @@ class StarNetwork:
         source: str,
         destination: str,
         spec: ChannelSpec,
-        timeout_ns: int | None = None,
         retry: RetryPolicy | None = None,
         retry_rng=None,
     ) -> ChannelGrant | None:
@@ -92,9 +90,11 @@ class StarNetwork:
         in that case events interleave correctly anyway).
 
         Returns the grant on acceptance, ``None`` on rejection or (with
-        ``timeout_ns`` or ``retry`` set, for lossy networks) on timeout.
-        ``retry``/``retry_rng`` enable RequestFrame retransmission with
-        backoff (see :meth:`EndNode.request_channel`).
+        ``retry`` set, for lossy networks) on timeout. ``retry`` is the
+        request's timer (``RetryPolicy(timeout_ns=T)`` gives up once,
+        ``T`` after the send; ``max_retries`` adds retransmissions with
+        backoff) and ``retry_rng`` its jitter stream (see
+        :meth:`EndNode.request_channel`).
         """
         src = self.node(source)
         dst = self.node(destination)
@@ -109,7 +109,6 @@ class StarNetwork:
             destination_name=destination,
             spec=spec,
             on_complete=on_complete,
-            timeout_ns=timeout_ns,
             retry=retry,
             retry_rng=retry_rng,
         )
@@ -117,8 +116,9 @@ class StarNetwork:
         if not result:
             raise TopologyError(
                 "handshake did not complete: the simulator drained without "
-                "a final response -- on lossy networks pass timeout_ns so "
-                "lost signalling frames resolve to a timed-out request"
+                "a final response -- on lossy networks pass "
+                "retry=RetryPolicy(timeout_ns=...) so lost signalling "
+                "frames resolve to a timed-out request"
             )
         grant = result[0]
         if grant is None:
@@ -197,8 +197,6 @@ def build_star(
     destination_policy: DestinationPolicy = accept_all,
     be_buffer_frames: int | None = 512,
     trace_enabled: bool = False,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
     record_delays: bool = False,
     telemetry=None,
     fault_plan=None,
@@ -222,10 +220,6 @@ def build_star(
         Finite best-effort buffer per output port (None = unbounded).
     trace_enabled:
         Record detailed traces (debugging; costs memory).
-    loss_rate, loss_seed:
-        Fault injection: per-frame corruption probability applied on
-        every wire (see :class:`~repro.network.link.HalfLink`). Zero by
-        default -- the paper's model is error-free.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` bundle. When given, its
         recorder becomes the network's trace (``trace_enabled`` is
@@ -235,7 +229,9 @@ def build_star(
         (:meth:`~repro.obs.bundle.Telemetry.instrument_star`).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`, installed on every
-        wire for targeted control-plane loss (EXP-R2).
+        wire: the network's only source of frame loss, targeted
+        control-plane loss (EXP-R2) or indiscriminate corruption
+        (EXP-R1). None (the default) keeps the paper's error-free wires.
     signal_lease_ns:
         Reservation-lease duration at the switch (default 50 ms). On
         error-free wires every lease timer is cancelled when its offer
@@ -268,9 +264,6 @@ def build_star(
     else:
         trace = TraceRecorder(enabled=trace_enabled)
     obs = Observer.of(trace, None if telemetry is None else telemetry.spans)
-    loss_rng = (
-        RngRegistry(loss_seed).stream("link-loss") if loss_rate > 0 else None
-    )
     metrics = MetricsCollector(
         t_latency_ns=phy.t_latency_ns, record_delays=record_delays
     )
@@ -316,8 +309,6 @@ def build_star(
             name=f"{name}->switch",
             deliver=switch.receive,
             obs=obs,
-            loss_rate=loss_rate,
-            loss_rng=loss_rng,
             fault_plan=fault_plan,
         )
         up_port = OutputPort(
@@ -338,8 +329,6 @@ def build_star(
             name=f"switch->{name}",
             deliver=node.receive,
             obs=obs,
-            loss_rate=loss_rate,
-            loss_rng=loss_rng,
             fault_plan=fault_plan,
         )
         down_port = OutputPort(

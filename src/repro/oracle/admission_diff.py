@@ -601,12 +601,16 @@ def run_churn_trial(
     return None, counts
 
 
+#: Disagreements a campaign report records in full; the rest are
+#: only counted.
+DISAGREEMENT_LIMIT = 20
+
+
 def run_admission_campaign(
     trials: int,
     seed: int,
     *,
     ops_per_trial: int = 40,
-    disagreement_limit: int = 20,
     batch: bool = False,
     churn: bool = False,
 ) -> AdmissionDiffReport:
@@ -650,7 +654,7 @@ def run_admission_campaign(
             totals[key] += value
         if disagreement is not None:
             disagreement_count += 1
-            if len(disagreements) < disagreement_limit:
+            if len(disagreements) < DISAGREEMENT_LIMIT:
                 disagreements.append(disagreement)
     return AdmissionDiffReport(
         trials=trials,

@@ -174,7 +174,7 @@ class CampaignReport:
     families: tuple[str, ...]
     #: trial counts per agreement class (keys: Agreement values).
     counts: dict[str, int]
-    #: recorded mismatches (capped at ``disagreement_limit``).
+    #: recorded mismatches (capped at :data:`DISAGREEMENT_LIMIT`).
     disagreements: tuple[Disagreement, ...]
     #: total mismatching trials, even beyond the recording cap.
     disagreement_count: int
@@ -236,6 +236,11 @@ class CampaignReport:
         }
 
 
+#: Mismatches a campaign report records in full; the rest are only
+#: counted.
+DISAGREEMENT_LIMIT = 20
+
+
 def run_campaign(
     trials: int,
     seed: int,
@@ -243,7 +248,6 @@ def run_campaign(
     *,
     check_naive: bool = True,
     max_horizon: int = DEFAULT_MAX_HORIZON,
-    disagreement_limit: int = 20,
 ) -> CampaignReport:
     """Run an N-trial differential campaign.
 
@@ -272,7 +276,7 @@ def run_campaign(
         counts[key] = counts.get(key, 0) + 1
         if verdict.agreement.is_disagreement:
             disagreement_count += 1
-            if len(disagreements) < disagreement_limit:
+            if len(disagreements) < DISAGREEMENT_LIMIT:
                 disagreements.append(
                     Disagreement(family=family, trial=trial, verdict=verdict)
                 )

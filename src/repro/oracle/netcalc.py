@@ -32,7 +32,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from ..analysis.timeline import extract_frame_delays
 from ..core.channel import ChannelSpec
@@ -40,6 +41,7 @@ from ..core.feasibility import FeasibilityReport, is_feasible, utilization
 from ..core.partitioning import AsymmetricDPS, SymmetricDPS
 from ..core.task import LinkTask
 from ..errors import ConfigurationError
+from ..multiswitch.graph import FabricGraph, build_chain_graph, build_fat_tree
 from ..netcalc.bounds import PathBound, link_delay_bound, path_bound_ns
 from ..sim.rng import RngRegistry
 from .differential import DEFAULT_MAX_HORIZON
@@ -417,16 +419,29 @@ def _star_trial(seed: int, trial: int) -> NetcalcTrialResult:
     )
 
 
-def _fabric_trial(seed: int, trial: int) -> NetcalcTrialResult:
-    from ..multiswitch.graph import build_chain_graph
+def _fabric_trial(
+    topology: str,
+    build_graph: Callable[[int], FabricGraph],
+    hop_floor: int,
+    seed: int,
+    trial: int,
+) -> NetcalcTrialResult:
+    """One multi-hop trial on ``build_graph(trial)``.
+
+    ``hop_floor`` is the graph's worst-case hop count: deadlines are
+    drawn with ``d >= hop_floor * C`` so the k-way split stays possible
+    and rejections exercise load, not Eq. 18.9. With capacities up to
+    3, ``3 * hop_floor`` must not exceed the smallest period (20), or
+    the deadline range could be empty.
+    """
     from ..multiswitch.partitioning import (
         MultiHopProportional,
         MultiHopSymmetric,
     )
     from ..multiswitch.simnet import build_fabric_network
 
-    rng = RngRegistry(seed).fork(trial).stream("netcalc-fabric")
-    fabric = build_chain_graph(2, 3)
+    rng = RngRegistry(seed).fork(trial).stream(f"netcalc-{topology}")
+    fabric = build_graph(trial)
     dps = MultiHopSymmetric() if trial % 2 == 0 else MultiHopProportional()
     net = build_fabric_network(
         fabric, dps=dps, trace_enabled=True, record_delays=True
@@ -436,9 +451,7 @@ def _fabric_trial(seed: int, trial: int) -> NetcalcTrialResult:
         source, destination = _draw_pair(rng, names)
         capacity = int(rng.integers(1, 4))
         period = int(_PERIODS[int(rng.integers(0, len(_PERIODS)))])
-        # three hops is the chain's worst case; d >= 3C keeps the k-way
-        # split possible so rejections exercise load, not Eq. 18.9.
-        deadline = int(rng.integers(3 * capacity, period + 1))
+        deadline = int(rng.integers(hop_floor * capacity, period + 1))
         net.establish(
             source, destination, ChannelSpec(period, capacity, deadline)
         )
@@ -451,10 +464,11 @@ def _fabric_trial(seed: int, trial: int) -> NetcalcTrialResult:
     net.start_all_sources(stop_after_messages=_MESSAGES_PER_TRIAL)
     net.sim.run()
     frames_checked, violations = _check_run(
-        "fabric", trial, net.phy, net.trace, net.metrics, bounds, channel_info
+        topology, trial, net.phy, net.trace, net.metrics, bounds,
+        channel_info,
     )
     disagreements, capped, links_checked = _check_links(
-        "fabric",
+        topology,
         trial,
         [
             (f"{link.tail}->{link.head}", admission.tasks_on(link))
@@ -462,7 +476,7 @@ def _fabric_trial(seed: int, trial: int) -> NetcalcTrialResult:
         ],
     )
     return NetcalcTrialResult(
-        topology="fabric",
+        topology=topology,
         trial=trial,
         channels_checked=len(bounds),
         frames_checked=frames_checked,
@@ -497,71 +511,20 @@ def _check_links(
     return disagreements, capped, len(links)
 
 
-def _fat_tree_trial(seed: int, trial: int) -> NetcalcTrialResult:
-    from ..multiswitch.graph import build_fat_tree
-    from ..multiswitch.partitioning import (
-        MultiHopProportional,
-        MultiHopSymmetric,
-    )
-    from ..multiswitch.simnet import build_fabric_network
-
-    rng = RngRegistry(seed).fork(trial).stream("netcalc-fat-tree")
+_TRIALS: dict[str, Callable[[int, int], NetcalcTrialResult]] = {
+    "star": _star_trial,
+    # a 2-switch chain with 3 hosts each: three hops at most.
+    "fabric": partial(
+        _fabric_trial, "fabric", lambda trial: build_chain_graph(2, 3), 3
+    ),
     # Standard-density k=4 fat-tree: 20 switches, 16 hosts, inter-pod
     # paths cross 6 links through the seeded multipath tie-break.
-    fabric = build_fat_tree(4, routing_seed=trial % 3)
-    dps = MultiHopSymmetric() if trial % 2 == 0 else MultiHopProportional()
-    net = build_fabric_network(
-        fabric, dps=dps, trace_enabled=True, record_delays=True
-    )
-    names = sorted(fabric.nodes)
-    for _ in range(int(rng.integers(4, 13))):
-        source, destination = _draw_pair(rng, names)
-        capacity = int(rng.integers(1, 4))
-        period = int(_PERIODS[int(rng.integers(0, len(_PERIODS)))])
-        # six hops is the fat-tree's worst case; d >= 6C keeps the
-        # k-way split possible so rejections exercise load, not
-        # Eq. 18.9 (6C <= 18 < min period 20, so the range is never
-        # empty).
-        deadline = int(rng.integers(6 * capacity, period + 1))
-        net.establish(
-            source, destination, ChannelSpec(period, capacity, deadline)
-        )
-    admission = net.admission
-    bounds = admission.channel_delay_bounds()
-    channel_info = {
-        channel_id: (decision.spec.deadline, len(decision.links))
-        for channel_id, decision in admission.decisions.items()
-    }
-    net.start_all_sources(stop_after_messages=_MESSAGES_PER_TRIAL)
-    net.sim.run()
-    frames_checked, violations = _check_run(
-        "fat-tree", trial, net.phy, net.trace, net.metrics, bounds,
-        channel_info,
-    )
-    disagreements, capped, links_checked = _check_links(
+    "fat-tree": partial(
+        _fabric_trial,
         "fat-tree",
-        trial,
-        [
-            (f"{link.tail}->{link.head}", admission.tasks_on(link))
-            for link in admission.occupied_links()
-        ],
-    )
-    return NetcalcTrialResult(
-        topology="fat-tree",
-        trial=trial,
-        channels_checked=len(bounds),
-        frames_checked=frames_checked,
-        links_checked=links_checked,
-        violations=tuple(violations),
-        disagreements=tuple(disagreements),
-        capped=capped,
-    )
-
-
-_TRIALS = {
-    "star": _star_trial,
-    "fabric": _fabric_trial,
-    "fat-tree": _fat_tree_trial,
+        lambda trial: build_fat_tree(4, routing_seed=trial % 3),
+        6,
+    ),
 }
 
 
@@ -678,12 +641,15 @@ class NetcalcCampaignReport:
         }
 
 
+#: Bound violations and link disagreements a campaign report records
+#: in full (each list separately); the rest are only counted.
+RECORD_LIMIT = 20
+
+
 def run_netcalc_campaign(
     trials: int,
     seed: int,
     topologies: Sequence[str] = TOPOLOGIES,
-    *,
-    record_limit: int = 20,
 ) -> NetcalcCampaignReport:
     """Run an N-trial measured-vs-bound campaign.
 
@@ -715,10 +681,10 @@ def run_netcalc_campaign(
         capped += result.capped
         violation_count += len(result.violations)
         disagreement_count += len(result.disagreements)
-        room = record_limit - len(violations)
+        room = RECORD_LIMIT - len(violations)
         if room > 0:
             violations.extend(result.violations[:room])
-        room = record_limit - len(disagreements)
+        room = RECORD_LIMIT - len(disagreements)
         if room > 0:
             disagreements.extend(result.disagreements[:room])
     return NetcalcCampaignReport(

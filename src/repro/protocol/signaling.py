@@ -29,6 +29,8 @@ switch re-answered). :meth:`SourceSignaling.handle_response` therefore
 classifies every response (:class:`ResponseKind`) instead of raising on
 anything unexpected, and :class:`RetryPolicy` describes the
 deterministic exponential-backoff schedule the network layer drives.
+Each request lives in exactly one :class:`PendingRequest` record: the
+frame as sent, its timer and its completion callback.
 """
 
 from __future__ import annotations
@@ -74,17 +76,30 @@ class ConnectionRequestState(enum.Enum):
 
 @dataclass(slots=True)
 class PendingRequest:
-    """Bookkeeping for one in-flight connection request at the source."""
+    """The one record of a connection request at its source.
 
-    connect_request_id: int
+    :meth:`SourceSignaling.build_request` creates it with everything the
+    network layer needs to drive the request: the frame as sent (a
+    retransmission re-sends it verbatim), the timer (``retry`` and its
+    jitter stream ``retry_rng``; no timer when ``retry`` is None) and
+    the completion callback, which fires once, on completion or on
+    timeout, and is then cleared.
+    """
+
+    frame: RequestFrame
     destination: str
-    period: int
-    capacity: int
-    deadline: int
+    retry: RetryPolicy | None = None
+    retry_rng: object = None
+    on_complete: Callable[..., None] | None = None
     state: ConnectionRequestState = ConnectionRequestState.PENDING
     rt_channel_id: int = -1
-    #: RequestFrame retransmissions performed for this request.
+    #: RequestFrame retransmissions performed so far (the timer's
+    #: attempt counter: attempt 0 is the initial send).
     retries: int = 0
+
+    @property
+    def connect_request_id(self) -> int:
+        return self.frame.connect_request_id
 
 
 class ResponseKind(enum.Enum):
@@ -124,7 +139,8 @@ class RetryPolicy:
 
     ``max_retries`` counts *retransmissions*: a request is sent at most
     ``1 + max_retries`` times before the source gives up (TIMED_OUT).
-    ``max_retries=0`` reproduces the old one-shot give-up timer.
+    With ``max_retries=0`` the policy is a one-shot timer: the request
+    times out ``timeout_ns`` after its send.
     """
 
     timeout_ns: int
@@ -219,7 +235,6 @@ class SourceSignaling:
         #: channel is torn down (:meth:`channel_torn_down`).
         self._live: dict[int, int] = {}
         self._next_hint = 1
-        self.completed: list[PendingRequest] = []
 
     @property
     def outstanding(self) -> int:
@@ -276,21 +291,20 @@ class SourceSignaling:
         period: int,
         capacity: int,
         deadline: int,
+        *,
+        retry: RetryPolicy | None = None,
+        retry_rng=None,
+        on_complete: Callable[..., None] | None = None,
     ) -> RequestFrame:
         """Create and register a RequestFrame for a new RT channel.
 
         The *RT channel ID* field is sent as 0 -- "not set with a valid
-        value yet" per the paper; the switch assigns the real ID.
+        value yet" per the paper; the switch assigns the real ID. The
+        request's :class:`PendingRequest` keeps the frame together with
+        ``retry``, ``retry_rng`` and ``on_complete``.
         """
         request_id = self._allocate_request_id()
-        self._pending[request_id] = PendingRequest(
-            connect_request_id=request_id,
-            destination=destination,
-            period=period,
-            capacity=capacity,
-            deadline=deadline,
-        )
-        return RequestFrame(
+        frame = RequestFrame(
             connect_request_id=request_id,
             rt_channel_id=0,
             source_mac=self._node_mac,
@@ -301,6 +315,14 @@ class SourceSignaling:
             capacity=capacity,
             deadline=deadline,
         )
+        self._pending[request_id] = PendingRequest(
+            frame=frame,
+            destination=destination,
+            retry=retry,
+            retry_rng=retry_rng,
+            on_complete=on_complete,
+        )
+        return frame
 
     def handle_response(self, response: ResponseFrame) -> ResponseOutcome:
         """Classify and consume one ResponseFrame from the switch.
@@ -333,7 +355,6 @@ class SourceSignaling:
             self._live[rid] = response.rt_channel_id
         else:
             request.state = ConnectionRequestState.REJECTED
-        self.completed.append(request)
         self._completed_recent[rid] = request
         return ResponseOutcome(ResponseKind.COMPLETED, request)
 
@@ -375,7 +396,6 @@ class SourceSignaling:
             )
         request.state = ConnectionRequestState.TIMED_OUT
         self._timed_out[connect_request_id] = request
-        self.completed.append(request)
         return request
 
 

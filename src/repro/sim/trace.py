@@ -380,23 +380,23 @@ class Observer:
     def handle_request(self, manager, request, now: int, switch: str, ctx):
         """``manager.handle_request`` plus its admission verdict event.
 
-        The verdict goes on the request's trace when admission ran (a
-        decision was appended); a retransmission answered from the
-        pending-offer table or the verdict cache is a ``duplicate``.
-        Wall-clock ``compute_ns`` is measured only when the tracker asks
-        for it (it is not deterministic, so sweep runs keep it off).
+        The verdict goes on the request's trace when admission ran (the
+        manager's ``last_decision`` is set); a retransmission answered
+        from the pending-offer table or the verdict cache is a
+        ``duplicate``. Wall-clock ``compute_ns`` is measured only when
+        the tracker asks for it (it is not deterministic, so sweep runs
+        keep it off).
         """
         spans = self._spans
         if spans is None:
             return manager.handle_request(request, now=now)
-        before = len(manager.decisions)
         start = perf_counter_ns() if spans.measure_compute else -1
         actions = manager.handle_request(request, now=now)
         compute = perf_counter_ns() - start if start >= 0 else -1
         if ctx is not None:
             fields: dict = {"verdict": "duplicate"}
-            if len(manager.decisions) > before:
-                decision = manager.decisions[-1]
+            decision = manager.last_decision
+            if decision is not None:
                 fields["verdict"] = "accept" if decision.accepted else "reject"
                 if not decision.accepted and decision.reason is not None:
                     fields["reason"] = decision.reason.name

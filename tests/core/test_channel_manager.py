@@ -305,7 +305,7 @@ class TestReservationLeases:
         again = manager.handle_request(request_frame(), now=500)
         # identical stamped offer re-forwarded, no second admission run
         assert again[0].frame == first[0].frame
-        assert len(manager.decisions) == 1
+        assert manager.last_decision is None
         assert manager.duplicate_requests == 1
         assert manager.pending_offers == 1
         # the lease was refreshed: expiry moved from 1000 to 1500
@@ -327,7 +327,7 @@ class TestReservationLeases:
         )[0]
         # the final response was lost; the source retransmits
         replay = manager.handle_request(request_frame(), now=200)
-        assert len(manager.decisions) == 1  # no second admission run
+        assert manager.last_decision is None  # no second admission run
         assert replay[0].target == "a"
         assert replay[0].frame.ok
         assert replay[0].frame.rt_channel_id == channel_id
@@ -337,8 +337,9 @@ class TestReservationLeases:
         manager = make_lease_manager(lease_ns=1000)
         bad = request_frame(d=5)  # d < 2C: rejected outright
         manager.handle_request(bad, now=0)
+        assert not manager.last_decision.accepted
         replay = manager.handle_request(bad, now=100)
-        assert len(manager.decisions) == 1
+        assert manager.last_decision is None
         assert not replay[0].frame.ok
         assert replay[0].grant is None
 
@@ -361,7 +362,7 @@ class TestReservationLeases:
         # the channel is dead: a same-keyed request must be admitted
         # fresh, never answered with the stale grant.
         fresh = manager.handle_request(request_frame(), now=200)
-        assert len(manager.decisions) == 2
+        assert manager.last_decision.accepted
         assert isinstance(fresh[0].frame, RequestFrame)
 
     def test_verdict_cache_expires(self):
@@ -372,7 +373,7 @@ class TestReservationLeases:
         from repro.core.channel_manager import DEFAULT_RESPONSE_CACHE_NS
 
         manager.handle_request(bad, now=DEFAULT_RESPONSE_CACHE_NS + 1)
-        assert len(manager.decisions) == 2
+        assert manager.last_decision is not None
 
     def test_no_lease_means_no_expiry(self):
         manager = make_manager()

@@ -316,3 +316,15 @@ class TestSignallingRoundTrip:
         data = snapshot(manager.admission, manager=manager)
         with pytest.raises(ConfigurationError, match="fresh manager"):
             restore_signalling(data, manager)
+
+    def test_verdict_without_fingerprint_refused(self):
+        manager = busy_manager()
+        data = json.loads(dumps(manager.admission, manager=manager))
+        data["signalling"]["completed"][0]["fingerprint"] = None
+        controller = restore(data, SymmetricDPS())
+        with pytest.raises(ConfigurationError, match="'fingerprint'"):
+            restore_signalling(data, make_manager(admission=controller))
+        del data["signalling"]["completed"][0]["fingerprint"]
+        controller = restore(data, SymmetricDPS())
+        with pytest.raises(ConfigurationError, match="'fingerprint'"):
+            restore_signalling(data, make_manager(admission=controller))

@@ -55,6 +55,19 @@ class TestLossRobustness:
         with pytest.raises(ConfigurationError):
             run_loss_robustness(loss_rate=1.0)
 
+    def test_exp_r1b_draws_are_pinned(self):
+        # the CLI's `robustness loss --loss-rate 0.05` run: its exact
+        # frame and message counts pin every corruption draw
+        report = run_loss_robustness(loss_rate=0.05, seed=808)
+        assert (
+            report.frames_sent,
+            report.frames_delivered,
+            report.frames_lost_on_wires,
+            report.messages_completed,
+            report.messages_expected,
+            report.deadline_misses,
+        ) == (1110, 999, 111, 264, 370, 0)
+
 
 class TestSignalLossRobustness:
     def test_liveness_and_zero_leaks_at_20_percent(self):

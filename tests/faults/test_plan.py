@@ -14,6 +14,7 @@ from repro.faults import (
 from repro.protocol.ethernet import EthernetFrame, FrameKind
 from repro.protocol.frames import RequestFrame, ResponseFrame, TeardownFrame
 from repro.protocol.headers import RTHeader
+from repro.sim.rng import RngRegistry
 
 SWITCH_MAC = 0x02_FF_FF_FF_FF_FF
 
@@ -229,3 +230,82 @@ class TestDropDecisions:
         assert plan.total_drops == plan.drops_by_class["request"]
         assert plan.signalling_drops() == plan.total_drops
         assert 0 < plan.total_drops < 40
+
+
+def mixed_arrivals() -> list[EthernetFrame]:
+    """Requests, teardowns, RT data and best-effort frames, interleaved."""
+    wire = request_frame().encode()
+    tdn = TeardownFrame(connect_request_id=0, rt_channel_id=1).encode()
+    be = EthernetFrame(
+        kind=FrameKind.BEST_EFFORT, source="a", destination="b",
+        payload_bytes=64,
+    )
+    kinds = (
+        lambda: signaling("a", wire),
+        rt_frame,
+        lambda: signaling("a", tdn),
+        lambda: be,
+    )
+    return [kinds[i % len(kinds)]() for i in range(200)]
+
+
+class TestCorruption:
+    def test_drops_match_a_reference_loop(self):
+        plan = FaultPlan(seed=17, corruption=0.3)
+        reference = RngRegistry(17).stream("link-loss")
+        causes = [
+            plan.drop_cause("a->switch", frame, now=0)
+            for frame in mixed_arrivals()
+        ]
+        expected = [
+            "corruption" if reference.random() < 0.3 else None
+            for _ in range(200)
+        ]
+        assert causes == expected
+        assert 0 < causes.count("corruption") < 200
+        # corruption is the wire's draw, not a targeted rule's drop
+        assert plan.total_drops == 0
+
+    def test_rule_drops_take_no_corruption_draw(self):
+        rules = dict(
+            bernoulli={"request": 0.5}, drop_occurrences={"teardown": [1, 4]}
+        )
+        plan = FaultPlan(seed=23, corruption=0.25, **rules)
+        ruled = FaultPlan(seed=23, **rules)
+        reference = RngRegistry(23).stream("link-loss")
+        expected = []
+        for frame in mixed_arrivals():
+            if ruled.should_drop("a->switch", frame, now=0):
+                expected.append("fault-plan")
+            elif reference.random() < 0.25:
+                expected.append("corruption")
+            else:
+                expected.append(None)
+        causes = [
+            plan.drop_cause("a->switch", frame, now=0)
+            for frame in mixed_arrivals()
+        ]
+        assert causes == expected
+        assert causes.count("fault-plan") > 2  # Bernoulli drops too
+        assert causes.count("corruption") > 0
+        assert plan.drops_by_class == ruled.drops_by_class
+
+    def test_state_round_trip_continues_the_draws(self):
+        frames = mixed_arrivals()
+        full = FaultPlan(seed=5, corruption=0.4)
+        expected = [full.drop_cause("l", f, now=0) for f in frames]
+        head = FaultPlan(seed=5, corruption=0.4)
+        causes = [head.drop_cause("l", f, now=0) for f in frames[:77]]
+        resumed = FaultPlan(seed=5, corruption=0.4)
+        resumed.import_state(head.export_state())
+        causes += [resumed.drop_cause("l", f, now=0) for f in frames[77:]]
+        assert causes == expected
+
+    def test_link_loss_position_exported_only_when_corrupting(self):
+        assert set(FaultPlan(seed=5).export_state()) == {
+            "seen", "drops_by_class", "window_drops", "rng_states",
+        }
+        corrupting = FaultPlan(seed=5, corruption=0.4).export_state()
+        assert "link_loss_rng_state" in corrupting
+        with pytest.raises(ConfigurationError, match="corrupts no frames"):
+            FaultPlan(seed=5).import_state(corrupting)

@@ -344,7 +344,7 @@ def faulty_star():
     telemetry = _spanned()
     net = build_star(
         ["m0", "m1", "s0"], dps=SymmetricDPS(), be_buffer_frames=1,
-        loss_rate=0.1, loss_seed=3, telemetry=telemetry,
+        fault_plan=FaultPlan(seed=3, corruption=0.1), telemetry=telemetry,
     )
     spec = ChannelSpec(period=100, capacity=3, deadline=40)
     assert net.establish_analytically("m0", "s0", spec) is not None
@@ -368,7 +368,8 @@ def late_handshakes():
     telemetry = _spanned()
     net = build_star(["m0", "s0", "s1"], telemetry=telemetry)
     spec = ChannelSpec(period=100, capacity=3, deadline=40)
-    assert net.establish("m0", "s0", spec, timeout_ns=20_000) is None
+    once = RetryPolicy(timeout_ns=20_000)
+    assert net.establish("m0", "s0", spec, retry=once) is None
     retry = RetryPolicy(timeout_ns=20_000, max_retries=3)
     assert net.establish("m0", "s1", spec, retry=retry) is not None
     assert net.node("m0").signal_stale_frames == 1
@@ -435,7 +436,8 @@ def test_pins_cover_every_data_plane_site(
         spans += run_spans
     assert _DATA_PLANE_CATEGORIES - {r[1] for r in records} == set()
     assert _DATA_PLANE_SPANS - {span["name"] for span in spans} == set()
-    # wire corruption writes link.lost without fields, a fault plan with
+    # a corruption drop writes link.lost without fields, a targeted
+    # rule's drop with its cause
     lost = {str(r[4]) for r in records if r[1] == "link.lost"}
     assert {"None", "{'cause': 'fault-plan'}"} <= lost
 

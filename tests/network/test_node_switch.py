@@ -45,10 +45,19 @@ class TestHandshake:
         assert len(net.admission.state) == 0
 
     def test_source_signaling_state(self, net, paper_spec):
-        net.establish("a", "b", paper_spec)
-        completed = net.nodes["a"].signaling.completed
+        completed = []
+        node = net.nodes["a"]
+        node.request_channel(
+            destination_mac=net.nodes["b"].mac,
+            destination_ip=net.nodes["b"].ip,
+            destination_name="b",
+            spec=paper_spec,
+            on_complete=lambda record, grant: completed.append(record),
+        )
+        net.sim.run()
         assert len(completed) == 1
         assert completed[0].state is ConnectionRequestState.ACCEPTED
+        assert node.signaling.outstanding == 0
 
     def test_callback_receives_grant(self, net, paper_spec):
         results = []

@@ -165,16 +165,6 @@ class TestHalfLink:
         assert link.bytes_carried == 1538 + 84
         assert 0 < link.utilization() <= 1.0
 
-    def test_utilization_window_argument_rejected(self):
-        # regression: utilization(since_ns) used to divide *lifetime*
-        # busy time by the window, over-reporting whenever the wire was
-        # busy before the window started (masked by the min(1.0) cap)
-        sim, phy, link, _ = self.make()
-        link.transmit(be_frame())
-        sim.run()
-        with pytest.raises(SimulationError, match="busy_mark"):
-            link.utilization(since_ns=1)
-
     def test_utilization_lifetime_fraction(self):
         sim, phy, link, _ = self.make()
         assert link.utilization() == 0.0  # before time advances

@@ -59,7 +59,8 @@ class TestDropEachHandshakeFrameOnce:
         plan = FaultPlan(drop_occurrences={"teardown": [0]})
         net = lossy_star(plan)
         grant = net.establish("a", "b", SPEC, retry=RETRY)
-        net.nodes["a"].teardown_channel(grant.channel_id, repeats=2)
+        net.nodes["a"].teardown_repeats = 2
+        net.nodes["a"].teardown_channel(grant.channel_id)
         net.sim.run()
         assert plan.drops_by_class["teardown"] == 1
         assert_no_leak(net, set())
@@ -72,7 +73,8 @@ class TestDropEachHandshakeFrameOnce:
         plan = FaultPlan(drop_occurrences={"teardown": [0]})
         net = lossy_star(plan)
         grant = net.establish("a", "b", SPEC, retry=RETRY)
-        net.nodes["a"].teardown_channel(grant.channel_id, repeats=1)
+        net.nodes["a"].teardown_repeats = 1
+        net.nodes["a"].teardown_channel(grant.channel_id)
         net.sim.run()
         assert set(net.admission.state.channels.keys()) == {grant.channel_id}
 
@@ -81,10 +83,39 @@ class TestDropEachHandshakeFrameOnce:
         # the duplicates instead of crashing on the second release
         net = lossy_star(FaultPlan())
         grant = net.establish("a", "b", SPEC, retry=RETRY)
-        net.nodes["a"].teardown_channel(grant.channel_id, repeats=3)
+        net.nodes["a"].teardown_repeats = 3
+        net.nodes["a"].teardown_channel(grant.channel_id)
         net.sim.run()
         assert_no_leak(net, set())
         assert net.switch.manager.stale_frames == 2
+
+
+class TestRequestRecord:
+    def test_retransmission_resends_the_recorded_frame(self):
+        net = lossy_star(FaultPlan(drop_occurrences={"request": [0]}))
+        node = net.nodes["a"]
+        uplink = node.uplink
+        submit = uplink.submit_be
+        sent = []
+
+        def recording_submit(frame):
+            sent.append(frame.payload_object)
+            return submit(frame)
+
+        uplink.submit_be = recording_submit
+        records = []
+        node.request_channel(
+            destination_mac=net.nodes["b"].mac,
+            destination_ip=net.nodes["b"].ip,
+            destination_name="b",
+            spec=SPEC,
+            on_complete=lambda record, grant: records.append(record),
+            retry=RETRY,
+        )
+        net.sim.run()
+        (record,) = records
+        assert record.retries == node.signal_retries == 1
+        assert sent == [record.frame.encode()] * 2
 
 
 class TestLeaseReclaim:

@@ -224,7 +224,8 @@ def _late_handshakes(telemetry):
     a retransmitted one whose second final response is a duplicate."""
     net = build_star(["m0", "s0", "s1"], telemetry=telemetry)
     spec = ChannelSpec(period=100, capacity=3, deadline=40)
-    assert net.establish("m0", "s0", spec, timeout_ns=20_000) is None
+    once = RetryPolicy(timeout_ns=20_000)
+    assert net.establish("m0", "s0", spec, retry=once) is None
     retry = RetryPolicy(timeout_ns=20_000, max_retries=3)
     assert net.establish("m0", "s1", spec, retry=retry) is not None
     return net

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, FieldRangeError, ProtocolError
 from repro.protocol.frames import RequestFrame, ResponseFrame
 from repro.protocol.signaling import (
     EXPLICIT_TEARDOWN_ID,
@@ -63,7 +63,6 @@ class TestSourceSignaling:
         assert record.state is ConnectionRequestState.ACCEPTED
         assert record.rt_channel_id == 9
         assert source.outstanding == 0
-        assert source.completed == [record]
 
     def test_reject_flow(self):
         source = make_source()
@@ -90,8 +89,6 @@ class TestSourceSignaling:
         kind, record = source.handle_response(respond(request, ok=True))
         assert kind is ResponseKind.DUPLICATE
         assert record is first
-        # the duplicate must not complete the request a second time
-        assert source.completed == [first]
 
     def test_duplicate_of_rejection_recognized(self):
         source = make_source()
@@ -198,6 +195,14 @@ class TestSourceSignaling:
         assert source.is_pending(request.connect_request_id)
         source.handle_response(respond(request, ok=True))
         assert not source.is_pending(request.connect_request_id)
+
+    def test_unencodable_request_reserves_no_id(self):
+        # the frame is built before its record: a field the wire cannot
+        # carry leaves no pending request holding an ID
+        source = make_source()
+        with pytest.raises(FieldRangeError):
+            source.build_request("b", 2, 2, 2**32, 3, 40)
+        assert source.outstanding == 0
 
     def test_late_response_then_duplicate(self):
         source = make_source()
