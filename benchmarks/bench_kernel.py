@@ -2,10 +2,13 @@
 
 Times the classic hold-model workload (a constant pending population:
 every fired event queues one successor at a pseudorandom offset)
-through the kernel's one binary-heap pending set and its one way to
-queue an event, ``call_at``. Determinism is asserted, not assumed:
-repeated runs must dispatch the identical instant-by-instant stream
-before any timing is reported.
+through the kernel's pending set and its one way to queue an event,
+``call_at``. Offsets are drawn from 10 000 instants, so 67 % of the
+events are alone on their instant (1.2 per instant): the kernel's heap
+of distinct instants does nearly all the ordering, and its per-instant
+batches barely form (the data planes are the other extreme, EXP-P26).
+Determinism is asserted, not assumed: repeated runs must dispatch the
+identical instant-by-instant stream before any timing is reported.
 
 EXP-P7 once ran this against a second, calendar-queue pending set. On
 CPython the C-accelerated ``heapq`` won at every population measured

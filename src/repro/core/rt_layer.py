@@ -22,6 +22,8 @@ Per-frame records are cheap: :class:`OutgoingFrame` (like the
 mutable ``__slots__`` record with identity equality, built once per
 frame. The :class:`~repro.protocol.headers.RTHeader` that all ``C``
 frames of one message share, and the :class:`ChannelGrant`, stay frozen.
+A message's values are checked once, when its header is encoded; its
+frames are then built without per-frame checks they would always pass.
 
 The grant metadata (:class:`ChannelGrant`) is how the source node learns
 ``d_iu``: the published ResponseFrame format (Figure 18.4) has no field
@@ -34,13 +36,12 @@ the same frame. See DESIGN.md, "Substitutions".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ProtocolError, UnknownChannelError
-from ..protocol.ethernet import EthernetFrame, FrameKind
+from ..protocol.ethernet import EthernetFrame
 from ..protocol.headers import encode_rt_header
 from ..sim.trace import Observer
-from ..units import ETH_MAX_PAYLOAD
 from .channel import ChannelSpec
 
 __all__ = ["ChannelGrant", "OutgoingFrame", "RTLayer"]
@@ -186,21 +187,16 @@ class RTLayer:
         self._message_seq[channel_id] = seq + 1
         end_to_end_deadline = release_ns + grant.spec.deadline * self._slot_ns
         uplink_deadline = release_ns + grant.uplink_deadline_slots * self._slot_ns
+        # The message's one check: the deadline fits 48 bits and the
+        # channel ID 16, so every frame passes EthernetFrame's checks.
         header = encode_rt_header(end_to_end_deadline, channel_id)
-        frames = []
-        for fragment in range(grant.spec.capacity):
-            frame = EthernetFrame(
-                kind=FrameKind.RT_DATA,
-                source=self._node,
-                destination=grant.destination,
-                payload_bytes=ETH_MAX_PAYLOAD,
-                rt_header=header,
-                channel_id=channel_id,
-                message_seq=seq,
-                fragment_index=fragment,
-                created_at=release_ns,
+        frames = [
+            OutgoingFrame(frame, uplink_deadline)
+            for frame in EthernetFrame._trusted_message(
+                self._node, grant.destination, header, channel_id, seq,
+                grant.spec.capacity, release_ns,
             )
-            frames.append(OutgoingFrame(frame, uplink_deadline))
+        ]
         if self._obs is not None:
             self._obs.emitted(
                 release_ns, self._node, channel_id, seq,

@@ -11,7 +11,9 @@ mutable ``__slots__`` dataclass (a frozen one pays an
 equality: a frame equals only itself. Nothing mutates a frame after
 construction. The :class:`~repro.protocol.headers.RTHeader` it carries
 stays frozen, because all ``C`` frames of one message share one header
-object.
+object. The RT layer checks each message once and builds its ``C``
+frames with :meth:`EthernetFrame._trusted_message`, which skips the
+per-frame checks those frames always pass.
 
 Three kinds of frame exist in the reproduced system (Figure 18.2):
 
@@ -35,7 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from ..units import frame_bytes_for_payload, wire_bytes
+from ..units import ETH_MAX_PAYLOAD, frame_bytes_for_payload, wire_bytes
 from .headers import RT_TOS, RTHeader
 
 __all__ = ["FrameKind", "EthernetFrame", "reset_frame_ids"]
@@ -112,6 +114,47 @@ class EthernetFrame:
     created_at: int = 0
     frame_id: int = field(default_factory=lambda: next(_frame_counter))
     payload_object: object | None = None
+
+    @classmethod
+    def _trusted_message(
+        cls,
+        source: str,
+        destination: str,
+        rt_header: RTHeader,
+        channel_id: int,
+        message_seq: int,
+        count: int,
+        created_at: int,
+    ) -> list["EthernetFrame"]:
+        """The ``count`` maximum-size RT frames of one message, unchecked.
+
+        Fills the slots directly, skipping :meth:`__post_init__`, and
+        draws the frames' IDs in fragment order. Only for a header from
+        :func:`~repro.protocol.headers.encode_rt_header` (ToS 255) and
+        the channel ID it checked (``0 .. 2**16 - 1``): with the
+        constant kind and payload size, such frames always pass the
+        checks, so the RT layer checks each message once instead of
+        each frame.
+        """
+        new = object.__new__
+        kind = FrameKind.RT_DATA
+        counter = _frame_counter
+        frames = []
+        for fragment in range(count):
+            frame = new(cls)
+            frame.kind = kind
+            frame.source = source
+            frame.destination = destination
+            frame.payload_bytes = ETH_MAX_PAYLOAD
+            frame.rt_header = rt_header
+            frame.channel_id = channel_id
+            frame.message_seq = message_seq
+            frame.fragment_index = fragment
+            frame.created_at = created_at
+            frame.frame_id = next(counter)
+            frame.payload_object = None
+            frames.append(frame)
+        return frames
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

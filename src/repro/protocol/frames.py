@@ -59,9 +59,13 @@ exception is :meth:`_Frame._trusted`, which sets the fields directly
 and checks nothing. It is allowed only where every value is copied
 from a frame or record already checked in this process (an ACK or a
 COMMIT/ABORT that copies an ANNOUNCE's fields, a replay of a committed
-entry) or is a constant of the protocol; the caller must check
-anything it reads from outside the process, such as a checkpoint,
-before it copies from it.
+entry, the eight fields :meth:`RequestFrame.with_channel_id` keeps) or
+is a constant of the protocol; the caller must check anything it reads
+from outside the process, such as a checkpoint, before it copies from
+it. The decoder builds its frames the same way: it masks each field to
+its width and converts its kind, so the range checks would always pass,
+and it runs only :meth:`_Frame._check_values` (a gossip digest's
+non-zero denominator).
 
 A :class:`TeardownFrame` (type 3) is added as a natural extension -- the
 paper establishes channels dynamically but does not give a release
@@ -86,7 +90,7 @@ shared links (the paper's switch is alone; a fabric is not):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from ..errors import CodecError, FieldRangeError
@@ -144,6 +148,22 @@ def _bits(width: int, kind: type = int):
     return field(metadata={"bits": width, "kind": kind})
 
 
+def _check_field(name: str, width: int, kind: type, value) -> None:
+    """Refuse a field value of the wrong kind or beyond ``width`` bits."""
+    if type(value) is not kind and (
+        not isinstance(value, kind) or isinstance(value, bool)
+    ):
+        raise FieldRangeError(
+            f"{name} must be {kind.__name__}, got {value!r}"
+        )
+    if value < 0 or value >> width:
+        raise FieldRangeError(
+            f"{name} = {value} does not fit in the {width}-bit "
+            f"field declared by the paper "
+            f"(range 0..{(1 << width) - 1})"
+        )
+
+
 class _Frame:
     """The codec every signalling frame derives from its declaration.
 
@@ -171,28 +191,25 @@ class _Frame:
 
     def __post_init__(self) -> None:
         for name, width, kind in self._FIELDS:
-            value = getattr(self, name)
-            if type(value) is not kind and (
-                not isinstance(value, kind) or isinstance(value, bool)
-            ):
-                raise FieldRangeError(
-                    f"{name} must be {kind.__name__}, got {value!r}"
-                )
-            if value < 0 or value >> width:
-                raise FieldRangeError(
-                    f"{name} = {value} does not fit in the {width}-bit "
-                    f"field declared by the paper "
-                    f"(range 0..{(1 << width) - 1})"
-                )
+            _check_field(name, width, kind, getattr(self, name))
+        self._check_values()
+
+    def _check_values(self) -> None:
+        """Checks beyond each field's kind and width (none by default).
+
+        The decoder runs them too: it masks every field to its width and
+        converts its kind, so they are all it has to check.
+        """
 
     @classmethod
     def _trusted(cls, *values):
         """Build a frame from its field values in wire order, unchecked.
 
         Skips the frozen ``__init__`` and :meth:`__post_init__`. Only for
-        values that already passed the check in this process, or
-        protocol constants (see the module docstring): a value out of
-        its field's range would corrupt :meth:`encode` without an error.
+        values that already passed the check in this process, values
+        the decoder masked to their widths, or protocol constants (see
+        the module docstring): a value out of its field's range would
+        corrupt :meth:`encode` without an error.
         """
         frame = object.__new__(cls)
         for set_, value in zip(cls._SETTERS, values):
@@ -232,7 +249,11 @@ class _Frame:
                 raise CodecError(
                     f"unknown {kind.__name__} {args[index]:#04x}"
                 ) from None
-        return cls(*args)
+        # Each value is masked to its width and of its kind, so only the
+        # checks beyond those are left to run.
+        frame = cls._trusted(*args)
+        frame._check_values()
+        return frame
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,8 +278,17 @@ class RequestFrame(_Frame):
     deadline: int = _bits(32)
 
     def with_channel_id(self, rt_channel_id: int) -> "RequestFrame":
-        """The switch's rewrite before forwarding to the destination."""
-        return replace(self, rt_channel_id=rt_channel_id)
+        """The switch's rewrite before forwarding to the destination.
+
+        Checks the new ID; the other fields are copied from this frame,
+        which passed its checks.
+        """
+        _check_field(*self._FIELDS[1], rt_channel_id)  # rt_channel_id
+        return RequestFrame._trusted(
+            self.connect_request_id, rt_channel_id, self.source_mac,
+            self.destination_mac, self.source_ip, self.destination_ip,
+            self.period, self.capacity, self.deadline,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,8 +374,7 @@ class GossipFrame(_Frame):
     util_num: int = _bits(32)
     util_den: int = _bits(32)
 
-    def __post_init__(self) -> None:
-        _Frame.__post_init__(self)
+    def _check_values(self) -> None:
         if self.util_den == 0:
             raise FieldRangeError("util_den must be non-zero")
 

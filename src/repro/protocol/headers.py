@@ -106,13 +106,23 @@ class RTHeader:
         return self.ip_destination & 0xFFFF
 
 
+_new = object.__new__
+# The slot setters of the frozen header (its __setattr__ refuses).
+_set_ip_source = RTHeader.ip_source.__set__
+_set_ip_destination = RTHeader.ip_destination.__set__
+_set_tos = RTHeader.tos.__set__
+
+
 def encode_rt_header(absolute_deadline: int, channel_id: int) -> RTHeader:
     """Build the mangled IP header for an outgoing RT frame.
 
     Splits the 48-bit ``absolute_deadline`` across the IP source address
     (upper 32 bits) and the top half of the IP destination address
     (lower 16 bits), and stores ``channel_id`` in the bottom half of the
-    destination address, exactly as Section 18.2.2 prescribes.
+    destination address, exactly as Section 18.2.2 prescribes. The two
+    range checks here are the header's only checks: the result equals
+    ``RTHeader(ip_source=..., ip_destination=...)`` but skips its
+    ``__post_init__``, which values in these ranges always pass.
     """
     if not isinstance(absolute_deadline, int) or absolute_deadline < 0:
         raise FieldRangeError(
@@ -133,9 +143,15 @@ def encode_rt_header(absolute_deadline: int, channel_id: int) -> RTHeader:
         raise FieldRangeError(
             f"channel ID {channel_id!r} does not fit in 16 bits"
         )
-    ip_source = absolute_deadline >> 16
-    ip_destination = ((absolute_deadline & 0xFFFF) << 16) | channel_id
-    return RTHeader(ip_source=ip_source, ip_destination=ip_destination)
+    # Both address fields fit in 32 bits and the ToS is the RT constant,
+    # so the header is built without re-running RTHeader's checks.
+    header = _new(RTHeader)
+    _set_ip_source(header, absolute_deadline >> 16)
+    _set_ip_destination(
+        header, ((absolute_deadline & 0xFFFF) << 16) | channel_id
+    )
+    _set_tos(header, RT_TOS)
+    return header
 
 
 def decode_rt_header(header: RTHeader) -> tuple[int, int]:

@@ -1,11 +1,12 @@
 """Reservation slots for the discrete-event kernel.
 
-A queued event is a plain ``(time, seq, action, label)`` heap entry in
-the kernel (:mod:`repro.sim.kernel`). Determinism rule: events queued
-for the same instant fire in the order they were queued (FIFO),
-enforced by a monotone sequence number in the heap key. This makes
-every simulation run bit-for-bit reproducible for a given seed, which
-the validation experiments rely on.
+A queued event is a plain ``(time, seq, action, label)`` entry in the
+kernel (:mod:`repro.sim.kernel`), kept in ``seq`` order with the other
+entries of its instant. Determinism rule: events queued for the same
+instant fire in the order they were queued (FIFO), enforced by a
+monotone sequence number. This makes every simulation run bit-for-bit
+reproducible for a given seed, which the validation experiments rely
+on.
 
 A :class:`Slot` holds one such ``(time, seq)`` place taken now for an
 event that may be queued into it later.

@@ -27,21 +27,41 @@ the validation experiments simulate many hyperperiods.
 
 The pending set
 ---------------
-One binary heap: a plain list of ``(time, seq, action, label)`` entries
-that every method drives with :mod:`heapq` directly. ``(time, seq)`` is
-unique, so entries never compare by action and the dispatch order is
-the total order ``(time, seq)`` -- same-time FIFO included. (A calendar
-queue was tried and deleted: on CPython the C ``heapq`` beat it on
-every population measured, EXPERIMENTS.md EXP-P7.)
+Every queued event is a plain ``(time, seq, action, label)`` entry, and
+``(time, seq)`` is unique, so the dispatch order is the total order
+``(time, seq)`` -- same-time FIFO included. The entries are grouped by
+their exact instant:
 
-Cancelling removes an entry from the heap at once:
-:meth:`Simulator.cancel` finds it (its ``(time, seq)`` is unique), puts
-the heap's last entry in its place and re-heapifies. That costs time
-linear in the queue length; the one caller, a switch's lease timers,
-cancels while the queue is short (the handshake phase). A cancelled
-entry never fires, never moves the clock and is not counted, and no
-dead entry stays queued: :attr:`Simulator.pending_events` counts only
-events still to fire, plus weak ones a finished run left behind.
+* a binary heap of the distinct pending instants (plain ints, driven
+  with :mod:`heapq` directly);
+* a dict from each instant to its entries in ``seq`` order: a lone
+  entry is stored bare, two or more go in a :class:`~collections.deque`.
+
+:meth:`Simulator.call_at` takes the largest seq yet, so it appends to
+its instant; :meth:`Simulator.call_reserved` inserts in ``seq`` order.
+:meth:`Simulator.run` takes the earliest instant and drains its deque
+in place, so an event queued for the instant being drained joins it.
+The star and the fat tree release maximum-size frames at the critical
+instant, so their wires run on a slot grid: a data-plane instant holds
+11 to 16 events on average, and one heap operation serves them all.
+
+A calendar queue was tried and deleted (EXP-P7/P8). It grouped events
+into fixed-width time buckets: each bucket was itself a small
+``(time, seq)`` heap, and finding the next one was a scan in
+interpreted bytecode, so on the hold model (every event at a distinct
+instant) the C ``heapq`` beat it. Grouping by exact instant orders a
+group by queueing alone, with no comparison, and costs one heap of
+ints when every event is alone on its instant (EXP-P26).
+
+Cancelling removes an entry from the queue at once:
+:meth:`Simulator.cancel` finds it in its instant's entries (its
+``(time, seq)`` is unique), which costs time linear in that instant's
+entries; an instant it empties leaves the heap too, linear in the
+pending instants. The one caller, a switch's lease timers, cancels
+while the queue is short (the handshake phase). A cancelled entry
+never fires, never moves the clock and is not counted, and no dead
+entry stays queued: :attr:`Simulator.pending_events` counts only events
+still to fire, plus weak ones a finished run left behind.
 
 Observability hooks
 -------------------
@@ -53,7 +73,7 @@ unused:
   *strong* (normal) events remain, without firing leftover weak events,
   so periodic probes cannot extend the final clock or perturb results.
   The queued weak entries' seqs are kept in one set, so a strong event
-  remains exactly while the heap is longer than that set.
+  remains exactly while more entries are pending than that set holds.
 * **profiler** (:attr:`Simulator.profiler`): when set to an object with
   an ``account(label, wall_ns)`` method, ``run()`` times each dispatch
   with ``perf_counter_ns`` and reports it under the entry's label.
@@ -62,6 +82,7 @@ unused:
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from time import perf_counter_ns
 from typing import Callable
@@ -97,8 +118,12 @@ class Simulator:
         #: (the hot paths read it per frame); only the kernel assigns it.
         self.now = 0
         self._seq = 0
-        #: the pending set: a heap of ``(time, seq, action, label)``.
-        self._heap: list[Entry] = []
+        #: the pending set: a heap of the distinct pending instants, and
+        #: each instant's entry (lone) or deque of entries (seq order).
+        self._times: list[int] = []
+        self._at: dict[int, Entry | deque[Entry]] = {}
+        #: queued entries, weak ones included.
+        self._pending = 0
         #: the seqs of the queued weak entries.
         self._weak: set[int] = set()
         self._running = False
@@ -114,7 +139,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Events still queued (weak ones included)."""
-        return len(self._heap)
+        return self._pending
 
     @property
     def dispatched_events(self) -> int:
@@ -123,7 +148,7 @@ class Simulator:
 
     @property
     def max_heap_depth(self) -> int:
-        """High-water mark of the event queue."""
+        """High-water mark of :attr:`pending_events`."""
         return self._max_heap_depth
 
     # -- scheduling ---------------------------------------------------------
@@ -161,10 +186,19 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = (time, seq, action, label)
-        heap = self._heap
-        heappush(heap, entry)
-        if len(heap) > self._max_heap_depth:
-            self._max_heap_depth = len(heap)
+        at = self._at
+        queued = at.get(time)
+        if queued is None:
+            at[time] = entry
+            heappush(self._times, time)
+        elif queued.__class__ is deque:
+            queued.append(entry)
+        else:
+            at[time] = deque((queued, entry))
+        pending = self._pending + 1
+        self._pending = pending
+        if pending > self._max_heap_depth:
+            self._max_heap_depth = pending
         if weak:
             self._weak.add(seq)
         return entry
@@ -197,7 +231,9 @@ class Simulator:
         have passed and ``action`` must be callable. A slot that holds
         no reservation (never reserved, or already queued) is rejected.
         The event is strong and no caller cancels it, so nothing is
-        returned.
+        returned. Entries queued since the reservation may share its
+        instant (the instant being drained included), so the entry goes
+        in ``seq`` order among them.
         """
         seq = slot.seq
         if seq < 0:
@@ -216,26 +252,55 @@ class Simulator:
                 f"event action must be callable, got {type(action).__name__}"
             )
         slot.seq = -1
-        heap = self._heap
-        heappush(heap, (time, seq, action, label))
-        if len(heap) > self._max_heap_depth:
-            self._max_heap_depth = len(heap)
+        entry = (time, seq, action, label)
+        at = self._at
+        queued = at.get(time)
+        if queued is None:
+            at[time] = entry
+            heappush(self._times, time)
+        elif queued.__class__ is deque:
+            index = len(queued)
+            while index and queued[index - 1][1] > seq:
+                index -= 1
+            queued.insert(index, entry)
+        elif queued[1] < seq:
+            at[time] = deque((queued, entry))
+        else:
+            at[time] = deque((entry, queued))
+        pending = self._pending + 1
+        self._pending = pending
+        if pending > self._max_heap_depth:
+            self._max_heap_depth = pending
 
     def cancel(self, entry: Entry) -> bool:
         """Remove ``entry`` (from :meth:`call_at`) from the queue.
 
         Returns False when it is no longer queued: it already fired, is
-        firing now, or was cancelled before. Linear in the queue length.
+        firing now, or was cancelled before. Linear in the entries of
+        its instant, and in the pending instants when it empties one.
         """
-        heap = self._heap
-        try:
-            index = heap.index(entry)
-        except ValueError:
+        time = entry[0]
+        at = self._at
+        queued = at.get(time)
+        if queued is None:
             return False
-        last = heap.pop()
-        if index < len(heap):
-            heap[index] = last
-            heapify(heap)
+        if queued.__class__ is deque:
+            try:
+                queued.remove(entry)
+            except ValueError:
+                return False
+            emptied = not queued
+        elif queued == entry:
+            emptied = True
+        else:
+            return False
+        if emptied:
+            # ``run`` finishes an instant only while it is still here.
+            del at[time]
+            times = self._times
+            times.remove(time)
+            heapify(times)
+        self._pending -= 1
         self._weak.discard(entry[1])
         return True
 
@@ -267,28 +332,64 @@ class Simulator:
             )
         self._running = True
         profiler = self.profiler
-        heap = self._heap
+        times = self._times
+        at = self._at
         weak = self._weak
         before = self._dispatched
         try:
-            # Without weak entries (no probes), a non-empty heap is the
-            # whole test, one len() per event cheaper.
-            while len(heap) > len(weak) if weak else heap:
-                entry = heappop(heap)
-                time, seq, action, label = entry
+            # Without weak entries (no probes), a pending entry is the
+            # whole test, one len() per instant cheaper.
+            while self._pending > len(weak) if weak else self._pending:
+                time = times[0]
                 if until is not None and time > until:
-                    heappush(heap, entry)
                     break
-                if weak:
-                    weak.discard(seq)
-                self.now = time
-                if profiler is None:
-                    action()
-                else:
-                    start = perf_counter_ns()
-                    action()
-                    profiler.account(label, perf_counter_ns() - start)
-                self._dispatched += 1
+                queued = at[time]
+                if queued.__class__ is not deque:
+                    # A lone entry leaves the pending set before it fires.
+                    heappop(times)
+                    del at[time]
+                    self._pending -= 1
+                    if weak:
+                        weak.discard(queued[1])
+                    self.now = time
+                    if profiler is None:
+                        queued[2]()
+                    else:
+                        start = perf_counter_ns()
+                        queued[2]()
+                        profiler.account(
+                            queued[3], perf_counter_ns() - start
+                        )
+                    self._dispatched += 1
+                    continue
+                # Drain the instant in place: an event queued for it
+                # while it drains joins the deque in seq order. (It is
+                # empty only when its last event raised in a past run.)
+                if queued:
+                    self.now = time
+                    popleft = queued.popleft
+                    while queued:
+                        if weak and self._pending <= len(weak):
+                            break
+                        _, seq, action, label = popleft()
+                        self._pending -= 1
+                        if weak:
+                            weak.discard(seq)
+                        if profiler is None:
+                            action()
+                        else:
+                            start = perf_counter_ns()
+                            action()
+                            profiler.account(
+                                label, perf_counter_ns() - start
+                            )
+                        self._dispatched += 1
+                    if queued:
+                        break  # only weak entries remain
+                if at.get(time) is queued:
+                    # Still queued: no cancel emptied and removed it.
+                    heappop(times)
+                    del at[time]
         except BaseException as exc:
             if self.on_crash is not None:
                 self.on_crash(exc)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import fields
+
 from repro.core.channel import ChannelSpec
 from repro.core.rt_layer import ChannelGrant, RTLayer
-from repro.errors import ProtocolError, UnknownChannelError
-from repro.protocol.ethernet import FrameKind
+from repro.errors import FieldRangeError, ProtocolError, UnknownChannelError
+from repro.protocol.ethernet import EthernetFrame, FrameKind, reset_frame_ids
+from repro.protocol.headers import MAX_ABSOLUTE_DEADLINE, encode_rt_header
 from repro.units import ETH_MAX_PAYLOAD
 
 SLOT = 123_040  # fast Ethernet
@@ -127,3 +130,40 @@ class TestEmitMessage:
             o.frame.created_at == release
             for o in layer.emit_message(1, release)
         )
+
+    def test_frames_equal_checked_frames_field_by_field(self):
+        # emit_message checks the message once and skips EthernetFrame's
+        # per-frame checks; each frame must equal, slot for slot, the one
+        # the checked constructor builds, frame IDs drawn in order.
+        layer = RTLayer("src", SLOT)
+        layer.install_grant(make_grant(channel_id=0xFFFF, spec=ChannelSpec(
+            period=100, capacity=4, deadline=40)))
+        release = 9 * SLOT
+        layer.emit_message(0xFFFF, 0)
+        reset_frame_ids()
+        emitted = [o.frame for o in layer.emit_message(0xFFFF, release)]
+        reset_frame_ids()
+        header = encode_rt_header(release + 40 * SLOT, 0xFFFF)
+        checked = [
+            EthernetFrame(
+                kind=FrameKind.RT_DATA, source="src", destination="dst",
+                payload_bytes=ETH_MAX_PAYLOAD, rt_header=header,
+                channel_id=0xFFFF, message_seq=1, fragment_index=index,
+                created_at=release,
+            )
+            for index in range(4)
+        ]
+        names = [f.name for f in fields(EthernetFrame)]
+        assert [[getattr(f, n) for n in names] for f in emitted] == [
+            [getattr(f, n) for n in names] for f in checked
+        ]
+        assert [f.frame_id for f in emitted] == [0, 1, 2, 3]
+        assert all(f.rt_header is emitted[0].rt_header for f in emitted)
+
+    def test_deadline_past_48_bits_still_raises(self):
+        layer = RTLayer("src", SLOT)
+        layer.install_grant(make_grant())
+        with pytest.raises(FieldRangeError, match="48-bit"):
+            layer.emit_message(1, MAX_ABSOLUTE_DEADLINE - 39 * SLOT)
+        last = layer.emit_message(1, MAX_ABSOLUTE_DEADLINE - 40 * SLOT)
+        assert last[0].frame.absolute_deadline == MAX_ABSOLUTE_DEADLINE

@@ -168,19 +168,25 @@ class TestLeaseTimers:
         # refreshes its lease: the old timer must leave the queue.
         net = lossy_star(FaultPlan(drop_occurrences={"dest-response": [0]}))
         arm = net.switch._arm_lease  # noqa: SLF001
-        queued = []
+        leases = net.switch._lease_events  # noqa: SLF001
+        added, replaced = [], []
 
         def counting_arm(channel_id):
+            old = leases.get(channel_id)
+            before = net.sim.pending_events
             arm(channel_id)
-            label = f"switch:lease:{channel_id}"
-            heap = net.sim._heap  # noqa: SLF001
-            queued.append(sum(entry[3] == label for entry in heap))
+            added.append(net.sim.pending_events - before)
+            if old is not None:
+                assert leases[channel_id] is not old
+                # Already out of the queue: nothing left to cancel.
+                replaced.append(net.sim.cancel(old))
 
         net.switch._arm_lease = counting_arm  # noqa: SLF001
         grant = net.establish("a", "b", SPEC, retry=RETRY)
         assert grant is not None
         assert net.switch.manager.duplicate_requests == 1
-        assert queued == [1, 1]
+        assert added == [1, 0]
+        assert replaced == [False]
         assert_no_leak(net, {grant.channel_id})
         assert net.sim.pending_events == 0
 

@@ -91,6 +91,12 @@ class TestRequestFrame:
         assert stamped.period == frame.period
         assert stamped.connect_request_id == frame.connect_request_id
         assert frame.rt_channel_id == 0  # original immutable
+        assert stamped == sample_request(rt_channel_id=777)
+
+    @pytest.mark.parametrize("channel_id", [0x10000, -1, True, 7.0])
+    def test_with_channel_id_checks_the_new_id(self, channel_id):
+        with pytest.raises(FieldRangeError, match="rt_channel_id"):
+            sample_request().with_channel_id(channel_id)
 
     def test_max_values_roundtrip(self):
         frame = sample_request(

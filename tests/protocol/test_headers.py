@@ -52,6 +52,22 @@ class TestEncodeDecode:
         with pytest.raises(FieldRangeError):
             encode_rt_header(0, -1)
 
+    @pytest.mark.parametrize("deadline", [0, 0xFFFF, 0x1_0000, 0x1234_5678_9ABC,
+                                          MAX_ABSOLUTE_DEADLINE])
+    @pytest.mark.parametrize("channel", [0, 1, 0xDEF0, MAX_CHANNEL_ID])
+    def test_codec_header_equals_the_checked_one(self, deadline, channel):
+        # encode_rt_header skips RTHeader's checks; its header must be
+        # the very value the checking constructor builds.
+        header = encode_rt_header(deadline, channel)
+        checked = RTHeader(
+            ip_source=deadline >> 16,
+            ip_destination=(deadline & 0xFFFF) << 16 | channel,
+        )
+        assert header == checked and hash(header) == hash(checked)
+        assert (header.ip_source, header.ip_destination, header.tos) == (
+            checked.ip_source, checked.ip_destination, RT_TOS
+        )
+
 
 class TestRTHeader:
     def test_non_rt_header_refuses_deadline_reads(self):
